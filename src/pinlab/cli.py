@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .disorder import disorder_from_json, log_mgf, rademacher_disorder
-from .errors import InternalConsistencyError, PinlabError
+from .errors import InternalConsistencyError, PinlabError, UndecidedError
 from .homopolymer import annealed_critical_curve, homopolymer_free_energy
 from .kernels import (
     chi as compute_chi,
@@ -604,6 +604,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except UndecidedError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except PinlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -5,12 +5,16 @@ The partition sum over paths tied to the defect line at both ends obeys
     Z_0 = 1,   Z_m = sum_{j=0}^{m-1} Z_j exp(beta w_j - h) K(m - j),
 
 where a reward is collected at every renewal start (site 0 included, the
-terminal site excluded).  The recursion runs entirely in the log domain
-with a per-step running maximum: at depth ``n = 4096`` the summands span
-hundreds of orders of magnitude, so no probability-domain arithmetic
-appears anywhere.  Replicas share nothing; each owns a private stream
-derived from ``(base_seed, replica_index)``, which makes estimates
-bit-reproducible and embarrassingly parallel.
+terminal site excluded).  At depth ``n = 4096`` the summands span
+hundreds of orders of magnitude, so the recursion is the scaled forward
+algorithm: each replica holds its terms in the linear domain under one
+log-scale, a step is one matrix-vector product, the scale moves only when
+a sum or a new term leaves a safe range, and ``log Z_m`` is stored in the
+log domain.  A step whose linear sum underflows or overflows is redone by
+an exact log-sum-exp, so the extremes give the log-domain result.
+Replicas share nothing; each owns a private stream derived from
+``(base_seed, replica_index)``, which makes estimates bit-reproducible and
+embarrassingly parallel.
 
 The quenched free energy per site is estimated as the replica average of
 ``log Z_n / n``.  Locating its zero in ``h`` is done by bisection with an
@@ -99,30 +103,85 @@ def log_mass_vector(kernel: RenewalKernel, n: int) -> np.ndarray:
     return out
 
 
+# A replica is rebased when its new entry exceeds e^460 (about 1e200) or its
+# sum leaves [e^-460, e^460], so a sum of up to n entries stays far from
+# overflow.  A sum outside [e^-644, e^644] (about 1e-280 to 1e280) is redone
+# in the log domain: entries that underflowed to zero or to subnormals may
+# then carry a relevant share of it.
+_LOG_SAFE = 460.0
+_LOG_EXACT = 644.0
+
+
 def dp_log_partition(
     log_k: np.ndarray, site_weights: np.ndarray, band: int | None = None
 ) -> np.ndarray:
-    """Batched log-domain renewal DP.
+    """Batched renewal DP as a scaled linear-domain recursion.
 
     ``site_weights[r, j] = beta * w_j - h`` for replica ``r``; returns the
     ``(replicas, n+1)`` array of ``log Z_m``.  ``band`` limits the gap
     length for kernels of bounded support (O(n * band) instead of O(n^2)).
+
+    Replica ``r`` keeps ``y[j, r] = Z_j exp(w_j - c_r)`` for the sites of
+    its window under one log-scale ``c_r`` (the scaled forward algorithm of
+    HMMs), so a step is one product of the reversed kernel masses with the
+    window's rows of ``y``, one ``log`` and one ``exp`` per replica.  A
+    replica whose sum or new entry leaves the safe range is rebased:
+    ``c_r`` becomes the window's largest ``log Z_j + w_j`` and its window is
+    recomputed from ``log Z``.  A sum that is zero, subnormal or near either
+    end of the float range is recomputed by the exact log-sum-exp step for
+    that replica alone, so large ``beta * w``, extreme ``h``, gapped kernels
+    and long stretches of very negative weight give the log-domain values,
+    and ``-inf`` where ``Z_m = 0``.
     """
     reps, n = site_weights.shape
     width = n if band is None else min(band, n)
+    k_rev = np.exp(log_k[:width][::-1])  # K(width), ..., K(1)
     log_z = np.empty((reps, n + 1))
     log_z[:, 0] = 0.0
-    scores = np.empty((reps, n))
-    for m in range(1, n + 1):
-        j0 = max(0, m - width)
-        t = scores[:, j0:m]
-        np.add(log_z[:, j0:m], site_weights[:, j0:m], out=t)
-        t += log_k[: m - j0][::-1]
-        mx = t.max(axis=1)
-        safe = np.where(np.isfinite(mx), mx, 0.0)
-        with np.errstate(divide="ignore"):
-            log_z[:, m] = safe + np.log(np.exp(t - safe[:, None]).sum(axis=1))
+    y = np.empty((n, reps))
+    scale = np.empty(reps)
+    steps = np.empty((2, reps))
+    lz, a = steps  # log of the sum, log of the new entry, relative to scale
+    with np.errstate(divide="ignore", over="ignore"):
+        if n:
+            _rebase(y, scale, log_z, site_weights, np.arange(reps), 0, 1)
+        for m in range(1, n + 1):
+            j0 = max(0, m - width)
+            np.log(k_rev[width - m + j0:] @ y[j0:m], out=lz)
+            np.add(scale, lz, out=log_z[:, m])
+            if m < n:
+                np.add(lz, site_weights[:, m], out=a)
+                np.exp(a, out=y[m])
+                if steps.max() <= _LOG_SAFE and lz.min() >= -_LOG_SAFE:
+                    continue
+            elif np.abs(lz).max() <= _LOG_EXACT:
+                break
+            exact = np.flatnonzero(~(np.abs(lz) <= _LOG_EXACT))
+            if exact.size:
+                log_z[exact, m] = _log_step(log_z, site_weights, log_k, exact, j0, m)
+            if m < n:
+                off = np.flatnonzero(~((np.abs(lz) <= _LOG_SAFE) & (a <= _LOG_SAFE)))
+                start = max(0, m + 1 - width)  # the next step's window
+                _rebase(y, scale, log_z, site_weights, off, start, m + 1)
     return log_z
+
+
+def _rebase(y, scale, log_z, site_weights, rows, j0, j1):
+    """Put ``rows`` on the scale of their largest ``log Z_j + w_j``, j0 <= j < j1."""
+    a = log_z[rows, j0:j1] + site_weights[rows, j0:j1]
+    top = a.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    scale[rows] = top
+    a -= top[:, None]
+    y[j0:j1, rows] = np.exp(a, out=a).T
+
+
+def _log_step(log_z, site_weights, log_k, rows, j0, m):
+    """``log Z_m`` of ``rows`` by log-sum-exp over the sites ``j0 <= j < m``."""
+    t = log_z[rows, j0:m] + site_weights[rows, j0:m] + log_k[: m - j0][::-1]
+    top = t.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    return top + np.log(np.exp(t - top[:, None]).sum(axis=1))
 
 
 def partition_function_log(params: PolymerParams, omega) -> float:
@@ -158,13 +217,25 @@ def _seeds_digest(base_seed: int, replicas: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def quenched_free_energy(params: PolymerParams) -> FreeEnergyEstimate:
+def quenched_free_energy(
+    params: PolymerParams, *, charges: np.ndarray | None = None
+) -> FreeEnergyEstimate:
     """Replica average of ``log Z_n / n`` with its standard error.
 
     Deterministic given ``base_seed``: replica ``r`` draws its charges
-    from the stream at ``(base_seed, r)``.
+    from the stream at ``(base_seed, r)``.  A caller that evaluates several
+    biases at one ``(n, replicas, base_seed)`` may pass those draws as
+    ``charges`` (shape ``(replicas, n)``) instead of having them redrawn.
     """
-    omegas = _replica_charges(params)
+    if charges is None:
+        omegas = _replica_charges(params)
+    elif charges.shape == (params.replicas, params.n):
+        omegas = charges
+    else:
+        raise InvalidParameterError(
+            f"charges must have shape {(params.replicas, params.n)}, "
+            f"got {charges.shape}"
+        )
     weights = params.beta * omegas - params.h
     log_k = log_mass_vector(params.kernel, params.n)
     log_z = dp_log_partition(log_k, weights, band=params.kernel.support_upper)
@@ -265,14 +336,6 @@ class CriticalPointBracket:
         }
 
 
-def _estimate_at(kernel, disorder, beta, h, n, replicas, base_seed) -> FreeEnergyEstimate:
-    params = PolymerParams(
-        kernel=kernel, disorder=disorder, beta=beta, h=h, n=n,
-        replicas=replicas, base_seed=base_seed,
-    )
-    return quenched_free_energy(params)
-
-
 def quenched_critical_point(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
@@ -296,13 +359,23 @@ def quenched_critical_point(
     else:
         h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
 
+    # charges depend on (n, replicas, base_seed) only: draw them once per n
+    charges: dict[int, np.ndarray] = {}
+
+    def estimate_at(h: float, n: int) -> FreeEnergyEstimate:
+        params = PolymerParams(
+            kernel=kernel, disorder=disorder, beta=beta, h=h, n=n,
+            replicas=cfg.replicas, base_seed=cfg.base_seed,
+        )
+        if n not in charges:
+            charges[n] = _replica_charges(params)
+        return quenched_free_energy(params, charges=charges[n])
+
     cache: dict[float, FreeEnergyEstimate] = {}
 
     def estimate(h: float) -> FreeEnergyEstimate:
         if h not in cache:
-            cache[h] = _estimate_at(
-                kernel, disorder, beta, h, cfg.n, cfg.replicas, cfg.base_seed
-            )
+            cache[h] = estimate_at(h, cfg.n)
         return cache[h]
 
     def threshold(est: FreeEnergyEstimate) -> float:
@@ -342,9 +415,7 @@ def quenched_critical_point(
     est_lo, est_hi = estimate(h_lo), estimate(h_hi)
     diag = {}
     for label, h, est in (("h_lo", h_lo, est_lo), ("h_hi", h_hi, est_hi)):
-        est2 = _estimate_at(
-            kernel, disorder, beta, h, 2 * cfg.n, cfg.replicas, cfg.base_seed
-        )
+        est2 = estimate_at(h, 2 * cfg.n)
         diag[label] = {
             "h": h,
             "n": cfg.n,

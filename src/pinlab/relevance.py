@@ -44,7 +44,7 @@ from .disorder import (
     xi,
     xi_limit,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, PrecisionError
 from .homopolymer import joint_free_energy
 from .kernels import (
     ChiResult,
@@ -236,8 +236,18 @@ def replica_moment_log(kernel_tr: RenewalKernel, log_xi_value: float, n: int) ->
 def replica_moment(
     kernel_tr: RenewalKernel, disorder: DisorderLaw, beta: float, n: int
 ) -> float:
-    """Pair-chain moment ``E[Xi(beta)^(# simultaneous renewals)]``."""
-    return math.exp(replica_moment_log(kernel_tr, log_xi(disorder, beta), n))
+    """Pair-chain moment ``E[Xi(beta)^(# simultaneous renewals)]``.
+
+    Raises :class:`PrecisionError` when the moment overflows a float; the
+    log moment is still available from :func:`replica_moment_log`.
+    """
+    log_moment = replica_moment_log(kernel_tr, log_xi(disorder, beta), n)
+    try:
+        return math.exp(log_moment)
+    except OverflowError:
+        raise PrecisionError(
+            f"replica moment exp({log_moment!r}) overflows a float"
+        ) from None
 
 
 def _enumerate_configs(masses: np.ndarray, n: int):

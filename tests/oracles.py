@@ -54,6 +54,30 @@ def partition_log_brute(masses: np.ndarray, beta: float, h: float, omega) -> flo
     return math.log(total)
 
 
+def partition_log_recursion(log_masses, site_weights, band=None) -> list[float]:
+    """``log Z_m`` for ``m = 0..n`` by the plain log-domain renewal recursion.
+
+    ``log_masses[g-1] = log K(g)`` (``-inf`` for a zero mass) and
+    ``site_weights[j]`` is the log weight of a renewal started at ``j``;
+    ``band`` caps the gap length.  Each step is a log-sum-exp in Python
+    floats with an exactly rounded sum (``math.fsum``).
+    """
+    weights = [float(x) for x in site_weights]
+    log_masses = [float(x) for x in log_masses]
+    n = len(weights)
+    width = n if band is None else min(band, n)
+    log_z = [0.0]
+    for m in range(1, n + 1):
+        terms = [log_z[j] + weights[j] + log_masses[m - j - 1]
+                 for j in range(max(0, m - width), m)]
+        top = max(terms)
+        if top == -math.inf:
+            log_z.append(-math.inf)
+        else:
+            log_z.append(top + math.log(math.fsum(math.exp(t - top) for t in terms)))
+    return log_z
+
+
 def enumerate_renewal_configs(masses: np.ndarray, n: int):
     """(renewal_times, probability) over the window [0, n-1], including the
     survival factor of the gap that overshoots the window."""

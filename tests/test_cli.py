@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from pinlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from pinlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_UNDECIDED, main
 
 
 def write_config(tmp_path, name, doc):
@@ -273,6 +273,24 @@ class TestRelevanceCommand:
         assert run(["relevance", "--config", cfg, "--out", out, "--seed", "2"]) in (EXIT_OK, 4)
         manifest = json.loads((out / "relevance_manifest.json").read_text())
         assert manifest["seed"] == 2
+
+    def test_undecided_chi_exits_undecided(self, tmp_path, capsys):
+        # chi comes back undecided at alpha = 0.5, so beta_c_star has no value
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "kernel": {"family": "power", "alpha": 0.5},
+                "disorder": {"family": "gaussian"},
+                "beta": 1.5,
+                "base_seed": 8,
+                "tr_schedule": [4],
+                "n_multiplier": 32,
+                "replicas": 4,
+            },
+        )
+        assert run(["relevance", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_UNDECIDED
+        assert "undecided" in capsys.readouterr().err
 
 
 class TestValidateCommand:

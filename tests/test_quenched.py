@@ -1,27 +1,35 @@
 """Quenched DP, Monte Carlo estimates, streams, and the critical bracket."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
+
+from pinlab import quenched
 
 from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder, sample
 from pinlab.errors import InvalidParameterError
 from pinlab.homopolymer import annealed_free_energy
-from pinlab.kernels import make_geometric_kernel, make_power_kernel
+from pinlab.kernels import make_geometric_kernel, make_power_kernel, make_table_kernel
 from pinlab.quenched import (
     PolymerParams,
     QuenchedSearchConfig,
     annealed_partition_check,
+    dp_log_partition,
     homopolymer_partition_log,
+    log_mass_vector,
     partition_function_log,
     quenched_critical_point,
     quenched_free_energy,
 )
 from pinlab.rng import RngStream, derive_stream
 
-from oracles import partition_log_brute
+from oracles import partition_log_brute, partition_log_recursion
 
 
 KERNEL = make_power_kernel(0.5)
@@ -69,6 +77,10 @@ class TestPartitionFunction:
             want = homopolymer_partition_log(KERNEL, 0.3, n)
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_empty_chain(self):
+        got = dp_log_partition(np.empty(0), np.empty((2, 0)))
+        np.testing.assert_array_equal(got, np.zeros((2, 1)))
+
     def test_requires_enough_charges(self):
         with pytest.raises(InvalidParameterError):
             partition_function_log(params(n=4), np.zeros(3))
@@ -88,6 +100,86 @@ class TestPartitionFunction:
             for h in (-0.5, -0.1, 0.0, 0.4, 1.0)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def assert_matches_recursion(log_k, weights, band):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dp_log_partition(log_k, weights, band=band)
+    assert got.shape == (weights.shape[0], weights.shape[1] + 1)
+    for row, w in zip(got, weights):
+        want = np.array(partition_log_recursion(log_k, w, band))
+        zero = want == -np.inf
+        np.testing.assert_array_equal(row[zero], want[zero])
+        assert np.all(np.isfinite(row[~zero]))
+        err = np.abs(row[~zero] - want[~zero]) / np.maximum(1.0, np.abs(want[~zero]))
+        assert err.max(initial=0.0) <= 1e-12
+
+
+def charges(seed, replicas, n):
+    return np.array([derive_stream(seed, r).normal(n) for r in range(replicas)])
+
+
+GAPPED_TABLES = [
+    [0.0, 0.3, 0.0, 0.0, 0.2, 0.5],
+    [0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.4],
+    [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5],
+]
+sizes = st.integers(min_value=1, max_value=200)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+bands = st.none() | st.integers(min_value=1, max_value=40)
+
+
+class TestScaledRecursionExtremes:
+    """The scaled DP against the plain log-domain recursion, warnings fatal.
+
+    Errors are relative to ``max(1, |log Z_m|)``, so 1e-12 is absolute where
+    ``log Z_m`` is near zero.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 300.0), st.floats(-5.0, 5.0), sizes, seeds, bands)
+    def test_large_beta_gaussian(self, beta, h, n, seed, band):
+        weights = beta * charges(seed, 3, n) - h
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 2.0), st.floats(-800.0, 800.0), sizes, seeds, bands)
+    def test_extreme_bias(self, beta, h, n, seed, band):
+        weights = beta * charges(seed, 3, n) - h
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(GAPPED_TABLES), st.floats(0.0, 50.0),
+           st.floats(-800.0, 800.0), sizes, seeds, st.none() | st.integers(1, 10))
+    @example(GAPPED_TABLES[1], 1.0, 0.0, 40, 0, 2)
+    def test_gapped_table_kernel(self, table, beta, h, n, seed, band):
+        # a band below the support's gaps leaves windows where every Z_j = 0
+        weights = beta * charges(seed, 3, n) - h
+        kernel = make_table_kernel(table)
+        assert_matches_recursion(log_mass_vector(kernel, n), weights, band)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(20, 200), st.data(), st.floats(-5000.0, -1000.0), seeds)
+    def test_band_8_with_very_negative_stretch(self, n, data, low, seed):
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        weights = charges(seed, 2, n)
+        weights[:, start:stop] = low
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, 8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 3), st.integers(60, 200), seeds)
+    def test_rescue_only_for_replica_that_needs_it(self, victim, n, seed):
+        # eight sites of weight -1500 empty the band-8 window of every term
+        # that survives the linear scale, so only the victim's sum is zero
+        weights = charges(seed, 4, n)
+        weights[victim, 30:40] = -1500.0
+        with mock.patch.object(quenched, "_log_step", wraps=quenched._log_step) as spy:
+            assert_matches_recursion(log_mass_vector(KERNEL, n), weights, 8)
+        assert spy.call_count >= 1
+        for call in spy.call_args_list:
+            assert list(call.args[3]) == [victim]
 
 
 class TestQuenchedFreeEnergy:
@@ -205,6 +297,25 @@ class TestCriticalPoint:
         h_ann = log_mgf(GAUSS, 0.6)
         assert bracket.h_hi <= h_ann + bracket.width
         assert bracket.h_lo <= h_ann
+
+    def test_charges_drawn_once_per_size(self):
+        kernel = make_power_kernel(1.5)
+        cfg = QuenchedSearchConfig(n=64, replicas=3, base_seed=4, target_width=0.05)
+        with mock.patch.object(quenched, "sample", wraps=quenched.sample) as spy:
+            bracket = quenched_critical_point(kernel, GAUSS, 0.6, cfg)
+        drawn = sorted(call.args[2] for call in spy.call_args_list)
+        assert drawn == [64] * 3 + [128] * 3
+        for label, diag in bracket.diagnostics.items():
+            for n, key in ((64, "mean"), (128, "mean_2n")):
+                redrawn = quenched_free_energy(PolymerParams(
+                    kernel=kernel, disorder=GAUSS, beta=0.6, h=diag["h"], n=n,
+                    replicas=3, base_seed=4,
+                ))
+                assert redrawn.mean == diag[key], (label, key)
+
+    def test_rejects_charges_of_wrong_shape(self):
+        with pytest.raises(InvalidParameterError):
+            quenched_free_energy(params(n=8, replicas=2), charges=np.zeros((2, 7)))
 
     def test_positive_bias_needed_at_positive_beta(self):
         # with disorder switched on, localization survives a strictly

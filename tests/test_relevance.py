@@ -10,10 +10,11 @@ from pinlab.disorder import (
     continuous_disorder,
     gaussian_disorder,
     log_mgf,
+    log_xi,
     rademacher_disorder,
     xi,
 )
-from pinlab.errors import InvalidParameterError, UndecidedError
+from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
 from pinlab.kernels import chi, kernel_entropy, make_power_kernel, truncate_kernel
 from pinlab.quenched import dp_log_partition, log_mass_vector
@@ -125,6 +126,14 @@ class TestReplicaMoment:
                 want = pair_moment_brute(masses, xi(RAD, beta), n)
                 got = replica_moment(ktr, RAD, beta, n)
                 assert got == pytest.approx(want, abs=1e-12)
+
+    def test_overflow_is_precision_error(self):
+        ktr = truncate_kernel(P03, 32)
+        log_moment = replica_moment_log(ktr, log_xi(GAUSS, 1.5), 8192)
+        assert log_moment > 709.8
+        with pytest.raises(PrecisionError) as info:
+            replica_moment(ktr, GAUSS, 1.5, 8192)
+        assert repr(log_moment) in str(info.value)
 
     def test_identity_exact(self):
         ktr = truncate_kernel(P03, 3)
