@@ -7,7 +7,7 @@ Subcommands::
     pinlab phase-diagram --config cfg.json   # annealed column exact, quenched bracketed
     pinlab relevance     --config cfg.json   # temperature bounds + truncation scan
     pinlab chi           --config cfg.json   # overlap sum with verdict
-    pinlab validate      --config cfg.json   # enumeration oracles, pass/fail matrix
+    pinlab validate      --config cfg.json   # pinlab.oracles checks, pass/fail matrix
 
 One JSON document configures a run (no environment overrides except the
 output directory via ``PINLAB_OUT_DIR``); the manifest hash covers that
@@ -44,18 +44,18 @@ from .kernels import (
     return_probabilities,
     truncate_kernel,
 )
+from .oracles import (
+    annealed_partition_check,
+    pinned_partition_log,
+    replica_moment_exact_check,
+)
 from .quenched import (
     PolymerParams,
     QuenchedSearchConfig,
-    annealed_partition_check,
     partition_function_log,
     quenched_critical_point,
 )
-from .relevance import (
-    critical_temperature_bounds,
-    entropy_estimator,
-    replica_moment_exact_check,
-)
+from .relevance import critical_temperature_bounds, entropy_estimator
 from .rng import derive_stream
 
 EXIT_OK = 0
@@ -426,7 +426,7 @@ def _check_kernel_construction(cfg):
 
 def _check_renewal_recursion(kernel):
     n = 512
-    rp = return_probabilities(kernel, n, method="dp")
+    rp = return_probabilities(kernel, n)
     masses = kernel.mass_array(n)
     worst = 0.0
     for m in range(1, n + 1):
@@ -449,10 +449,10 @@ def _check_truncation_mass(kernel):
 
 def _check_overlap_reconstruction(kernel):
     n = 256
-    rp = return_probabilities(kernel, n, method="dp")
+    rp = return_probabilities(kernel, n)
     v = rp.u * rp.u
     v[0] = 1.0
-    ov = overlap_kernel(kernel, n, method="dp")
+    ov = overlap_kernel(kernel, n)
     worst = 0.0
     for m in range(1, n + 1):
         recon = float(np.dot(ov.masses[:m], v[m - 1 :: -1][:m]))
@@ -460,19 +460,6 @@ def _check_overlap_reconstruction(kernel):
     if worst > 1e-10:
         raise InternalConsistencyError(f"overlap reconstruction off by {worst:.3e}")
     return f"max reconstruction error {worst:.2e}"
-
-
-def _enumerated_partition(kernel, beta, h, omega):
-    n = len(omega)
-    masses = kernel.mass_array(n)
-    total = 0.0
-    for code in range(1 << (n - 1)):
-        points = [0] + [j for j in range(1, n) if code >> (j - 1) & 1] + [n]
-        weight = 1.0
-        for a, b in zip(points, points[1:]):
-            weight *= masses[b - a - 1] * math.exp(beta * omega[a] - h)
-        total += weight
-    return math.log(total)
 
 
 def _check_dp_enumeration(kernel, seed):
@@ -487,7 +474,7 @@ def _check_dp_enumeration(kernel, seed):
             kernel=kernel, disorder=rademacher_disorder(), beta=beta, h=h, n=n, replicas=1
         )
         got = partition_function_log(params, omega)
-        want = _enumerated_partition(kernel, beta, h, omega)
+        want = pinned_partition_log(kernel.mass_array(n), beta * omega - h)
         worst = max(worst, abs(got - want))
     if worst > 1e-12:
         raise InternalConsistencyError(f"DP vs enumeration gap {worst:.3e}")
@@ -583,7 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config base_seed")
-        p.add_argument("--threads", type=int, default=1)
+        if name == "phase-diagram":
+            p.add_argument("--threads", type=int, default=1,
+                           help="solve the beta grid on this many threads")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 

@@ -233,7 +233,7 @@ def _solve_on_overlap(
     target = math.exp(-lam)
     horizon = start_horizon
     while True:
-        ov = overlap_kernel(base, horizon, method="fft")
+        ov = overlap_kernel(base, horizon)
         reachable = float(ov.partial_sums[-1])
         if reachable <= target:
             if horizon >= max_horizon:
@@ -332,7 +332,7 @@ def joint_truncation_bound(
         raise DomainError(f"bound requires lam < lambda0 = {lam0!r}, got {lam!r}")
     l2 = 0.0
     if tr > 1:
-        l2 = overlap_kernel(kernel, tr - 1, method="auto").l2(tr - 1)
+        l2 = overlap_kernel(kernel, tr - 1).l2(tr - 1)
     gap = math.exp(-lam) - l2
     if gap <= 0.0:
         raise InternalConsistencyError(

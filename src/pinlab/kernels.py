@@ -65,13 +65,12 @@ class RenewalKernel:
     alpha: float | None = None
     p: float | None = None
     masses: np.ndarray | None = None  # table family; masses[i] = K(i+1)
-    n_cap: int | None = None
     l_description: str = "constant 1/zeta(1+alpha)"
 
     # -- mass queries -----------------------------------------------------
 
     def mass(self, n: int) -> float:
-        """``K(n)`` at a single ``n >= 1`` (closed form beyond any cap)."""
+        """``K(n)`` at a single ``n >= 1``."""
         if n < 1:
             raise InvalidParameterError("kernel mass defined for n >= 1")
         if self.family == "power":
@@ -123,7 +122,7 @@ class RenewalKernel:
         return None
 
 
-def make_power_kernel(alpha: float, n_cap: int | None = None) -> RenewalKernel:
+def make_power_kernel(alpha: float) -> RenewalKernel:
     """Pure power-law kernel ``K(n) = n^-(1+alpha) / zeta(1+alpha)``.
 
     ``alpha = 0`` is not representable in closed form (the bare series
@@ -132,9 +131,7 @@ def make_power_kernel(alpha: float, n_cap: int | None = None) -> RenewalKernel:
     """
     if not (alpha > 0.0) or not math.isfinite(alpha):
         raise InvalidParameterError(f"power kernel needs alpha > 0, got {alpha}")
-    if n_cap is not None and n_cap < 1:
-        raise InvalidParameterError("n_cap must be a positive integer")
-    return RenewalKernel(family="power", alpha=float(alpha), n_cap=n_cap)
+    return RenewalKernel(family="power", alpha=float(alpha))
 
 
 def make_geometric_kernel(p: float) -> RenewalKernel:
@@ -181,24 +178,19 @@ class ReturnProbabilities:
 
     u: np.ndarray
     horizon: int
-    method: str
 
 
-def return_probabilities(
-    kernel: RenewalKernel, n: int, method: str = "auto"
-) -> ReturnProbabilities:
+def return_probabilities(kernel: RenewalKernel, n: int) -> ReturnProbabilities:
     """Solve ``u_m = sum_{j=1}^m K(j) u_{m-j}`` up to horizon ``n``.
 
-    ``method='dp'`` is the exact O(N^2) recursion; ``'fft'`` the
-    O(N log N) power-series reciprocal (agrees with the recursion to
-    better than 1e-12 per term); ``'auto'`` picks by size.
+    O(N log N) power-series reciprocal; agrees with the exact recursion to
+    better than 1e-12 per term.
     """
     if n < 0:
         raise InvalidParameterError("horizon must be >= 0")
-    chosen = method if method != "auto" else ("dp" if n <= 4096 else "fft")
-    u = renewal_function(kernel.mass_array(n), n, method=chosen)
+    u = renewal_function(kernel.mass_array(n), n)
     u.setflags(write=False)
-    return ReturnProbabilities(u=u, horizon=n, method=chosen)
+    return ReturnProbabilities(u=u, horizon=n)
 
 
 @dataclass(frozen=True)
@@ -261,7 +253,7 @@ def chi(
         raise InvalidParameterError("tolerance must be positive")
     horizon = start_horizon
     while True:
-        rp = return_probabilities(kernel, horizon, method="fft" if horizon > 4096 else "dp")
+        rp = return_probabilities(kernel, horizon)
         s_fit, c_fit = _fit_decay(rp.u, horizon)
         decay2 = 2.0 * s_fit
         partial = float(np.sum(rp.u[1:] ** 2))
@@ -352,7 +344,7 @@ class OverlapKernel:
 _NEGATIVE_MASS_ABORT = -1e-10
 
 
-def overlap_kernel(kernel: RenewalKernel, n: int, method: str = "auto") -> OverlapKernel:
+def overlap_kernel(kernel: RenewalKernel, n: int) -> OverlapKernel:
     """Joint-return gap law up to horizon ``n``.
 
     Squares the return probabilities (independence of the two copies) and
@@ -361,11 +353,10 @@ def overlap_kernel(kernel: RenewalKernel, n: int, method: str = "auto") -> Overl
     """
     if n < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    rp = return_probabilities(kernel, n, method=method)
+    rp = return_probabilities(kernel, n)
     v = rp.u * rp.u
     v[0] = 1.0
-    chosen = method if method != "auto" else ("dp" if n <= 4096 else "fft")
-    k2 = kernel_from_renewal_function(v, n, method=chosen)
+    k2 = kernel_from_renewal_function(v, n)
     worst = float(k2.min()) if k2.size else 0.0
     if worst < _NEGATIVE_MASS_ABORT:
         raise InternalConsistencyError(
@@ -391,17 +382,22 @@ def kernel_to_json(kernel: RenewalKernel) -> dict:
         doc["p"] = kernel.p
     else:
         doc["masses"] = [float(x) for x in kernel.masses]
-    if kernel.n_cap is not None:
-        doc["n_cap"] = kernel.n_cap
     return doc
 
 
+_FAMILY_FIELD = {"power": "alpha", "geometric": "p", "table": "masses"}
+
+
 def kernel_from_json(doc: dict) -> RenewalKernel:
+    """Kernel from its JSON form; a field the family does not read is an error."""
     family = doc.get("family")
+    if family not in _FAMILY_FIELD:
+        raise InvalidParameterError(f"unknown kernel family {family!r}")
+    unknown = sorted(set(doc) - {"family", _FAMILY_FIELD[family]})
+    if unknown:
+        raise InvalidParameterError(f"unknown {family} kernel field(s) {', '.join(unknown)}")
     if family == "power":
-        return make_power_kernel(doc["alpha"], doc.get("n_cap"))
+        return make_power_kernel(doc["alpha"])
     if family == "geometric":
         return make_geometric_kernel(doc["p"])
-    if family == "table":
-        return make_table_kernel(doc["masses"])
-    raise InvalidParameterError(f"unknown kernel family {family!r}")
+    return make_table_kernel(doc["masses"])

@@ -46,9 +46,7 @@ __all__ = [
     "dp_log_partition",
     "log_mass_vector",
     "partition_function_log",
-    "homopolymer_partition_log",
     "quenched_free_energy",
-    "annealed_partition_check",
     "quenched_critical_point",
 ]
 
@@ -197,13 +195,6 @@ def partition_function_log(params: PolymerParams, omega) -> float:
     return float(dp_log_partition(log_k, weights, band=band)[0, params.n])
 
 
-def homopolymer_partition_log(kernel: RenewalKernel, lam: float, n: int) -> float:
-    """Finite-size homogeneous partition sum at pinning strength ``lam``."""
-    weights = np.full((1, n), float(lam))
-    return float(dp_log_partition(log_mass_vector(kernel, n), weights,
-                                   band=kernel.support_upper)[0, n])
-
-
 def _replica_charges(params: PolymerParams) -> np.ndarray:
     rows = np.empty((params.replicas, params.n))
     for r in range(params.replicas):
@@ -254,44 +245,6 @@ def quenched_free_energy(
         seeds_digest=_seeds_digest(params.base_seed, params.replicas),
         per_replica=per_replica,
     )
-
-
-def annealed_partition_check(
-    kernel: RenewalKernel,
-    disorder: DisorderLaw,
-    beta: float,
-    h: float,
-    n: int,
-    atol: float = 1e-10,
-) -> tuple[bool, float, float]:
-    """Exhaustive disorder average of ``Z_n`` versus the homogeneous sum.
-
-    For finitely supported charges, averages ``Z_n`` over every charge
-    assignment (with product weights) and compares with the homogeneous
-    partition sum at strength ``log M(beta) - h``.  Only feasible for
-    small ``n`` (cost ``|support|^n``).
-    """
-    if disorder.xs is None or disorder.family not in ("rademacher", "discrete"):
-        raise InvalidParameterError("exhaustive check needs finitely supported disorder")
-    if n > 14:
-        raise InvalidParameterError("exhaustive check limited to n <= 14")
-    xs, ps = disorder.xs, disorder.ps
-    k = len(xs)
-    params = PolymerParams(
-        kernel=kernel, disorder=disorder, beta=beta, h=h, n=n, replicas=1
-    )
-    lhs = 0.0
-    for code in range(k**n):
-        digits = np.empty(n, dtype=int)
-        c = code
-        for pos in range(n):
-            digits[pos] = c % k
-            c //= k
-        weight = float(np.prod(ps[digits]))
-        lhs += weight * math.exp(partition_function_log(params, xs[digits]))
-    lam = log_mgf(disorder, beta) - h
-    rhs = math.exp(homopolymer_partition_log(kernel, lam, n))
-    return abs(lhs - rhs) <= atol, lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ estimates or bounds that functional:
   evaluate the word-averaged likelihood ratio ``f_n`` by the quenched DP
   with a free right endpoint, and average ``log f_n / n`` over replicas;
 * the replica identity: the disorder average of ``f_n`` equals the
-  pair-chain moment ``E[Xi(beta)^(# simultaneous returns)]``, checked
-  exactly on enumerable instances and computed by a lag-state DP;
+  pair-chain moment ``E[Xi(beta)^(# simultaneous returns)]``, computed by
+  a lag-state DP (checked by enumeration in :mod:`pinlab.oracles`);
 * the annealed upper bound ``H_tr <= f2_tr(log Xi(beta))`` and the
   restriction lower bound ``m_tr H_tr >= h(mu_beta|mu_0) + sum K^tr log
   K^tr``;
@@ -66,7 +66,6 @@ __all__ = [
     "critical_temperature_bounds",
     "replica_moment",
     "replica_moment_log",
-    "replica_moment_exact_check",
     "entropy_estimator",
     "entropy_monotonicity_scan",
     "annealed_variational_check",
@@ -248,88 +247,6 @@ def replica_moment(
         raise PrecisionError(
             f"replica moment exp({log_moment!r}) overflows a float"
         ) from None
-
-
-def _enumerate_configs(masses: np.ndarray, n: int):
-    """All renewal configurations on the window ``[0, n-1]``.
-
-    Yields ``(renewal_times, probability)`` where the probability includes
-    the survival factor of the first gap reaching past the window.
-    """
-    tr = len(masses)
-    cum = np.cumsum(masses)
-
-    def survival(q: int) -> float:  # P(gap > q)
-        if q <= 0:
-            return 1.0
-        if q >= tr:
-            return 0.0
-        return float(1.0 - cum[q - 1])
-
-    stack = [((0,), 1.0)]
-    while stack:
-        times, prob = stack.pop()
-        last = times[-1]
-        tail = survival(n - 1 - last)
-        if tail > 0.0:
-            yield times, prob * tail
-        for gap in range(1, min(tr, n - 1 - last) + 1):
-            if masses[gap - 1] > 0.0:
-                stack.append((times + (last + gap,), prob * masses[gap - 1]))
-
-
-def replica_moment_exact_check(
-    kernel_tr: RenewalKernel, disorder: DisorderLaw, beta: float, n: int
-) -> tuple[float, float, float]:
-    """Brute-force both sides of the replica identity on a small window.
-
-    Returns ``(disorder_average, pair_moment, dp_value)``: the exhaustive
-    charge average of the word-likelihood ``f_n`` over the tilted letter
-    law, the exhaustive pair-chain moment, and the DP value.  All three
-    agree to near machine precision for ``n <= 8``.
-    """
-    if n > 8:
-        raise InvalidParameterError("exact check limited to n <= 8")
-    if disorder.family not in ("rademacher", "discrete"):
-        raise InvalidParameterError("exact check needs finitely supported disorder")
-    support = kernel_tr.support_upper
-    masses = kernel_tr.mass_array(support)
-    xs, ps = disorder.xs, disorder.ps
-    k = len(xs)
-    lm = log_mgf(disorder, beta)
-    tilted_ps = ps * np.exp(beta * xs - lm)
-    configs = list(_enumerate_configs(masses, n))
-
-    lhs = 0.0
-    for times_prime, prob_prime in configs:
-        prime_set = set(times_prime)
-        for code in range(k**n):
-            digits = []
-            c = code
-            for _ in range(n):
-                digits.append(c % k)
-                c //= k
-            charge_w = 1.0
-            for pos, d in enumerate(digits):
-                charge_w *= tilted_ps[d] if pos in prime_set else ps[d]
-            theta = 0.0
-            for times, prob in configs:
-                w = prob
-                for t in times:
-                    w *= math.exp(beta * xs[digits[t]] - lm)
-                theta += w
-            lhs += prob_prime * charge_w * theta
-
-    xi_value = xi(disorder, beta)
-    rhs = 0.0
-    for times_a, prob_a in configs:
-        set_a = set(times_a)
-        for times_b, prob_b in configs:
-            overlap = len(set_a.intersection(times_b))
-            rhs += prob_a * prob_b * xi_value**overlap
-
-    dp = replica_moment(kernel_tr, disorder, beta, n)
-    return lhs, rhs, dp
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +475,6 @@ class VariationalCheck:
 
 
 def annealed_variational_check(
-    kernel: RenewalKernel,
     disorder: DisorderLaw,
     beta: float,
     tilt_grid,
@@ -568,8 +484,7 @@ def annealed_variational_check(
     Over the product word family (i.i.d. words, any fixed length law,
     first letter tilted by ``t``) the length law cancels, the objective
     peaks at ``t = beta``, and the peak value is ``log M(beta)`` — the
-    annealed critical bias.  ``kernel`` is accepted to document the family
-    and does not enter the numbers.
+    annealed critical bias.
     """
     grid = np.asarray(list(tilt_grid), dtype=float)
     if grid.size == 0:

@@ -7,9 +7,11 @@ Three ingredients live here:
 * evaluation of ``sum_{n>=1} n^-s x^n`` at ``x = exp(-f)``, accurate down
   to ``f ~ 1e-300`` (needed to resolve free energies near a high-order
   phase transition),
-* fast solution of renewal-type convolution recursions, either by the
-  exact O(N^2) dynamic program or by Newton iteration on the power-series
-  reciprocal (O(N log N) with FFTs).
+* solution of renewal-type convolution recursions by Newton iteration on
+  the power-series reciprocal (O(N log N) with FFTs).  This is the only
+  path the library runs; the exact O(N^2) dynamic programs
+  (``renewal_function_dp``, ``kernel_from_renewal_function_dp``) are kept
+  as reference oracles for the tests.
 """
 
 from __future__ import annotations
@@ -170,6 +172,8 @@ def power_series_inverse(a: np.ndarray, n: int) -> np.ndarray:
 def renewal_function_dp(k_masses: np.ndarray, n: int) -> np.ndarray:
     """Renewal probabilities ``u_0..u_n`` by the exact dynamic program.
 
+    Reference oracle for :func:`renewal_function`.
+
     ``u_0 = 1`` and ``u_m = sum_{j=1}^{m} K(j) u_{m-j}``, with
     ``k_masses[j-1] = K(j)`` (entries beyond the kernel support are 0).
     """
@@ -183,18 +187,11 @@ def renewal_function_dp(k_masses: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def renewal_function(k_masses: np.ndarray, n: int, method: str = "auto") -> np.ndarray:
+def renewal_function(k_masses: np.ndarray, n: int) -> np.ndarray:
     """Renewal probabilities ``u_0..u_n``; ``U(z) = 1 / (1 - K(z))``.
 
-    ``method='fft'`` uses the power-series reciprocal and agrees with the
-    dynamic program to better than 1e-12 per term.
+    Agrees with :func:`renewal_function_dp` to better than 1e-12 per term.
     """
-    if method == "auto":
-        method = "dp" if n <= 4096 else "fft"
-    if method == "dp":
-        return renewal_function_dp(k_masses, n)
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     a = np.zeros(n + 1, dtype=float)
     a[0] = 1.0
     avail = min(n, len(k_masses))
@@ -205,6 +202,8 @@ def renewal_function(k_masses: np.ndarray, n: int, method: str = "auto") -> np.n
 def kernel_from_renewal_function_dp(v: np.ndarray, n: int) -> np.ndarray:
     """Invert ``v_m = sum_{j=1}^m K(j) v_{m-j}`` for the gap law ``K(1..n)``.
 
+    Reference oracle for :func:`kernel_from_renewal_function`.
+
     ``v`` must carry ``v_0 = 1`` and at least ``n`` further entries.
     """
     k = np.empty(n, dtype=float)
@@ -214,13 +213,7 @@ def kernel_from_renewal_function_dp(v: np.ndarray, n: int) -> np.ndarray:
     return k
 
 
-def kernel_from_renewal_function(v: np.ndarray, n: int, method: str = "auto") -> np.ndarray:
+def kernel_from_renewal_function(v: np.ndarray, n: int) -> np.ndarray:
     """Gap law ``K(1..n)`` of a renewal sequence ``v``: ``K(z) = 1 - 1/V(z)``."""
-    if method == "auto":
-        method = "dp" if n <= 4096 else "fft"
-    if method == "dp":
-        return kernel_from_renewal_function_dp(v, n)
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     w = power_series_inverse(np.asarray(v[: n + 1], dtype=float), n + 1)
     return -w[1:]

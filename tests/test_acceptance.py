@@ -27,10 +27,10 @@ from pinlab.kernels import (
     return_probabilities,
     truncate_kernel,
 )
+from pinlab.oracles import annealed_partition_check, replica_moment_exact_check
 from pinlab.quenched import (
     PolymerParams,
     QuenchedSearchConfig,
-    annealed_partition_check,
     partition_function_log,
     quenched_critical_point,
     quenched_free_energy,
@@ -41,7 +41,6 @@ from pinlab.relevance import (
     beta_c_star_star,
     entropy_estimator,
     entropy_monotonicity_scan,
-    replica_moment_exact_check,
 )
 from pinlab.rng import derive_stream
 
@@ -96,7 +95,7 @@ def test_03_transition_order_exponents():
 
 
 def test_04_return_probability_prefactor():
-    rp = return_probabilities(make_power_kernel(0.5), 100_000, method="fft")
+    rp = return_probabilities(make_power_kernel(0.5), 100_000)
     value = rp.u[100_000] * math.sqrt(100_000.0)
     target = return_prefactor_limit(0.5)
     assert target == pytest.approx(0.4157, abs=2e-4)
@@ -242,13 +241,12 @@ def test_13_temperature_bound_closed_forms(chi_03):
 
 
 def test_14_variational_identity():
-    kernel = make_power_kernel(0.5)
     grid = np.linspace(0.0, 3.0, 1201)
     step = grid[1] - grid[0]
     worst_gap = 0.0
     for disorder, name in ((GAUSS, "gaussian"), (RAD, "rademacher")):
         for beta in (0.5, 1.0, 2.0):
-            res = annealed_variational_check(kernel, disorder, beta, grid)
+            res = annealed_variational_check(disorder, beta, grid)
             assert abs(res.argmax_tilt - beta) <= step + 1e-12, (name, beta)
             grid_error = step * step  # curvature of the objective is O(1)
             assert 0.0 <= res.gap <= grid_error + 1e-10, (name, beta, res.gap)

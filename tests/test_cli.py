@@ -125,6 +125,19 @@ class TestConfigErrors:
     def test_unreadable_config(self, tmp_path):
         assert run(["chi", "--config", tmp_path / "missing.json"]) == EXIT_CONFIG
 
+    def test_unread_kernel_field_named(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.3, "n_cap": 100}}
+        )
+        assert run(["chi", "--config", cfg, "--out", tmp_path]) == EXIT_CONFIG
+        assert "n_cap" in capsys.readouterr().err
+
+    def test_threads_only_on_phase_diagram(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.3}})
+        with pytest.raises(SystemExit) as info:
+            run(["chi", "--config", cfg, "--threads", "2"])
+        assert info.value.code == EXIT_CONFIG
+
 
 class TestAnnealedCurveCommand:
     def test_values(self, tmp_path):
@@ -310,6 +323,41 @@ class TestValidateCommand:
         assert run(["validate", "--config", cfg]) == EXIT_INVARIANT
         out = capsys.readouterr().out
         assert "FAIL kernel-mass-normalization" in out
+
+    def test_checks_the_series_path_the_library_runs(self, tmp_path, capsys, monkeypatch):
+        import pinlab.series
+
+        exact = pinlab.series.power_series_inverse
+
+        def perturbed(a, n):
+            v = exact(a, n)
+            v[1] += 1e-9
+            return v
+
+        monkeypatch.setattr(pinlab.series, "power_series_inverse", perturbed)
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
+        )
+        assert run(["validate", "--config", cfg]) == EXIT_INVARIANT
+        lines = capsys.readouterr().out.splitlines()
+        assert [" ".join(line.split()[:2]).rstrip(":") for line in lines] == [
+            "PASS kernel-mass-normalization",
+            "FAIL renewal-recursion",
+            "PASS truncation-mass",
+            "FAIL overlap-reconstruction",
+            "PASS dp-vs-enumeration",
+            "PASS annealed-moment-identity",
+            "PASS replica-identity",
+        ]
+
+    def test_gapped_table_kernel_passes(self, tmp_path, capsys):
+        # only gaps 9 and 10: no renewal set reaches the small enumeration sizes
+        masses = [0.0] * 8 + [0.5, 0.5]
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "table", "masses": masses}}
+        )
+        assert run(["validate", "--config", cfg]) == EXIT_OK
+        assert "PASS dp-vs-enumeration" in capsys.readouterr().out
 
     def test_check_subset(self, tmp_path, capsys):
         cfg = write_config(

@@ -21,6 +21,7 @@ from pinlab.kernels import (
     return_probabilities,
     truncate_kernel,
 )
+from pinlab.series import kernel_from_renewal_function_dp, renewal_function_dp
 
 from oracles import return_prefactor_limit, loglog_slope, power_kernel_tail_integral_bound, zeta_direct
 
@@ -88,7 +89,7 @@ class TestTableKernel:
 
     def test_json_roundtrip(self):
         for kernel in (
-            make_power_kernel(0.3, n_cap=100),
+            make_power_kernel(0.3),
             make_geometric_kernel(0.25),
             make_table_kernel([0.25, 0.5, 0.25]),
         ):
@@ -97,22 +98,27 @@ class TestTableKernel:
             for n in (1, 2, 3, 9):
                 assert clone.mass(n) == pytest.approx(kernel.mass(n), abs=1e-15)
 
+    def test_json_rejects_unread_field(self):
+        with pytest.raises(InvalidParameterError, match="n_cap"):
+            kernel_from_json({"family": "power", "alpha": 0.3, "n_cap": 100})
+
 
 class TestReturnProbabilities:
     def test_boundary_values(self):
         kernel = make_power_kernel(0.5)
-        rp = return_probabilities(kernel, 2)
-        assert rp.u[0] == 1.0
-        assert rp.u[1] == pytest.approx(kernel.mass(1), abs=1e-15)
-        assert rp.u[2] == pytest.approx(
-            kernel.mass(2) + kernel.mass(1) ** 2, abs=1e-15
-        )
+        expected = [1.0, kernel.mass(1), kernel.mass(2) + kernel.mass(1) ** 2]
+        for n in (0, 1, 2):
+            rp = return_probabilities(kernel, n)
+            assert rp.horizon == n
+            assert rp.u.shape == (n + 1,)
+            assert rp.u[0] == 1.0
+            np.testing.assert_allclose(rp.u, expected[: n + 1], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
     def test_recursion_residual(self, alpha):
         kernel = make_power_kernel(alpha)
         n = 600
-        rp = return_probabilities(kernel, n, method="dp")
+        rp = return_probabilities(kernel, n)
         masses = kernel.mass_array(n)
         for m in range(1, n + 1):
             recon = float(np.dot(masses[:m][::-1], rp.u[:m]))
@@ -121,16 +127,16 @@ class TestReturnProbabilities:
     def test_fft_matches_dp(self):
         kernel = make_power_kernel(0.5)
         n = 4096
-        u_dp = return_probabilities(kernel, n, method="dp").u
-        u_fft = return_probabilities(kernel, n, method="fft").u
+        u_dp = renewal_function_dp(kernel.mass_array(n), n)
+        u_fft = return_probabilities(kernel, n).u
         assert np.max(np.abs(u_dp - u_fft)) <= 1e-12
 
     def test_geometric_returns_are_flat(self):
-        rp = return_probabilities(make_geometric_kernel(0.5), 200, method="dp")
+        rp = return_probabilities(make_geometric_kernel(0.5), 200)
         assert np.max(np.abs(rp.u[1:] - 0.5)) <= 1e-13
 
     def test_bounds(self):
-        rp = return_probabilities(make_table_kernel([0.0, 0.6, 0.4]), 300, method="dp")
+        rp = return_probabilities(make_table_kernel([0.0, 0.6, 0.4]), 300)
         assert np.all(rp.u >= -1e-15)
         assert np.all(rp.u <= 1.0 + 1e-12)
 
@@ -139,7 +145,7 @@ class TestReturnProbabilities:
     def test_recursion_residual_property(self, weights):
         kernel = random_table_kernel(weights)
         n = 80
-        rp = return_probabilities(kernel, n, method="dp")
+        rp = return_probabilities(kernel, n)
         masses = kernel.mass_array(n)
         for m in range(1, n + 1):
             recon = float(np.dot(masses[:m][::-1], rp.u[:m]))
@@ -148,7 +154,7 @@ class TestReturnProbabilities:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_return_probability_decay_exponent(self, alpha):
         kernel = make_power_kernel(alpha)
-        rp = return_probabilities(kernel, 100_000, method="fft")
+        rp = return_probabilities(kernel, 100_000)
         ns = np.unique(np.geomspace(1000, 100_000, 60).astype(int))
         slope = loglog_slope(ns, rp.u[ns])
         assert abs(slope - (alpha - 1.0)) <= 0.05
@@ -283,6 +289,21 @@ class TestOverlapKernel:
         expected2 = (k2 + k1**2) ** 2 - k1**4
         assert ov.masses[1] == pytest.approx(expected2, abs=1e-14)
 
+    def test_single_step_horizon(self):
+        kernel = make_power_kernel(0.5)
+        ov = overlap_kernel(kernel, 1)
+        assert ov.masses.shape == (1,)
+        assert ov.masses[0] == pytest.approx(kernel.mass(1) ** 2, abs=1e-15)
+        assert ov.l2(1) == ov.masses[0]
+
+    def test_gap_law_matches_dp(self):
+        kernel = make_power_kernel(0.5)
+        n = 4096
+        v = renewal_function_dp(kernel.mass_array(n), n) ** 2
+        v[0] = 1.0
+        k2_dp = kernel_from_renewal_function_dp(v, n)
+        assert np.max(np.abs(overlap_kernel(kernel, n).masses - k2_dp)) <= 1e-12
+
     def test_partial_sums_nondecreasing(self):
         ov = overlap_kernel(make_power_kernel(0.3), 2000)
         assert np.all(np.diff(ov.partial_sums) >= -1e-15)
@@ -290,14 +311,14 @@ class TestOverlapKernel:
     def test_total_mass_approaches_contact_probability(self):
         kernel = make_power_kernel(0.3)
         result = chi(kernel)
-        ov = overlap_kernel(kernel, 1 << 18, method="fft")
+        ov = overlap_kernel(kernel, 1 << 18)
         target = result.value / (result.value + 1.0)
         assert ov.l2(1 << 18) == pytest.approx(target, rel=0.01)
 
     def test_reconstructs_squared_returns(self):
         kernel = make_power_kernel(0.5)
         n = 512
-        rp = return_probabilities(kernel, n, method="dp")
+        rp = return_probabilities(kernel, n)
         v = rp.u * rp.u
         v[0] = 1.0
         ov = overlap_kernel(kernel, n)
@@ -307,7 +328,7 @@ class TestOverlapKernel:
 
     def test_truncated_overlap_is_recurrent(self):
         base = truncate_kernel(make_power_kernel(0.3), 8)
-        ov = overlap_kernel(base, 20_000, method="fft")
+        ov = overlap_kernel(base, 20_000)
         assert 1.0 - ov.l2(20_000) <= 1e-6
 
     @settings(max_examples=20, deadline=None)
@@ -315,7 +336,7 @@ class TestOverlapKernel:
     def test_reconstruction_property(self, weights):
         kernel = random_table_kernel(weights)
         n = 60
-        rp = return_probabilities(kernel, n, method="dp")
+        rp = return_probabilities(kernel, n)
         v = rp.u * rp.u
         v[0] = 1.0
         ov = overlap_kernel(kernel, n)
@@ -326,6 +347,6 @@ class TestOverlapKernel:
 
 def test_return_probability_prefactor_at_large_n():
     kernel = make_power_kernel(0.5)
-    rp = return_probabilities(kernel, 100_000, method="fft")
+    rp = return_probabilities(kernel, 100_000)
     value = rp.u[100_000] * math.sqrt(100_000.0)
     assert value == pytest.approx(return_prefactor_limit(0.5), rel=1e-3)

@@ -16,12 +16,11 @@ from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder, sam
 from pinlab.errors import InvalidParameterError
 from pinlab.homopolymer import annealed_free_energy
 from pinlab.kernels import make_geometric_kernel, make_power_kernel, make_table_kernel
+from pinlab.oracles import annealed_partition_check, pinned_partition_log
 from pinlab.quenched import (
     PolymerParams,
     QuenchedSearchConfig,
-    annealed_partition_check,
     dp_log_partition,
-    homopolymer_partition_log,
     log_mass_vector,
     partition_function_log,
     quenched_critical_point,
@@ -34,6 +33,11 @@ from oracles import partition_log_brute, partition_log_recursion
 
 KERNEL = make_power_kernel(0.5)
 GAUSS = gaussian_disorder()
+
+
+def homopolymer_log_reference(lam, n):
+    """``log Z_n`` of the homogeneous chain, by the independent recursion."""
+    return partition_log_recursion(np.log(KERNEL.mass_array(n)), [lam] * n)[n]
 
 
 def params(**kw):
@@ -69,12 +73,21 @@ class TestPartitionFunction:
         want = partition_log_brute(KERNEL.mass_array(n), 0.8, -0.1, omega)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_package_oracle_matches_enumeration(self, n):
+        # pinlab.oracles backs `pinlab validate`; a zero mass exercises the skipped gaps
+        masses = np.array([0.4, 0.0, 0.6])
+        weights = 0.8 * derive_stream(321, n).normal(n) - 0.1
+        got = pinned_partition_log(masses, weights)
+        want = partition_log_brute(masses, 1.0, 0.0, weights)
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_beta_zero_equals_homopolymer(self):
         for n in range(1, 13):
             p = params(n=n, beta=0.0, h=-0.3)
             omega = np.zeros(n)
             got = partition_function_log(p, omega)
-            want = homopolymer_partition_log(KERNEL, 0.3, n)
+            want = homopolymer_log_reference(0.3, n)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_empty_chain(self):
@@ -187,7 +200,7 @@ class TestQuenchedFreeEnergy:
         p = params(beta=0.0, h=-0.2, n=64, replicas=4)
         est = quenched_free_energy(p)
         assert est.stderr == 0.0
-        want = homopolymer_partition_log(KERNEL, 0.2, 64) / 64
+        want = homopolymer_log_reference(0.2, 64) / 64
         assert est.mean == pytest.approx(want, abs=1e-13)
 
     def test_bitwise_reproducible(self):
@@ -220,7 +233,7 @@ class TestQuenchedFreeEnergy:
             ]
         )
         lam = log_mgf(GAUSS, 0.6) - 0.1
-        annealed = math.exp(homopolymer_partition_log(KERNEL, lam, n))
+        annealed = math.exp(homopolymer_log_reference(lam, n))
         stderr = zs.std(ddof=1) / math.sqrt(reps)
         assert abs(zs.mean() - annealed) <= 4.0 * stderr
 

@@ -17,6 +17,7 @@ from pinlab.disorder import (
 from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
 from pinlab.kernels import chi, kernel_entropy, make_power_kernel, truncate_kernel
+from pinlab.oracles import replica_moment_exact_check
 from pinlab.quenched import dp_log_partition, log_mass_vector
 from pinlab.relevance import (
     _beta_c_star_from_chi,
@@ -27,7 +28,6 @@ from pinlab.relevance import (
     entropy_estimator,
     entropy_monotonicity_scan,
     replica_moment,
-    replica_moment_exact_check,
     replica_moment_log,
 )
 from pinlab.rng import derive_stream
@@ -276,20 +276,20 @@ class TestVariational:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_maximum_at_matching_tilt(self, disorder, beta):
         grid = np.linspace(0.0, 3.0, 601)
-        res = annealed_variational_check(P03, disorder, beta, grid)
+        res = annealed_variational_check(disorder, beta, grid)
         assert abs(res.argmax_tilt - beta) <= grid[1] - grid[0] + 1e-12
         assert res.reference == pytest.approx(log_mgf(disorder, beta), abs=1e-15)
         assert 0.0 <= res.gap <= 5e-5
 
     def test_zero_beta(self):
-        res = annealed_variational_check(P03, GAUSS, 0.0, np.linspace(0, 1, 101))
+        res = annealed_variational_check(GAUSS, 0.0, np.linspace(0, 1, 101))
         assert res.argmax_tilt == 0.0
         assert res.max_value == 0.0
 
     def test_gaussian_objective_closed_form(self):
         beta = 1.0
         grid = np.linspace(0.0, 2.0, 201)
-        res = annealed_variational_check(P03, GAUSS, beta, grid)
+        res = annealed_variational_check(GAUSS, beta, grid)
         # objective is t -> beta t - t^2/2, peak 1/2 at t = 1
         assert res.max_value == pytest.approx(0.5, abs=1e-10)
         assert res.argmax_tilt == pytest.approx(1.0, abs=1e-12)
