@@ -9,11 +9,19 @@ Subcommands::
     pinlab chi           --config cfg.json   # overlap sum with verdict
     pinlab validate      --config cfg.json   # pinlab.oracles checks, pass/fail matrix
 
+A flag is registered only on the commands that read it (``_COMMANDS``):
+``--config`` and ``--out`` on all, ``--format`` on all but ``validate``,
+``--seed`` on ``phase-diagram``, ``relevance`` and ``validate``, and
+``--threads`` on ``phase-diagram``.
+
 One JSON document configures a run (no environment overrides except the
 output directory via ``PINLAB_OUT_DIR``); the manifest hash covers that
 document, so reruns with the same config and seed produce byte-identical
 numeric payloads.  Floats print with 17 significant digits for exact
-round trips.
+round trips.  ``main`` builds one :class:`RunWriter` per run once the
+config is read, and the run ends with its ``<command>_manifest.json``
+also when it fails with a pinlab error: the manifest then names the
+error, the exit code and the outputs written before it.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant failure,
 4 completed with undecided verdicts or warnings.
@@ -88,24 +96,15 @@ def _fetch(cfg: dict, path: str, required: bool = True, default=None):
     return node
 
 
-def _kernel_from_config(cfg: dict, path: str = "kernel"):
+def _from_config(cfg: dict, path: str, parse):
+    """Parse the kernel or disorder document at ``path`` with ``parse``."""
     doc = _fetch(cfg, path)
     try:
-        return kernel_from_json(doc)
+        return parse(doc)
     except PinlabError as exc:
         raise ConfigError(path, str(exc)) from exc
     except (KeyError, TypeError) as exc:
-        raise ConfigError(path, f"malformed kernel config: {exc}") from exc
-
-
-def _disorder_from_config(cfg: dict, path: str = "disorder"):
-    doc = _fetch(cfg, path)
-    try:
-        return disorder_from_json(doc)
-    except PinlabError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(path, f"malformed disorder config: {exc}") from exc
+        raise ConfigError(path, f"malformed {path} config: {exc}") from exc
 
 
 def _grid_from_config(cfg: dict, path: str) -> list[float]:
@@ -161,17 +160,22 @@ def _fmt(x) -> str:
 
 
 class RunWriter:
-    """Collects rows, warnings, and timings; emits payload plus manifest."""
+    """Collects rows, warnings, and timings; emits payload plus manifest.
 
-    def __init__(self, command: str, cfg: dict, out_dir: str, seed: int | None, fmt: str):
+    A command sets ``seed`` when it reads one; ``validate`` records its
+    per-check verdicts in ``checks``.
+    """
+
+    def __init__(self, command: str, cfg: dict, out_dir: str, fmt: str | None):
         self.command = command
         self.cfg = cfg
         self.out_dir = out_dir
-        self.seed = seed
         self.fmt = fmt
+        self.seed: int | None = None
         self.warnings: list[str] = []
         self.timings: dict[str, float] = {}
         self.outputs: list[str] = []
+        self.checks: list[dict] = []
         self._t0 = time.perf_counter()
 
     def time_block(self, name: str, started: float):
@@ -188,9 +192,16 @@ class RunWriter:
         lines.append("# columns " + ",".join(columns))
         return lines
 
+    def write_json(self, name: str, doc) -> str:
+        """Write ``doc`` to ``name`` in the output directory; return the path."""
+        path = os.path.join(self.out_dir, name)
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return path
+
     def write_table(self, stem: str, columns: list[str], rows: list[dict]) -> str:
         if self.fmt == "json":
-            path = os.path.join(self.out_dir, f"{stem}.json")
             doc = {
                 "pinlab": __version__,
                 "command": self.command,
@@ -199,9 +210,7 @@ class RunWriter:
                 "columns": columns,
                 "rows": rows,
             }
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            path = self.write_json(f"{stem}.json", doc)
         else:
             path = os.path.join(self.out_dir, f"{stem}.csv")
             with open(path, "w") as fh:
@@ -213,7 +222,11 @@ class RunWriter:
         self.outputs.append(path)
         return path
 
-    def finish(self) -> int:
+    def finish(self, code: int | None = None, error: str | None = None) -> int:
+        """Write the manifest and return the exit code: ``code`` for a
+        failed run, else 4 when any warning was raised, else 0."""
+        if code is None:
+            code = EXIT_UNDECIDED if self.warnings else EXIT_OK
         self.timings["total"] = round(time.perf_counter() - self._t0, 6)
         manifest = {
             "pinlab": __version__,
@@ -223,14 +236,15 @@ class RunWriter:
             "timings": self.timings,
             "warnings": self.warnings,
             "outputs": [os.path.basename(p) for p in self.outputs],
+            "exit_code": code,
+            "error": error,
         }
-        path = os.path.join(self.out_dir, f"{self.command.replace('-', '_')}_manifest.json")
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        if self.checks:
+            manifest["checks"] = self.checks
+        self.write_json(f"{self.command.replace('-', '_')}_manifest.json", manifest)
         for out in self.outputs:
             print(out)
-        return EXIT_UNDECIDED if self.warnings else EXIT_OK
+        return code
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +252,10 @@ class RunWriter:
 # ---------------------------------------------------------------------------
 
 
-def cmd_homopolymer(cfg: dict, args) -> int:
-    kernel = _kernel_from_config(cfg)
+def cmd_homopolymer(cfg: dict, args, writer: RunWriter) -> None:
+    kernel = _from_config(cfg, "kernel", kernel_from_json)
     grid = _grid_from_config(cfg, "lambda_grid")
     tol = float(_fetch(cfg, "tol", required=False, default=1e-10))
-    writer = RunWriter("homopolymer", cfg, _out_dir(cfg, args.out), None, args.format)
     t0 = time.perf_counter()
     rows = []
     for lam in grid:
@@ -250,14 +263,12 @@ def cmd_homopolymer(cfg: dict, args) -> int:
         rows.append({"lambda": lam, "f": res.f, "residual": res.residual})
     writer.time_block("sweep", t0)
     writer.write_table("homopolymer", ["lambda", "f", "residual"], rows)
-    return writer.finish()
 
 
-def cmd_annealed_curve(cfg: dict, args) -> int:
-    kernel = _kernel_from_config(cfg)
-    disorder = _disorder_from_config(cfg)
+def cmd_annealed_curve(cfg: dict, args, writer: RunWriter) -> None:
+    kernel = _from_config(cfg, "kernel", kernel_from_json)
+    disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
-    writer = RunWriter("annealed-curve", cfg, _out_dir(cfg, args.out), None, args.format)
     t0 = time.perf_counter()
     points = annealed_critical_curve(kernel, disorder, grid)
     writer.time_block("curve", t0)
@@ -266,21 +277,19 @@ def cmd_annealed_curve(cfg: dict, args) -> int:
         for p in points
     ]
     writer.write_table("annealed_curve", ["beta", "h_c_ann", "bisection_gap"], rows)
-    return writer.finish()
 
 
-def cmd_phase_diagram(cfg: dict, args) -> int:
-    kernel = _kernel_from_config(cfg)
-    disorder = _disorder_from_config(cfg)
+def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
+    kernel = _from_config(cfg, "kernel", kernel_from_json)
+    disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
-    seed = _seed_from_config(cfg, args.seed)
+    seed = writer.seed = _seed_from_config(cfg, args.seed)
     qcfg = QuenchedSearchConfig(
         n=int(_fetch(cfg, "quenched.n", required=False, default=4096)),
         replicas=int(_fetch(cfg, "quenched.replicas", required=False, default=64)),
         base_seed=seed,
         target_width=float(_fetch(cfg, "quenched.target_width", required=False, default=0.002)),
     )
-    writer = RunWriter("phase-diagram", cfg, _out_dir(cfg, args.out), seed, args.format)
 
     def solve(beta: float):
         return quenched_critical_point(kernel, disorder, beta, qcfg)
@@ -312,24 +321,18 @@ def cmd_phase_diagram(cfg: dict, args) -> int:
     writer.write_table(
         "phase_diagram", ["beta", "h_c_ann", "h_que_lo", "h_que_hi", "verdict"], rows
     )
-    diag_path = os.path.join(writer.out_dir, "phase_diagram_diagnostics.json")
-    with open(diag_path, "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    writer.outputs.append(diag_path)
-    return writer.finish()
+    writer.outputs.append(writer.write_json("phase_diagram_diagnostics.json", sidecar))
 
 
-def cmd_relevance(cfg: dict, args) -> int:
-    kernel = _kernel_from_config(cfg)
-    disorder = _disorder_from_config(cfg)
+def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
+    kernel = _from_config(cfg, "kernel", kernel_from_json)
+    disorder = _from_config(cfg, "disorder", disorder_from_json)
     beta = float(_fetch(cfg, "beta"))
-    seed = _seed_from_config(cfg, args.seed)
+    seed = writer.seed = _seed_from_config(cfg, args.seed)
     tr_schedule = [int(t) for t in _fetch(cfg, "tr_schedule", required=False,
                                           default=[8, 16, 32, 64])]
     n_multiplier = int(_fetch(cfg, "n_multiplier", required=False, default=256))
     replicas = int(_fetch(cfg, "replicas", required=False, default=64))
-    writer = RunWriter("relevance", cfg, _out_dir(cfg, args.out), seed, args.format)
 
     t0 = time.perf_counter()
     chi_result = compute_chi(kernel)
@@ -376,21 +379,15 @@ def cmd_relevance(cfg: dict, args) -> int:
         ["beta", "tr", "m_tr", "estimate", "stderr", "lower", "upper", "verdict"],
         rows,
     )
-    bounds_path = os.path.join(writer.out_dir, "relevance_bounds.json")
-    with open(bounds_path, "w") as fh:
-        doc = bounds.to_json()
-        doc["beta"] = beta
-        doc["overall_verdict"] = overall
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    writer.outputs.append(bounds_path)
-    return writer.finish()
+    doc = bounds.to_json()
+    doc["beta"] = beta
+    doc["overall_verdict"] = overall
+    writer.outputs.append(writer.write_json("relevance_bounds.json", doc))
 
 
-def cmd_chi(cfg: dict, args) -> int:
-    kernel = _kernel_from_config(cfg)
+def cmd_chi(cfg: dict, args, writer: RunWriter) -> None:
+    kernel = _from_config(cfg, "kernel", kernel_from_json)
     tolerance = float(_fetch(cfg, "tolerance", required=False, default=2e-3))
-    writer = RunWriter("chi", cfg, _out_dir(cfg, args.out), None, args.format)
     t0 = time.perf_counter()
     result = compute_chi(kernel, tolerance=tolerance)
     writer.time_block("chi", t0)
@@ -411,7 +408,6 @@ def cmd_chi(cfg: dict, args) -> int:
         ["status", "chi", "partial_sum", "tail_estimate", "fitted_decay", "horizon"],
         rows,
     )
-    return writer.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -419,52 +415,43 @@ def cmd_chi(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_kernel_construction(cfg):
-    kernel = _kernel_from_config(cfg) if "kernel" in cfg else make_power_kernel(0.5)
-    return kernel, "constructed and normalized"
+def _gap(got, want) -> float:
+    """Largest ``|got - want|``.  Equal entries, equal infinities included,
+    give 0; any NaN makes the gap NaN, so ``gap <= tol`` fails on it."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.where(got == want, 0.0, np.abs(got - want))))
 
 
-def _check_renewal_recursion(kernel):
+def _renewal_residual(masses: np.ndarray, seq: np.ndarray) -> float:
+    """Largest ``|seq[m] - sum_{k=1}^m K(k) seq[m-k]|`` over ``m = 1..n``,
+    ``n = len(seq) - 1``, ``masses[k-1] = K(k)``: the coefficients of
+    ``(1 - K(z)) S(z)`` past the constant term."""
+    n = len(seq) - 1
+    residual = np.convolve(np.concatenate(([1.0], -masses[:n])), seq)[1 : n + 1]
+    return float(np.max(np.abs(residual)))
+
+
+def _gap_renewal_recursion(kernel, seed) -> float:
     n = 512
-    rp = return_probabilities(kernel, n)
-    masses = kernel.mass_array(n)
-    worst = 0.0
-    for m in range(1, n + 1):
-        resid = abs(rp.u[m] - float(np.dot(masses[:m][::-1], rp.u[:m])))
-        worst = max(worst, resid)
-    if worst > 1e-12:
-        raise InternalConsistencyError(f"recursion residual {worst:.3e}")
-    return f"max residual {worst:.2e}"
+    return _renewal_residual(kernel.mass_array(n), return_probabilities(kernel, n).u)
 
 
-def _check_truncation_mass(kernel):
-    worst = 0.0
-    for tr in (1, 2, 7, 31):
-        total = float(np.sum(truncate_kernel(kernel, tr).mass_array(tr)))
-        worst = max(worst, abs(total - 1.0))
-    if worst > 1e-12:
-        raise InternalConsistencyError(f"truncated mass off by {worst:.3e}")
-    return f"max mass defect {worst:.2e}"
+def _gap_truncation_mass(kernel, seed) -> float:
+    totals = [np.sum(truncate_kernel(kernel, tr).mass_array(tr)) for tr in (1, 2, 7, 31)]
+    return _gap(totals, 1.0)
 
 
-def _check_overlap_reconstruction(kernel):
+def _gap_overlap_reconstruction(kernel, seed) -> float:
     n = 256
-    rp = return_probabilities(kernel, n)
-    v = rp.u * rp.u
+    v = return_probabilities(kernel, n).u ** 2
     v[0] = 1.0
-    ov = overlap_kernel(kernel, n)
-    worst = 0.0
-    for m in range(1, n + 1):
-        recon = float(np.dot(ov.masses[:m], v[m - 1 :: -1][:m]))
-        worst = max(worst, abs(recon - v[m]))
-    if worst > 1e-10:
-        raise InternalConsistencyError(f"overlap reconstruction off by {worst:.3e}")
-    return f"max reconstruction error {worst:.2e}"
+    return _renewal_residual(overlap_kernel(kernel, n).masses, v)
 
 
-def _check_dp_enumeration(kernel, seed):
+def _gap_dp_enumeration(kernel, seed) -> float:
     stream = derive_stream(seed, 9000)
-    worst = 0.0
+    got, want = [], []
     for case in range(5):
         n = 4 + case
         omega = stream.normal(n)
@@ -473,75 +460,77 @@ def _check_dp_enumeration(kernel, seed):
         params = PolymerParams(
             kernel=kernel, disorder=rademacher_disorder(), beta=beta, h=h, n=n, replicas=1
         )
-        got = partition_function_log(params, omega)
-        want = pinned_partition_log(kernel.mass_array(n), beta * omega - h)
-        worst = max(worst, abs(got - want))
-    if worst > 1e-12:
-        raise InternalConsistencyError(f"DP vs enumeration gap {worst:.3e}")
-    return f"max gap {worst:.2e}"
+        got.append(partition_function_log(params, omega))
+        want.append(pinned_partition_log(kernel.mass_array(n), beta * omega - h))
+    return _gap(got, want)
 
 
-def _check_annealed_identity(kernel):
-    ok, lhs, rhs = annealed_partition_check(
-        kernel, rademacher_disorder(), beta=0.7, h=0.2, n=6
-    )
-    if not ok:
-        raise InternalConsistencyError(f"annealed identity gap {abs(lhs - rhs):.3e}")
-    return f"gap {abs(lhs - rhs):.2e}"
+def _gap_annealed_identity(kernel, seed) -> float:
+    _, lhs, rhs = annealed_partition_check(kernel, rademacher_disorder(), beta=0.7, h=0.2, n=6)
+    return _gap(lhs, rhs)
 
 
-def _check_replica_identity(kernel):
+def _gap_replica_identity(kernel, seed) -> float:
     ktr = truncate_kernel(kernel, 3)
     lhs, rhs, dp = replica_moment_exact_check(ktr, rademacher_disorder(), 0.8, 4)
-    gap = max(abs(lhs - rhs), abs(lhs - dp))
-    if gap > 1e-12:
-        raise InternalConsistencyError(f"replica identity gap {gap:.3e}")
-    return f"gap {gap:.2e}"
+    return _gap([lhs, lhs], [rhs, dp])
 
 
-def cmd_validate(cfg: dict, args) -> int:
-    seed = int(_fetch(cfg, "base_seed", required=False, default=0))
+# (name, tolerance, gap of the kernel at the seed); each passes when gap <= tolerance
+_CHECKS = (
+    ("renewal-recursion", 1e-12, _gap_renewal_recursion),
+    ("truncation-mass", 1e-12, _gap_truncation_mass),
+    ("overlap-reconstruction", 1e-10, _gap_overlap_reconstruction),
+    ("dp-vs-enumeration", 1e-12, _gap_dp_enumeration),
+    ("annealed-moment-identity", 1e-10, _gap_annealed_identity),
+    ("replica-identity", 1e-12, _gap_replica_identity),
+)
+_CONSTRUCTION_CHECK = "kernel-mass-normalization"
+
+
+def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
+    config_seed = _fetch(cfg, "base_seed", required=False, default=0)
+    seed = writer.seed = int(config_seed if args.seed is None else args.seed)
+    names = [_CONSTRUCTION_CHECK] + [name for name, _, _ in _CHECKS]
     selected = _fetch(cfg, "checks", required=False)
-    try:
-        kernel, _ = _check_kernel_construction(cfg)
-        construction_error = None
-    except PinlabError as exc:
-        kernel = None
-        construction_error = str(exc)
-
-    checks = [
-        ("kernel-mass-normalization", lambda: _must_construct(construction_error)),
-        ("renewal-recursion", lambda: _check_renewal_recursion(kernel)),
-        ("truncation-mass", lambda: _check_truncation_mass(kernel)),
-        ("overlap-reconstruction", lambda: _check_overlap_reconstruction(kernel)),
-        ("dp-vs-enumeration", lambda: _check_dp_enumeration(kernel, seed)),
-        ("annealed-moment-identity", lambda: _check_annealed_identity(kernel)),
-        ("replica-identity", lambda: _check_replica_identity(kernel)),
-    ]
     if selected is not None:
-        names = set(selected)
-        checks = [c for c in checks if c[0] in names]
-        if not checks:
+        wanted = set(selected)
+        names = [name for name in names if name in wanted]
+        if not names:
             raise ConfigError("checks", "no known check selected")
 
-    failures = 0
-    for name, runner in checks:
-        if kernel is None and name != "kernel-mass-normalization":
-            print(f"SKIP {name} (kernel construction failed)")
+    def report(name, verdict, detail, gap=None, tol=None):
+        print(f"{verdict} {name} ({detail})")
+        writer.checks.append({"name": name, "verdict": verdict, "gap": gap, "tol": tol})
+
+    t0 = time.perf_counter()
+    try:
+        kernel = (_from_config(cfg, "kernel", kernel_from_json) if "kernel" in cfg
+                  else make_power_kernel(0.5))
+        construction = ("PASS", "ok")
+    except ConfigError as exc:
+        kernel, construction = None, ("FAIL", str(exc))
+    if _CONSTRUCTION_CHECK in names:
+        report(_CONSTRUCTION_CHECK, *construction)
+
+    for name, tol, gap_of in _CHECKS:
+        if name not in names:
+            continue
+        if kernel is None:
+            report(name, "SKIP", "kernel construction failed")
             continue
         try:
-            detail = runner()
-            print(f"PASS {name} ({detail})")
+            gap = gap_of(kernel, seed)
         except PinlabError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-    return EXIT_INVARIANT if failures else EXIT_OK
+            report(name, "FAIL", str(exc))
+            continue
+        verdict = "PASS" if gap <= tol else "FAIL"
+        report(name, verdict, f"gap {gap:.2e}, tol {tol:.0e}", gap, tol)
+    writer.time_block("checks", t0)
 
-
-def _must_construct(error: str | None) -> str:
-    if error is not None:
-        raise InternalConsistencyError(error)
-    return "ok"
+    failed = [c["name"] for c in writer.checks if c["verdict"] == "FAIL"]
+    if failed:
+        raise InternalConsistencyError(f"validate failed: {', '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +538,25 @@ def _must_construct(error: str | None) -> str:
 # ---------------------------------------------------------------------------
 
 
+_FLAGS = {
+    "--config": {"required": True, "help": "path to the JSON config"},
+    "--out": {"default": None, "help": "output directory"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--seed": {"type": int, "default": None, "help": "override config base_seed"},
+    "--threads": {"type": int, "default": 1,
+                  "help": "solve the beta grid on this many threads"},
+}
+
+# command -> (runner, the flags it reads)
 _COMMANDS = {
-    "homopolymer": cmd_homopolymer,
-    "annealed-curve": cmd_annealed_curve,
-    "phase-diagram": cmd_phase_diagram,
-    "relevance": cmd_relevance,
-    "chi": cmd_chi,
-    "validate": cmd_validate,
+    "homopolymer": (cmd_homopolymer, ("--config", "--out", "--format")),
+    "annealed-curve": (cmd_annealed_curve, ("--config", "--out", "--format")),
+    "phase-diagram": (
+        cmd_phase_diagram, ("--config", "--out", "--format", "--seed", "--threads")
+    ),
+    "relevance": (cmd_relevance, ("--config", "--out", "--format", "--seed")),
+    "chi": (cmd_chi, ("--config", "--out", "--format")),
+    "validate": (cmd_validate, ("--config", "--out", "--seed")),
 }
 
 
@@ -565,16 +566,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pinning phase diagrams and disorder-relevance diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config base_seed")
-        if name == "phase-diagram":
-            p.add_argument("--threads", type=int, default=1,
-                           help="solve the beta grid on this many threads")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
+
+
+def _failure(exc: PinlabError) -> tuple[int, str]:
+    """The exit code and the message for an error that ended a run."""
+    if isinstance(exc, ConfigError):
+        return EXIT_CONFIG, str(exc)
+    if isinstance(exc, InternalConsistencyError):
+        return EXIT_INVARIANT, f"invariant failure: {exc}"
+    if isinstance(exc, UndecidedError):
+        return EXIT_UNDECIDED, f"undecided: {exc}"
+    return EXIT_INVARIANT, f"error: {exc}"
 
 
 def main(argv=None) -> int:
@@ -585,20 +592,14 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error at '{args.config}': {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    writer = RunWriter(args.command, cfg, _out_dir(cfg, args.out), getattr(args, "format", None))
     try:
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except InternalConsistencyError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except UndecidedError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+        _COMMANDS[args.command][0](cfg, args, writer)
     except PinlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return writer.finish(code, message)
+    return writer.finish()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from pinlab.disorder import gaussian_disorder, log_mgf, log_xi, rademacher_disorder, xi
+from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder
 from pinlab.homopolymer import (
     annealed_critical_curve,
     annealed_free_energy,
@@ -21,7 +21,6 @@ from pinlab.homopolymer import (
 )
 from pinlab.kernels import (
     chi,
-    kernel_entropy,
     make_geometric_kernel,
     make_power_kernel,
     return_probabilities,

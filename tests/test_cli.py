@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import pytest
 
@@ -133,10 +132,19 @@ class TestConfigErrors:
         assert "n_cap" in capsys.readouterr().err
 
     def test_threads_only_on_phase_diagram(self, tmp_path):
+        # every flag is registered only on the commands that read it
         cfg = write_config(tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.3}})
-        with pytest.raises(SystemExit) as info:
-            run(["chi", "--config", cfg, "--threads", "2"])
-        assert info.value.code == EXIT_CONFIG
+        for command, flag in [
+            ("chi", ["--threads", "2"]),
+            ("chi", ["--seed", "3"]),
+            ("homopolymer", ["--seed", "3"]),
+            ("annealed-curve", ["--seed", "3"]),
+            ("validate", ["--format", "json"]),
+        ]:
+            with pytest.raises(SystemExit) as info:
+                run([command, "--config", cfg, "--out", tmp_path / "out", *flag])
+            assert info.value.code == EXIT_CONFIG, (command, flag)
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnnealedCurveCommand:
@@ -302,8 +310,14 @@ class TestRelevanceCommand:
                 "replicas": 4,
             },
         )
-        assert run(["relevance", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_UNDECIDED
+        out = tmp_path / "out"
+        assert run(["relevance", "--config", cfg, "--out", out]) == EXIT_UNDECIDED
         assert "undecided" in capsys.readouterr().err
+        manifest = json.loads((out / "relevance_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_UNDECIDED
+        assert "chi convergence undecided" in manifest["error"]
+        assert manifest["outputs"] == []
+        assert manifest["seed"] == 8
 
 
 class TestValidateCommand:
@@ -311,7 +325,7 @@ class TestValidateCommand:
         cfg = write_config(
             tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
         )
-        assert run(["validate", "--config", cfg]) == EXIT_OK
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS replica-identity" in out
         assert "FAIL" not in out
@@ -320,7 +334,7 @@ class TestValidateCommand:
         cfg = write_config(
             tmp_path, "cfg.json", {"kernel": {"family": "table", "masses": [0.5, 0.51]}}
         )
-        assert run(["validate", "--config", cfg]) == EXIT_INVARIANT
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_INVARIANT
         out = capsys.readouterr().out
         assert "FAIL kernel-mass-normalization" in out
 
@@ -338,7 +352,7 @@ class TestValidateCommand:
         cfg = write_config(
             tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
         )
-        assert run(["validate", "--config", cfg]) == EXIT_INVARIANT
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_INVARIANT
         lines = capsys.readouterr().out.splitlines()
         assert [" ".join(line.split()[:2]).rstrip(":") for line in lines] == [
             "PASS kernel-mass-normalization",
@@ -356,8 +370,58 @@ class TestValidateCommand:
         cfg = write_config(
             tmp_path, "cfg.json", {"kernel": {"family": "table", "masses": masses}}
         )
-        assert run(["validate", "--config", cfg]) == EXIT_OK
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
         assert "PASS dp-vs-enumeration" in capsys.readouterr().out
+
+    def test_nan_partition_fails_dp_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("pinlab.cli.partition_function_log", lambda params, omega: math.nan)
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
+        )
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_INVARIANT
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL dp-vs-enumeration (gap nan, tol 1e-12)"
+        ]
+
+    def test_nan_replica_moment_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "pinlab.cli.replica_moment_exact_check", lambda *args: (1.0, 1.0, math.nan)
+        )
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
+        )
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_INVARIANT
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+            "replica-identity"
+        ]
+
+    def test_manifest_is_the_only_file(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
+        )
+        out = tmp_path / "out"
+        assert run(["validate", "--config", cfg, "--out", out]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7
+        assert all(line.startswith("PASS ") and line.endswith(")") for line in lines)
+        assert sorted(p.name for p in out.iterdir()) == ["validate_manifest.json"]
+        manifest = json.loads((out / "validate_manifest.json").read_text())
+        assert manifest["seed"] == 3
+        assert manifest["exit_code"] == EXIT_OK
+        assert manifest["outputs"] == []
+        checks = manifest["checks"]
+        assert [c["name"] for c in checks] == [line.split()[1] for line in lines]
+        assert all(c["verdict"] == "PASS" for c in checks)
+        assert all(c["gap"] <= c["tol"] for c in checks[1:])
+
+    def test_seed_flag_recorded(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
+        )
+        assert run(["validate", "--config", cfg, "--out", tmp_path, "--seed", "5"]) == EXIT_OK
+        assert json.loads((tmp_path / "validate_manifest.json").read_text())["seed"] == 5
 
     def test_check_subset(self, tmp_path, capsys):
         cfg = write_config(
@@ -365,7 +429,7 @@ class TestValidateCommand:
             "cfg.json",
             {"kernel": {"family": "power", "alpha": 0.5}, "checks": ["replica-identity"]},
         )
-        assert run(["validate", "--config", cfg]) == EXIT_OK
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS replica-identity" in out
         assert "renewal-recursion" not in out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder
-from pinlab.errors import DomainError, InternalConsistencyError, UndecidedError
+from pinlab.errors import DomainError, UndecidedError
 from pinlab.homopolymer import (
     annealed_critical_curve,
     annealed_free_energy,

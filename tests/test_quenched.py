@@ -15,7 +15,7 @@ from pinlab import quenched
 from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder, sample
 from pinlab.errors import InvalidParameterError
 from pinlab.homopolymer import annealed_free_energy
-from pinlab.kernels import make_geometric_kernel, make_power_kernel, make_table_kernel
+from pinlab.kernels import make_power_kernel, make_table_kernel
 from pinlab.oracles import annealed_partition_check, pinned_partition_log
 from pinlab.quenched import (
     PolymerParams,
