@@ -96,6 +96,27 @@ def _fetch(cfg: dict, path: str, required: bool = True, default=None):
     return node
 
 
+def _as_number(path: str, cast, value):
+    """``cast(value)`` for ``cast`` ``int`` or ``float``; a value that does
+    not parse is a config error at ``path``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected a number, got {value!r}") from exc
+
+
+def _as_numbers(path: str, cast, doc) -> list:
+    """``cast`` of every entry of the list ``doc``, as in :func:`_as_number`."""
+    if not isinstance(doc, list):
+        raise ConfigError(path, f"expected a list of numbers, got {doc!r}")
+    return [_as_number(f"{path}[{i}]", cast, x) for i, x in enumerate(doc)]
+
+
+def _fetch_number(cfg: dict, path: str, cast, default=None):
+    """The number at ``path``; required when ``default`` is None."""
+    return _as_number(path, cast, _fetch(cfg, path, required=default is None, default=default))
+
+
 def _from_config(cfg: dict, path: str, parse):
     """Parse the kernel or disorder document at ``path`` with ``parse``."""
     doc = _fetch(cfg, path)
@@ -103,7 +124,7 @@ def _from_config(cfg: dict, path: str, parse):
         return parse(doc)
     except PinlabError as exc:
         raise ConfigError(path, str(exc)) from exc
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(path, f"malformed {path} config: {exc}") from exc
 
 
@@ -112,7 +133,7 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
     if isinstance(doc, list):
         if not doc:
             raise ConfigError(path, "grid must be nonempty")
-        return [float(x) for x in doc]
+        return _as_numbers(path, float, doc)
     if isinstance(doc, dict):
         try:
             start, stop = float(doc["start"]), float(doc["stop"])
@@ -135,7 +156,7 @@ def _seed_from_config(cfg: dict, override: int | None) -> int:
     seed = _fetch(cfg, "base_seed", required=False)
     if seed is None:
         raise ConfigError("base_seed", "seed is mandatory (no wall-clock default)")
-    return int(seed)
+    return _as_number("base_seed", int, seed)
 
 
 def _out_dir(cfg: dict, cli_out: str | None) -> str:
@@ -255,7 +276,7 @@ class RunWriter:
 def cmd_homopolymer(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     grid = _grid_from_config(cfg, "lambda_grid")
-    tol = float(_fetch(cfg, "tol", required=False, default=1e-10))
+    tol = _fetch_number(cfg, "tol", float, 1e-10)
     t0 = time.perf_counter()
     rows = []
     for lam in grid:
@@ -285,10 +306,10 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
     grid = _grid_from_config(cfg, "beta_grid")
     seed = writer.seed = _seed_from_config(cfg, args.seed)
     qcfg = QuenchedSearchConfig(
-        n=int(_fetch(cfg, "quenched.n", required=False, default=4096)),
-        replicas=int(_fetch(cfg, "quenched.replicas", required=False, default=64)),
+        n=_fetch_number(cfg, "quenched.n", int, 4096),
+        replicas=_fetch_number(cfg, "quenched.replicas", int, 64),
         base_seed=seed,
-        target_width=float(_fetch(cfg, "quenched.target_width", required=False, default=0.002)),
+        target_width=_fetch_number(cfg, "quenched.target_width", float, 0.002),
     )
 
     def solve(beta: float):
@@ -327,12 +348,13 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
 def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     disorder = _from_config(cfg, "disorder", disorder_from_json)
-    beta = float(_fetch(cfg, "beta"))
+    beta = _fetch_number(cfg, "beta", float)
     seed = writer.seed = _seed_from_config(cfg, args.seed)
-    tr_schedule = [int(t) for t in _fetch(cfg, "tr_schedule", required=False,
-                                          default=[8, 16, 32, 64])]
-    n_multiplier = int(_fetch(cfg, "n_multiplier", required=False, default=256))
-    replicas = int(_fetch(cfg, "replicas", required=False, default=64))
+    tr_schedule = _as_numbers(
+        "tr_schedule", int, _fetch(cfg, "tr_schedule", required=False, default=[8, 16, 32, 64])
+    )
+    n_multiplier = _fetch_number(cfg, "n_multiplier", int, 256)
+    replicas = _fetch_number(cfg, "replicas", int, 64)
 
     t0 = time.perf_counter()
     chi_result = compute_chi(kernel)
@@ -387,7 +409,7 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
 
 def cmd_chi(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
-    tolerance = float(_fetch(cfg, "tolerance", required=False, default=2e-3))
+    tolerance = _fetch_number(cfg, "tolerance", float, 2e-3)
     t0 = time.perf_counter()
     result = compute_chi(kernel, tolerance=tolerance)
     writer.time_block("chi", t0)
@@ -489,8 +511,9 @@ _CONSTRUCTION_CHECK = "kernel-mass-normalization"
 
 
 def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
-    config_seed = _fetch(cfg, "base_seed", required=False, default=0)
-    seed = writer.seed = int(config_seed if args.seed is None else args.seed)
+    seed = writer.seed = (
+        _fetch_number(cfg, "base_seed", int, 0) if args.seed is None else args.seed
+    )
     names = [_CONSTRUCTION_CHECK] + [name for name, _, _ in _CHECKS]
     selected = _fetch(cfg, "checks", required=False)
     if selected is not None:
@@ -510,7 +533,8 @@ def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
         construction = ("PASS", "ok")
     except ConfigError as exc:
         kernel, construction = None, ("FAIL", str(exc))
-    if _CONSTRUCTION_CHECK in names:
+    # a kernel that cannot be built fails the run whichever checks are selected
+    if _CONSTRUCTION_CHECK in names or kernel is None:
         report(_CONSTRUCTION_CHECK, *construction)
 
     for name, tol, gap_of in _CHECKS:

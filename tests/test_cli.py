@@ -8,6 +8,10 @@ import pytest
 from pinlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_UNDECIDED, main
 
 
+GEOMETRIC = {"family": "geometric", "p": 0.5}
+GAUSSIAN = {"family": "gaussian"}
+
+
 def write_config(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -130,6 +134,38 @@ class TestConfigErrors:
         )
         assert run(["chi", "--config", cfg, "--out", tmp_path]) == EXIT_CONFIG
         assert "n_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": "abc"}, "tol"),
+            ("annealed-curve",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.5, "abc"]},
+             "beta_grid[1]"),
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": {"n": "abc"}},
+             "quenched.n"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "tr_schedule": [4, "abc"]},
+             "tr_schedule[1]"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "tr_schedule": 8},
+             "tr_schedule"),
+            ("chi", {"kernel": GEOMETRIC, "tolerance": "abc"}, "tolerance"),
+            ("validate", {"kernel": GEOMETRIC, "base_seed": "abc"}, "base_seed"),
+        ],
+    )
+    def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):
+        cfg = write_config(tmp_path, "cfg.json", doc)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert f"config error at '{field}'" in capsys.readouterr().err
+        manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG
+        assert f"'{field}'" in manifest["error"]
 
     def test_threads_only_on_phase_diagram(self, tmp_path):
         # every flag is registered only on the commands that read it
@@ -338,13 +374,33 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL kernel-mass-normalization" in out
 
+    def test_unbuildable_kernel_fails_any_check_subset(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"kernel": {"family": "table", "masses": [0.5, 0.51]}, "checks": ["replica-identity"]},
+        )
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_INVARIANT
+        lines = capsys.readouterr().out.splitlines()
+        assert [" ".join(line.split()[:2]) for line in lines] == [
+            "FAIL kernel-mass-normalization",
+            "SKIP replica-identity",
+        ]
+        manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_INVARIANT
+        assert "kernel-mass-normalization" in manifest["error"]
+        assert [(c["name"], c["verdict"]) for c in manifest["checks"]] == [
+            ("kernel-mass-normalization", "FAIL"),
+            ("replica-identity", "SKIP"),
+        ]
+
     def test_checks_the_series_path_the_library_runs(self, tmp_path, capsys, monkeypatch):
         import pinlab.series
 
         exact = pinlab.series.power_series_inverse
 
-        def perturbed(a, n):
-            v = exact(a, n)
+        def perturbed(a, n, *rest):
+            v = exact(a, n, *rest)
             v[1] += 1e-9
             return v
 

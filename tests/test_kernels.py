@@ -199,6 +199,35 @@ class TestChi:
         assert info.value.required_horizon is not None
         assert info.value.required_horizon > (1 << 15)
 
+    def test_exhausted_budget_reports_required_horizon(self):
+        from pinlab.errors import PrecisionError
+
+        with pytest.raises(PrecisionError) as info:
+            chi(make_power_kernel(0.4))
+        assert info.value.required_horizon > (1 << 21)
+
+    @pytest.mark.parametrize(
+        "alpha, tolerance, status, horizon",
+        [
+            (0.3, 1e-3, "finite", 1 << 20),
+            (0.3, 2e-3, "finite", 1 << 18),
+            (0.5, 2e-3, "undecided", 1 << 16),
+            (0.7, 2e-3, "infinite", 1 << 16),
+        ],
+    )
+    def test_resumed_doubling_matches_a_fresh_horizon(self, alpha, tolerance, status, horizon):
+        kernel = make_power_kernel(alpha)
+        result = chi(kernel, tolerance=tolerance)
+        assert (result.status, result.horizon) == (status, horizon)
+        # one fresh reciprocal at the final horizon
+        fresh = chi(kernel, tolerance=tolerance, start_horizon=horizon, max_horizon=horizon)
+        assert fresh.status == status
+        for field in ("value", "partial_sum", "fitted_decay"):
+            # equal infinities and NaNs (the undecided value) count as equal
+            np.testing.assert_allclose(
+                getattr(result, field), getattr(fresh, field), rtol=1e-12, err_msg=field
+            )
+
 
 class TestTruncation:
     def test_all_mass_at_one(self):
