@@ -98,11 +98,16 @@ def _fetch(cfg: dict, path: str, required: bool = True, default=None):
 
 def _as_number(path: str, cast, value):
     """``cast(value)`` for ``cast`` ``int`` or ``float``; a value that does
-    not parse is a config error at ``path``."""
+    not parse, a boolean, NaN, or a fraction for ``int`` is a config error
+    at ``path``."""
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"expected a number, got {value!r}") from exc
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(path, f"expected {kind}, got {value!r}")
+    return number
 
 
 def _as_numbers(path: str, cast, doc) -> list:
@@ -135,11 +140,9 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
             raise ConfigError(path, "grid must be nonempty")
         return _as_numbers(path, float, doc)
     if isinstance(doc, dict):
-        try:
-            start, stop = float(doc["start"]), float(doc["stop"])
-            count = int(doc["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(path, f"malformed grid config: {exc}") from exc
+        start = _fetch_number(cfg, path + ".start", float)
+        stop = _fetch_number(cfg, path + ".stop", float)
+        count = _fetch_number(cfg, path + ".count", int)
         if count < 1:
             raise ConfigError(path + ".count", "grid needs count >= 1")
         if doc.get("spacing", "linear") == "log":

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _TINY_F = 1e-290
+_VERIFY_TOL = 1e-8  # allowed gap between the bisection zero and log M(beta)
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,16 @@ def _mass_series(masses: np.ndarray, f: float) -> float:
 def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
     """Root of ``series(f) = exp(-lam)`` on ``f > 0``; series must decrease.
 
-    Returns ``(f, residual)``.  The bracket upper end ``f = lam`` always
-    works because ``series(f) <= exp(-f)`` for sub-probability masses.
+    Returns ``(f, residual)``.  The bracket upper end ``f = lam`` works
+    because ``series(f) <= exp(-f)`` for sub-probability masses; masses
+    whose rounding sums above 1 (returns that do not decay) widen it.
     """
     target = math.exp(-lam)
     f_hi = lam
-    if series(f_hi) > target:  # total mass marginally above 1 in floats
-        f_hi = lam * (1.0 + 1e-9) + 1e-12
+    while series(f_hi) > target:
+        if f_hi > 1e3:
+            raise PrecisionError(f"series above exp(-lam) = {target!r} at f = {f_hi!r}")
+        f_hi *= 1e3
     f_lo = min(lam, 1.0) * 1e-3
     while series(f_lo) < target:
         f_lo *= 1e-3
@@ -160,12 +164,11 @@ def annealed_critical_curve(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
     beta_grid,
-    verify_tol: float = 1e-8,
 ) -> list[AnnealedCurvePoint]:
     """``(beta, log M(beta))`` pairs, each cross-checked by bisection.
 
     The bisection brackets the sign change of the annealed free energy in
-    ``h``; disagreement with ``log M(beta)`` beyond ``verify_tol`` aborts.
+    ``h``; disagreement with ``log M(beta)`` beyond 1e-8 aborts.
     """
     betas = list(beta_grid)
     if not betas:
@@ -178,14 +181,14 @@ def annealed_critical_curve(
             raise InternalConsistencyError("annealed phase not pinned below log M(beta)")
         if annealed_free_energy(kernel, disorder, beta, hi).pinned:
             raise InternalConsistencyError("annealed phase pinned above log M(beta)")
-        while hi - lo > 0.25 * verify_tol:
+        while hi - lo > 0.25 * _VERIFY_TOL:
             mid = 0.5 * (lo + hi)
             if annealed_free_energy(kernel, disorder, beta, mid).pinned:
                 lo = mid
             else:
                 hi = mid
         zero = 0.5 * (lo + hi)
-        if abs(zero - h_c) > verify_tol:
+        if abs(zero - h_c) > _VERIFY_TOL:
             raise InternalConsistencyError(
                 f"bisection zero {zero!r} disagrees with log M(beta) {h_c!r}"
             )
@@ -201,8 +204,8 @@ def lambda0_from_chi(chi_result: ChiResult) -> float:
     return math.log1p(1.0 / value)
 
 
-def lambda0(kernel: RenewalKernel, chi_tolerance: float = 2e-3) -> float:
-    return lambda0_from_chi(compute_chi(kernel, tolerance=chi_tolerance))
+def lambda0(kernel: RenewalKernel) -> float:
+    return lambda0_from_chi(compute_chi(kernel))
 
 
 @dataclass(frozen=True)

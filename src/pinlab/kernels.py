@@ -65,7 +65,6 @@ class RenewalKernel:
     alpha: float | None = None
     p: float | None = None
     masses: np.ndarray | None = None  # table family; masses[i] = K(i+1)
-    l_description: str = "constant 1/zeta(1+alpha)"
 
     # -- mass queries -----------------------------------------------------
 
@@ -137,10 +136,10 @@ def make_power_kernel(alpha: float) -> RenewalKernel:
 def make_geometric_kernel(p: float) -> RenewalKernel:
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError(f"geometric kernel needs p in (0, 1], got {p}")
-    return RenewalKernel(family="geometric", p=float(p), l_description="geometric")
+    return RenewalKernel(family="geometric", p=float(p))
 
 
-def make_table_kernel(masses, l_description: str = "explicit table") -> RenewalKernel:
+def make_table_kernel(masses) -> RenewalKernel:
     """Kernel from an explicit mass table ``masses[i] = K(i+1)``.
 
     Enforces nonnegativity, normalization within 1e-12, and aperiodicity
@@ -164,7 +163,7 @@ def make_table_kernel(masses, l_description: str = "explicit table") -> RenewalK
     if g != 1:
         raise InvalidParameterError(f"kernel support has period {g}; expected gcd 1")
     arr.setflags(write=False)
-    return RenewalKernel(family="table", masses=arr, l_description=l_description)
+    return RenewalKernel(family="table", masses=arr)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +236,25 @@ def _fit_decay(u: np.ndarray, horizon: int) -> tuple[float, float]:
     return -float(slope), math.exp(float(intercept))
 
 
+_UNDECIDED_BAND = (0.95, 1.05)  # fitted decay of u_n^2 too close to 1 to call
+
+
 def chi(
     kernel: RenewalKernel,
     tolerance: float = 2e-3,
     start_horizon: int = 1 << 16,
     max_horizon: int = 1 << 21,
-    band: tuple[float, float] = (0.95, 1.05),
 ) -> ChiResult:
     """Overlap sum ``chi = sum_{n>=1} u_n^2`` with convergence verdict.
 
     Convergence is decided from the fitted decay exponent of ``u_n``: with
     ``u_n ~ C n^-s`` the square sums iff ``2s > 1``.  ``2s`` at or below
-    the band is reported infinite, above it finite with fitted tail
-    ``C^2 N^(1-2s) / (2s-1)`` added and certified ``<= tolerance``
-    (doubling the horizon as needed), inside the band undecided.  Each
-    doubling resumes the reciprocal from the previous ``u``, so the whole
-    search costs about one reciprocal at the final horizon.
+    the band ``(0.95, 1.05)`` is reported infinite, above it finite with
+    fitted tail ``C^2 N^(1-2s) / (2s-1)`` added and certified ``<=
+    tolerance`` (doubling the horizon as needed), inside the band
+    undecided.  Each doubling resumes the reciprocal from the previous
+    ``u``, so the whole search costs about one reciprocal at the final
+    horizon.
     """
     if not tolerance > 0.0:
         raise InvalidParameterError("tolerance must be positive")
@@ -264,9 +266,9 @@ def chi(
         s_fit, c_fit = _fit_decay(rp.u, horizon)
         decay2 = 2.0 * s_fit
         partial = float(np.sum(rp.u[1:] ** 2))
-        if decay2 <= band[0]:
+        if decay2 <= _UNDECIDED_BAND[0]:
             return ChiResult("infinite", math.inf, partial, math.inf, decay2, horizon)
-        if decay2 < band[1]:
+        if decay2 < _UNDECIDED_BAND[1]:
             return ChiResult("undecided", math.nan, partial, math.nan, decay2, horizon)
         tail = c_fit * c_fit * horizon ** (1.0 - decay2) / (decay2 - 1.0)
         if tail <= tolerance:
@@ -298,11 +300,7 @@ def truncate_kernel(kernel: RenewalKernel, tr: int) -> RenewalKernel:
         masses[: tr - 1] = kernel.mass_array(tr - 1)
     masses[tr - 1] = kernel.tail_mass(tr)
     masses.setflags(write=False)
-    return RenewalKernel(
-        family="table",
-        masses=masses,
-        l_description=f"truncation at {tr} of {kernel.family} kernel",
-    )
+    return RenewalKernel(family="table", masses=masses)
 
 
 def kernel_entropy(kernel: RenewalKernel) -> float:

@@ -95,11 +95,12 @@ def replica_moment_exact_check(
 ) -> tuple[float, float, float]:
     """Brute-force both sides of the replica identity on a small window.
 
-    Returns ``(disorder_average, pair_moment, dp_value)``: the exhaustive
-    charge average of the word-likelihood ``f_n`` over the tilted letter
-    law, the exhaustive pair-chain moment, and
-    :func:`pinlab.relevance.replica_moment`.  All three agree to near
-    machine precision for ``n <= 8``.
+    Returns ``(disorder_average, pair_moment, library_value)``: the
+    exhaustive charge average of the word-likelihood ``f_n`` over the
+    tilted letter law, the exhaustive pair-chain moment, and
+    :func:`pinlab.relevance.replica_moment` (the series inverse of the
+    squared returns).  All three agree to near machine precision for
+    ``n <= 8``.
     """
     if n > 8:
         raise InvalidParameterError("exact check limited to n <= 8")
@@ -126,5 +127,4 @@ def replica_moment_exact_check(
         for times_b, prob_b in configs:
             rhs += prob_a * prob_b * xi_value ** len(set_a.intersection(times_b))
 
-    dp = replica_moment(kernel_tr, disorder, beta, n)
-    return lhs, rhs, dp
+    return lhs, rhs, replica_moment(kernel_tr, disorder, beta, n)

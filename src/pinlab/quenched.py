@@ -19,7 +19,7 @@ embarrassingly parallel.
 The quenched free energy per site is estimated as the replica average of
 ``log Z_n / n``.  Locating its zero in ``h`` is done by bisection with an
 explicit finite-size allowance: a point is declared localized only when
-the estimate clears ``max(3 stderr, c_fs / n)``, and the reported upper
+the estimate clears ``max(3 stderr, 5 / n)``, and the reported upper
 edge is widened by the allowance mapped through the locally observed
 slope, so the returned interval is an honest bracket rather than a point
 estimate.
@@ -252,17 +252,18 @@ def quenched_free_energy(
 # ---------------------------------------------------------------------------
 
 
+_C_FS = 5.0           # finite-size allowance: threshold _C_FS / n
+_WIDEN_FACTOR = 2.0   # upper-edge widening in units of threshold/slope
+_MIN_SLOPE = 0.02
+_MAX_PROBES = 60
+
+
 @dataclass(frozen=True)
 class QuenchedSearchConfig:
     n: int = 4096
     replicas: int = 64
     base_seed: int = 0
-    h_window: tuple[float, float] | None = None  # default (-0.1, log M(beta) + 0.1)
     target_width: float = 0.002
-    c_fs: float = 5.0          # finite-size allowance: threshold c_fs / n
-    widen_factor: float = 2.0  # upper-edge widening in units of threshold/slope
-    max_probes: int = 60
-    min_slope: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -297,20 +298,18 @@ def quenched_critical_point(
 ) -> CriticalPointBracket:
     """Bisection bracket for the quenched critical bias at fixed ``beta``.
 
-    A bias ``h`` is declared localized when the estimate exceeds
-    ``max(3 stderr, c_fs / n)`` and delocalized otherwise; localized
+    The search starts from the window ``(-0.1, log M(beta) + 0.1)``.  A
+    bias ``h`` is declared localized when the estimate exceeds
+    ``max(3 stderr, 5 / n)`` and delocalized otherwise; localized
     declarations are reliable (finite-size estimates only undershoot the
     limit in expectation), so the lower edge is trustworthy while the raw
-    upper edge is widened by ``widen_factor * threshold / slope`` with the
-    slope read off the bracket endpoints.  If sampling noise swamps the
-    allowance near the transition the search stops early and the bracket
-    is flagged undecided instead of being narrowed artificially.
+    upper edge is widened by ``2 * threshold / slope`` with the slope read
+    off the bracket endpoints (floored at 0.02).  If sampling noise swamps
+    the allowance near the transition the search stops early and the
+    bracket is flagged undecided instead of being narrowed artificially.
     """
     cfg = config
-    if cfg.h_window is not None:
-        h_lo, h_hi = cfg.h_window
-    else:
-        h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
+    h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
 
     # charges depend on (n, replicas, base_seed) only: draw them once per n
     charges: dict[int, np.ndarray] = {}
@@ -332,13 +331,13 @@ def quenched_critical_point(
         return cache[h]
 
     def threshold(est: FreeEnergyEstimate) -> float:
-        return max(3.0 * est.stderr, cfg.c_fs / cfg.n)
+        return max(3.0 * est.stderr, _C_FS / cfg.n)
 
     def is_localized(est: FreeEnergyEstimate) -> bool:
         return est.mean > threshold(est)
 
     def is_noise_bound(est: FreeEnergyEstimate) -> bool:
-        return 3.0 * est.stderr > cfg.c_fs / cfg.n and abs(est.mean) <= 3.0 * est.stderr
+        return 3.0 * est.stderr > _C_FS / cfg.n and abs(est.mean) <= 3.0 * est.stderr
 
     probes = 0
     while not is_localized(estimate(h_lo)):
@@ -353,7 +352,7 @@ def quenched_critical_point(
             raise PrecisionError("could not find a delocalized right endpoint")
 
     undecided = False
-    while h_hi - h_lo > cfg.target_width and probes < cfg.max_probes:
+    while h_hi - h_lo > cfg.target_width and probes < _MAX_PROBES:
         mid = 0.5 * (h_lo + h_hi)
         est = estimate(mid)
         probes += 1
@@ -380,8 +379,8 @@ def quenched_critical_point(
         }
 
     slope = (est_lo.mean - est_hi.mean) / max(h_hi - h_lo, 1e-12)
-    slope = max(slope, cfg.min_slope)
-    widen = cfg.widen_factor * threshold(est_hi) / slope
+    slope = max(slope, _MIN_SLOPE)
+    widen = _WIDEN_FACTOR * threshold(est_hi) / slope
     if undecided:
         widen *= 2.0
     h_hi_report = h_hi + widen

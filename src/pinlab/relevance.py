@@ -11,8 +11,10 @@ estimates or bounds that functional:
   evaluate the word-averaged likelihood ratio ``f_n`` by the quenched DP
   with a free right endpoint, and average ``log f_n / n`` over replicas;
 * the replica identity: the disorder average of ``f_n`` equals the
-  pair-chain moment ``E[Xi(beta)^(# simultaneous returns)]``, computed by
-  a lag-state DP (checked by enumeration in :mod:`pinlab.oracles`);
+  pair-chain moment ``E[Xi(beta)^(# simultaneous returns)]``; the
+  simultaneous returns are a renewal process with renewal sequence
+  ``u_n^2``, so the moment is one series inverse (checked by enumeration
+  in :mod:`pinlab.oracles`);
 * the annealed upper bound ``H_tr <= f2_tr(log Xi(beta))`` and the
   restriction lower bound ``m_tr H_tr >= h(mu_beta|mu_0) + sum K^tr log
   K^tr``;
@@ -51,10 +53,12 @@ from .kernels import (
     RenewalKernel,
     chi as compute_chi,
     kernel_entropy,
+    return_probabilities,
     truncate_kernel,
 )
 from .quenched import dp_log_partition, log_mass_vector
 from .rng import derive_stream
+from .series import power_series_inverse
 
 __all__ = [
     "CriticalTemperatureBounds",
@@ -204,32 +208,38 @@ def critical_temperature_bounds(
 
 def replica_moment_log(kernel_tr: RenewalKernel, log_xi_value: float, n: int) -> float:
     """``log E[ Xi^(# simultaneous renewals in [0, n-1]) ]`` for two
-    independent chains with the (finitely supported) kernel ``kernel_tr``.
+    independent chains with the kernel ``kernel_tr``; both renew at time 0,
+    so ``n = 1`` gives ``log Xi``.
 
-    Exact DP over the pair of residual times-to-renewal, O(n * tr^2);
-    both chains renew at time 0, so ``n = 1`` gives ``log Xi``.
+    The simultaneous renewals have renewal sequence ``u_m^2``, so with
+    ``U2 = sum u_m^2 z^m`` and gap law ``K2 = 1 - 1/U2``,
+
+        E = Xi [z^(n-1)] (1 - K2) / ((1 - Xi K2)(1 - z)) = Xi sum_{m<n} w_m,
+
+    ``w = 1 / (Xi - (Xi - 1) U2)``: one series inverse for any kernel.  Its
+    coefficients are tilted by ``exp(-g m)``, ``g`` the root of
+    ``(Xi - 1) sum_{0<m<n} u_m^2 exp(-g m) = 1`` (0 when there is none),
+    so that ``w`` stays of order one; the result is exact for any ``g``.
     """
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    support = kernel_tr.support_upper
-    if support is None:
-        raise InvalidParameterError("replica moment needs a finitely supported kernel")
-    masses = kernel_tr.mass_array(support)
-    xi_value = math.exp(log_xi_value)
-    dist = xi_value * np.outer(masses, masses)
-    log_scale = 0.0
-    for _ in range(1, n):
-        nxt = np.zeros_like(dist)
-        nxt[:-1, :-1] += dist[1:, 1:]
-        nxt[:, :-1] += np.outer(masses, dist[0, 1:])
-        nxt[:-1, :] += np.outer(dist[1:, 0], masses)
-        nxt += (xi_value * dist[0, 0]) * np.outer(masses, masses)
-        peak = nxt.max()
-        if peak > 1e250 or peak < 1e-250:
-            nxt /= peak
-            log_scale += math.log(peak)
-        dist = nxt
-    return log_scale + math.log(float(dist.sum()))
+    u2 = return_probabilities(kernel_tr, n - 1).u ** 2
+    xi_minus_one = math.expm1(log_xi_value)
+    steps = np.arange(n, dtype=float)
+
+    def excess(g: float) -> float:
+        return xi_minus_one * float(np.dot(u2[1:], np.exp(-g * steps[1:]))) - 1.0
+
+    # E <= Xi^n, so the root lies below log Xi
+    g = 0.0
+    if xi_minus_one > 0.0 and excess(0.0) > 0.0:
+        g = log_xi_value
+        if excess(g) < 0.0:
+            g = brentq(excess, 0.0, g, rtol=1e-6)
+    a = -xi_minus_one * u2 * np.exp(-g * steps)
+    a[0] = 1.0
+    w = power_series_inverse(a, n)
+    return log_xi_value + g * (n - 1) + math.log(float(np.dot(w, np.exp(-g * steps[::-1]))))
 
 
 def replica_moment(
@@ -324,6 +334,9 @@ def _sample_word_sequence(
     return letters
 
 
+_F2_TOL = 1e-8  # fixed-point residual of the annealed upper bound
+
+
 def entropy_estimator(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
@@ -333,7 +346,6 @@ def entropy_estimator(
     replicas: int,
     base_seed: int,
     compute_bounds: bool = True,
-    f2_tol: float = 1e-8,
 ) -> RelevanceReport:
     """Monte Carlo estimate of the truncated specific relative entropy.
 
@@ -387,7 +399,7 @@ def entropy_estimator(
     if compute_bounds:
         pos = masses[masses > 0.0]
         lower = (relative_entropy_tilt(disorder, beta) + float(np.sum(pos * np.log(pos)))) / m_tr
-        upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=f2_tol).f2
+        upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=_F2_TOL).f2
         slack = 3.0 * stderr
         sandwich = (lower - slack <= estimate) and (estimate <= upper + slack)
 

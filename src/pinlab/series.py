@@ -50,10 +50,10 @@ def zeta_tail(s: float, n0: int) -> float:
     return float(_riemann_zeta(s, n0))
 
 
-def zeta_log_sum(s: float, n_direct: int = 64) -> float:
+def zeta_log_sum(s: float) -> float:
     """``sum_{n>=1} n^-s log n`` for ``s > 1``, i.e. ``-zeta'(s)``.
 
-    The head is summed directly; the tail from ``N = n_direct`` on is the
+    The head is summed directly; the tail from ``N = 64`` on is the
     Euler-Maclaurin expansion of ``f(x) = x^-s log x``:
 
         sum_{n>=N} f(n) = int_N^inf f + f(N)/2 - f'(N)/12 + f'''(N)/720 - ...
@@ -63,9 +63,9 @@ def zeta_log_sum(s: float, n_direct: int = 64) -> float:
     """
     if s <= 1.0:
         raise ValueError("zeta_log_sum requires s > 1")
-    ns = np.arange(1, n_direct, dtype=float)
+    N = 64.0
+    ns = np.arange(1.0, N)
     head = float(np.sum(ns ** (-s) * np.log(ns)))
-    N = float(n_direct)
     lg = math.log(N)
     sm1 = s - 1.0
     integral = N ** (-sm1) * (lg / sm1 + 1.0 / (sm1 * sm1))
@@ -78,21 +78,24 @@ def zeta_log_sum(s: float, n_direct: int = 64) -> float:
     return head + integral + f0 / 2.0 - f1 / 12.0 + f3 / 720.0
 
 
-def _polylog_direct(s: float, f: float, rtol: float) -> float:
+_POLYLOG_RTOL = 1e-16
+
+
+def _polylog_direct(s: float, f: float) -> float:
     # e^{-nf} decays fast enough for term-by-term summation once f is O(1).
     total = 0.0
     n = 1
     while True:
         t = math.exp(-s * math.log(n) - n * f)
         total += t
-        if t < rtol * total and n > 4:
+        if t < _POLYLOG_RTOL * total and n > 4:
             return total
         n += 1
         if n > 100_000:  # unreachable for f >= 0.5; guards misuse
             raise RuntimeError("polylog direct summation failed to converge")
 
 
-def _polylog_series(s: float, f: float, rtol: float) -> float:
+def _polylog_series(s: float, f: float) -> float:
     # Expansion of Li_s(e^-f) around f = 0, valid for 0 < f < 2*pi:
     #   non-integer s:  Gamma(1-s) f^(s-1) + sum_k zeta(s-k) (-f)^k / k!
     #   integer  s=m:   (-f)^(m-1)/(m-1)! (H_{m-1} - log f)
@@ -115,7 +118,7 @@ def _polylog_series(s: float, f: float, rtol: float) -> float:
             continue
         t = zeta(s - k) * term
         total += t
-        if abs(t) <= rtol * abs(total):
+        if abs(t) <= _POLYLOG_RTOL * abs(total):
             small_streak += 1
             if small_streak >= 2 and k >= 3:
                 return total
@@ -124,7 +127,7 @@ def _polylog_series(s: float, f: float, rtol: float) -> float:
     raise RuntimeError("polylog series failed to converge; f too close to 2*pi?")
 
 
-def polylog_exp(s: float, f: float, rtol: float = 1e-16) -> float:
+def polylog_exp(s: float, f: float) -> float:
     """``Li_s(e^-f) = sum_{n>=1} n^-s e^{-n f}`` for ``s > 1`` and ``f >= 0``.
 
     Switches between direct summation (large ``f``) and the expansion
@@ -136,8 +139,8 @@ def polylog_exp(s: float, f: float, rtol: float = 1e-16) -> float:
     if f == 0.0:
         return zeta(s)
     if f >= 0.7:
-        return _polylog_direct(s, f, rtol)
-    return _polylog_series(s, f, rtol)
+        return _polylog_direct(s, f)
+    return _polylog_series(s, f)
 
 
 # ---------------------------------------------------------------------------

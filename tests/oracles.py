@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from pinlab.errors import InvalidParameterError
+
 
 def zeta_direct(s: float, n_direct: int = 200) -> float:
     """Riemann zeta for s > 1 by direct series plus Euler-Maclaurin tail."""
@@ -129,6 +131,36 @@ def pair_moment_brute(masses: np.ndarray, xi_value: float, n: int) -> float:
             overlap = len(set_a.intersection(times_b))
             total += prob_a * prob_b * xi_value**overlap
     return total
+
+
+def replica_moment_log_dp(kernel_tr, log_xi_value: float, n: int) -> float:
+    """``log E[ Xi^(# simultaneous renewals in [0, n-1]) ]`` for two
+    independent chains with the (finitely supported) kernel ``kernel_tr``.
+
+    Exact DP over the pair of residual times-to-renewal, O(n * tr^2);
+    both chains renew at time 0, so ``n = 1`` gives ``log Xi``.
+    """
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    support = kernel_tr.support_upper
+    if support is None:
+        raise InvalidParameterError("replica moment needs a finitely supported kernel")
+    masses = kernel_tr.mass_array(support)
+    xi_value = math.exp(log_xi_value)
+    dist = xi_value * np.outer(masses, masses)
+    log_scale = 0.0
+    for _ in range(1, n):
+        nxt = np.zeros_like(dist)
+        nxt[:-1, :-1] += dist[1:, 1:]
+        nxt[:, :-1] += np.outer(masses, dist[0, 1:])
+        nxt[:-1, :] += np.outer(dist[1:, 0], masses)
+        nxt += (xi_value * dist[0, 0]) * np.outer(masses, masses)
+        peak = nxt.max()
+        if peak > 1e250 or peak < 1e-250:
+            nxt /= peak
+            log_scale += math.log(peak)
+        dist = nxt
+    return log_scale + math.log(float(dist.sum()))
 
 
 def relative_entropy_direct(law, beta: float) -> float:

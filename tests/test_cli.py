@@ -156,6 +156,18 @@ class TestConfigErrors:
              "tr_schedule"),
             ("chi", {"kernel": GEOMETRIC, "tolerance": "abc"}, "tolerance"),
             ("validate", {"kernel": GEOMETRIC, "base_seed": "abc"}, "base_seed"),
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": {"n": 4096.7}},
+             "quenched.n"),
+            ("homopolymer",
+             {"kernel": GEOMETRIC, "lambda_grid": {"start": 0.1, "stop": 1.0, "count": 3.9}},
+             "lambda_grid.count"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "replicas": True},
+             "replicas"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": math.nan}, "tol"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):
@@ -331,6 +343,30 @@ class TestRelevanceCommand:
         manifest = json.loads((out / "relevance_manifest.json").read_text())
         assert manifest["seed"] == 2
 
+    def test_unit_truncation_small_beta(self, tmp_path):
+        # the overlap masses of the unit truncation sum above 1 in floats, so
+        # the upper bound's fixed-point bracket has to widen at log Xi = 1e-6
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "kernel": {"family": "power", "alpha": 0.3},
+                "disorder": {"family": "gaussian"},
+                "beta": 1e-3,
+                "base_seed": 1,
+                "tr_schedule": [1],
+                "n_multiplier": 64,
+                "replicas": 8,
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["relevance", "--config", cfg, "--out", out]) == EXIT_OK
+        manifest = json.loads((out / "relevance_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_OK
+        _, rows = read_rows(out / "relevance_scan.csv")
+        # f2 at tr = 1 is lam = log Xi = beta^2 for gaussian charges
+        assert float(rows[0]["upper"]) == pytest.approx(1e-6, rel=1e-5)
+
     def test_undecided_chi_exits_undecided(self, tmp_path, capsys):
         # chi comes back undecided at alpha = 0.5, so beta_c_star has no value
         cfg = write_config(
@@ -410,6 +446,7 @@ class TestValidateCommand:
         )
         assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_INVARIANT
         lines = capsys.readouterr().out.splitlines()
+        # the replica moment is a series in the squared returns, so it sees u_1 too
         assert [" ".join(line.split()[:2]).rstrip(":") for line in lines] == [
             "PASS kernel-mass-normalization",
             "FAIL renewal-recursion",
@@ -417,7 +454,7 @@ class TestValidateCommand:
             "FAIL overlap-reconstruction",
             "PASS dp-vs-enumeration",
             "PASS annealed-moment-identity",
-            "PASS replica-identity",
+            "FAIL replica-identity",
         ]
 
     def test_gapped_table_kernel_passes(self, tmp_path, capsys):

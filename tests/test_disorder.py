@@ -104,7 +104,7 @@ class TestMgf:
             assert mgf(law, lam) == pytest.approx(mgf_quadrature(law, lam), rel=1e-9)
 
     @ALL_LAWS
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         lam1=st.floats(min_value=-3.0, max_value=3.0),
         lam2=st.floats(min_value=-3.0, max_value=3.0),

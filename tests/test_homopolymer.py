@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder
-from pinlab.errors import DomainError, UndecidedError
+from pinlab.errors import DomainError, PrecisionError, UndecidedError
 from pinlab.homopolymer import (
+    _solve_fixed_point,
     annealed_critical_curve,
     annealed_free_energy,
     homopolymer_free_energy,
@@ -168,9 +169,17 @@ class TestJointFreeEnergy:
         res = joint_free_energy(kernel, 0.37, tr=1, chi_result=chi_03)
         assert res.f2 == pytest.approx(0.37, abs=1e-12)
 
-    def test_insufficient_horizon_raises(self, chi_03):
-        from pinlab.errors import PrecisionError
+    def test_unit_truncation_small_strength(self):
+        # the overlap masses of the unit truncation sum to 1 + 5e-12 in
+        # floats, so at lam = 1e-6 the bracket end f = lam must widen
+        res = joint_free_energy(make_power_kernel(0.3), 1e-6, tr=1)
+        assert res.f2 == pytest.approx(1e-6, rel=1e-5)
 
+    def test_series_that_never_falls_is_precision_error(self):
+        with pytest.raises(PrecisionError):
+            _solve_fixed_point(lambda f: 1.5, 0.1, 1e-10)
+
+    def test_insufficient_horizon_raises(self, chi_03):
         kernel = make_power_kernel(0.3)
         lam0 = lambda0_from_chi(chi_03)
         with pytest.raises(PrecisionError) as info:

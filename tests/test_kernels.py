@@ -140,7 +140,7 @@ class TestReturnProbabilities:
         assert np.all(rp.u >= -1e-15)
         assert np.all(rp.u <= 1.0 + 1e-12)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(table_weights)
     def test_recursion_residual_property(self, weights):
         kernel = random_table_kernel(weights)
@@ -255,7 +255,7 @@ class TestTruncation:
             assert m_tr <= full_mean + 1e-12
             previous = m_tr
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(table_weights, st.integers(min_value=1, max_value=12))
     def test_mass_preserved_property(self, weights, tr):
         kernel = random_table_kernel(weights)
@@ -360,7 +360,7 @@ class TestOverlapKernel:
         ov = overlap_kernel(base, 20_000)
         assert 1.0 - ov.l2(20_000) <= 1e-6
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(table_weights)
     def test_reconstruction_property(self, weights):
         kernel = random_table_kernel(weights)

@@ -150,19 +150,19 @@ class TestScaledRecursionExtremes:
     ``log Z_m`` is near zero.
     """
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.floats(0.0, 300.0), st.floats(-5.0, 5.0), sizes, seeds, bands)
     def test_large_beta_gaussian(self, beta, h, n, seed, band):
         weights = beta * charges(seed, 3, n) - h
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.floats(0.0, 2.0), st.floats(-800.0, 800.0), sizes, seeds, bands)
     def test_extreme_bias(self, beta, h, n, seed, band):
         weights = beta * charges(seed, 3, n) - h
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.sampled_from(GAPPED_TABLES), st.floats(0.0, 50.0),
            st.floats(-800.0, 800.0), sizes, seeds, st.none() | st.integers(1, 10))
     @example(GAPPED_TABLES[1], 1.0, 0.0, 40, 0, 2)
@@ -172,7 +172,7 @@ class TestScaledRecursionExtremes:
         kernel = make_table_kernel(table)
         assert_matches_recursion(log_mass_vector(kernel, n), weights, band)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(20, 200), st.data(), st.floats(-5000.0, -1000.0), seeds)
     def test_band_8_with_very_negative_stretch(self, n, data, low, seed):
         start = data.draw(st.integers(0, n - 1))
@@ -181,7 +181,7 @@ class TestScaledRecursionExtremes:
         weights[:, start:stop] = low
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, 8)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 3), st.integers(60, 200), seeds)
     def test_rescue_only_for_replica_that_needs_it(self, victim, n, seed):
         # eight sites of weight -1500 empty the band-8 window of every term

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinlab.disorder import (
     continuous_disorder,
@@ -16,7 +17,13 @@ from pinlab.disorder import (
 )
 from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
-from pinlab.kernels import chi, kernel_entropy, make_power_kernel, truncate_kernel
+from pinlab.kernels import (
+    chi,
+    kernel_entropy,
+    make_geometric_kernel,
+    make_power_kernel,
+    truncate_kernel,
+)
 from pinlab.oracles import replica_moment_exact_check
 from pinlab.quenched import dp_log_partition, log_mass_vector
 from pinlab.relevance import (
@@ -32,7 +39,7 @@ from pinlab.relevance import (
 )
 from pinlab.rng import derive_stream
 
-from oracles import free_endpoint_likelihood_brute, pair_moment_brute
+from oracles import free_endpoint_likelihood_brute, pair_moment_brute, replica_moment_log_dp
 
 GAUSS = gaussian_disorder()
 RAD = rademacher_disorder()
@@ -127,6 +134,40 @@ class TestReplicaMoment:
                 got = replica_moment(ktr, RAD, beta, n)
                 assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [make_power_kernel(0.3), make_power_kernel(1.5), make_geometric_kernel(0.4)],
+        ids=["power0.3", "power1.5", "geometric0.4"],
+    )
+    def test_untruncated_kernel_matches_enumeration(self, kernel):
+        for n in range(1, 8):
+            for log_xi_value in (0.2, 1.0):
+                want = pair_moment_brute(kernel.mass_array(n), math.exp(log_xi_value), n)
+                got = math.exp(replica_moment_log(kernel, log_xi_value, n))
+                assert got == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=40)
+    @given(
+        tr=st.integers(1, 64),
+        log_xi_value=st.floats(0.0, 3.0),
+        n=st.integers(1, 2048),
+    )
+    def test_matches_lag_state_dp(self, tr, log_xi_value, n):
+        ktr = truncate_kernel(P03, tr)
+        want = replica_moment_log_dp(ktr, log_xi_value, n)
+        got = replica_moment_log(ktr, log_xi_value, n)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_closed_forms(self):
+        # one return per step at tr = 1, so the overlap is n; Xi = 1 weighs nothing
+        unit = truncate_kernel(P03, 1)
+        for log_xi_value in (1e-6, 0.5, 3.0):
+            for n in (1, 10, 8192):
+                assert replica_moment_log(unit, log_xi_value, n) == pytest.approx(
+                    n * log_xi_value, rel=1e-14
+                )
+        assert replica_moment_log(truncate_kernel(P03, 32), 0.0, 8192) == 0.0
+
     def test_overflow_is_precision_error(self):
         ktr = truncate_kernel(P03, 32)
         log_moment = replica_moment_log(ktr, log_xi(GAUSS, 1.5), 8192)
@@ -157,8 +198,11 @@ class TestReplicaMoment:
         lam = math.log(xi(RAD, beta))
         f2tr = joint_free_energy(P03, lam, tr=tr, chi_result=chi_03).f2
         n = 4000
-        rate = replica_moment_log(ktr, lam, n) / n
-        assert rate == pytest.approx(f2tr, abs=2e-3)
+        log_n = replica_moment_log(ktr, lam, n)
+        assert log_n / n == pytest.approx(f2tr, abs=2e-3)
+        # the boundary terms cancel in the difference quotient
+        quotient = (replica_moment_log(ktr, lam, 2 * n) - log_n) / n
+        assert quotient == pytest.approx(f2tr, abs=1e-10)
 
 
 class TestEntropyEstimatorCore:

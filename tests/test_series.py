@@ -52,7 +52,7 @@ def kernel_masses(draw):
 
 
 class TestAgainstDynamicPrograms:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lengths, kernel_masses())
     def test_renewal_function(self, length, masses):
         n = length - 1
@@ -60,7 +60,7 @@ class TestAgainstDynamicPrograms:
         assert u.shape == (length,)
         assert np.max(np.abs(u - renewal_function_dp(masses, n))) <= 1e-12
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lengths, kernel_masses())
     def test_gap_law(self, length, masses):
         n = length - 1
@@ -73,7 +73,7 @@ class TestAgainstDynamicPrograms:
 
 
 class TestResume:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lengths, kernel_masses(), st.integers(min_value=1, max_value=6000))
     def test_head_matches_fresh(self, length, masses, known):
         # for returns that do not decay (K(1) = 1 gives u = 1) the resumed and
