@@ -104,7 +104,8 @@ def _as_number(path: str, cast, value):
         number = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"expected a number, got {value!r}") from exc
-    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+    fraction = isinstance(value, float) and number != value
+    if isinstance(value, bool) or number != number or fraction:
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(path, f"expected {kind}, got {value!r}")
     return number

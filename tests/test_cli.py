@@ -168,6 +168,7 @@ class TestConfigErrors:
               "replicas": True},
              "replicas"),
             ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": math.nan}, "tol"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": "nan"}, "tol"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):

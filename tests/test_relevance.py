@@ -118,6 +118,7 @@ class TestReplicaMoment:
         ktr = truncate_kernel(P03, 4)
         for n in (1, 2, 5, 17, 60):
             assert abs(replica_moment_log(ktr, 0.0, n)) <= 1e-12
+        assert replica_moment_log(truncate_kernel(P03, 32), 0.0, 8192) == 0.0
 
     def test_single_step_is_xi(self):
         ktr = truncate_kernel(P03, 4)
@@ -126,25 +127,20 @@ class TestReplicaMoment:
         )
 
     def test_dp_matches_enumeration(self):
-        ktr = truncate_kernel(P03, 3)
-        masses = ktr.mass_array(3)
-        for n in (2, 4, 6):
-            for beta in (0.4, 1.1):
-                want = pair_moment_brute(masses, xi(RAD, beta), n)
-                got = replica_moment(ktr, RAD, beta, n)
-                assert got == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "kernel",
-        [make_power_kernel(0.3), make_power_kernel(1.5), make_geometric_kernel(0.4)],
-        ids=["power0.3", "power1.5", "geometric0.4"],
-    )
-    def test_untruncated_kernel_matches_enumeration(self, kernel):
-        for n in range(1, 8):
-            for log_xi_value in (0.2, 1.0):
-                want = pair_moment_brute(kernel.mass_array(n), math.exp(log_xi_value), n)
-                got = math.exp(replica_moment_log(kernel, log_xi_value, n))
-                assert got == pytest.approx(want, rel=1e-13)
+        # truncated and untruncated kernels alike: the series needs no support bound
+        kernels = [
+            truncate_kernel(P03, 3),
+            make_power_kernel(0.3),
+            make_power_kernel(1.5),
+            make_geometric_kernel(0.4),
+        ]
+        for kernel in kernels:
+            for n in range(1, 8):
+                masses = kernel.mass_array(n)
+                for beta in (0.4, 1.1):
+                    want = pair_moment_brute(masses, xi(RAD, beta), n)
+                    got = replica_moment(kernel, RAD, beta, n)
+                    assert got == pytest.approx(want, rel=1e-13)
 
     @settings(max_examples=40)
     @given(
@@ -158,15 +154,14 @@ class TestReplicaMoment:
         got = replica_moment_log(ktr, log_xi_value, n)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_closed_forms(self):
-        # one return per step at tr = 1, so the overlap is n; Xi = 1 weighs nothing
+    def test_unit_truncation_closed_form(self):
+        # one return per step at tr = 1, so the overlap is n
         unit = truncate_kernel(P03, 1)
         for log_xi_value in (1e-6, 0.5, 3.0):
             for n in (1, 10, 8192):
                 assert replica_moment_log(unit, log_xi_value, n) == pytest.approx(
                     n * log_xi_value, rel=1e-14
                 )
-        assert replica_moment_log(truncate_kernel(P03, 32), 0.0, 8192) == 0.0
 
     def test_overflow_is_precision_error(self):
         ktr = truncate_kernel(P03, 32)
