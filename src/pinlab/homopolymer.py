@@ -102,7 +102,9 @@ def _mass_series(masses: np.ndarray, f: float) -> float:
 def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
     """Root of ``series(f) = exp(-lam)`` on ``f > 0``; series must decrease.
 
-    Returns ``(f, residual)``.  The bracket upper end ``f = lam`` works
+    Returns ``(f, residual)`` with ``residual = |series(f) - exp(-lam)|``;
+    the solve raises :class:`PrecisionError` when it exceeds ``tol`` relative
+    to ``exp(-lam)``.  The bracket upper end ``f = lam`` works
     because ``series(f) <= exp(-f)`` for sub-probability masses; masses
     whose rounding sums above 1 (returns that do not decay) widen it.
     Above ``lam`` of about 708.4 the target ``exp(-lam)`` is subnormal or
@@ -135,8 +137,10 @@ def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
     )
     f = math.exp(root_t)
     residual = abs(series(f) - target)
-    if residual > tol:
-        raise PrecisionError(f"fixed-point residual {residual:.3e} exceeds tol {tol:.3e}")
+    if residual > tol * target:
+        raise PrecisionError(
+            f"fixed-point residual {residual:.3e} exceeds tol {tol:.3e} times exp(-lam) = {target!r}"
+        )
     return f, residual
 
 

@@ -8,10 +8,13 @@ where a reward is collected at every renewal start (site 0 included, the
 terminal site excluded).  At depth ``n = 4096`` the summands span
 hundreds of orders of magnitude, so the recursion is the scaled forward
 algorithm: each replica holds its terms in the linear domain under one
-log-scale, a step is one matrix-vector product, the scale moves only when
-a sum or a new term leaves a safe range, and ``log Z_m`` is stored in the
-log domain.  A step whose linear sum underflows or overflows is redone by
-an exact log-sum-exp, so the extremes give the log-domain result.
+log-scale, a step is one matrix-vector product and one multiply, the scale
+moves only when a sum or a new term leaves a safe range, and ``log Z_m`` is
+stored in the log domain.  Logs and range tests are taken once per run of
+steps; the first step of a run that leaves the range is repaired and the
+steps after it are computed again.  A step whose linear sum underflows or
+overflows is redone by an exact log-sum-exp, so the extremes give the
+log-domain result.
 Replicas share nothing; each owns a private stream derived from
 ``(base_seed, replica_index)``, which makes estimates bit-reproducible and
 embarrassingly parallel.
@@ -105,9 +108,18 @@ def log_mass_vector(kernel: RenewalKernel, n: int) -> np.ndarray:
 # sum leaves [e^-460, e^460], so a sum of up to n entries stays far from
 # overflow.  A sum outside [e^-644, e^644] (about 1e-280 to 1e280) is redone
 # in the log domain: entries that underflowed to zero or to subnormals may
-# then carry a relevant share of it.
+# then carry a relevant share of it.  A new entry ``s e^w`` whose factor
+# ``e^w`` is subnormal or zero is exact only to about ``s * 5e-324``, so a
+# replica whose sum exceeds 1 at such a site is rebased too, which recomputes
+# the entry from ``log Z``.
 _LOG_SAFE = 460.0
 _LOG_EXACT = 644.0
+_SAFE = math.exp(_LOG_SAFE)
+_TINY = np.finfo(float).tiny
+# Steps between two range tests.  A run starts at one step, doubles after each
+# run whose steps all stay in range, and starts again at one after a step that
+# does not; the run buffers hold _RUN_CAP x replicas floats each.
+_RUN_CAP = 64
 
 
 def dp_log_partition(
@@ -121,46 +133,66 @@ def dp_log_partition(
 
     Replica ``r`` keeps ``y[j, r] = Z_j exp(w_j - c_r)`` for the sites of
     its window under one log-scale ``c_r`` (the scaled forward algorithm of
-    HMMs), so a step is one product of the reversed kernel masses with the
-    window's rows of ``y``, one ``log`` and one ``exp`` per replica.  A
-    replica whose sum or new entry leaves the safe range is rebased:
-    ``c_r`` becomes the window's largest ``log Z_j + w_j`` and its window is
-    recomputed from ``log Z``.  A sum that is zero, subnormal or near either
-    end of the float range is recomputed by the exact log-sum-exp step for
-    that replica alone, so large ``beta * w``, extreme ``h``, gapped kernels
-    and long stretches of very negative weight give the log-domain values,
-    and ``-inf`` where ``Z_m = 0``.
+    HMMs).  A step is two array operations across the replicas: the sum
+    ``s_m``, one product of the reversed kernel masses with the window's
+    rows of ``y``, and the new entry ``y[m] = s_m e^{w_m}``.  ``e^w`` is
+    taken once per block of ``_RUN_CAP`` sites, and steps go in runs of up to
+    ``_RUN_CAP``: after a run, one ``log`` gives its ``log Z_m = c_r +
+    log s_m`` and one range test covers all its steps.  The first step at
+    which a replica's sum or new entry leaves the safe range is repaired and
+    the run's later steps are computed again: the replica is rebased
+    (``c_r`` becomes the window's largest ``log Z_j + w_j`` and its window
+    is recomputed from ``log Z``), and a sum that is zero, subnormal or near
+    either end of the float range is first recomputed by the exact
+    log-sum-exp step for that replica alone.  So large ``beta * w``, extreme
+    ``h``, gapped kernels and long stretches of very negative weight give
+    the log-domain values, and ``-inf`` where ``Z_m = 0``.
     """
     reps, n = site_weights.shape
     width = n if band is None else min(band, n)
     k_rev = np.exp(log_k[:width][::-1])  # K(width), ..., K(1)
     log_z = np.empty((reps, n + 1))
     log_z[:, 0] = 0.0
-    y = np.empty((n, reps))
+    y = np.empty((n + 1, reps))  # row n takes the last step's unused entry
     scale = np.empty(reps)
-    steps = np.empty((2, reps))
-    lz, a = steps  # log of the sum, log of the new entry, relative to scale
-    with np.errstate(divide="ignore", over="ignore"):
+    sums = np.empty((_RUN_CAP, reps))  # a run's s_m, then their logs
+    growth = np.ones((_RUN_CAP, reps))  # e^{w_j} for the sites g0 <= j < g0 + _RUN_CAP
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if n:
             _rebase(y, scale, log_z, site_weights, np.arange(reps), 0, 1)
-        for m in range(1, n + 1):
-            j0 = max(0, m - width)
-            np.log(k_rev[width - m + j0:] @ y[j0:m], out=lz)
-            np.add(scale, lz, out=log_z[:, m])
-            if m < n:
-                np.add(lz, site_weights[:, m], out=a)
-                np.exp(a, out=y[m])
-                if steps.max() <= _LOG_SAFE and lz.min() >= -_LOG_SAFE:
-                    continue
-            elif np.abs(lz).max() <= _LOG_EXACT:
-                break
-            exact = np.flatnonzero(~(np.abs(lz) <= _LOG_EXACT))
-            if exact.size:
-                log_z[exact, m] = _log_step(log_z, site_weights, log_k, exact, j0, m)
-            if m < n:
-                off = np.flatnonzero(~((np.abs(lz) <= _LOG_SAFE) & (a <= _LOG_SAFE)))
-                start = max(0, m + 1 - width)  # the next step's window
-                _rebase(y, scale, log_z, site_weights, off, start, m + 1)
+        m, length, g0 = 1, 1, -_RUN_CAP
+        while m <= n:
+            end = min(m + length, n + 1)  # the run is steps m <= t < end
+            if end > g0 + _RUN_CAP:
+                g0, hi = m, min(m + _RUN_CAP, n)
+                np.exp(site_weights[:, m:hi], out=growth[: hi - m].T)
+                tiny_growth = not growth[: hi - m].min(initial=1.0) >= _TINY
+            s, g = sums[: end - m], growth[m - g0 : end - g0]
+            for s_t, g_t, t in zip(s, g, range(m, end)):
+                j0 = t - width if t > width else 0
+                np.dot(k_rev[width - t + j0:], y[j0:t], out=s_t)
+                np.multiply(s_t, g_t, out=y[t])
+            lz = np.log(s, out=s)
+            np.add(scale, lz, out=log_z[:, m:end].T)
+            size = np.abs(lz)
+            ok = (size <= _LOG_SAFE) & (y[m:end] <= _SAFE)
+            if tiny_growth and not lz.max() <= 0.0:
+                ok &= (g >= _TINY) | (lz <= 0.0)
+            if end > n:
+                ok[-1] = size[-1] <= _LOG_EXACT  # step n stores no entry
+            if np.count_nonzero(ok) == ok.size:
+                m, length = end, min(2 * length, _RUN_CAP)
+                continue
+            i = int(ok.all(axis=1).argmin())
+            t = m + i  # the first step out of range; the steps after it are redone
+            if not size[i].max() <= _LOG_EXACT:
+                exact = np.flatnonzero(~(size[i] <= _LOG_EXACT))
+                j0 = max(0, t - width)
+                log_z[exact, t] = _log_step(log_z, site_weights, log_k, exact, j0, t)
+            if t < n:
+                off = np.flatnonzero(~ok[i])
+                _rebase(y, scale, log_z, site_weights, off, max(0, t + 1 - width), t + 1)
+            m, length = t + 1, 1
     return log_z
 
 

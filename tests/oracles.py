@@ -62,22 +62,32 @@ def partition_log_recursion(log_masses, site_weights, band=None) -> list[float]:
     ``log_masses[g-1] = log K(g)`` (``-inf`` for a zero mass) and
     ``site_weights[j]`` is the log weight of a renewal started at ``j``;
     ``band`` caps the gap length.  Each step is a log-sum-exp in Python
-    floats with an exactly rounded sum (``math.fsum``).
+    floats with exactly rounded sums (``math.fsum``).  ``log Z_m`` is kept as
+    an unevaluated pair ``hi + lo`` and each exponent is summed exactly from
+    its parts, so one step's rounding is not passed on to the next: where
+    ``|log Z|`` reaches thousands a double's spacing is about 1e-12, and a
+    chain of such roundings would use up the tolerance the tests check.
     """
     weights = [float(x) for x in site_weights]
     log_masses = [float(x) for x in log_masses]
     n = len(weights)
     width = n if band is None else min(band, n)
-    log_z = [0.0]
+    hi, lo = [0.0], [0.0]
     for m in range(1, n + 1):
-        terms = [log_z[j] + weights[j] + log_masses[m - j - 1]
+        parts = [(hi[j], lo[j], weights[j], log_masses[m - j - 1])
                  for j in range(max(0, m - width), m)]
+        terms = [math.fsum(p) for p in parts]
         top = max(terms)
         if top == -math.inf:
-            log_z.append(-math.inf)
-        else:
-            log_z.append(top + math.log(math.fsum(math.exp(t - top) for t in terms)))
-    return log_z
+            hi.append(-math.inf)
+            lo.append(0.0)
+            continue
+        lead = parts[terms.index(top)]
+        minus_lead = tuple(-x for x in lead)
+        log_sum = math.log(math.fsum(math.exp(math.fsum(p + minus_lead)) for p in parts))
+        hi.append(math.fsum(lead + (log_sum,)))
+        lo.append(math.fsum(lead + (log_sum, -hi[-1])))
+    return hi
 
 
 def enumerate_renewal_configs(masses: np.ndarray, n: int):

@@ -2,6 +2,7 @@
 and the finite-truncation bound."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ class TestHomopolymer:
         lam = 700.0
         res = homopolymer_free_energy(make_geometric_kernel(0.5), lam)
         assert res.f == pytest.approx(lam + math.log(0.5 + 0.5 * math.exp(-lam)), rel=1e-14)
+
+    def test_wrong_root_at_large_lambda_is_precision_error(self):
+        # exp(-700) ~ 1e-304, so an absolute residual test passes any f
+        solve = pinlab.homopolymer.brentq
+        with mock.patch.object(
+            pinlab.homopolymer, "brentq", side_effect=lambda *a, **kw: solve(*a, **kw) + 0.1
+        ):
+            with pytest.raises(PrecisionError, match="residual"):
+                homopolymer_free_energy(make_geometric_kernel(0.5), 700.0)
 
     @pytest.mark.parametrize("lam", [745.0, 800.0])
     @pytest.mark.parametrize(

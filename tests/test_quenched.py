@@ -1,6 +1,7 @@
 """Quenched DP, Monte Carlo estimates, streams, and the critical bracket."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -133,6 +134,23 @@ def charges(seed, replicas, n):
     return np.array([derive_stream(seed, r).normal(n) for r in range(replicas)])
 
 
+def test_recursion_reference_against_mpmath():
+    # a band-1 chain at beta = 121 whose |log Z_m| reaches thousands: rounding
+    # log Z_m to a double at every step drifted 1.4e-12 from the exact values
+    mp = pytest.importorskip("mpmath")
+    n = 44
+    log_k = log_mass_vector(KERNEL, n)
+    for w in 121.0 * charges(53278, 3, n) - 1.0:
+        with mp.workprec(200):
+            want = [mp.mpf(0)]
+            for m in range(1, n + 1):
+                want.append(want[m - 1] + float(w[m - 1]) + float(log_k[0]))
+            want = [float(v) for v in want]
+        got = partition_log_recursion(log_k, w, 1)
+        err = np.abs(np.subtract(got, want)) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-15
+
+
 GAPPED_TABLES = [
     [0.0, 0.3, 0.0, 0.0, 0.2, 0.5],
     [0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.4],
@@ -152,6 +170,7 @@ class TestScaledRecursionExtremes:
 
     @settings(max_examples=30)
     @given(st.floats(0.0, 300.0), st.floats(-5.0, 5.0), sizes, seeds, bands)
+    @example(153.0, 0.0, 59, 0, 1)
     def test_large_beta_gaussian(self, beta, h, n, seed, band):
         weights = beta * charges(seed, 3, n) - h
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
@@ -181,6 +200,26 @@ class TestScaledRecursionExtremes:
         weights[:, start:stop] = low
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, 8)
 
+    @settings(max_examples=30)
+    @given(st.integers(1, 600), st.integers(0, 600), st.sampled_from([600.0, -1500.0]),
+           seeds, st.sampled_from([None, 8]))
+    @example(600, 600, 600.0, 0, None)
+    @example(600, 600, -1500.0, 0, 8)
+    def test_one_site_out_of_range(self, n, p, weight, seed, band):
+        # the site falls inside or at the edge of a run; a run that doubles to
+        # its cap needs about 130 steps, and p >= n puts the site last
+        weights = charges(seed, 2, n)
+        weights[0, min(p, n - 1)] = weight
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @pytest.mark.parametrize("band", [1, 3, None])
+    def test_subnormal_growth_after_large_sum(self, band):
+        # at site 2 the sum is about e^400 and e^w = e^-730 is subnormal, so
+        # the new entry s e^w would be off by about 5e-7 relative
+        weights = np.zeros((2, 8))
+        weights[0, 1:3] = 400.0, -730.0
+        assert_matches_recursion(log_mass_vector(KERNEL, 8), weights, band)
+
     @settings(max_examples=20)
     @given(st.integers(0, 3), st.integers(60, 200), seeds)
     def test_rescue_only_for_replica_that_needs_it(self, victim, n, seed):
@@ -193,6 +232,22 @@ class TestScaledRecursionExtremes:
         assert spy.call_count >= 1
         for call in spy.call_args_list:
             assert list(call.args[3]) == [victim]
+
+
+def test_dp_memory_is_its_output_and_window():
+    # the run buffers are _RUN_CAP x replicas; nothing scales with n but log Z and y
+    n, reps, band = 4096, 64, 64
+    weights = charges(0, reps, n)
+    log_k = log_mass_vector(KERNEL, n)
+    tracemalloc.start()
+    try:
+        dp_log_partition(log_k, weights, band=band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    log_z_bytes = reps * (n + 1) * 8
+    y_bytes = (n + 1) * reps * 8
+    assert peak < log_z_bytes + y_bytes + 2**20
 
 
 class TestQuenchedFreeEnergy:
