@@ -21,8 +21,8 @@ from .homopolymer import (
     annealed_free_energy,
     homopolymer_free_energy,
     joint_free_energy,
-    lambda0,
     joint_truncation_bound,
+    lambda0_from_chi,
 )
 from .kernels import (
     chi,
@@ -79,7 +79,7 @@ __all__ = [
     "homopolymer_free_energy",
     "annealed_free_energy",
     "annealed_critical_curve",
-    "lambda0",
+    "lambda0_from_chi",
     "joint_free_energy",
     "joint_truncation_bound",
     # quenched

@@ -57,12 +57,7 @@ from .oracles import (
     pinned_partition_log,
     replica_moment_exact_check,
 )
-from .quenched import (
-    PolymerParams,
-    QuenchedSearchConfig,
-    partition_function_log,
-    quenched_critical_point,
-)
+from .quenched import QuenchedSearchConfig, partition_function_log, quenched_critical_point
 from .relevance import critical_temperature_bounds, entropy_estimator
 from .rng import derive_stream
 
@@ -460,7 +455,7 @@ def _renewal_residual(masses: np.ndarray, seq: np.ndarray) -> float:
 
 def _gap_renewal_recursion(kernel, seed) -> float:
     n = 512
-    return _renewal_residual(kernel.mass_array(n), return_probabilities(kernel, n).u)
+    return _renewal_residual(kernel.mass_array(n), return_probabilities(kernel, n))
 
 
 def _gap_truncation_mass(kernel, seed) -> float:
@@ -470,7 +465,7 @@ def _gap_truncation_mass(kernel, seed) -> float:
 
 def _gap_overlap_reconstruction(kernel, seed) -> float:
     n = 256
-    v = return_probabilities(kernel, n).u ** 2
+    v = return_probabilities(kernel, n) ** 2
     v[0] = 1.0
     return _renewal_residual(overlap_kernel(kernel, n).masses, v)
 
@@ -483,10 +478,7 @@ def _gap_dp_enumeration(kernel, seed) -> float:
         omega = stream.normal(n)
         beta = 0.5 + 0.25 * case
         h = 0.1 * case - 0.2
-        params = PolymerParams(
-            kernel=kernel, disorder=rademacher_disorder(), beta=beta, h=h, n=n, replicas=1
-        )
-        got.append(partition_function_log(params, omega))
+        got.append(partition_function_log(kernel, beta * omega - h))
         want.append(pinned_partition_log(kernel.mass_array(n), beta * omega - h))
     return _gap(got, want)
 

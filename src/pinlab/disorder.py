@@ -13,11 +13,13 @@ parameters, so nothing is lost).  The moment generating function
   by adaptive quadrature.
 
 The exponential tilt ``mu_beta`` reweights by ``exp(beta x) / M(beta)``;
-its mean is ``M'(beta)/M(beta)`` and its relative entropy with respect to
-the base law is ``beta M'(beta)/M(beta) - log M(beta)``.
+``tilted_mean`` gives its mean ``M'(beta)/M(beta)`` and
+``relative_entropy_tilt`` its relative entropy with respect to the base law,
+``beta M'(beta)/M(beta) - log M(beta)``.
 
-Sampling is split into base draws plus a deterministic transform so that
-a shared stream yields common random numbers across a grid of tilts.
+Draws from ``mu_beta`` are ``tilt_transform(law, sample_base(...), beta)``:
+base draws plus a deterministic transform, so that a shared stream yields
+common random numbers across a grid of tilts.
 """
 
 from __future__ import annotations
@@ -33,15 +35,12 @@ from .rng import RngStream
 
 __all__ = [
     "DisorderLaw",
-    "TiltedLaw",
     "gaussian_disorder",
     "rademacher_disorder",
     "discrete_disorder",
     "continuous_disorder",
-    "mgf",
     "log_mgf",
     "tilted_mean",
-    "tilt",
     "relative_entropy_tilt",
     "xi",
     "log_xi",
@@ -137,19 +136,6 @@ def continuous_disorder(grid, values) -> DisorderLaw:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TiltedLaw:
-    """``d mu_beta / d mu_0 (x) = exp(beta x) / M(beta)``."""
-
-    base: DisorderLaw
-    beta: float
-    normalizer: float  # M(beta)
-
-    @property
-    def mean(self) -> float:
-        return tilted_mean(self.base, self.beta)
-
-
 # ---------------------------------------------------------------------------
 # Moment generating function and derived quantities
 # ---------------------------------------------------------------------------
@@ -197,11 +183,6 @@ def log_mgf(law: DisorderLaw, lam: float) -> float:
     return float(shift + math.log(val))
 
 
-def mgf(law: DisorderLaw, lam: float) -> float:
-    """``M(lambda) = E[exp(lambda x)]``."""
-    return math.exp(log_mgf(law, lam))
-
-
 def tilted_mean(law: DisorderLaw, beta: float) -> float:
     """Mean of the tilted law, ``M'(beta) / M(beta)``."""
     if law.family == "gaussian":
@@ -217,10 +198,6 @@ def tilted_mean(law: DisorderLaw, beta: float) -> float:
     num = _quad_integral(law, lambda x: x * np.exp(beta * x - shift))
     den = _quad_integral(law, lambda x: np.exp(beta * x - shift))
     return float(num / den)
-
-
-def tilt(law: DisorderLaw, beta: float) -> TiltedLaw:
-    return TiltedLaw(base=law, beta=beta, normalizer=mgf(law, beta))
 
 
 def relative_entropy_tilt(law: DisorderLaw, beta: float) -> float:
@@ -291,10 +268,8 @@ def tilt_transform(law: DisorderLaw, base: np.ndarray, beta: float) -> np.ndarra
     return np.interp(base, cdf, law.xs)
 
 
-def sample(law, stream: RngStream, count: int) -> np.ndarray:
-    """i.i.d. draws from a :class:`DisorderLaw` or :class:`TiltedLaw`."""
-    if isinstance(law, TiltedLaw):
-        return tilt_transform(law.base, sample_base(law.base, stream, count), law.beta)
+def sample(law: DisorderLaw, stream: RngStream, count: int) -> np.ndarray:
+    """``count`` i.i.d. draws from ``law`` itself (tilt 0)."""
     return tilt_transform(law, sample_base(law, stream, count), 0.0)
 
 

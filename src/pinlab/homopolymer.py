@@ -52,7 +52,6 @@ __all__ = [
     "annealed_free_energy",
     "annealed_critical_curve",
     "AnnealedCurvePoint",
-    "lambda0",
     "lambda0_from_chi",
     "joint_free_energy",
     "joint_truncation_bound",
@@ -229,10 +228,6 @@ def lambda0_from_chi(chi_result: ChiResult) -> float:
     return math.log1p(1.0 / value)
 
 
-def lambda0(kernel: RenewalKernel) -> float:
-    return lambda0_from_chi(compute_chi(kernel))
-
-
 @dataclass(frozen=True)
 class JointFreeEnergy:
     lam: float
@@ -244,13 +239,16 @@ class JointFreeEnergy:
     status: str
 
 
+# overlap-kernel horizons of the joint solve: the first, doubled up to the last
+_JOINT_START_HORIZON = 1 << 13
+_JOINT_MAX_HORIZON = 1 << 21
+
+
 def _solve_on_overlap(
     kernel: RenewalKernel,
     lam: float,
     tr: int | None,
     tol: float,
-    start_horizon: int,
-    max_horizon: int,
     limit_mass: float | None,
 ) -> tuple[float, float, int]:
     """Solve the fixed point on the overlap kernel of ``kernel`` (or of its
@@ -259,12 +257,12 @@ def _solve_on_overlap(
     """
     base = kernel if tr is None else truncate_kernel(kernel, tr)
     target = math.exp(-lam)
-    horizon = start_horizon
+    horizon = _JOINT_START_HORIZON
     while True:
         ov = overlap_kernel(base, horizon)
         reachable = float(ov.partial_sums[-1])
         if reachable <= target:
-            if horizon >= max_horizon:
+            if horizon >= _JOINT_MAX_HORIZON:
                 raise PrecisionError(
                     f"overlap mass {reachable:.6f} within horizon {horizon} cannot reach "
                     f"exp(-lam) = {target:.6f}",
@@ -280,7 +278,7 @@ def _solve_on_overlap(
         tail_bound = dropped * math.exp(-(horizon + 1) * f)
         if tail_bound <= 0.1 * tol * target:
             return f, residual + tail_bound, horizon
-        if horizon >= max_horizon:
+        if horizon >= _JOINT_MAX_HORIZON:
             needed = horizon + int(
                 math.log(max(tail_bound / (0.1 * tol * target), 2.0)) / max(f, 1e-300)
             )
@@ -297,8 +295,6 @@ def joint_free_energy(
     lam: float,
     tr: int | None = None,
     tol: float = 1e-10,
-    start_horizon: int = 1 << 13,
-    max_horizon: int = 1 << 21,
     chi_result: ChiResult | None = None,
 ) -> JointFreeEnergy:
     """Free energy on the joint-return kernel of two independent copies.
@@ -330,9 +326,7 @@ def joint_free_energy(
             lam=lam, f2=0.0, tr=tr, lambda0=lam0, residual=0.0,
             horizon=0, status="unpinned",
         )
-    f, residual, horizon = _solve_on_overlap(
-        kernel, lam, tr, tol, start_horizon, max_horizon, limit_mass
-    )
+    f, residual, horizon = _solve_on_overlap(kernel, lam, tr, tol, limit_mass)
     return JointFreeEnergy(
         lam=lam, f2=f, tr=tr, lambda0=lam0, residual=residual,
         horizon=horizon, status="pinned",

@@ -9,8 +9,9 @@ A kernel ``K`` assigns probability ``K(n)`` to a first return at time
 * ``geometric``: ``K(n) = p (1-p)^(n-1)``,
 * ``table``: an explicit finite mass table.
 
-Derived objects: return probabilities ``u_n`` (renewal function), the
-overlap sum ``chi = sum u_n^2`` with a tri-state convergence verdict, the
+Derived objects: return probabilities ``u_n`` (renewal function, one
+read-only array from :func:`return_probabilities`), the overlap sum
+``chi = sum u_n^2`` with a tri-state convergence verdict, the
 truncated kernel that collapses all mass beyond ``tr`` onto ``tr``, the
 kernel entropy ``-sum K log K``, and the gap law of the simultaneous
 returns of two independent copies.
@@ -39,7 +40,6 @@ from .series import (
 
 __all__ = [
     "RenewalKernel",
-    "ReturnProbabilities",
     "ChiResult",
     "OverlapKernel",
     "make_power_kernel",
@@ -67,16 +67,6 @@ class RenewalKernel:
     masses: np.ndarray | None = None  # table family; masses[i] = K(i+1)
 
     # -- mass queries -----------------------------------------------------
-
-    def mass(self, n: int) -> float:
-        """``K(n)`` at a single ``n >= 1``."""
-        if n < 1:
-            raise InvalidParameterError("kernel mass defined for n >= 1")
-        if self.family == "power":
-            return n ** (-(1.0 + self.alpha)) / zeta(1.0 + self.alpha)
-        if self.family == "geometric":
-            return self.p * (1.0 - self.p) ** (n - 1)
-        return float(self.masses[n - 1]) if n <= len(self.masses) else 0.0
 
     def mass_array(self, n: int) -> np.ndarray:
         """``K(1..n)`` as a vector."""
@@ -171,18 +161,11 @@ def make_table_kernel(masses) -> RenewalKernel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ReturnProbabilities:
-    """``u_n = P(S_n = 0)`` for ``n = 0..horizon``; ``u_0 = 1``."""
-
-    u: np.ndarray
-    horizon: int
-
-
 def return_probabilities(
     kernel: RenewalKernel, n: int, head: np.ndarray | None = None
-) -> ReturnProbabilities:
-    """Solve ``u_m = sum_{j=1}^m K(j) u_{m-j}`` up to horizon ``n``.
+) -> np.ndarray:
+    """Read-only ``u_m = P(S_m = 0)`` for ``m = 0..n`` (``u_0 = 1``), the
+    solution of ``u_m = sum_{j=1}^m K(j) u_{m-j}``.
 
     O(N log N) power-series reciprocal; agrees with the exact recursion to
     better than 1e-12 per term.  ``head``, the ``u`` of the same kernel at
@@ -192,7 +175,7 @@ def return_probabilities(
         raise InvalidParameterError("horizon must be >= 0")
     u = renewal_function(kernel.mass_array(n), n, head)
     u.setflags(write=False)
-    return ReturnProbabilities(u=u, horizon=n)
+    return u
 
 
 @dataclass(frozen=True)
@@ -237,6 +220,9 @@ def _fit_decay(u: np.ndarray, horizon: int) -> tuple[float, float]:
 
 
 _UNDECIDED_BAND = (0.95, 1.05)  # fitted decay of u_n^2 too close to 1 to call
+# chi gives up once the extrapolated horizon exceeds _REACH * max_horizon; the
+# extrapolation moves a few percent per doubling, so more doublings cannot help
+_REACH = 2
 
 
 def chi(
@@ -254,18 +240,19 @@ def chi(
     tolerance`` (doubling the horizon as needed), inside the band
     undecided.  Each doubling resumes the reciprocal from the previous
     ``u``, so the whole search costs about one reciprocal at the final
-    horizon.
+    horizon.  :class:`PrecisionError` is raised, with the extrapolated
+    ``required_horizon``, at ``max_horizon`` or as soon as that horizon
+    exceeds twice ``max_horizon``.
     """
     if not tolerance > 0.0:
         raise InvalidParameterError("tolerance must be positive")
     horizon = start_horizon
     head = None
     while True:
-        rp = return_probabilities(kernel, horizon, head)
-        head = rp.u
-        s_fit, c_fit = _fit_decay(rp.u, horizon)
+        u = head = return_probabilities(kernel, horizon, head)
+        s_fit, c_fit = _fit_decay(u, horizon)
         decay2 = 2.0 * s_fit
-        partial = float(np.sum(rp.u[1:] ** 2))
+        partial = float(np.sum(u[1:] ** 2))
         if decay2 <= _UNDECIDED_BAND[0]:
             return ChiResult("infinite", math.inf, partial, math.inf, decay2, horizon)
         if decay2 < _UNDECIDED_BAND[1]:
@@ -273,11 +260,13 @@ def chi(
         tail = c_fit * c_fit * horizon ** (1.0 - decay2) / (decay2 - 1.0)
         if tail <= tolerance:
             return ChiResult("finite", partial + tail, partial, tail, decay2, horizon)
-        if horizon >= max_horizon:
-            needed = int(horizon * (tail / tolerance) ** (1.0 / (decay2 - 1.0)))
+        # log of the horizon at which the fitted tail would meet the tolerance; the
+        # reported estimate is capped at e^700 so that it fits a float
+        log_needed = math.log(horizon) + math.log(tail / tolerance) / (decay2 - 1.0)
+        if horizon >= max_horizon or log_needed > math.log(_REACH * max_horizon):
             raise PrecisionError(
                 f"chi tail {tail:.3e} exceeds tolerance {tolerance:.3e} at horizon {horizon}",
-                required_horizon=needed,
+                required_horizon=int(math.exp(min(log_needed, 700.0))),
             )
         horizon *= 2
 
@@ -358,8 +347,8 @@ def overlap_kernel(kernel: RenewalKernel, n: int) -> OverlapKernel:
     """
     if n < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    rp = return_probabilities(kernel, n)
-    v = rp.u * rp.u
+    u = return_probabilities(kernel, n)
+    v = u * u
     v[0] = 1.0
     k2 = kernel_from_renewal_function(v, n)
     worst = float(k2.min()) if k2.size else 0.0

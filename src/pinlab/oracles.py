@@ -17,7 +17,7 @@ import numpy as np
 from .disorder import DisorderLaw, log_mgf, xi
 from .errors import InvalidParameterError
 from .kernels import RenewalKernel
-from .quenched import PolymerParams, partition_function_log
+from .quenched import partition_function_log
 from .relevance import replica_moment
 
 __all__ = [
@@ -76,17 +76,15 @@ def annealed_partition_check(
 
     Averages ``Z_n`` over every charge assignment and compares with the
     homogeneous partition sum at strength ``lam = log M(beta) - h``, i.e.
-    the quenched sum at ``beta = 0``, ``h = -lam``.  Cost ``|support|^n``.
+    the sum with every site weight ``lam``.  Cost ``|support|^n``.
     """
     if n > 14:
         raise InvalidParameterError("exhaustive check limited to n <= 14")
-    params = PolymerParams(kernel=kernel, disorder=disorder, beta=beta, h=h, n=n, replicas=1)
     lhs = 0.0
     for charges, prob in charge_assignments(disorder, n):
-        lhs += prob * math.exp(partition_function_log(params, charges))
+        lhs += prob * math.exp(partition_function_log(kernel, beta * charges - h))
     lam = log_mgf(disorder, beta) - h
-    flat = PolymerParams(kernel=kernel, disorder=disorder, beta=0.0, h=-lam, n=n, replicas=1)
-    rhs = math.exp(partition_function_log(flat, np.zeros(n)))
+    rhs = math.exp(partition_function_log(kernel, np.full(n, lam)))
     return abs(lhs - rhs) <= atol, lhs, rhs
 
 

@@ -81,9 +81,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _increasing_root(fn, target: float, tol: float, hi_start: float = 1.0) -> float:
+def _increasing_root(fn, target: float, tol: float) -> float:
     """Root of a continuous nondecreasing ``fn`` crossing ``target``."""
-    hi = hi_start
+    hi = 1.0
     for _ in range(200):
         if fn(hi) > target:
             break
@@ -118,10 +118,6 @@ def beta_c_star(
     if chi_result is None:
         chi_result = compute_chi(kernel)
     chi_val = chi_result.require_value()
-    return _beta_c_star_from_chi(disorder, chi_val, tol)
-
-
-def _beta_c_star_from_chi(disorder: DisorderLaw, chi_val: float, tol: float) -> BetaCStar:
     if math.isinf(chi_val):
         return BetaCStar(value=0.0, residual=0.0, degenerate=True)
     threshold = 1.0 + 1.0 / chi_val
@@ -223,7 +219,7 @@ def replica_moment_log(kernel_tr: RenewalKernel, log_xi_value: float, n: int) ->
     """
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    u2 = return_probabilities(kernel_tr, n - 1).u ** 2
+    u2 = return_probabilities(kernel_tr, n - 1) ** 2
     xi_minus_one = math.expm1(log_xi_value)
     steps = np.arange(n, dtype=float)
 
@@ -288,22 +284,6 @@ class RelevanceReport:
     sandwich_ok: bool | None
     ci_excludes_zero: bool
     per_replica: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "tr": self.tr,
-            "m_tr": self.m_tr,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "n": self.n,
-            "replicas": self.replicas,
-            "seed": self.base_seed,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "sandwich_ok": self.sandwich_ok,
-            "ci_excludes_zero": self.ci_excludes_zero,
-        }
 
 
 def _sample_word_sequence(

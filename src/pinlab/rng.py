@@ -51,11 +51,6 @@ class RngStream:
         self.position += count
         return out
 
-    def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        out = self._gen().integers(low, high, size=count)
-        self.position += count
-        return out
-
     def state(self) -> dict:
         """Serializable snapshot: address, position, bit-generator state."""
         return {

@@ -41,7 +41,6 @@ from pinlab.relevance import (
     entropy_estimator,
     entropy_monotonicity_scan,
 )
-from pinlab.rng import derive_stream
 
 from oracles import return_prefactor_limit, loglog_slope, partition_log_brute
 
@@ -94,8 +93,8 @@ def test_03_transition_order_exponents():
 
 
 def test_04_return_probability_prefactor():
-    rp = return_probabilities(make_power_kernel(0.5), 100_000)
-    value = rp.u[100_000] * math.sqrt(100_000.0)
+    u = return_probabilities(make_power_kernel(0.5), 100_000)
+    value = u[100_000] * math.sqrt(100_000.0)
     target = return_prefactor_limit(0.5)
     assert target == pytest.approx(0.4157, abs=2e-4)
     assert abs(value - target) <= 0.10 * target
@@ -104,17 +103,14 @@ def test_04_return_probability_prefactor():
 
 def test_05_dp_vs_enumeration():
     kernel = make_power_kernel(0.5)
-    stream = derive_stream(20_260_808, 0)
+    rng = np.random.default_rng([20_260_808, 0])
     worst = 0.0
     for case in range(20):
-        n = int(stream.integers(1, 13, 1)[0])
-        beta = float(2.0 * stream.uniform(1)[0])
-        h = float(2.0 * stream.uniform(1)[0] - 1.0)
-        omega = stream.normal(n)
-        params = PolymerParams(
-            kernel=kernel, disorder=GAUSS, beta=beta, h=h, n=n, replicas=1
-        )
-        got = partition_function_log(params, omega)
+        n = int(rng.integers(1, 13))
+        beta = float(2.0 * rng.random())
+        h = float(2.0 * rng.random() - 1.0)
+        omega = rng.standard_normal(n)
+        got = partition_function_log(kernel, beta * omega - h)
         want = partition_log_brute(kernel.mass_array(n), beta, h, omega)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-12, (case, n, beta, h)
@@ -123,12 +119,12 @@ def test_05_dp_vs_enumeration():
 
 def test_06_replica_identity():
     kernel = make_power_kernel(0.5)
-    stream = derive_stream(20_260_808, 1)
+    rng = np.random.default_rng([20_260_808, 1])
     worst = 0.0
     for case in range(10):
-        n = int(stream.integers(2, 7, 1)[0])
-        tr = int(stream.integers(1, 5, 1)[0])
-        beta = float(2.0 * stream.uniform(1)[0])
+        n = int(rng.integers(2, 7))
+        tr = int(rng.integers(1, 5))
+        beta = float(2.0 * rng.random())
         ktr = truncate_kernel(kernel, tr)
         lhs, rhs, dp = replica_moment_exact_check(ktr, RAD, beta, n)
         gap = max(abs(lhs - rhs), abs(lhs - dp))

@@ -484,7 +484,7 @@ class TestValidateCommand:
         assert "PASS dp-vs-enumeration" in capsys.readouterr().out
 
     def test_nan_partition_fails_dp_check(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("pinlab.cli.partition_function_log", lambda params, omega: math.nan)
+        monkeypatch.setattr("pinlab.cli.partition_function_log", lambda kernel, weights: math.nan)
         cfg = write_config(
             tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
         )

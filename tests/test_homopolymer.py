@@ -16,7 +16,6 @@ from pinlab.homopolymer import (
     annealed_free_energy,
     homopolymer_free_energy,
     joint_free_energy,
-    lambda0,
     lambda0_from_chi,
     joint_truncation_bound,
     joint_truncation_bound_limit,
@@ -203,7 +202,7 @@ class TestAnnealed:
 
 class TestLambda0:
     def test_infinite_chi_gives_zero(self):
-        assert lambda0(make_geometric_kernel(0.5)) == 0.0
+        assert lambda0_from_chi(chi(make_geometric_kernel(0.5))) == 0.0
 
     def test_unit_chi_gives_log_two(self):
         stub = ChiResult("finite", 1.0, 1.0, 0.0, 1.4, 1 << 16)
@@ -215,7 +214,7 @@ class TestLambda0:
 
     def test_undecided_propagates(self):
         with pytest.raises(UndecidedError):
-            lambda0(make_power_kernel(0.5))
+            lambda0_from_chi(chi(make_power_kernel(0.5)))
 
 
 class TestJointFreeEnergy:
@@ -257,14 +256,13 @@ class TestJointFreeEnergy:
         with pytest.raises(PrecisionError):
             _solve_fixed_point(lambda f: 1.5, 0.1, 1e-10)
 
-    def test_insufficient_horizon_raises(self, chi_03):
+    def test_insufficient_horizon_raises(self, chi_03, monkeypatch):
+        monkeypatch.setattr(pinlab.homopolymer, "_JOINT_START_HORIZON", 32)
+        monkeypatch.setattr(pinlab.homopolymer, "_JOINT_MAX_HORIZON", 64)
         kernel = make_power_kernel(0.3)
         lam0 = lambda0_from_chi(chi_03)
         with pytest.raises(PrecisionError) as info:
-            joint_free_energy(
-                kernel, 1.02 * lam0, chi_result=chi_03,
-                start_horizon=32, max_horizon=64,
-            )
+            joint_free_energy(kernel, 1.02 * lam0, chi_result=chi_03)
         assert info.value.required_horizon is not None
 
     def test_truncation_monotone_on_subcritical_grid(self, chi_03):

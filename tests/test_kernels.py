@@ -2,12 +2,14 @@
 entropy, and the joint-return kernel."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinlab import kernels
 from pinlab.errors import InvalidParameterError, UndecidedError
 from pinlab.kernels import (
     chi,
@@ -41,12 +43,14 @@ table_weights = st.lists(
 class TestPowerKernel:
     def test_first_mass_against_series_oracle(self):
         kernel = make_power_kernel(0.5)
-        assert kernel.mass(1) == pytest.approx(1.0 / zeta_direct(1.5), abs=1e-12)
-        assert kernel.mass(1) == pytest.approx(0.382793, abs=5e-7)
+        k1 = kernel.mass_array(1)[0]
+        assert k1 == pytest.approx(1.0 / zeta_direct(1.5), abs=1e-12)
+        assert k1 == pytest.approx(0.382793, abs=5e-7)
 
     def test_mass_ratio_is_exact(self):
         kernel = make_power_kernel(1.0)
-        assert kernel.mass(1) / kernel.mass(2) == pytest.approx(4.0, abs=1e-14)
+        k1, k2 = kernel.mass_array(2)
+        assert k1 / k2 == pytest.approx(4.0, abs=1e-14)
 
     def test_partial_sum_with_tail_bracket(self):
         kernel = make_power_kernel(0.5)
@@ -95,8 +99,7 @@ class TestTableKernel:
         ):
             clone = kernel_from_json(kernel_to_json(kernel))
             assert clone.family == kernel.family
-            for n in (1, 2, 3, 9):
-                assert clone.mass(n) == pytest.approx(kernel.mass(n), abs=1e-15)
+            np.testing.assert_allclose(clone.mass_array(9), kernel.mass_array(9), rtol=0, atol=1e-15)
 
     def test_json_rejects_unread_field(self):
         with pytest.raises(InvalidParameterError, match="n_cap"):
@@ -106,57 +109,57 @@ class TestTableKernel:
 class TestReturnProbabilities:
     def test_boundary_values(self):
         kernel = make_power_kernel(0.5)
-        expected = [1.0, kernel.mass(1), kernel.mass(2) + kernel.mass(1) ** 2]
+        k1, k2 = kernel.mass_array(2)
+        expected = [1.0, k1, k2 + k1**2]
         for n in (0, 1, 2):
-            rp = return_probabilities(kernel, n)
-            assert rp.horizon == n
-            assert rp.u.shape == (n + 1,)
-            assert rp.u[0] == 1.0
-            np.testing.assert_allclose(rp.u, expected[: n + 1], rtol=0, atol=1e-15)
+            u = return_probabilities(kernel, n)
+            assert u.shape == (n + 1,)
+            assert u[0] == 1.0
+            np.testing.assert_allclose(u, expected[: n + 1], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
     def test_recursion_residual(self, alpha):
         kernel = make_power_kernel(alpha)
         n = 600
-        rp = return_probabilities(kernel, n)
+        u = return_probabilities(kernel, n)
         masses = kernel.mass_array(n)
         for m in range(1, n + 1):
-            recon = float(np.dot(masses[:m][::-1], rp.u[:m]))
-            assert abs(rp.u[m] - recon) <= 1e-14
+            recon = float(np.dot(masses[:m][::-1], u[:m]))
+            assert abs(u[m] - recon) <= 1e-14
 
     def test_fft_matches_dp(self):
         kernel = make_power_kernel(0.5)
         n = 4096
         u_dp = renewal_function_dp(kernel.mass_array(n), n)
-        u_fft = return_probabilities(kernel, n).u
+        u_fft = return_probabilities(kernel, n)
         assert np.max(np.abs(u_dp - u_fft)) <= 1e-12
 
     def test_geometric_returns_are_flat(self):
-        rp = return_probabilities(make_geometric_kernel(0.5), 200)
-        assert np.max(np.abs(rp.u[1:] - 0.5)) <= 1e-13
+        u = return_probabilities(make_geometric_kernel(0.5), 200)
+        assert np.max(np.abs(u[1:] - 0.5)) <= 1e-13
 
     def test_bounds(self):
-        rp = return_probabilities(make_table_kernel([0.0, 0.6, 0.4]), 300)
-        assert np.all(rp.u >= -1e-15)
-        assert np.all(rp.u <= 1.0 + 1e-12)
+        u = return_probabilities(make_table_kernel([0.0, 0.6, 0.4]), 300)
+        assert np.all(u >= -1e-15)
+        assert np.all(u <= 1.0 + 1e-12)
 
     @settings(max_examples=25)
     @given(table_weights)
     def test_recursion_residual_property(self, weights):
         kernel = random_table_kernel(weights)
         n = 80
-        rp = return_probabilities(kernel, n)
+        u = return_probabilities(kernel, n)
         masses = kernel.mass_array(n)
         for m in range(1, n + 1):
-            recon = float(np.dot(masses[:m][::-1], rp.u[:m]))
-            assert abs(rp.u[m] - recon) <= 1e-14
+            recon = float(np.dot(masses[:m][::-1], u[:m]))
+            assert abs(u[m] - recon) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     def test_return_probability_decay_exponent(self, alpha):
         kernel = make_power_kernel(alpha)
-        rp = return_probabilities(kernel, 100_000)
+        u = return_probabilities(kernel, 100_000)
         ns = np.unique(np.geomspace(1000, 100_000, 60).astype(int))
-        slope = loglog_slope(ns, rp.u[ns])
+        slope = loglog_slope(ns, u[ns])
         assert abs(slope - (alpha - 1.0)) <= 0.05
 
 
@@ -202,8 +205,22 @@ class TestChi:
     def test_exhausted_budget_reports_required_horizon(self):
         from pinlab.errors import PrecisionError
 
+        # the first horizon already extrapolates past twice max_horizon, so
+        # chi stops there instead of doubling up to max_horizon
+        with mock.patch.object(
+            kernels, "return_probabilities", wraps=kernels.return_probabilities
+        ) as spy:
+            with pytest.raises(PrecisionError) as info:
+                chi(make_power_kernel(0.4))
+        assert spy.call_count == 1
+        assert info.value.required_horizon > (1 << 21)
+
+    def test_tiny_tolerance_is_precision_error(self):
+        from pinlab.errors import PrecisionError
+
+        # the extrapolated horizon (about 1e750) does not fit a float
         with pytest.raises(PrecisionError) as info:
-            chi(make_power_kernel(0.4))
+            chi(make_power_kernel(0.3), tolerance=1e-300)
         assert info.value.required_horizon > (1 << 21)
 
     @pytest.mark.parametrize(
@@ -232,14 +249,17 @@ class TestChi:
 class TestTruncation:
     def test_all_mass_at_one(self):
         ktr = truncate_kernel(make_power_kernel(0.5), 1)
-        assert ktr.mass(1) == pytest.approx(1.0, abs=1e-15)
-        assert ktr.mass(2) == 0.0
+        k1, k2 = ktr.mass_array(2)
+        assert k1 == pytest.approx(1.0, abs=1e-15)
+        assert k2 == 0.0
 
     def test_two_point_truncation(self):
         kernel = make_power_kernel(0.5)
         ktr = truncate_kernel(kernel, 2)
-        assert ktr.mass(1) == pytest.approx(kernel.mass(1), abs=1e-15)
-        assert ktr.mass(2) == pytest.approx(1.0 - kernel.mass(1), abs=1e-14)
+        k1 = kernel.mass_array(1)[0]
+        t1, t2 = ktr.mass_array(2)
+        assert t1 == pytest.approx(k1, abs=1e-15)
+        assert t2 == pytest.approx(1.0 - k1, abs=1e-14)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -312,7 +332,7 @@ class TestKernelEntropy:
 class TestOverlapKernel:
     def test_hand_inverted_masses(self):
         kernel = make_power_kernel(0.5)
-        k1, k2 = kernel.mass(1), kernel.mass(2)
+        k1, k2 = kernel.mass_array(2)
         ov = overlap_kernel(kernel, 8)
         assert ov.masses[0] == pytest.approx(k1**2, abs=1e-14)
         expected2 = (k2 + k1**2) ** 2 - k1**4
@@ -322,7 +342,7 @@ class TestOverlapKernel:
         kernel = make_power_kernel(0.5)
         ov = overlap_kernel(kernel, 1)
         assert ov.masses.shape == (1,)
-        assert ov.masses[0] == pytest.approx(kernel.mass(1) ** 2, abs=1e-15)
+        assert ov.masses[0] == pytest.approx(kernel.mass_array(1)[0] ** 2, abs=1e-15)
         assert ov.l2(1) == ov.masses[0]
 
     def test_gap_law_matches_dp(self):
@@ -347,8 +367,8 @@ class TestOverlapKernel:
     def test_reconstructs_squared_returns(self):
         kernel = make_power_kernel(0.5)
         n = 512
-        rp = return_probabilities(kernel, n)
-        v = rp.u * rp.u
+        u = return_probabilities(kernel, n)
+        v = u * u
         v[0] = 1.0
         ov = overlap_kernel(kernel, n)
         for m in range(1, n + 1):
@@ -365,8 +385,8 @@ class TestOverlapKernel:
     def test_reconstruction_property(self, weights):
         kernel = random_table_kernel(weights)
         n = 60
-        rp = return_probabilities(kernel, n)
-        v = rp.u * rp.u
+        u = return_probabilities(kernel, n)
+        v = u * u
         v[0] = 1.0
         ov = overlap_kernel(kernel, n)
         for m in range(1, n + 1):
@@ -376,6 +396,6 @@ class TestOverlapKernel:
 
 def test_return_probability_prefactor_at_large_n():
     kernel = make_power_kernel(0.5)
-    rp = return_probabilities(kernel, 100_000)
-    value = rp.u[100_000] * math.sqrt(100_000.0)
+    u = return_probabilities(kernel, 100_000)
+    value = u[100_000] * math.sqrt(100_000.0)
     assert value == pytest.approx(return_prefactor_limit(0.5), rel=1e-3)

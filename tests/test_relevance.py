@@ -18,6 +18,7 @@ from pinlab.disorder import (
 from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
 from pinlab.kernels import (
+    ChiResult,
     chi,
     kernel_entropy,
     make_geometric_kernel,
@@ -27,7 +28,6 @@ from pinlab.kernels import (
 from pinlab.oracles import replica_moment_exact_check
 from pinlab.quenched import dp_log_partition, log_mass_vector
 from pinlab.relevance import (
-    _beta_c_star_from_chi,
     annealed_variational_check,
     beta_c_star,
     beta_c_star_star,
@@ -51,6 +51,12 @@ def chi_03():
     return chi(P03)
 
 
+def chi_stub(value):
+    """A ``chi`` verdict with the given value, for ``chi_result=``."""
+    status = "infinite" if math.isinf(value) else "finite"
+    return ChiResult(status, value, value, 0.0, 1.4, 1 << 16)
+
+
 class TestBetaCStar:
     def test_gaussian_closed_form(self, chi_03):
         got = beta_c_star(P03, GAUSS, chi_result=chi_03)
@@ -67,18 +73,18 @@ class TestBetaCStar:
         assert math.isinf(got.value)
 
     def test_rademacher_chi_two_has_root(self):
-        got = _beta_c_star_from_chi(RAD, 2.0, 1e-12)
+        got = beta_c_star(P03, RAD, 1e-12, chi_result=chi_stub(2.0))
         assert math.isfinite(got.value)
         assert xi(RAD, got.value) == pytest.approx(1.5, abs=1e-10)
         # cosh(2b)/cosh(b)^2 = 1.5 at b = arcsinh(1)
         assert got.value == pytest.approx(math.asinh(1.0), abs=1e-10)
 
     def test_rademacher_chi_half_infinite(self):
-        got = _beta_c_star_from_chi(RAD, 0.5, 1e-12)
+        got = beta_c_star(P03, RAD, 1e-12, chi_result=chi_stub(0.5))
         assert math.isinf(got.value)
 
     def test_degenerate_chi_infinite(self):
-        got = _beta_c_star_from_chi(GAUSS, math.inf, 1e-12)
+        got = beta_c_star(P03, GAUSS, 1e-12, chi_result=chi_stub(math.inf))
         assert got.value == 0.0
         assert got.degenerate
 
