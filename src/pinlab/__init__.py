@@ -35,11 +35,11 @@ from .kernels import (
     truncate_kernel,
 )
 from .quenched import (
-    PolymerParams,
     QuenchedSearchConfig,
     partition_function_log,
     quenched_critical_point,
     quenched_free_energy,
+    replica_charges,
 )
 from .relevance import (
     annealed_variational_check,
@@ -83,9 +83,9 @@ __all__ = [
     "joint_free_energy",
     "joint_truncation_bound",
     # quenched
-    "PolymerParams",
     "QuenchedSearchConfig",
     "partition_function_log",
+    "replica_charges",
     "quenched_free_energy",
     "quenched_critical_point",
     # relevance

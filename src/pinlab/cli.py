@@ -141,7 +141,10 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
         count = _fetch_number(cfg, path + ".count", int)
         if count < 1:
             raise ConfigError(path + ".count", "grid needs count >= 1")
-        if doc.get("spacing", "linear") == "log":
+        spacing = doc.get("spacing", "linear")
+        if spacing not in ("linear", "log"):
+            raise ConfigError(path + ".spacing", f"expected 'linear' or 'log', got {spacing!r}")
+        if spacing == "log":
             if start <= 0 or stop <= 0:
                 raise ConfigError(path, "log spacing needs positive endpoints")
             return list(np.geomspace(start, stop, count))
@@ -149,13 +152,18 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
     raise ConfigError(path, "grid must be a list or {start, stop, count}")
 
 
-def _seed_from_config(cfg: dict, override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    seed = _fetch(cfg, "base_seed", required=False)
+def _seed_from_config(cfg: dict, override: int | None, default: int | None = None) -> int:
+    """``--seed``, else the config's ``base_seed``, else ``default``; the
+    seed is mandatory when there is no default, and must be nonnegative."""
+    path, seed = "--seed", override
     if seed is None:
-        raise ConfigError("base_seed", "seed is mandatory (no wall-clock default)")
-    return _as_number("base_seed", int, seed)
+        path, seed = "base_seed", _fetch(cfg, "base_seed", required=False, default=default)
+        if seed is None:
+            raise ConfigError(path, "seed is mandatory (no wall-clock default)")
+        seed = _as_number(path, int, seed)
+    if seed < 0:
+        raise ConfigError(path, f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _out_dir(cfg: dict, cli_out: str | None) -> str:
@@ -352,6 +360,8 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     tr_schedule = _as_numbers(
         "tr_schedule", int, _fetch(cfg, "tr_schedule", required=False, default=[8, 16, 32, 64])
     )
+    if not tr_schedule:
+        raise ConfigError("tr_schedule", "schedule must be nonempty")
     n_multiplier = _fetch_number(cfg, "n_multiplier", int, 256)
     replicas = _fetch_number(cfg, "replicas", int, 64)
 
@@ -467,7 +477,7 @@ def _gap_overlap_reconstruction(kernel, seed) -> float:
     n = 256
     v = return_probabilities(kernel, n) ** 2
     v[0] = 1.0
-    return _renewal_residual(overlap_kernel(kernel, n).masses, v)
+    return _renewal_residual(overlap_kernel(kernel, n), v)
 
 
 def _gap_dp_enumeration(kernel, seed) -> float:
@@ -484,7 +494,7 @@ def _gap_dp_enumeration(kernel, seed) -> float:
 
 
 def _gap_annealed_identity(kernel, seed) -> float:
-    _, lhs, rhs = annealed_partition_check(kernel, rademacher_disorder(), beta=0.7, h=0.2, n=6)
+    lhs, rhs = annealed_partition_check(kernel, rademacher_disorder(), beta=0.7, h=0.2, n=6)
     return _gap(lhs, rhs)
 
 
@@ -507,9 +517,7 @@ _CONSTRUCTION_CHECK = "kernel-mass-normalization"
 
 
 def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
-    seed = writer.seed = (
-        _fetch_number(cfg, "base_seed", int, 0) if args.seed is None else args.seed
-    )
+    seed = writer.seed = _seed_from_config(cfg, args.seed, default=0)
     names = [_CONSTRUCTION_CHECK] + [name for name, _, _ in _CHECKS]
     selected = _fetch(cfg, "checks", required=False)
     if selected is not None:

@@ -64,7 +64,6 @@ _VERIFY_TOL = 1e-8  # allowed gap between the bisection zero and log M(beta)
 
 @dataclass(frozen=True)
 class HomopolymerResult:
-    lam: float
     f: float
     residual: float
     status: str  # 'pinned' | 'unpinned'
@@ -158,9 +157,9 @@ def homopolymer_free_energy(
         raise InvalidParameterError("tol must be positive")
     if lam <= 0.0:
         residual = abs(math.exp(-lam) - 1.0)
-        return HomopolymerResult(lam=lam, f=0.0, residual=residual, status="unpinned")
+        return HomopolymerResult(f=0.0, residual=residual, status="unpinned")
     f, residual = _solve_fixed_point(_pinned_series(kernel), lam, tol)
-    return HomopolymerResult(lam=lam, f=f, residual=residual, status="pinned")
+    return HomopolymerResult(f=f, residual=residual, status="pinned")
 
 
 def annealed_free_energy(
@@ -230,14 +229,13 @@ def lambda0_from_chi(chi_result: ChiResult) -> float:
 
 @dataclass(frozen=True)
 class JointFreeEnergy:
-    lam: float
     f2: float
-    tr: int | None          # None = untruncated joint kernel
-    lambda0: float | None
     residual: float
     horizon: int
     status: str
 
+
+_UNPINNED = JointFreeEnergy(f2=0.0, residual=0.0, horizon=0, status="unpinned")
 
 # overlap-kernel horizons of the joint solve: the first, doubled up to the last
 _JOINT_START_HORIZON = 1 << 13
@@ -245,22 +243,17 @@ _JOINT_MAX_HORIZON = 1 << 21
 
 
 def _solve_on_overlap(
-    kernel: RenewalKernel,
-    lam: float,
-    tr: int | None,
-    tol: float,
-    limit_mass: float | None,
-) -> tuple[float, float, int]:
-    """Solve the fixed point on the overlap kernel of ``kernel`` (or of its
-    truncation), growing the horizon until the dropped tail is certified
-    below ``tol * exp(-lam) / 10``.
+    base: RenewalKernel, lam: float, tol: float, total: float
+) -> JointFreeEnergy:
+    """Solve the fixed point on the overlap kernel of ``base``, whose masses
+    sum to at most ``total``, growing the horizon until the dropped tail is
+    certified below ``tol * exp(-lam) / 10``.
     """
-    base = kernel if tr is None else truncate_kernel(kernel, tr)
     target = math.exp(-lam)
     horizon = _JOINT_START_HORIZON
     while True:
-        ov = overlap_kernel(base, horizon)
-        reachable = float(ov.partial_sums[-1])
+        k2 = overlap_kernel(base, horizon)
+        reachable = float(np.cumsum(k2)[-1])
         if reachable <= target:
             if horizon >= _JOINT_MAX_HORIZON:
                 raise PrecisionError(
@@ -270,14 +263,13 @@ def _solve_on_overlap(
                 )
             horizon *= 2
             continue
-        total = 1.0 if tr is not None else (limit_mass if limit_mass is not None else 1.0)
-        f, residual = _solve_fixed_point(
-            lambda g: _mass_series(ov.masses, g), lam, tol
-        )
+        f, residual = _solve_fixed_point(lambda g: _mass_series(k2, g), lam, tol)
         dropped = max(total - reachable, 0.0)
         tail_bound = dropped * math.exp(-(horizon + 1) * f)
         if tail_bound <= 0.1 * tol * target:
-            return f, residual + tail_bound, horizon
+            return JointFreeEnergy(
+                f2=f, residual=residual + tail_bound, horizon=horizon, status="pinned"
+            )
         if horizon >= _JOINT_MAX_HORIZON:
             needed = horizon + int(
                 math.log(max(tail_bound / (0.1 * tol * target), 2.0)) / max(f, 1e-300)
@@ -303,34 +295,23 @@ def joint_free_energy(
     above the threshold the transient overlap kernel is solved with a
     certified series tail.  Truncated: the joint kernel of the truncated
     chain is recurrent, so any ``lam > 0`` pins, with free energies of
-    order ``1/tr`` near the threshold resolved in log scale.
+    order ``1/tr`` near the threshold resolved in log scale.  Only the
+    untruncated solve reads ``chi`` (``chi_result``, computed when absent).
     """
-    lam0: float | None = None
-    limit_mass = None
-    if tr is None or chi_result is not None:
+    if tr is None:
         if chi_result is None:
             chi_result = compute_chi(kernel)
-        lam0 = lambda0_from_chi(chi_result)
-        if chi_result.is_finite:
-            limit_mass = chi_result.value / (chi_result.value + 1.0)
-    if tr is None:
-        if lam <= lam0:
-            return JointFreeEnergy(
-                lam=lam, f2=0.0, tr=None, lambda0=lam0, residual=0.0,
-                horizon=0, status="unpinned",
-            )
-    elif tr < 1:
+        if lam <= lambda0_from_chi(chi_result):
+            return _UNPINNED
+        total = 1.0
+        if chi_result.status == "finite":
+            total = chi_result.value / (chi_result.value + 1.0)
+        return _solve_on_overlap(kernel, lam, tol, total)
+    if tr < 1:
         raise InvalidParameterError("truncation point must be >= 1")
-    elif lam <= 0.0:
-        return JointFreeEnergy(
-            lam=lam, f2=0.0, tr=tr, lambda0=lam0, residual=0.0,
-            horizon=0, status="unpinned",
-        )
-    f, residual, horizon = _solve_on_overlap(kernel, lam, tr, tol, limit_mass)
-    return JointFreeEnergy(
-        lam=lam, f2=f, tr=tr, lambda0=lam0, residual=residual,
-        horizon=horizon, status="pinned",
-    )
+    if lam <= 0.0:
+        return _UNPINNED
+    return _solve_on_overlap(truncate_kernel(kernel, tr), lam, tol, 1.0)
 
 
 def joint_truncation_bound(
@@ -354,7 +335,7 @@ def joint_truncation_bound(
         raise DomainError(f"bound requires lam < lambda0 = {lam0!r}, got {lam!r}")
     l2 = 0.0
     if tr > 1:
-        l2 = overlap_kernel(kernel, tr - 1).l2(tr - 1)
+        l2 = float(np.cumsum(overlap_kernel(kernel, tr - 1))[-1])
     gap = math.exp(-lam) - l2
     if gap <= 0.0:
         raise InternalConsistencyError(

@@ -14,7 +14,8 @@ read-only array from :func:`return_probabilities`), the overlap sum
 ``chi = sum u_n^2`` with a tri-state convergence verdict, the
 truncated kernel that collapses all mass beyond ``tr`` onto ``tr``, the
 kernel entropy ``-sum K log K``, and the gap law of the simultaneous
-returns of two independent copies.
+returns of two independent copies (the overlap kernel, one read-only
+array from :func:`overlap_kernel`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .series import (
 __all__ = [
     "RenewalKernel",
     "ChiResult",
-    "OverlapKernel",
     "make_power_kernel",
     "make_geometric_kernel",
     "make_table_kernel",
@@ -202,10 +202,6 @@ class ChiResult:
             )
         return self.value
 
-    @property
-    def is_finite(self) -> bool:
-        return self.status == "finite"
-
 
 def _fit_decay(u: np.ndarray, horizon: int) -> tuple[float, float]:
     """Least-squares slope of ``log u_n`` vs ``log n`` on the last decade."""
@@ -314,36 +310,18 @@ def kernel_entropy(kernel: RenewalKernel) -> float:
     return float(-np.sum(pos * np.log(pos)))
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapKernel:
-    """Gap law of the joint returns of two independent copies.
-
-    ``masses[i] = K_2(i+1)`` reconstructs the squared return
-    probabilities through the renewal recursion; ``partial_sums[i] =
-    L_2(i+1)``.  For an untruncated transient input, ``L_2`` increases to
-    ``chi / (chi + 1)``; for truncated inputs it increases to 1.
-    """
-
-    masses: np.ndarray
-    partial_sums: np.ndarray
-    horizon: int
-
-    def l2(self, n: int) -> float:
-        """``L_2(n) = sum_{k<=n} K_2(k)`` (``L_2(0) = 0``)."""
-        if n <= 0:
-            return 0.0
-        return float(self.partial_sums[min(n, self.horizon) - 1])
-
-
 _NEGATIVE_MASS_ABORT = -1e-10
 
 
-def overlap_kernel(kernel: RenewalKernel, n: int) -> OverlapKernel:
-    """Joint-return gap law up to horizon ``n``.
+def overlap_kernel(kernel: RenewalKernel, n: int) -> np.ndarray:
+    """Read-only gap law ``K_2(1..n)`` of the joint returns of two
+    independent copies.
 
     Squares the return probabilities (independence of the two copies) and
     inverts the renewal recursion.  Inversion noise in ``(-1e-10, 0)`` is
-    clamped to zero; anything below aborts as numerical corruption.
+    clamped to zero; anything below aborts as numerical corruption.  The
+    partial sums ``L_2(n)`` increase to ``chi / (chi + 1)`` for an
+    untruncated transient input and to 1 for a truncated one.
     """
     if n < 1:
         raise InvalidParameterError("horizon must be >= 1")
@@ -357,10 +335,8 @@ def overlap_kernel(kernel: RenewalKernel, n: int) -> OverlapKernel:
             f"overlap kernel produced mass {worst:.3e} below {_NEGATIVE_MASS_ABORT}"
         )
     np.clip(k2, 0.0, None, out=k2)
-    sums = np.cumsum(k2)
     k2.setflags(write=False)
-    sums.setflags(write=False)
-    return OverlapKernel(masses=k2, partial_sums=sums, horizon=n)
+    return k2
 
 
 # ---------------------------------------------------------------------------

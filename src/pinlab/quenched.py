@@ -15,17 +15,18 @@ steps; the first step of a run that leaves the range is repaired and the
 steps after it are computed again.  A step whose linear sum underflows or
 overflows is redone by an exact log-sum-exp, so the extremes give the
 log-domain result.
-Replicas share nothing; each owns a private stream derived from
-``(base_seed, replica_index)``, which makes estimates bit-reproducible and
-embarrassingly parallel.
+Replicas share nothing: :func:`replica_charges` draws the charges of
+replica ``r`` from its private stream at ``(base_seed, r)``, which makes
+estimates bit-reproducible and embarrassingly parallel.
 
 The quenched free energy per site is estimated as the replica average of
-``log Z_n / n``.  Locating its zero in ``h`` is done by bisection with an
-explicit finite-size allowance: a point is declared localized only when
-the estimate clears ``max(3 stderr, 5 / n)``, and the reported upper
-edge is widened by the allowance mapped through the locally observed
-slope, so the returned interval is an honest bracket rather than a point
-estimate.
+``log Z_n / n`` over one ``(replicas, n)`` array of charges, drawn once
+and reused for every bias.  Locating its zero in ``h`` is done by
+bisection with an explicit finite-size allowance: a point is declared
+localized only when the estimate clears ``max(3 stderr, 5 / n)``, and the
+reported upper edge is widened by the allowance mapped through the
+locally observed slope, so the returned interval is an honest bracket
+rather than a point estimate.
 """
 
 from __future__ import annotations
@@ -41,46 +42,22 @@ from .kernels import RenewalKernel
 from .rng import derive_stream
 
 __all__ = [
-    "PolymerParams",
     "FreeEnergyEstimate",
     "QuenchedSearchConfig",
     "CriticalPointBracket",
     "dp_log_partition",
     "log_mass_vector",
     "partition_function_log",
+    "replica_charges",
     "quenched_free_energy",
     "quenched_critical_point",
 ]
 
 
 @dataclass(frozen=True, eq=False)
-class PolymerParams:
-    """Model configuration for one quenched estimate."""
-
-    kernel: RenewalKernel
-    disorder: DisorderLaw
-    beta: float
-    h: float
-    n: int
-    replicas: int = 64
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if self.beta < 0.0:
-            raise InvalidParameterError("beta must be >= 0")
-        if self.n < 1:
-            raise InvalidParameterError("system size n must be >= 1")
-        if self.replicas < 1:
-            raise InvalidParameterError("replicas must be >= 1")
-
-
-@dataclass(frozen=True, eq=False)
 class FreeEnergyEstimate:
     mean: float
     stderr: float
-    n: int
-    replicas: int
-    base_seed: int
     per_replica: np.ndarray
 
 
@@ -216,50 +193,50 @@ def partition_function_log(kernel: RenewalKernel, site_weights) -> float:
     return float(dp_log_partition(log_k, weights, band=kernel.support_upper)[0, n])
 
 
-def _replica_charges(params: PolymerParams) -> np.ndarray:
-    rows = np.empty((params.replicas, params.n))
-    for r in range(params.replicas):
-        stream = derive_stream(params.base_seed, r)
-        rows[r] = sample(params.disorder, stream, params.n)
+def replica_charges(disorder: DisorderLaw, n: int, replicas: int, base_seed: int) -> np.ndarray:
+    """The ``(replicas, n)`` i.i.d. charges of replicas ``0..replicas-1``;
+    row ``r`` is drawn from the stream at ``(base_seed, r)``."""
+    if n < 1:
+        raise InvalidParameterError("system size n must be >= 1")
+    if replicas < 1:
+        raise InvalidParameterError("replicas must be >= 1")
+    rows = np.empty((replicas, n))
+    for r in range(replicas):
+        rows[r] = sample(disorder, derive_stream(base_seed, r), n)
     return rows
 
 
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean of the replica values and its standard error ``std(ddof=1) /
+    sqrt(R)``, 0 for a single replica."""
+    mean = float(values.mean())
+    if len(values) == 1:
+        return mean, 0.0
+    return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
 def quenched_free_energy(
-    params: PolymerParams, *, charges: np.ndarray | None = None
+    kernel: RenewalKernel, charges: np.ndarray, beta: float, h: float
 ) -> FreeEnergyEstimate:
     """Replica average of ``log Z_n / n`` with its standard error.
 
-    Deterministic given ``base_seed``: replica ``r`` draws its charges
-    from the stream at ``(base_seed, r)``.  A caller that evaluates several
-    biases at one ``(n, replicas, base_seed)`` may pass those draws as
-    ``charges`` (shape ``(replicas, n)``) instead of having them redrawn.
+    ``charges`` is the ``(replicas, n)`` array of the replicas' charges,
+    e.g. from :func:`replica_charges`; row ``r`` gives the site weights
+    ``beta * charges[r] - h`` of replica ``r``.
     """
-    if charges is None:
-        omegas = _replica_charges(params)
-    elif charges.shape == (params.replicas, params.n):
-        omegas = charges
-    else:
+    if beta < 0.0:
+        raise InvalidParameterError("beta must be >= 0")
+    if charges.ndim != 2 or charges.size == 0:
         raise InvalidParameterError(
-            f"charges must have shape {(params.replicas, params.n)}, "
-            f"got {charges.shape}"
+            f"charges must be a nonempty (replicas, n) array, got shape {charges.shape}"
         )
-    weights = params.beta * omegas - params.h
-    log_k = log_mass_vector(params.kernel, params.n)
-    log_z = dp_log_partition(log_k, weights, band=params.kernel.support_upper)
-    per_replica = log_z[:, params.n] / params.n
-    mean = float(per_replica.mean())
-    stderr = 0.0
-    if params.replicas > 1:
-        stderr = float(per_replica.std(ddof=1) / math.sqrt(params.replicas))
+    n = charges.shape[1]
+    log_k = log_mass_vector(kernel, n)
+    log_z = dp_log_partition(log_k, beta * charges - h, band=kernel.support_upper)
+    per_replica = log_z[:, n] / n
+    mean, stderr = _mean_stderr(per_replica)
     per_replica.setflags(write=False)
-    return FreeEnergyEstimate(
-        mean=mean,
-        stderr=stderr,
-        n=params.n,
-        replicas=params.replicas,
-        base_seed=params.base_seed,
-        per_replica=per_replica,
-    )
+    return FreeEnergyEstimate(mean=mean, stderr=stderr, per_replica=per_replica)
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +303,12 @@ def quenched_critical_point(
     cfg = config
     h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
 
-    # charges depend on (n, replicas, base_seed) only: draw them once per n
-    charges: dict[int, np.ndarray] = {}
-
-    def estimate_at(h: float, n: int) -> FreeEnergyEstimate:
-        params = PolymerParams(
-            kernel=kernel, disorder=disorder, beta=beta, h=h, n=n,
-            replicas=cfg.replicas, base_seed=cfg.base_seed,
-        )
-        if n not in charges:
-            charges[n] = _replica_charges(params)
-        return quenched_free_energy(params, charges=charges[n])
-
+    charges = replica_charges(disorder, cfg.n, cfg.replicas, cfg.base_seed)
     cache: dict[float, FreeEnergyEstimate] = {}
 
     def estimate(h: float) -> FreeEnergyEstimate:
         if h not in cache:
-            cache[h] = estimate_at(h, cfg.n)
+            cache[h] = quenched_free_energy(kernel, charges, beta, h)
         return cache[h]
 
     def threshold(est: FreeEnergyEstimate) -> float:
@@ -380,9 +346,10 @@ def quenched_critical_point(
             h_hi = mid
 
     est_lo, est_hi = estimate(h_lo), estimate(h_hi)
+    charges_2n = replica_charges(disorder, 2 * cfg.n, cfg.replicas, cfg.base_seed)
     diag = {}
     for label, h, est in (("h_lo", h_lo, est_lo), ("h_hi", h_hi, est_hi)):
-        est2 = estimate_at(h, 2 * cfg.n)
+        est2 = quenched_free_energy(kernel, charges_2n, beta, h)
         diag[label] = {
             "h": h,
             "n": cfg.n,

@@ -56,7 +56,7 @@ from .kernels import (
     return_probabilities,
     truncate_kernel,
 )
-from .quenched import dp_log_partition, log_mass_vector
+from .quenched import _mean_stderr, dp_log_partition, log_mass_vector
 from .rng import derive_stream
 from .series import power_series_inverse
 
@@ -276,9 +276,6 @@ class RelevanceReport:
     m_tr: float
     estimate: float
     stderr: float
-    n: int
-    replicas: int
-    base_seed: int
     lower_bound: float | None
     upper_bound: float | None
     sandwich_ok: bool | None
@@ -369,10 +366,7 @@ def entropy_estimator(
         peak = closing.max(axis=1)
         log_f = peak + np.log(np.exp(closing - peak[:, None]).sum(axis=1))
         per_replica = log_f / n
-        estimate = float(per_replica.mean())
-        stderr = (
-            float(per_replica.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-        )
+        estimate, stderr = _mean_stderr(per_replica)
 
     lower = upper = None
     sandwich = None
@@ -390,9 +384,6 @@ def entropy_estimator(
         m_tr=m_tr,
         estimate=estimate,
         stderr=stderr,
-        n=n,
-        replicas=replicas,
-        base_seed=base_seed,
         lower_bound=lower,
         upper_bound=upper,
         sandwich_ok=sandwich,
@@ -419,7 +410,6 @@ def entropy_monotonicity_scan(
     n: int,
     replicas: int,
     base_seed: int,
-    compute_bounds: bool = False,
 ) -> MonotonicityScan:
     """Entropy estimates along a tilt grid with common random numbers.
 
@@ -430,20 +420,14 @@ def entropy_monotonicity_scan(
     """
     betas = list(beta_grid)
     reports = [
-        entropy_estimator(
-            kernel, disorder, b, tr, n, replicas, base_seed, compute_bounds=compute_bounds
-        )
+        entropy_estimator(kernel, disorder, b, tr, n, replicas, base_seed, compute_bounds=False)
         for b in betas
     ]
     violations = []
     for left, right in zip(reports, reports[1:]):
         if right.beta < left.beta:
             raise InvalidParameterError("beta grid must be nondecreasing")
-        deltas = right.per_replica - left.per_replica
-        mean_delta = float(deltas.mean())
-        stderr_delta = (
-            float(deltas.std(ddof=1) / math.sqrt(len(deltas))) if len(deltas) > 1 else 0.0
-        )
+        mean_delta, stderr_delta = _mean_stderr(right.per_replica - left.per_replica)
         if mean_delta < -3.0 * stderr_delta:
             violations.append((left.beta, right.beta, mean_delta, stderr_delta))
     return MonotonicityScan(reports=reports, violations=violations)
@@ -456,7 +440,6 @@ def entropy_monotonicity_scan(
 
 @dataclass(frozen=True)
 class VariationalCheck:
-    beta: float
     argmax_tilt: float
     max_value: float
     reference: float  # log M(beta)
@@ -486,7 +469,6 @@ def annealed_variational_check(
     )
     best = int(np.argmax(values))
     return VariationalCheck(
-        beta=beta,
         argmax_tilt=float(grid[best]),
         max_value=float(values[best]),
         reference=log_mgf(disorder, beta),

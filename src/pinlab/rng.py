@@ -75,6 +75,8 @@ class RngStream:
 
 def derive_stream(base_seed: int, stream_index: int) -> RngStream:
     """Fresh stream for a replica; same inputs always give the same stream."""
+    if base_seed < 0:
+        raise InvalidParameterError("base_seed must be nonnegative")
     if stream_index < 0:
         raise InvalidParameterError("stream_index must be nonnegative")
     return RngStream(base_seed=int(base_seed), stream_index=int(stream_index))

@@ -28,11 +28,11 @@ from pinlab.kernels import (
 )
 from pinlab.oracles import annealed_partition_check, replica_moment_exact_check
 from pinlab.quenched import (
-    PolymerParams,
     QuenchedSearchConfig,
     partition_function_log,
     quenched_critical_point,
     quenched_free_energy,
+    replica_charges,
 )
 from pinlab.relevance import (
     annealed_variational_check,
@@ -137,9 +137,9 @@ def test_07_annealed_moment_identity():
     kernel = make_power_kernel(0.5)
     worst = 0.0
     for n in range(1, 11):
-        ok, lhs, rhs = annealed_partition_check(kernel, RAD, beta=0.7, h=0.2, n=n)
+        lhs, rhs = annealed_partition_check(kernel, RAD, beta=0.7, h=0.2, n=n)
         worst = max(worst, abs(lhs - rhs))
-        assert ok, (n, lhs, rhs)
+        assert abs(lhs - rhs) <= 1e-10, (n, lhs, rhs)
     report(7, f"disorder-averaged partition equals homogeneous one for n <= 10; worst gap {worst:.2e} <= 1e-10")
 
 
@@ -160,16 +160,12 @@ def test_08_joint_truncation_bound(chi_03):
 
 def test_09_quenched_below_annealed():
     kernel = make_power_kernel(0.5)
+    charges = replica_charges(GAUSS, 4096, 64, 1234)
     checks = []
     for beta in (0.5, 1.0):
         h_ann = log_mgf(GAUSS, beta)
         for h in (0.0, h_ann / 2.0, h_ann):
-            est = quenched_free_energy(
-                PolymerParams(
-                    kernel=kernel, disorder=GAUSS, beta=beta, h=h,
-                    n=4096, replicas=64, base_seed=1234,
-                )
-            )
+            est = quenched_free_energy(kernel, charges, beta, h)
             f_ann = annealed_free_energy(kernel, GAUSS, beta, h).f
             assert est.mean <= f_ann + 3.0 * est.stderr, (beta, h, est.mean, f_ann)
             checks.append(f_ann - est.mean)

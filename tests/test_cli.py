@@ -185,6 +185,17 @@ class TestConfigErrors:
              "replicas"),
             ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": math.nan}, "tol"),
             ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": "nan"}, "tol"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "tr_schedule": []},
+             "tr_schedule"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": -1},
+             "base_seed"),
+            ("homopolymer",
+             {"kernel": GEOMETRIC,
+              "lambda_grid": {"start": 0.01, "stop": 1.0, "count": 3, "spacing": "logarithmic"}},
+             "lambda_grid.spacing"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):
@@ -195,6 +206,18 @@ class TestConfigErrors:
         manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
         assert manifest["exit_code"] == EXIT_CONFIG
         assert f"'{field}'" in manifest["error"]
+
+    @pytest.mark.parametrize("command", ["phase-diagram", "validate"])
+    def test_negative_seed_flag_named(self, tmp_path, command):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0]},
+        )
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out, "--seed", "-3"]) == EXIT_CONFIG
+        manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG
+        assert "'--seed'" in manifest["error"]
 
     def test_threads_only_on_phase_diagram(self, tmp_path):
         # every flag is registered only on the commands that read it

@@ -333,17 +333,17 @@ class TestOverlapKernel:
     def test_hand_inverted_masses(self):
         kernel = make_power_kernel(0.5)
         k1, k2 = kernel.mass_array(2)
-        ov = overlap_kernel(kernel, 8)
-        assert ov.masses[0] == pytest.approx(k1**2, abs=1e-14)
+        k2_masses = overlap_kernel(kernel, 8)
+        assert k2_masses[0] == pytest.approx(k1**2, abs=1e-14)
         expected2 = (k2 + k1**2) ** 2 - k1**4
-        assert ov.masses[1] == pytest.approx(expected2, abs=1e-14)
+        assert k2_masses[1] == pytest.approx(expected2, abs=1e-14)
 
     def test_single_step_horizon(self):
         kernel = make_power_kernel(0.5)
-        ov = overlap_kernel(kernel, 1)
-        assert ov.masses.shape == (1,)
-        assert ov.masses[0] == pytest.approx(kernel.mass_array(1)[0] ** 2, abs=1e-15)
-        assert ov.l2(1) == ov.masses[0]
+        k2 = overlap_kernel(kernel, 1)
+        assert k2.shape == (1,)
+        assert k2[0] == pytest.approx(kernel.mass_array(1)[0] ** 2, abs=1e-15)
+        assert not k2.flags.writeable
 
     def test_gap_law_matches_dp(self):
         kernel = make_power_kernel(0.5)
@@ -351,18 +351,18 @@ class TestOverlapKernel:
         v = renewal_function_dp(kernel.mass_array(n), n) ** 2
         v[0] = 1.0
         k2_dp = kernel_from_renewal_function_dp(v, n)
-        assert np.max(np.abs(overlap_kernel(kernel, n).masses - k2_dp)) <= 1e-12
+        assert np.max(np.abs(overlap_kernel(kernel, n) - k2_dp)) <= 1e-12
 
     def test_partial_sums_nondecreasing(self):
-        ov = overlap_kernel(make_power_kernel(0.3), 2000)
-        assert np.all(np.diff(ov.partial_sums) >= -1e-15)
+        k2 = overlap_kernel(make_power_kernel(0.3), 2000)
+        assert np.all(np.diff(np.cumsum(k2)) >= -1e-15)
 
     def test_total_mass_approaches_contact_probability(self):
         kernel = make_power_kernel(0.3)
         result = chi(kernel)
-        ov = overlap_kernel(kernel, 1 << 18)
+        k2 = overlap_kernel(kernel, 1 << 18)
         target = result.value / (result.value + 1.0)
-        assert ov.l2(1 << 18) == pytest.approx(target, rel=0.01)
+        assert np.cumsum(k2)[-1] == pytest.approx(target, rel=0.01)
 
     def test_reconstructs_squared_returns(self):
         kernel = make_power_kernel(0.5)
@@ -370,15 +370,15 @@ class TestOverlapKernel:
         u = return_probabilities(kernel, n)
         v = u * u
         v[0] = 1.0
-        ov = overlap_kernel(kernel, n)
+        k2 = overlap_kernel(kernel, n)
         for m in range(1, n + 1):
-            recon = float(np.dot(ov.masses[:m], v[m - 1 :: -1][:m]))
+            recon = float(np.dot(k2[:m], v[m - 1 :: -1][:m]))
             assert abs(recon - v[m]) <= 1e-10
 
     def test_truncated_overlap_is_recurrent(self):
         base = truncate_kernel(make_power_kernel(0.3), 8)
-        ov = overlap_kernel(base, 20_000)
-        assert 1.0 - ov.l2(20_000) <= 1e-6
+        k2 = overlap_kernel(base, 20_000)
+        assert 1.0 - np.cumsum(k2)[-1] <= 1e-6
 
     @settings(max_examples=20)
     @given(table_weights)
@@ -388,9 +388,9 @@ class TestOverlapKernel:
         u = return_probabilities(kernel, n)
         v = u * u
         v[0] = 1.0
-        ov = overlap_kernel(kernel, n)
+        k2 = overlap_kernel(kernel, n)
         for m in range(1, n + 1):
-            recon = float(np.dot(ov.masses[:m], v[m - 1 :: -1][:m]))
+            recon = float(np.dot(k2[:m], v[m - 1 :: -1][:m]))
             assert abs(recon - v[m]) <= 1e-10
 
 

@@ -13,19 +13,19 @@ from scipy.stats import chisquare
 
 from pinlab import quenched
 
-from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder, sample
+from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder
 from pinlab.errors import InvalidParameterError
 from pinlab.homopolymer import annealed_free_energy
 from pinlab.kernels import make_power_kernel, make_table_kernel
 from pinlab.oracles import annealed_partition_check, pinned_partition_log
 from pinlab.quenched import (
-    PolymerParams,
     QuenchedSearchConfig,
     dp_log_partition,
     log_mass_vector,
     partition_function_log,
     quenched_critical_point,
     quenched_free_energy,
+    replica_charges,
 )
 from pinlab.rng import RngStream, derive_stream
 
@@ -39,14 +39,6 @@ GAUSS = gaussian_disorder()
 def homopolymer_log_reference(lam, n):
     """``log Z_n`` of the homogeneous chain, by the independent recursion."""
     return partition_log_recursion(np.log(KERNEL.mass_array(n)), [lam] * n)[n]
-
-
-def params(**kw):
-    defaults = dict(
-        kernel=KERNEL, disorder=GAUSS, beta=1.0, h=0.2, n=8, replicas=2, base_seed=0
-    )
-    defaults.update(kw)
-    return PolymerParams(**defaults)
 
 
 class TestPartitionFunction:
@@ -93,11 +85,10 @@ class TestPartitionFunction:
         np.testing.assert_array_equal(got, np.zeros((2, 1)))
 
     def test_single_excursion_lower_bound(self):
-        p = params(n=48, replicas=8, beta=1.3, h=0.5, base_seed=5)
-        for r in range(p.replicas):
-            omega = sample(p.disorder, derive_stream(p.base_seed, r), p.n)
-            log_z = partition_function_log(KERNEL, p.beta * omega - p.h)
-            floor = p.beta * omega[0] - p.h + math.log(KERNEL.mass_array(p.n)[-1])
+        beta, h, n = 1.3, 0.5, 48
+        for omega in replica_charges(GAUSS, n, 8, 5):
+            log_z = partition_function_log(KERNEL, beta * omega - h)
+            floor = beta * omega[0] - h + math.log(KERNEL.mass_array(n)[-1])
             assert log_z >= floor - 1e-12
 
     def test_monotone_in_h_at_fixed_charges(self):
@@ -261,23 +252,20 @@ def test_dp_memory_is_its_output_and_window():
 
 class TestQuenchedFreeEnergy:
     def test_beta_zero_deterministic(self):
-        p = params(beta=0.0, h=-0.2, n=64, replicas=4)
-        est = quenched_free_energy(p)
+        est = quenched_free_energy(KERNEL, replica_charges(GAUSS, 64, 4, 0), 0.0, -0.2)
         assert est.stderr == 0.0
         want = homopolymer_log_reference(0.2, 64) / 64
         assert est.mean == pytest.approx(want, abs=1e-13)
 
     def test_bitwise_reproducible(self):
-        p = params(n=128, replicas=6, base_seed=99)
-        a = quenched_free_energy(p)
-        b = quenched_free_energy(p)
+        a = quenched_free_energy(KERNEL, replica_charges(GAUSS, 128, 6, 99), 1.0, 0.2)
+        b = quenched_free_energy(KERNEL, replica_charges(GAUSS, 128, 6, 99), 1.0, 0.2)
         assert a.mean == b.mean
         assert a.stderr == b.stderr
         np.testing.assert_array_equal(a.per_replica, b.per_replica)
 
     def test_quenched_below_annealed(self):
-        p = params(beta=1.0, h=0.3, n=512, replicas=16, base_seed=11)
-        est = quenched_free_energy(p)
+        est = quenched_free_energy(KERNEL, replica_charges(GAUSS, 512, 16, 11), 1.0, 0.3)
         f_ann = annealed_free_energy(KERNEL, GAUSS, 1.0, 0.3).f
         assert est.mean <= f_ann + 3.0 * est.stderr
 
@@ -285,15 +273,10 @@ class TestQuenchedFreeEnergy:
         # mean of Z_n itself (not log) matches the annealed value within
         # Monte Carlo error
         n, reps = 48, 300
-        p = params(beta=0.6, h=0.1, n=n, replicas=reps, base_seed=21)
         zs = np.array(
             [
-                math.exp(
-                    partition_function_log(
-                        KERNEL, p.beta * sample(p.disorder, derive_stream(p.base_seed, r), n) - p.h
-                    )
-                )
-                for r in range(reps)
+                math.exp(partition_function_log(KERNEL, 0.6 * omega - 0.1))
+                for omega in replica_charges(GAUSS, n, reps, 21)
             ]
         )
         lam = log_mgf(GAUSS, 0.6) - 0.1
@@ -301,28 +284,35 @@ class TestQuenchedFreeEnergy:
         stderr = zs.std(ddof=1) / math.sqrt(reps)
         assert abs(zs.mean() - annealed) <= 4.0 * stderr
 
+    def test_rejects_negative_beta(self):
+        with pytest.raises(InvalidParameterError):
+            quenched_free_energy(KERNEL, replica_charges(GAUSS, 8, 2, 0), -0.1, 0.2)
+
+    @pytest.mark.parametrize("n, replicas", [(0, 2), (8, 0)])
+    def test_replica_charges_rejects_empty_sizes(self, n, replicas):
+        with pytest.raises(InvalidParameterError):
+            replica_charges(GAUSS, n, replicas, 0)
+
 
 class TestAnnealedPartitionCheck:
     def test_single_site_identity(self):
-        ok, lhs, rhs = annealed_partition_check(
+        lhs, rhs = annealed_partition_check(
             KERNEL, rademacher_disorder(), beta=0.9, h=0.3, n=1
         )
-        assert ok
+        assert abs(lhs - rhs) <= 1e-10
         want = KERNEL.mass_array(1)[0] * math.exp(log_mgf(rademacher_disorder(), 0.9) - 0.3)
         assert lhs == pytest.approx(want, abs=1e-12)
 
     def test_three_site_identity(self):
-        ok, lhs, rhs = annealed_partition_check(
+        lhs, rhs = annealed_partition_check(
             KERNEL, rademacher_disorder(), beta=0.7, h=0.2, n=3
         )
-        assert ok
         assert abs(lhs - rhs) <= 1e-10
 
     def test_beta_zero_trivial(self):
-        ok, lhs, rhs = annealed_partition_check(
+        lhs, rhs = annealed_partition_check(
             KERNEL, rademacher_disorder(), beta=0.0, h=0.1, n=4
         )
-        assert ok
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
     def test_rejects_gaussian(self):
@@ -340,6 +330,11 @@ class TestStreams:
         a = derive_stream(5, 3).uniform(8)
         b = derive_stream(5, 3).uniform(8)
         np.testing.assert_array_equal(a, b)
+
+    def test_negative_address_rejected(self):
+        for base_seed, index in ((-1, 0), (0, -1)):
+            with pytest.raises(InvalidParameterError):
+                derive_stream(base_seed, index)
 
     def test_state_roundtrip(self):
         s = derive_stream(17, 4)
@@ -384,15 +379,14 @@ class TestCriticalPoint:
         assert drawn == [64] * 3 + [128] * 3
         for label, diag in bracket.diagnostics.items():
             for n, key in ((64, "mean"), (128, "mean_2n")):
-                redrawn = quenched_free_energy(PolymerParams(
-                    kernel=kernel, disorder=GAUSS, beta=0.6, h=diag["h"], n=n,
-                    replicas=3, base_seed=4,
-                ))
+                redrawn = quenched_free_energy(kernel, replica_charges(GAUSS, n, 3, 4), 0.6, diag["h"])
                 assert redrawn.mean == diag[key], (label, key)
 
     def test_rejects_charges_of_wrong_shape(self):
-        with pytest.raises(InvalidParameterError):
-            quenched_free_energy(params(n=8, replicas=2), charges=np.zeros((2, 7)))
+        # one chain's charges, no replicas, no sites
+        for shape in ((8,), (0, 8), (2, 0)):
+            with pytest.raises(InvalidParameterError):
+                quenched_free_energy(KERNEL, np.zeros(shape), 1.0, 0.2)
 
     def test_positive_bias_needed_at_positive_beta(self):
         # with disorder switched on, localization survives a strictly
