@@ -91,10 +91,10 @@ def _fetch(cfg: dict, path: str, required: bool = True, default=None):
     return node
 
 
-def _as_number(path: str, cast, value):
+def _as_number(path: str, cast, value, minimum=None):
     """``cast(value)`` for ``cast`` ``int`` or ``float``; a value that does
-    not parse, a boolean, NaN, or a fraction for ``int`` is a config error
-    at ``path``."""
+    not parse, a boolean, NaN, a fraction for ``int``, or a number below
+    ``minimum`` (when given) is a config error at ``path``."""
     try:
         number = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -103,19 +103,22 @@ def _as_number(path: str, cast, value):
     if isinstance(value, bool) or number != number or fraction:
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(path, f"expected {kind}, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(path, f"expected a number >= {minimum}, got {value!r}")
     return number
 
 
-def _as_numbers(path: str, cast, doc) -> list:
+def _as_numbers(path: str, cast, doc, minimum=None) -> list:
     """``cast`` of every entry of the list ``doc``, as in :func:`_as_number`."""
     if not isinstance(doc, list):
         raise ConfigError(path, f"expected a list of numbers, got {doc!r}")
-    return [_as_number(f"{path}[{i}]", cast, x) for i, x in enumerate(doc)]
+    return [_as_number(f"{path}[{i}]", cast, x, minimum) for i, x in enumerate(doc)]
 
 
-def _fetch_number(cfg: dict, path: str, cast, default=None):
+def _fetch_number(cfg: dict, path: str, cast, default=None, minimum=None):
     """The number at ``path``; required when ``default`` is None."""
-    return _as_number(path, cast, _fetch(cfg, path, required=default is None, default=default))
+    value = _fetch(cfg, path, required=default is None, default=default)
+    return _as_number(path, cast, value, minimum)
 
 
 def _from_config(cfg: dict, path: str, parse):
@@ -138,9 +141,7 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
     if isinstance(doc, dict):
         start = _fetch_number(cfg, path + ".start", float)
         stop = _fetch_number(cfg, path + ".stop", float)
-        count = _fetch_number(cfg, path + ".count", int)
-        if count < 1:
-            raise ConfigError(path + ".count", "grid needs count >= 1")
+        count = _fetch_number(cfg, path + ".count", int, minimum=1)
         spacing = doc.get("spacing", "linear")
         if spacing not in ("linear", "log"):
             raise ConfigError(path + ".spacing", f"expected 'linear' or 'log', got {spacing!r}")
@@ -313,8 +314,8 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
     grid = _grid_from_config(cfg, "beta_grid")
     seed = writer.seed = _seed_from_config(cfg, args.seed)
     qcfg = QuenchedSearchConfig(
-        n=_fetch_number(cfg, "quenched.n", int, 4096),
-        replicas=_fetch_number(cfg, "quenched.replicas", int, 64),
+        n=_fetch_number(cfg, "quenched.n", int, 4096, minimum=1),
+        replicas=_fetch_number(cfg, "quenched.replicas", int, 64, minimum=1),
         base_seed=seed,
         target_width=_fetch_number(cfg, "quenched.target_width", float, 0.002),
     )
@@ -358,12 +359,17 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     beta = _fetch_number(cfg, "beta", float)
     seed = writer.seed = _seed_from_config(cfg, args.seed)
     tr_schedule = _as_numbers(
-        "tr_schedule", int, _fetch(cfg, "tr_schedule", required=False, default=[8, 16, 32, 64])
+        "tr_schedule",
+        int,
+        _fetch(cfg, "tr_schedule", required=False, default=[8, 16, 32, 64]),
+        minimum=1,
     )
     if not tr_schedule:
         raise ConfigError("tr_schedule", "schedule must be nonempty")
-    n_multiplier = _fetch_number(cfg, "n_multiplier", int, 256)
-    replicas = _fetch_number(cfg, "replicas", int, 64)
+    n_multiplier = _fetch_number(cfg, "n_multiplier", int, 256, minimum=1)
+    if n_multiplier * min(tr_schedule) < 2:
+        raise ConfigError("n_multiplier", "system size n_multiplier * tr must be >= 2")
+    replicas = _fetch_number(cfg, "replicas", int, 64, minimum=1)
 
     t0 = time.perf_counter()
     chi_result = compute_chi(kernel)

@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .disorder import DisorderLaw, log_mgf
 from .errors import (
@@ -43,6 +42,7 @@ from .kernels import (
     overlap_kernel,
     truncate_kernel,
 )
+from .roots import brentq
 from .series import polylog_exp, zeta
 
 __all__ = [
@@ -130,7 +130,6 @@ def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
         math.log(f_lo),
         math.log(f_hi),
         xtol=1e-14,
-        rtol=4.0 * np.finfo(float).eps,
         maxiter=200,
     )
     f = math.exp(root_t)
@@ -191,7 +190,7 @@ def annealed_critical_curve(
     ``h``; disagreement with ``log M(beta)`` beyond 1e-8 aborts.
     ``log M(beta)`` is computed once per ``beta`` and every probe solves the
     homogeneous model at ``log M(beta) - h``: the same numbers
-    :func:`annealed_free_energy` gives, without its quadrature per probe.
+    :func:`annealed_free_energy` gives, without its ``log M(beta)`` per probe.
     """
     betas = list(beta_grid)
     if not betas:

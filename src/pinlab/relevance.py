@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .disorder import (
     DisorderLaw,
@@ -58,6 +57,7 @@ from .kernels import (
 )
 from .quenched import _mean_stderr, dp_log_partition, log_mass_vector
 from .rng import derive_stream
+from .roots import brentq
 from .series import power_series_inverse
 
 __all__ = [
@@ -91,8 +91,7 @@ def _increasing_root(fn, target: float, tol: float) -> float:
     else:
         raise InvalidParameterError("no sign change found for increasing root")
     return brentq(
-        lambda b: fn(b) - target, 0.0, hi,
-        xtol=tol, rtol=4.0 * np.finfo(float).eps, maxiter=200,
+        lambda b: fn(b) - target, 0.0, hi, xtol=tol, maxiter=200
     )
 
 

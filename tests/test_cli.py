@@ -196,6 +196,31 @@ class TestConfigErrors:
              {"kernel": GEOMETRIC,
               "lambda_grid": {"start": 0.01, "stop": 1.0, "count": 3, "spacing": "logarithmic"}},
              "lambda_grid.spacing"),
+            # counts below 1 are config errors, not library failures (exit 3)
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": {"n": 0}},
+             "quenched.n"),
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": {"replicas": -2}},
+             "quenched.replicas"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "replicas": 0},
+             "replicas"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "n_multiplier": 0},
+             "n_multiplier"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "tr_schedule": [8, 0]},
+             "tr_schedule[1]"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "tr_schedule": [4, 1], "n_multiplier": 1},
+             "n_multiplier"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):

@@ -117,6 +117,55 @@ class TestMgf:
         assert lhs <= rhs + 1e-12
 
 
+def continuous_moments_mpmath(mp, law, lam):
+    """``(log M(lam), tilted mean)`` of a piecewise-linear density from the
+    antiderivatives of ``(c0 + c1 x) e^{lam x}`` and ``x (c0 + c1 x) e^{lam x}``
+    per segment.  They cancel like ``1/lam^3`` as ``lam -> 0``; 80 digits
+    leave more than 40 at ``lam = 1e-9``."""
+    with mp.workdps(80):
+        lam = mp.mpf(lam)
+        m0 = m1 = mp.mpf(0)
+        for a, b, pa, pb in zip(law.xs[:-1], law.xs[1:], law.ps[:-1], law.ps[1:]):
+            a, b, pa, pb = (mp.mpf(float(v)) for v in (a, b, pa, pb))
+            c1 = (pb - pa) / (b - a)
+            c0 = pa - c1 * a
+
+            def f0(x):
+                return mp.exp(lam * x) * ((c0 + c1 * x) / lam - c1 / lam**2)
+
+            def f1(x):
+                return mp.exp(lam * x) * (
+                    (c0 * x + c1 * x * x) / lam - (c0 + 2 * c1 * x) / lam**2 + 2 * c1 / lam**3
+                )
+
+            m0 += f0(b) - f0(a)
+            m1 += f1(b) - f1(a)
+        return float(mp.log(m0)), float(m1 / m0)
+
+
+class TestContinuousClosedForm:
+    @pytest.mark.parametrize("lam", [-50.0, -3.0, -1e-3, 1e-9, 0.3, 1.0, 2.0, 4.0, 10.0, 40.0, 300.0])
+    def test_sixty_one_nodes_against_mpmath(self, lam):
+        # one node past the old quadrature's 60-breakpoint limit, where it raised
+        # PrecisionError at every lam from -3 to 10
+        mp = pytest.importorskip("mpmath")
+        values = np.random.default_rng(3).uniform(0.1, 1.0, 61)
+        law = continuous_disorder(np.linspace(0.0, 3.0, 61), values)
+        want_log_m, want_mean = continuous_moments_mpmath(mp, law, lam)
+        rel = 1e-12 if abs(want_log_m) > 1e-3 else 0.0
+        assert log_mgf(law, lam) == pytest.approx(want_log_m, rel=rel, abs=1e-14)
+        assert tilted_mean(law, lam) == pytest.approx(want_mean, rel=rel, abs=1e-14)
+
+    @pytest.mark.parametrize("lam", [100.0, 300.0])
+    def test_density_vanishing_below_the_top_node(self, lam):
+        # adaptive quadrature read log M(100) 3.8e-6 low here, without an error
+        mp = pytest.importorskip("mpmath")
+        law = continuous_disorder([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 0.0, 0.0])
+        want_log_m, want_mean = continuous_moments_mpmath(mp, law, lam)
+        assert log_mgf(law, lam) == pytest.approx(want_log_m, rel=1e-12, abs=0.0)
+        assert tilted_mean(law, lam) == pytest.approx(want_mean, rel=1e-12, abs=0.0)
+
+
 class TestTilt:
     @ALL_LAWS
     def test_identity_tilt(self, law):

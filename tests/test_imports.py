@@ -1,7 +1,11 @@
 """Every imported name is used: a removed caller must not leave its import
-behind.  Names re-exported through ``__all__`` count as used."""
+behind.  Names re-exported through ``__all__`` count as used.  The runtime
+imports numpy and nothing outside the standard library besides."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,25 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+_RUN_WITHOUT_SCIPY = """
+import sys
+import pinlab
+from pinlab import cli
+code = cli.main(["validate", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(code, loaded)
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # scipy is a test oracle only; a stray import would bring back about
+    # half a second of start-up
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    config = ROOT / "bench" / "configs" / "validate.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(config), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from pinlab.errors import InvalidParameterError
 from pinlab.kernels import make_power_kernel
 from pinlab.series import (
+    _SERIES_TERMS,
     _zeta_row,
     kernel_from_renewal_function,
     kernel_from_renewal_function_dp,
+    next_fast_len,
     polylog_exp,
     power_series_inverse,
     renewal_function,
     renewal_function_dp,
     zeta,
+    zeta_tail,
 )
 
 
@@ -125,6 +128,56 @@ class TestRejects:
     def test_no_coefficients(self):
         with pytest.raises(ValueError):
             power_series_inverse(np.array([1.0, -0.5]), 0)
+
+
+class TestNextFastLen:
+    def test_every_length_up_to_2_16_is_scipys(self):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        for n in range(1, (1 << 16) + 1):
+            assert next_fast_len(n) == scipy_fft.next_fast_len(n, real=True), n
+
+    def test_around_every_5_smooth_length_up_to_2_21(self):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        limit = 1 << 21
+        smooth = [
+            p2 * p3 * p5
+            for p5 in (5**c for c in range(10))
+            for p3 in (3**b for b in range(14))
+            for p2 in (2**a for a in range(22))
+            if p2 * p3 * p5 <= limit
+        ]
+        for m in smooth:
+            for n in (m - 1, m, m + 1):
+                if n >= 1:
+                    assert next_fast_len(n) == scipy_fft.next_fast_len(n, real=True), n
+
+
+class TestZeta:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.5])
+    def test_series_row_arguments_against_mpmath(self, alpha):
+        # zeta(1 + alpha - k) for every k the polylog series reads: the
+        # reflection formula below 0, Euler-Maclaurin above
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for k in range(_SERIES_TERMS):
+                s = 1.0 + alpha - k
+                want = float(mp.zeta(s))
+                assert zeta(s) == pytest.approx(want, rel=1e-12, abs=0.0), s
+
+    def test_pole_and_trivial_zeros(self):
+        assert zeta(1.0) == math.inf
+        assert zeta(0.0) == -0.5
+        assert zeta(-1e-20) == -0.5
+        assert zeta(-2.0) == 0.0
+        assert zeta(-200.0) == 0.0
+
+    @pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 2.5])
+    def test_tail_against_mpmath(self, s):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for n0 in (1, 2, 64, 8193, 10**6):
+                want = float(mp.zeta(s, n0))
+                assert zeta_tail(s, n0) == pytest.approx(want, rel=1e-14, abs=0.0), n0
 
 
 class TestPolylog:
