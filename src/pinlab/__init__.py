@@ -48,7 +48,6 @@ from .relevance import (
     critical_temperature_bounds,
     entropy_estimator,
     entropy_monotonicity_scan,
-    replica_moment,
 )
 from .rng import RngStream, derive_stream
 
@@ -92,7 +91,6 @@ __all__ = [
     "beta_c_star",
     "beta_c_star_star",
     "critical_temperature_bounds",
-    "replica_moment",
     "entropy_estimator",
     "entropy_monotonicity_scan",
     "annealed_variational_check",

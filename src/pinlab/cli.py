@@ -91,39 +91,41 @@ def _fetch(cfg: dict, path: str, required: bool = True, default=None):
     return node
 
 
-def _as_number(path: str, cast, value, minimum=None):
+def _as_number(path: str, cast, value, positive=False):
     """``cast(value)`` for ``cast`` ``int`` or ``float``; a value that does
-    not parse, a boolean, NaN, a fraction for ``int``, or a number below
-    ``minimum`` (when given) is a config error at ``path``."""
+    not parse, a boolean, NaN, a fraction for ``int``, or (when ``positive``)
+    a number at or below 0 is a config error at ``path``."""
     try:
         number = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"expected a number, got {value!r}") from exc
     fraction = isinstance(value, float) and number != value
+    kind = "integer" if cast is int else "number"
     if isinstance(value, bool) or number != number or fraction:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(path, f"expected {kind}, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(path, f"expected a number >= {minimum}, got {value!r}")
+        raise ConfigError(path, f"expected a {kind}, got {value!r}")
+    if positive and not number > 0:
+        raise ConfigError(path, f"expected a positive {kind}, got {value!r}")
     return number
 
 
-def _as_numbers(path: str, cast, doc, minimum=None) -> list:
+def _as_numbers(path: str, cast, doc, positive=False) -> list:
     """``cast`` of every entry of the list ``doc``, as in :func:`_as_number`."""
     if not isinstance(doc, list):
         raise ConfigError(path, f"expected a list of numbers, got {doc!r}")
-    return [_as_number(f"{path}[{i}]", cast, x, minimum) for i, x in enumerate(doc)]
+    return [_as_number(f"{path}[{i}]", cast, x, positive) for i, x in enumerate(doc)]
 
 
-def _fetch_number(cfg: dict, path: str, cast, default=None, minimum=None):
+def _fetch_number(cfg: dict, path: str, cast, default=None, positive=False):
     """The number at ``path``; required when ``default`` is None."""
     value = _fetch(cfg, path, required=default is None, default=default)
-    return _as_number(path, cast, value, minimum)
+    return _as_number(path, cast, value, positive)
 
 
 def _from_config(cfg: dict, path: str, parse):
     """Parse the kernel or disorder document at ``path`` with ``parse``."""
     doc = _fetch(cfg, path)
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object with a family, got {doc!r}")
     try:
         return parse(doc)
     except PinlabError as exc:
@@ -141,7 +143,7 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
     if isinstance(doc, dict):
         start = _fetch_number(cfg, path + ".start", float)
         stop = _fetch_number(cfg, path + ".stop", float)
-        count = _fetch_number(cfg, path + ".count", int, minimum=1)
+        count = _fetch_number(cfg, path + ".count", int, positive=True)
         spacing = doc.get("spacing", "linear")
         if spacing not in ("linear", "log"):
             raise ConfigError(path + ".spacing", f"expected 'linear' or 'log', got {spacing!r}")
@@ -167,10 +169,9 @@ def _seed_from_config(cfg: dict, override: int | None, default: int | None = Non
     return seed
 
 
-def _out_dir(cfg: dict, cli_out: str | None) -> str:
-    out = cli_out or os.environ.get("PINLAB_OUT_DIR") or _fetch(
-        cfg, "output.dir", required=False, default="."
-    )
+def _out_dir(cli_out: str | None) -> str:
+    """``--out``, else ``PINLAB_OUT_DIR``, else the working directory."""
+    out = cli_out or os.environ.get("PINLAB_OUT_DIR") or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -284,7 +285,7 @@ class RunWriter:
 def cmd_homopolymer(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     grid = _grid_from_config(cfg, "lambda_grid")
-    tol = _fetch_number(cfg, "tol", float, 1e-10)
+    tol = _fetch_number(cfg, "tol", float, 1e-10, positive=True)
     t0 = time.perf_counter()
     rows = []
     for lam in grid:
@@ -314,10 +315,10 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
     grid = _grid_from_config(cfg, "beta_grid")
     seed = writer.seed = _seed_from_config(cfg, args.seed)
     qcfg = QuenchedSearchConfig(
-        n=_fetch_number(cfg, "quenched.n", int, 4096, minimum=1),
-        replicas=_fetch_number(cfg, "quenched.replicas", int, 64, minimum=1),
+        n=_fetch_number(cfg, "quenched.n", int, 4096, positive=True),
+        replicas=_fetch_number(cfg, "quenched.replicas", int, 64, positive=True),
         base_seed=seed,
-        target_width=_fetch_number(cfg, "quenched.target_width", float, 0.002),
+        target_width=_fetch_number(cfg, "quenched.target_width", float, 0.002, positive=True),
     )
 
     def solve(beta: float):
@@ -362,14 +363,14 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
         "tr_schedule",
         int,
         _fetch(cfg, "tr_schedule", required=False, default=[8, 16, 32, 64]),
-        minimum=1,
+        positive=True,
     )
     if not tr_schedule:
         raise ConfigError("tr_schedule", "schedule must be nonempty")
-    n_multiplier = _fetch_number(cfg, "n_multiplier", int, 256, minimum=1)
+    n_multiplier = _fetch_number(cfg, "n_multiplier", int, 256, positive=True)
     if n_multiplier * min(tr_schedule) < 2:
         raise ConfigError("n_multiplier", "system size n_multiplier * tr must be >= 2")
-    replicas = _fetch_number(cfg, "replicas", int, 64, minimum=1)
+    replicas = _fetch_number(cfg, "replicas", int, 64, positive=True)
 
     t0 = time.perf_counter()
     chi_result = compute_chi(kernel)
@@ -424,7 +425,7 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
 
 def cmd_chi(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
-    tolerance = _fetch_number(cfg, "tolerance", float, 2e-3)
+    tolerance = _fetch_number(cfg, "tolerance", float, 2e-3, positive=True)
     t0 = time.perf_counter()
     result = compute_chi(kernel, tolerance=tolerance)
     writer.time_block("chi", t0)
@@ -626,7 +627,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error at '{args.config}': {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    writer = RunWriter(args.command, cfg, _out_dir(cfg, args.out), getattr(args, "format", None))
+    writer = RunWriter(args.command, cfg, _out_dir(args.out), getattr(args, "format", None))
     try:
         _COMMANDS[args.command][0](cfg, args, writer)
     except PinlabError as exc:

@@ -7,8 +7,8 @@ parameters, so nothing is lost).  The moment generating function
 ``lambda``; the built-in families guarantee this by construction:
 
 * ``gaussian``: standard normal, ``M = exp(lambda^2 / 2)``,
-* ``rademacher``: fair signs, ``M = cosh(lambda)``,
-* ``discrete``: finite atom table,
+* ``discrete``: finite atom table; fair signs (``rademacher_disorder``,
+  ``M = cosh(lambda)``) are the two-atom table ``(-1, 1), (1/2, 1/2)``,
 * ``continuous``: a tabulated density on a bounded interval, linear
   between its nodes, integrated in closed form segment by segment.
 
@@ -41,7 +41,6 @@ __all__ = [
     "log_mgf",
     "tilted_mean",
     "relative_entropy_tilt",
-    "xi",
     "log_xi",
     "xi_limit",
     "relative_entropy_limit",
@@ -60,8 +59,7 @@ class DisorderLaw:
     family: str
     xs: np.ndarray | None = None       # discrete atoms (ascending) / density grid
     ps: np.ndarray | None = None       # atom probabilities / density values
-    w: float = math.inf                # essential supremum of the support
-    atom_at_w: float = 0.0             # mass at w (0 when w = inf or no atom)
+    atom_at_w: float = 0.0             # mass at the supremum w of the support
 
 
 def gaussian_disorder() -> DisorderLaw:
@@ -69,11 +67,8 @@ def gaussian_disorder() -> DisorderLaw:
 
 
 def rademacher_disorder() -> DisorderLaw:
-    xs = np.array([-1.0, 1.0])
-    ps = np.array([0.5, 0.5])
-    xs.setflags(write=False)
-    ps.setflags(write=False)
-    return DisorderLaw(family="rademacher", xs=xs, ps=ps, w=1.0, atom_at_w=0.5)
+    """Fair signs: the discrete table ``(-1, 1), (1/2, 1/2)``."""
+    return discrete_disorder([-1.0, 1.0], [0.5, 0.5])
 
 
 def discrete_disorder(xs, ps) -> DisorderLaw:
@@ -84,10 +79,11 @@ def discrete_disorder(xs, ps) -> DisorderLaw:
         raise InvalidParameterError("need matching atom and probability vectors, >= 2 atoms")
     if np.any(ps < 0) or abs(ps.sum() - 1.0) > 1e-12:
         raise InvalidParameterError("atom probabilities must be nonnegative and sum to 1")
-    if len(np.unique(xs)) != len(xs):
-        raise InvalidParameterError("atoms must be distinct")
     order = np.argsort(xs)
     xs, ps = xs[order], ps[order]
+    # a sorted scan, not np.unique, which imports numpy.ma (about 1.3 MB)
+    if np.any(xs[1:] == xs[:-1]):
+        raise InvalidParameterError("atoms must be distinct")
     mean = float(np.dot(ps, xs))
     var = float(np.dot(ps, (xs - mean) ** 2))
     if var <= 0.0:
@@ -95,9 +91,7 @@ def discrete_disorder(xs, ps) -> DisorderLaw:
     xs = (xs - mean) / math.sqrt(var)
     xs.setflags(write=False)
     ps.setflags(write=False)
-    return DisorderLaw(
-        family="discrete", xs=xs, ps=ps, w=float(xs[-1]), atom_at_w=float(ps[-1])
-    )
+    return DisorderLaw(family="discrete", xs=xs, ps=ps, atom_at_w=float(ps[-1]))
 
 
 def continuous_disorder(grid, values) -> DisorderLaw:
@@ -128,19 +122,12 @@ def continuous_disorder(grid, values) -> DisorderLaw:
     values = values * sd
     grid.setflags(write=False)
     values.setflags(write=False)
-    return DisorderLaw(
-        family="continuous", xs=grid, ps=values, w=float(grid[-1]), atom_at_w=0.0
-    )
+    return DisorderLaw(family="continuous", xs=grid, ps=values)
 
 
 # ---------------------------------------------------------------------------
 # Moment generating function and derived quantities
 # ---------------------------------------------------------------------------
-
-
-def _log_cosh(x: float) -> float:
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
 
 
 # Taylor coefficients at 0 of the segment weights w0, w1, w2 (below), in
@@ -190,10 +177,13 @@ def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, flo
 
     and the ``x``-weighted integral adds ``s h (p_c (w1 - w2) + p_d w2)``
     to ``c (p_c w0 + p_d w1)``.  ``shift`` is the largest ``lam x`` on the
-    support, so every scale ``e^{lam c - shift}`` is at most 1 and the sums
-    are a log-sum-exp over segments.
+    segments with positive mass, so every scale ``e^{lam c - shift}`` of such
+    a segment is at most 1 and the sums are a log-sum-exp over segments.
     """
-    xs, ps = law.xs, law.ps
+    # outer segments without mass are dropped: a shift taken at their far end
+    # would make the scale of every segment with mass underflow
+    live = np.flatnonzero((law.ps[:-1] > 0.0) | (law.ps[1:] > 0.0))
+    xs, ps = law.xs[live[0] : live[-1] + 2], law.ps[live[0] : live[-1] + 2]
     h = np.diff(xs)
     if lam >= 0.0:
         xc, pc, pd, s, top = xs[1:], ps[1:], ps[:-1], -1.0, xs[-1]
@@ -211,8 +201,6 @@ def log_mgf(law: DisorderLaw, lam: float) -> float:
     """``log M(lambda)``, stable for large tilts."""
     if law.family == "gaussian":
         return 0.5 * lam * lam
-    if law.family == "rademacher":
-        return _log_cosh(lam)
     if law.family == "discrete":
         t = lam * law.xs
         mx = float(np.max(t))
@@ -225,8 +213,6 @@ def tilted_mean(law: DisorderLaw, beta: float) -> float:
     """Mean of the tilted law, ``M'(beta) / M(beta)``."""
     if law.family == "gaussian":
         return beta
-    if law.family == "rademacher":
-        return math.tanh(beta)
     if law.family == "discrete":
         t = beta * law.xs
         t -= t.max()
@@ -245,13 +231,9 @@ def relative_entropy_tilt(law: DisorderLaw, beta: float) -> float:
 
 
 def log_xi(law: DisorderLaw, beta: float) -> float:
-    """``log Xi(beta)`` with ``Xi(beta) = M(2 beta) / M(beta)^2``."""
+    """``log Xi(beta)`` with ``Xi(beta) = M(2 beta) / M(beta)^2``, the
+    second-moment ratio: ``Xi >= 1``, nondecreasing for ``beta >= 0``."""
     return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
-
-
-def xi(law: DisorderLaw, beta: float) -> float:
-    """Second-moment ratio ``Xi(beta) >= 1``, nondecreasing for ``beta >= 0``."""
-    return math.exp(log_xi(law, beta))
 
 
 def xi_limit(law: DisorderLaw) -> float:
@@ -290,7 +272,7 @@ def tilt_transform(law: DisorderLaw, base: np.ndarray, beta: float) -> np.ndarra
     """
     if law.family == "gaussian":
         return base + beta
-    if law.family in ("rademacher", "discrete"):
+    if law.family == "discrete":
         t = beta * law.xs
         t -= t.max()
         wts = law.ps * np.exp(t)
@@ -323,16 +305,29 @@ def disorder_to_json(law: DisorderLaw) -> dict:
     return doc
 
 
+# family -> (constructor, the keys of its table in argument order)
+_FROM_JSON = {
+    "gaussian": (gaussian_disorder, ()),
+    "rademacher": (rademacher_disorder, ()),
+    "discrete": (discrete_disorder, ("xs", "ps")),
+    "continuous": (continuous_disorder, ("grid", "values")),
+}
+
+
 def disorder_from_json(doc: dict) -> DisorderLaw:
+    """Law from its JSON form; a field or table key the family does not read
+    is an error.  The family name ``rademacher`` spells fair signs."""
     family = doc.get("family")
-    if family == "gaussian":
-        return gaussian_disorder()
-    if family == "rademacher":
-        return rademacher_disorder()
-    if family == "discrete":
-        table = doc["table"]
-        return discrete_disorder(table["xs"], table["ps"])
-    if family == "continuous":
-        table = doc["table"]
-        return continuous_disorder(table["grid"], table["values"])
-    raise InvalidParameterError(f"unknown disorder family {family!r}")
+    if family not in _FROM_JSON:
+        raise InvalidParameterError(f"unknown disorder family {family!r}")
+    make, keys = _FROM_JSON[family]
+    unknown = sorted(set(doc) - ({"family", "table"} if keys else {"family"}))
+    if unknown:
+        raise InvalidParameterError(f"unknown {family} disorder field(s) {', '.join(unknown)}")
+    if not keys:
+        return make()
+    table = doc["table"]
+    unknown = sorted(set(table) - set(keys))
+    if unknown:
+        raise InvalidParameterError(f"unknown {family} table key(s) {', '.join(unknown)}")
+    return make(*(table[key] for key in keys))

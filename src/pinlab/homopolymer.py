@@ -8,7 +8,9 @@ when a solution exists, and is zero otherwise.  For a recurrent kernel
 (total mass one) the pinned phase is exactly ``lam > 0``.  The right-hand
 side is strictly decreasing in ``f``, so the solve is a bracketed root
 find; it runs in ``log f`` so that free energies down to ``1e-300``
-(high-order transitions, truncated joint kernels) stay resolvable.
+(high-order transitions, truncated joint kernels) stay resolvable.  The
+series itself, a closed form per kernel family, comes from
+:mod:`pinlab.kernels`.
 
 The annealed model with inverse temperature ``beta`` and bias ``h`` is
 the same fixed point at ``lam = log M(beta) - h``, which is why the
@@ -38,12 +40,13 @@ from .errors import (
 from .kernels import (
     ChiResult,
     RenewalKernel,
+    _mass_series,
+    _pinned_series,
     chi as compute_chi,
     overlap_kernel,
     truncate_kernel,
 )
 from .roots import brentq
-from .series import polylog_exp, zeta
 
 __all__ = [
     "HomopolymerResult",
@@ -71,30 +74,6 @@ class HomopolymerResult:
     @property
     def pinned(self) -> bool:
         return self.status == "pinned"
-
-
-def _pinned_series(kernel: RenewalKernel):
-    """``f -> sum_n K(n) exp(-n f)`` exactly (closed forms; finite sums for
-    tables).  The power kernel's normaliser ``zeta(1+alpha)`` is computed
-    here, once, not at every evaluation."""
-    if kernel.family == "power":
-        s = 1.0 + kernel.alpha
-        norm = zeta(s)
-        return lambda f: polylog_exp(s, f) / norm
-    if kernel.family == "geometric":
-        p, q = kernel.p, 1.0 - kernel.p
-
-        def geometric(f: float) -> float:
-            ef = math.exp(-f)
-            return p * ef / (1.0 - q * ef)
-
-        return geometric
-    return lambda f: _mass_series(kernel.masses, f)
-
-
-def _mass_series(masses: np.ndarray, f: float) -> float:
-    ns = np.arange(1, len(masses) + 1, dtype=float)
-    return float(np.dot(masses, np.exp(-ns * f)))
 
 
 def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .series import (
     kernel_from_renewal_function,
+    polylog_exp,
     renewal_function,
     zeta,
     zeta_log_sum,
@@ -154,6 +155,37 @@ def make_table_kernel(masses) -> RenewalKernel:
         raise InvalidParameterError(f"kernel support has period {g}; expected gcd 1")
     arr.setflags(write=False)
     return RenewalKernel(family="table", masses=arr)
+
+
+# ---------------------------------------------------------------------------
+# Generating function of the masses
+# ---------------------------------------------------------------------------
+
+
+def _pinned_series(kernel: RenewalKernel):
+    """``f -> sum_n K(n) exp(-n f)`` exactly (closed forms; finite sums for
+    tables).  The power kernel's normaliser ``zeta(1+alpha)`` is computed
+    here, once, not at every evaluation."""
+    if kernel.family == "power":
+        s = 1.0 + kernel.alpha
+        norm = zeta(s)
+        # polylog_exp is looked up at each call, so a wrapper bound to this
+        # module's name (a tracer) sees every evaluation
+        return lambda f: polylog_exp(s, f) / norm
+    if kernel.family == "geometric":
+        p, q = kernel.p, 1.0 - kernel.p
+
+        def geometric(f: float) -> float:
+            ef = math.exp(-f)
+            return p * ef / (1.0 - q * ef)
+
+        return geometric
+    return lambda f: _mass_series(kernel.masses, f)
+
+
+def _mass_series(masses: np.ndarray, f: float) -> float:
+    ns = np.arange(1, len(masses) + 1, dtype=float)
+    return float(np.dot(masses, np.exp(-ns * f)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from .disorder import DisorderLaw, log_mgf, xi
+from .disorder import DisorderLaw, log_mgf, log_xi
 from .errors import InvalidParameterError
 from .kernels import RenewalKernel
 from .quenched import partition_function_log
-from .relevance import replica_moment
+from .relevance import replica_moment_log
 
 __all__ = [
     "renewal_configurations",
@@ -48,7 +48,7 @@ def renewal_configurations(masses: np.ndarray, n: int):
 def charge_assignments(disorder: DisorderLaw, n: int):
     """Yield ``(charges, probability)`` for all ``|support|^n`` assignments
     of ``n`` i.i.d. charges from a finitely supported law."""
-    if disorder.xs is None or disorder.family not in ("rademacher", "discrete"):
+    if disorder.family != "discrete":
         raise InvalidParameterError("exhaustive check needs finitely supported disorder")
     for digits in itertools.product(range(len(disorder.xs)), repeat=n):
         idx = np.array(digits, dtype=int)
@@ -97,9 +97,9 @@ def replica_moment_exact_check(
 
     Returns ``(disorder_average, pair_moment, library_value)``: the
     exhaustive charge average of the word-likelihood ``f_n`` over the
-    tilted letter law, the exhaustive pair-chain moment, and
-    :func:`pinlab.relevance.replica_moment` (the series inverse of the
-    squared returns).  All three agree to near machine precision for
+    tilted letter law, the exhaustive pair-chain moment, and the exponential
+    of :func:`pinlab.relevance.replica_moment_log` (the series inverse of
+    the squared returns).  All three agree to near machine precision for
     ``n <= 8``.
     """
     if n > 8:
@@ -120,11 +120,12 @@ def replica_moment_exact_check(
         f_n = sum(p * math.prod(tilt[t] for t in times) for times, p in configs)
         lhs += prob * f_n * f_n
 
-    xi_value = xi(disorder, beta)
+    log_xi_value = log_xi(disorder, beta)
+    xi_value = math.exp(log_xi_value)
     rhs = 0.0
     for times_a, prob_a in configs:
         set_a = set(times_a)
         for times_b, prob_b in configs:
             rhs += prob_a * prob_b * xi_value ** len(set_a.intersection(times_b))
 
-    return lhs, rhs, replica_moment(kernel_tr, disorder, beta, n)
+    return lhs, rhs, math.exp(replica_moment_log(kernel_tr, log_xi_value, n))

@@ -42,10 +42,9 @@ from .disorder import (
     sample_base,
     tilt_transform,
     tilted_mean,
-    xi,
     xi_limit,
 )
-from .errors import InvalidParameterError, PrecisionError
+from .errors import InvalidParameterError
 from .homopolymer import joint_free_energy
 from .kernels import (
     ChiResult,
@@ -68,7 +67,6 @@ __all__ = [
     "beta_c_star",
     "beta_c_star_star",
     "critical_temperature_bounds",
-    "replica_moment",
     "replica_moment_log",
     "entropy_estimator",
     "entropy_monotonicity_scan",
@@ -125,7 +123,7 @@ def beta_c_star(
     root = _increasing_root(
         lambda b: log_xi(disorder, b), math.log(threshold), tol
     )
-    residual = abs(xi(disorder, root) - threshold)
+    residual = abs(math.exp(log_xi(disorder, root)) - threshold)
     return BetaCStar(value=root, residual=residual, degenerate=False)
 
 
@@ -235,23 +233,6 @@ def replica_moment_log(kernel_tr: RenewalKernel, log_xi_value: float, n: int) ->
     a[0] = 1.0
     w = power_series_inverse(a, n)
     return log_xi_value + g * (n - 1) + math.log(float(np.dot(w, np.exp(-g * steps[::-1]))))
-
-
-def replica_moment(
-    kernel_tr: RenewalKernel, disorder: DisorderLaw, beta: float, n: int
-) -> float:
-    """Pair-chain moment ``E[Xi(beta)^(# simultaneous renewals)]``.
-
-    Raises :class:`PrecisionError` when the moment overflows a float; the
-    log moment is still available from :func:`replica_moment_log`.
-    """
-    log_moment = replica_moment_log(kernel_tr, log_xi(disorder, beta), n)
-    try:
-        return math.exp(log_moment)
-    except OverflowError:
-        raise PrecisionError(
-            f"replica moment exp({log_moment!r}) overflows a float"
-        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def replica_moment_log_dp(kernel_tr, log_xi_value: float, n: int) -> float:
 
 def relative_entropy_direct(law, beta: float) -> float:
     """Density-ratio form of the tilt entropy, evaluated per family."""
-    if law.family in ("rademacher", "discrete"):
+    if law.family == "discrete":
         t = beta * law.xs
         t = t - t.max()
         q = law.ps * np.exp(t)

@@ -152,6 +152,33 @@ class TestConfigErrors:
         assert "n_cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "disorder, unread",
+        [
+            ({"family": "gaussian", "sigma": 3}, "sigma"),
+            ({"family": "rademacher", "table": {"xs": [-1, 1], "ps": [0.5, 0.5]}}, "table"),
+            ({"family": "discrete",
+              "table": {"xs": [-1, 1], "ps": [0.5, 0.5], "weights": [1, 1]}},
+             "weights"),
+            ({"family": "continuous", "grid": [0, 1, 2],
+              "table": {"grid": [0, 1, 2], "values": [1, 1, 1]}},
+             "grid"),
+        ],
+        ids=["gaussian", "rademacher", "discrete-table", "continuous"],
+    )
+    def test_unread_disorder_field_named(self, tmp_path, capsys, disorder, unread):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"kernel": GEOMETRIC, "disorder": disorder, "beta_grid": [0.5], "base_seed": 1},
+        )
+        out = tmp_path / "out"
+        assert run(["phase-diagram", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error at 'disorder'" in err
+        assert unread in err
+        manifest = json.loads((out / "phase_diagram_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
         "command, doc, field",
         [
             ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": "abc"}, "tol"),
@@ -221,6 +248,19 @@ class TestConfigErrors:
              {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
               "tr_schedule": [4, 1], "n_multiplier": 1},
              "n_multiplier"),
+            # nonpositive tolerances and widths are config errors, not library
+            # failures (exit 3) or, for the width, a run that widens the bracket
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": 0}, "tol"),
+            ("chi", {"kernel": GEOMETRIC, "tolerance": -1}, "tolerance"),
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": {"target_width": -1}},
+             "quenched.target_width"),
+            # a kernel or disorder that is not an object raised a bare AttributeError
+            ("chi", {"kernel": "power"}, "kernel"),
+            ("annealed-curve",
+             {"kernel": GEOMETRIC, "disorder": "gaussian", "beta_grid": [0.5]},
+             "disorder"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):
@@ -604,3 +644,16 @@ class TestEnvOutputDir(object):
         )
         assert run(["homopolymer", "--config", cfg]) == EXIT_OK
         assert (target / "homopolymer.csv").exists()
+
+    def test_config_has_no_output_dir(self, tmp_path, monkeypatch):
+        # --out and PINLAB_OUT_DIR move the output; a config key does not
+        monkeypatch.delenv("PINLAB_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"kernel": GEOMETRIC, "lambda_grid": [0.5], "output": {"dir": "cfg_out"}},
+        )
+        assert run(["homopolymer", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "homopolymer.csv").exists()
+        assert not (tmp_path / "cfg_out").exists()

@@ -14,6 +14,7 @@ from pinlab.disorder import (
     disorder_to_json,
     gaussian_disorder,
     log_mgf,
+    log_xi,
     rademacher_disorder,
     relative_entropy_limit,
     relative_entropy_tilt,
@@ -21,7 +22,6 @@ from pinlab.disorder import (
     sample_base,
     tilt_transform,
     tilted_mean,
-    xi,
     xi_limit,
 )
 from pinlab.errors import InvalidParameterError
@@ -62,13 +62,39 @@ class TestConstruction:
         assert abs(mean) <= 1e-10
         assert abs(var - 1.0) <= 1e-10
         assert law.atom_at_w == 0.0
-        assert math.isfinite(law.w)
 
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidParameterError):
             discrete_disorder([1.0, 1.0], [0.5, 0.5])
         with pytest.raises(InvalidParameterError):
             discrete_disorder([1.0], [1.0])
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            discrete_disorder([0.0, 1.0, 1.0], [0.2, 0.3, 0.5])
+
+    def test_fair_signs_are_a_discrete_table(self):
+        law = rademacher_disorder()
+        assert law.family == "discrete"
+        assert law.xs.tolist() == [-1.0, 1.0]
+        assert law.ps.tolist() == [0.5, 0.5]
+        assert law.atom_at_w == 0.5
+        assert disorder_to_json(law) == {
+            "family": "discrete", "table": {"xs": [-1.0, 1.0], "ps": [0.5, 0.5]}
+        }
+        assert disorder_from_json({"family": "rademacher"}).xs.tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"family": "gaussian", "sigma": 3},
+            {"family": "rademacher", "p": 0.5},
+            {"family": "discrete", "table": {"xs": [-1, 1], "ps": [0.5, 0.5]}, "scale": 2},
+            {"family": "discrete", "table": {"xs": [-1, 1], "ps": [0.5, 0.5], "weights": [1, 1]}},
+            {"family": "continuous", "table": {"grid": [0, 1, 2], "values": [1, 1, 1], "xs": [0]}},
+        ],
+    )
+    def test_unread_field_rejected(self, doc):
+        with pytest.raises(InvalidParameterError, match="unknown"):
+            disorder_from_json(doc)
 
     def test_json_roundtrip(self):
         for law in (
@@ -166,6 +192,45 @@ class TestContinuousClosedForm:
         assert tilted_mean(law, lam) == pytest.approx(want_mean, rel=1e-12, abs=0.0)
 
 
+    @pytest.mark.parametrize("lam", [-700.0, -300.0, -1.0, 1e-9, 1.0, 300.0, 600.0, 700.0])
+    @pytest.mark.parametrize(
+        "grid, values",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 0.0, 0.0]),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 1.0, 1.0]),
+            ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2, 1.0, 1.5, 1.0, 0.2]),
+        ],
+        ids=["vanishing-top", "vanishing-bottom", "positive-ends"],
+    )
+    def test_large_tilts_against_mpmath(self, grid, values, lam):
+        # a density that vanishes on its outer segments raised a bare
+        # ValueError from 600 on, when the shift sat at the grid's end
+        mp = pytest.importorskip("mpmath")
+        law = continuous_disorder(grid, values)
+        want_log_m, want_mean = continuous_moments_mpmath(mp, law, lam)
+        assert log_mgf(law, lam) == pytest.approx(want_log_m, rel=1e-12, abs=1e-14)
+        assert tilted_mean(law, lam) == pytest.approx(want_mean, rel=1e-12, abs=1e-14)
+
+
+class TestFairSignsFold:
+    """The two-atom table ``(-1, 1), (1/2, 1/2)`` against ``log cosh`` and
+    ``tanh`` at 60 digits.  Below ``lam`` of about 1e-6 the table keeps only
+    its absolute accuracy: ``log cosh lam`` is ``lam^2 / 2``, below the
+    rounding of the table's sum."""
+
+    LAMS = [s * x for x in (1e-12, 1e-9, 1e-3, 0.8, 2.5, 30.0, 350.0, 700.0) for s in (1, -1)]
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_against_log_cosh_and_tanh(self, lam):
+        mp = pytest.importorskip("mpmath")
+        law = rademacher_disorder()
+        with mp.workdps(60):
+            want_log_m = float(mp.log(mp.cosh(mp.mpf(lam))))
+            want_mean = float(mp.tanh(mp.mpf(lam)))
+        assert abs(log_mgf(law, lam) - want_log_m) <= 1e-15 * max(1.0, abs(want_log_m))
+        assert abs(tilted_mean(law, lam) - want_mean) <= 1e-15
+
+
 class TestTilt:
     @ALL_LAWS
     def test_identity_tilt(self, law):
@@ -217,6 +282,10 @@ class TestRelativeEntropy:
         assert relative_entropy_tilt(gaussian_disorder(), 100.0) > 1e3
         assert relative_entropy_limit(rademacher_disorder()) == pytest.approx(math.log(2.0))
         assert math.isinf(relative_entropy_limit(gaussian_disorder()))
+
+
+def xi(law, beta):
+    return math.exp(log_xi(law, beta))
 
 
 class TestXi:

@@ -1,6 +1,7 @@
 """Every imported name is used: a removed caller must not leave its import
 behind.  Names re-exported through ``__all__`` count as used.  The runtime
-imports numpy and nothing outside the standard library besides."""
+imports numpy and nothing outside the standard library besides.  Only the
+modules that define the kernel and disorder families branch on them."""
 
 import ast
 import os
@@ -48,6 +49,35 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the modules allowed to read a ``.family`` attribute: the two that define the
+# families, and the enumeration oracle's finite-support check
+FAMILY_READERS = {"kernels.py", "disorder.py", "oracles.py"}
+
+
+def family_reads(source: str) -> list[int]:
+    """Line numbers in ``source`` that read a ``.family`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "family"
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_finds_a_family_read():
+    assert family_reads("x = 1\nif kernel.family == 'power':\n    pass\n") == [2]
+    assert family_reads("family = 'power'\nobj.family = family\n") == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.parent.name == "pinlab" and p.name not in FAMILY_READERS],
+    ids=lambda p: p.name,
+)
+def test_family_decisions_live_in_their_module(path):
+    assert family_reads(path.read_text()) == []
 
 
 _RUN_WITHOUT_SCIPY = """

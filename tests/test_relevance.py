@@ -13,9 +13,8 @@ from pinlab.disorder import (
     log_mgf,
     log_xi,
     rademacher_disorder,
-    xi,
 )
-from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
+from pinlab.errors import InvalidParameterError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
 from pinlab.kernels import (
     ChiResult,
@@ -34,7 +33,6 @@ from pinlab.relevance import (
     critical_temperature_bounds,
     entropy_estimator,
     entropy_monotonicity_scan,
-    replica_moment,
     replica_moment_log,
 )
 from pinlab.rng import derive_stream
@@ -75,7 +73,7 @@ class TestBetaCStar:
     def test_rademacher_chi_two_has_root(self):
         got = beta_c_star(P03, RAD, 1e-12, chi_result=chi_stub(2.0))
         assert math.isfinite(got.value)
-        assert xi(RAD, got.value) == pytest.approx(1.5, abs=1e-10)
+        assert math.exp(log_xi(RAD, got.value)) == pytest.approx(1.5, abs=1e-10)
         # cosh(2b)/cosh(b)^2 = 1.5 at b = arcsinh(1)
         assert got.value == pytest.approx(math.asinh(1.0), abs=1e-10)
 
@@ -128,8 +126,8 @@ class TestReplicaMoment:
 
     def test_single_step_is_xi(self):
         ktr = truncate_kernel(P03, 4)
-        assert replica_moment(ktr, RAD, 0.8, 1) == pytest.approx(
-            xi(RAD, 0.8), abs=1e-13
+        assert math.exp(replica_moment_log(ktr, log_xi(RAD, 0.8), 1)) == pytest.approx(
+            math.exp(log_xi(RAD, 0.8)), abs=1e-13
         )
 
     def test_dp_matches_enumeration(self):
@@ -144,8 +142,9 @@ class TestReplicaMoment:
             for n in range(1, 8):
                 masses = kernel.mass_array(n)
                 for beta in (0.4, 1.1):
-                    want = pair_moment_brute(masses, xi(RAD, beta), n)
-                    got = replica_moment(kernel, RAD, beta, n)
+                    lx = log_xi(RAD, beta)
+                    want = pair_moment_brute(masses, math.exp(lx), n)
+                    got = math.exp(replica_moment_log(kernel, lx, n))
                     assert got == pytest.approx(want, rel=1e-13)
 
     @settings(max_examples=40)
@@ -169,14 +168,6 @@ class TestReplicaMoment:
                     n * log_xi_value, rel=1e-14
                 )
 
-    def test_overflow_is_precision_error(self):
-        ktr = truncate_kernel(P03, 32)
-        log_moment = replica_moment_log(ktr, log_xi(GAUSS, 1.5), 8192)
-        assert log_moment > 709.8
-        with pytest.raises(PrecisionError) as info:
-            replica_moment(ktr, GAUSS, 1.5, 8192)
-        assert repr(log_moment) in str(info.value)
-
     def test_identity_exact(self):
         ktr = truncate_kernel(P03, 3)
         lhs, rhs, dp = replica_moment_exact_check(ktr, RAD, 0.8, 4)
@@ -196,7 +187,7 @@ class TestReplicaMoment:
         # (1/n) log E[Xi^overlap] tends to the truncated joint free energy
         tr, beta = 4, 1.2
         ktr = truncate_kernel(P03, tr)
-        lam = math.log(xi(RAD, beta))
+        lam = log_xi(RAD, beta)
         f2tr = joint_free_energy(P03, lam, tr=tr, chi_result=chi_03).f2
         n = 4000
         log_n = replica_moment_log(ktr, lam, n)
@@ -280,7 +271,7 @@ class TestEntropyEstimator:
         # the estimate stays below the pair-moment growth rate at matched n
         beta, tr, n = 1.2, 4, 2048
         rep = entropy_estimator(P03, RAD, beta, tr=tr, n=n, replicas=24, base_seed=3)
-        lam = math.log(xi(RAD, beta))
+        lam = log_xi(RAD, beta)
         ktr = truncate_kernel(P03, tr)
         rate = replica_moment_log(ktr, lam, n) / n
         assert rep.estimate <= rate + 3.0 * rep.stderr
