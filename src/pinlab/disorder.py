@@ -144,8 +144,8 @@ _W_TAYLOR = np.array(
 
 
 def _segment_weights(y: np.ndarray) -> np.ndarray:
-    """``w_j(y) = int_0^1 g_j(t) e^{y t} dt`` for ``y <= 0``, with
-    ``g = (1 - t, t, t^2)``; rows ``j = 0, 1, 2``.
+    """``w_j(y) = int_0^1 g_j(t) e^{y t} dt`` for ``y <= 0`` or ``|y| < 1``,
+    with ``g = (1 - t, t, t^2)``; rows ``j = 0, 1, 2``.
 
     The closed forms lose digits to cancellation as ``y -> 0``, so they
     serve only for ``y <= -1``; above it the Taylor series does.
@@ -165,6 +165,12 @@ def _segment_weights(y: np.ndarray) -> np.ndarray:
     return w
 
 
+def _mass_span(law: DisorderLaw) -> slice:
+    """The nodes of a continuous law from its first to its last segment with mass."""
+    live = np.flatnonzero((law.ps[:-1] > 0.0) | (law.ps[1:] > 0.0))
+    return slice(live[0], live[-1] + 2)
+
+
 def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, float]:
     """``(shift, m0, m1)`` with ``m_j = e^-shift int x^j p(x) e^{lam x} dx``
     for the piecewise-linear density ``p`` of a continuous law.
@@ -182,8 +188,8 @@ def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, flo
     """
     # outer segments without mass are dropped: a shift taken at their far end
     # would make the scale of every segment with mass underflow
-    live = np.flatnonzero((law.ps[:-1] > 0.0) | (law.ps[1:] > 0.0))
-    xs, ps = law.xs[live[0] : live[-1] + 2], law.ps[live[0] : live[-1] + 2]
+    span = _mass_span(law)
+    xs, ps = law.xs[span], law.ps[span]
     h = np.diff(xs)
     if lam >= 0.0:
         xc, pc, pd, s, top = xs[1:], ps[1:], ps[:-1], -1.0, xs[-1]
@@ -197,12 +203,29 @@ def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, flo
     return float(lam * top), m0, m1
 
 
+def _exact_mean(law: DisorderLaw) -> float:
+    """``sum p x`` over the stored atom table in exact arithmetic, rounded once."""
+    num, den = 0, 1
+    for p, x in zip(law.ps.tolist(), law.xs.tolist()):
+        a, b = p.as_integer_ratio()
+        c, d = x.as_integer_ratio()
+        num, den = num * b * d + a * c * den, den * b * d
+    return num / den
+
+
 def log_mgf(law: DisorderLaw, lam: float) -> float:
-    """``log M(lambda)``, stable for large tilts."""
+    """``log M(lambda)``, stable for large tilts and relatively accurate for
+    small ones."""
     if law.family == "gaussian":
         return 0.5 * lam * lam
     if law.family == "discrete":
         t = lam * law.xs
+        if np.abs(t).max() < 1.0:
+            # M - 1 = lam sum p x + lam^2 sum p x^2 w0(lam x), with w0(y) =
+            # (e^y - 1 - y) / y^2 > 0 from its Taylor series: only the first
+            # moment cancels, so it is summed exactly
+            curv = math.fsum(law.ps * law.xs * law.xs * _segment_weights(t)[0])
+            return math.log1p(lam * _exact_mean(law) + lam * lam * curv)
         mx = float(np.max(t))
         return mx + math.log(float(np.dot(law.ps, np.exp(t - mx))))
     shift, m0, _ = _continuous_moments(law, lam)
@@ -279,7 +302,11 @@ def tilt_transform(law: DisorderLaw, base: np.ndarray, beta: float) -> np.ndarra
         cdf = np.cumsum(wts / wts.sum())
         idx = np.searchsorted(cdf, base, side="right")
         return law.xs[np.minimum(idx, len(law.xs) - 1)]
-    dens = law.ps * np.exp(beta * law.xs - beta * law.xs[-1])
+    # scaled by the largest beta x on the segments with mass, as in
+    # _continuous_moments; the clip keeps the factor of a node past them,
+    # whose density is 0, from overflowing
+    t = beta * law.xs
+    dens = law.ps * np.exp(np.minimum(t - t[_mass_span(law)].max(), 0.0))
     gaps = np.diff(law.xs) * 0.5 * (dens[1:] + dens[:-1])
     cdf = np.concatenate([[0.0], np.cumsum(gaps)])
     cdf /= cdf[-1]

@@ -10,9 +10,12 @@ hundreds of orders of magnitude, so the recursion is the scaled forward
 algorithm: each replica holds its terms in the linear domain under one
 log-scale, a step is one matrix-vector product and one multiply, the scale
 moves only when a sum or a new term leaves a safe range, and ``log Z_m`` is
-stored in the log domain.  Logs and range tests are taken once per run of
-steps; the first step of a run that leaves the range is repaired and the
-steps after it are computed again.  A step whose linear sum underflows or
+stored in the log domain.  Steps go in runs of up to 64; where the window
+is longer than a run, the part of a run's sums over the sites before it is
+one matrix product at the start of the run, and each step's product covers
+only the run's own sites.  Logs and range tests are taken once per run;
+the first step of a run that leaves the range is repaired and the steps
+after it are computed again.  A step whose linear sum underflows or
 overflows is redone by an exact log-sum-exp, so the extremes give the
 log-domain result.
 Replicas share nothing: :func:`replica_charges` draws the charges of
@@ -21,12 +24,14 @@ estimates bit-reproducible and embarrassingly parallel.
 
 The quenched free energy per site is estimated as the replica average of
 ``log Z_n / n`` over one ``(replicas, n)`` array of charges, drawn once
-and reused for every bias.  Locating its zero in ``h`` is done by
-bisection with an explicit finite-size allowance: a point is declared
-localized only when the estimate clears ``max(3 stderr, 5 / n)``, and the
-reported upper edge is widened by the allowance mapped through the
-locally observed slope, so the returned interval is an honest bracket
-rather than a point estimate.
+and reused for every bias; several biases can share one DP call as extra
+rows.  Locating its zero in ``h`` is done by bisection with an explicit
+finite-size allowance: a point is declared localized only when the
+estimate clears ``max(3 stderr, 5 / n)``, and the reported upper edge is
+widened by the allowance mapped through the locally observed slope, so the
+returned interval is an honest bracket rather than a point estimate.  The
+search evaluates its two starting edges in one call, and each call that
+probes a midpoint also takes both candidates for the next one.
 """
 
 from __future__ import annotations
@@ -85,6 +90,9 @@ _TINY = np.finfo(float).tiny
 # run whose steps all stay in range, and starts again at one after a step that
 # does not; the run buffers hold _RUN_CAP x replicas floats each.
 _RUN_CAP = 64
+# Rows of the Toeplitz block of a long window's far sums: half a run, so the
+# block is _HALF x (width + _HALF) floats (0.5 MB at width 2048).
+_HALF = _RUN_CAP // 2
 
 
 def dp_log_partition(
@@ -95,32 +103,53 @@ def dp_log_partition(
     ``site_weights[r, j] = beta * w_j - h`` for replica ``r``; returns the
     ``(replicas, n+1)`` array of ``log Z_m``.  ``band`` limits the gap
     length for kernels of bounded support (O(n * band) instead of O(n^2)).
+    Rows are independent, so several biases can share one call as extra
+    rows.
 
     Replica ``r`` keeps ``y[j, r] = Z_j exp(w_j - c_r)`` for the sites of
     its window under one log-scale ``c_r`` (the scaled forward algorithm of
-    HMMs).  A step is two array operations across the replicas: the sum
-    ``s_m``, one product of the reversed kernel masses with the window's
-    rows of ``y``, and the new entry ``y[m] = s_m e^{w_m}``.  ``e^w`` is
-    taken once per block of ``_RUN_CAP`` sites, and steps go in runs of up to
-    ``_RUN_CAP``: after a run, one ``log`` gives its ``log Z_m = c_r +
-    log s_m`` and one range test covers all its steps.  The first step at
-    which a replica's sum or new entry leaves the safe range is repaired and
-    the run's later steps are computed again: the replica is rebased
-    (``c_r`` becomes the window's largest ``log Z_j + w_j`` and its window
-    is recomputed from ``log Z``), and a sum that is zero, subnormal or near
-    either end of the float range is first recomputed by the exact
-    log-sum-exp step for that replica alone.  So large ``beta * w``, extreme
-    ``h``, gapped kernels and long stretches of very negative weight give
-    the log-domain values, and ``-inf`` where ``Z_m = 0``.
+    HMMs).  Steps go in runs of up to ``_RUN_CAP``, and a step is two array
+    operations across the replicas: the sum ``s_m`` of the kernel masses
+    times the window's rows of ``y``, and the new entry ``y[m] = s_m
+    e^{w_m}``.  Where the window is at most ``_RUN_CAP`` sites the sum is
+    one product of the reversed masses with the window.  Where it is longer,
+    the part of every sum of a run ``[m, end)`` over the sites ``j < m`` is
+    one matrix product at the start of the run, written into ``y[m:end]``
+    (its Toeplitz factor is a column slice of one ``_HALF``-row block per
+    call), and the sum of step ``m + i`` is the product of ``K(i), ...,
+    K(1), 1`` with ``y[m : m+i+1]``.  A run never spans a rebase, so
+    ``y[j]`` for ``j < m`` stays fixed while the run goes on.  ``e^w`` is
+    taken once per block of ``_RUN_CAP`` sites; after a run, one ``log``
+    gives its ``log Z_m = c_r + log s_m`` and one range test covers all its
+    steps.  The first step at which a replica's sum or new entry leaves the
+    safe range is repaired and the run's later steps are computed again:
+    the replica is rebased (``c_r`` becomes the window's largest ``log Z_j
+    + w_j`` and its window is recomputed from ``log Z``), and a sum that is
+    zero, subnormal or near either end of the float range is first
+    recomputed by the exact log-sum-exp step for that replica alone.  So
+    large ``beta * w``, extreme ``h``, gapped kernels and long stretches of
+    very negative weight give the log-domain values, and ``-inf`` where
+    ``Z_m = 0``.
 
     Each finite ``log Z_m`` is within ``1e-12 * max(1, max_{j<=m} |log Z_j|)``
     of the exact recursion: ``c_r`` and the log-sum-exp terms are rounded at
     the size of the largest ``|log Z_j|`` on the path (about 2e-13 at 1000),
-    so where ``log Z_m`` returns near zero the error stays that large.
+    so where ``log Z_m`` returns near zero the error stays that large.  The
+    sums are of nonnegative terms, so their order (which BLAS may choose by
+    the number of rows and threads) moves ``log Z_m`` by rounding only.
     """
     reps, n = site_weights.shape
     width = n if band is None else min(band, n)
     k_rev = np.exp(log_k[:width][::-1])  # K(width), ..., K(1)
+    far = width > _RUN_CAP
+    if far:
+        # toe[i, c] = K(width + _HALF + i - c), 0 past the band: in a run from
+        # m, rows i and i + _HALF take site j from column width + _HALF - m + j
+        # and from the column _HALF to its left
+        pad = np.concatenate([np.zeros(2 * _HALF - 1), k_rev])
+        toe = np.lib.stride_tricks.sliding_window_view(pad, width + _HALF)[_HALF - 1 :: -1].copy()
+        near = np.append(k_rev[width - _RUN_CAP + 1 :], 1.0)  # K(63), ..., K(1), 1
+        nears = [near[_RUN_CAP - 1 - i :] for i in range(_RUN_CAP)]  # step m + i's
     log_z = np.empty((reps, n + 1))
     log_z[:, 0] = 0.0
     y = np.empty((n + 1, reps))  # row n takes the last step's unused entry
@@ -138,10 +167,21 @@ def dp_log_partition(
                 np.exp(site_weights[:, m:hi], out=growth[: hi - m].T)
                 tiny_growth = not growth[: hi - m].min(initial=1.0) >= _TINY
             s, g = sums[: end - m], growth[m - g0 : end - g0]
-            for s_t, g_t, t in zip(s, g, range(m, end)):
-                j0 = t - width if t > width else 0
-                np.dot(k_rev[width - t + j0:], y[j0:t], out=s_t)
-                np.multiply(s_t, g_t, out=y[t])
+            if far:
+                j0 = max(0, m - width)
+                c0 = width + _HALF - (m - j0)
+                top = min(end, m + _HALF)
+                np.matmul(toe[: top - m, c0:], y[j0:m], out=y[m:top])
+                if end > top:
+                    np.matmul(toe[: end - top, c0 - _HALF : width], y[j0:m], out=y[top:end])
+                for t, s_t, g_t, k_t in zip(range(m, end), s, g, nears):
+                    np.dot(k_t, y[m : t + 1], out=s_t)
+                    np.multiply(s_t, g_t, out=y[t])
+            else:
+                for s_t, g_t, t in zip(s, g, range(m, end)):
+                    j0 = t - width if t > width else 0
+                    np.dot(k_rev[width - t + j0:], y[j0:t], out=s_t)
+                    np.multiply(s_t, g_t, out=y[t])
             lz = np.log(s, out=s)
             np.add(scale, lz, out=log_z[:, m:end].T)
             size = np.abs(lz)
@@ -216,13 +256,15 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def quenched_free_energy(
-    kernel: RenewalKernel, charges: np.ndarray, beta: float, h: float
-) -> FreeEnergyEstimate:
+    kernel: RenewalKernel, charges: np.ndarray, beta: float, h: float | list[float]
+) -> FreeEnergyEstimate | list[FreeEnergyEstimate]:
     """Replica average of ``log Z_n / n`` with its standard error.
 
     ``charges`` is the ``(replicas, n)`` array of the replicas' charges,
     e.g. from :func:`replica_charges`; row ``r`` gives the site weights
-    ``beta * charges[r] - h`` of replica ``r``.
+    ``beta * charges[r] - h`` of replica ``r``.  For a 1-D sequence of
+    biases ``h`` the result is the list of their estimates, from one DP call
+    that takes the replicas of every bias as its rows.
     """
     if beta < 0.0:
         raise InvalidParameterError("beta must be >= 0")
@@ -230,13 +272,22 @@ def quenched_free_energy(
         raise InvalidParameterError(
             f"charges must be a nonempty (replicas, n) array, got shape {charges.shape}"
         )
-    n = charges.shape[1]
+    biases = np.asarray(h, dtype=float)
+    if biases.ndim > 1 or biases.size == 0:
+        raise InvalidParameterError(f"h must be a bias or a nonempty 1-D sequence, got {h!r}")
+    reps, n = charges.shape
+    weights = np.empty((biases.size, reps, n))
+    np.multiply(charges, beta, out=weights)
+    weights -= biases.reshape(-1, 1, 1)
     log_k = log_mass_vector(kernel, n)
-    log_z = dp_log_partition(log_k, beta * charges - h, band=kernel.support_upper)
+    log_z = dp_log_partition(log_k, weights.reshape(-1, n), band=kernel.support_upper)
     per_replica = log_z[:, n] / n
-    mean, stderr = _mean_stderr(per_replica)
     per_replica.setflags(write=False)
-    return FreeEnergyEstimate(mean=mean, stderr=stderr, per_replica=per_replica)
+    estimates = [
+        FreeEnergyEstimate(*_mean_stderr(rows), per_replica=rows)
+        for rows in per_replica.reshape(-1, reps)
+    ]
+    return estimates if biases.ndim else estimates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +350,13 @@ def quenched_critical_point(
     off the bracket endpoints (floored at 0.02).  If sampling noise swamps
     the allowance near the transition the search stops early and the
     bracket is flagged undecided instead of being narrowed artificially.
+
+    The two starting edges share one DP call.  A call that probes a new
+    midpoint also takes the next step's midpoint for either outcome, where
+    a next step will run: these are the floats the one-bias-per-call search
+    computes, so the probes, the stop and the bracket are those of that
+    search, with about half its DP calls.  The two ``2n`` diagnostics are
+    separate calls, which keeps the peak memory at one ``2n`` call.
     """
     cfg = config
     h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
@@ -306,9 +364,14 @@ def quenched_critical_point(
     charges = replica_charges(disorder, cfg.n, cfg.replicas, cfg.base_seed)
     cache: dict[float, FreeEnergyEstimate] = {}
 
+    def evaluate(*hs: float) -> None:
+        """Cache the estimates at the biases ``hs`` from one DP call."""
+        todo = [h for h in dict.fromkeys(hs) if h not in cache]
+        if todo:
+            cache.update(zip(todo, quenched_free_energy(kernel, charges, beta, todo)))
+
     def estimate(h: float) -> FreeEnergyEstimate:
-        if h not in cache:
-            cache[h] = quenched_free_energy(kernel, charges, beta, h)
+        evaluate(h)
         return cache[h]
 
     def threshold(est: FreeEnergyEstimate) -> float:
@@ -321,6 +384,7 @@ def quenched_critical_point(
         return 3.0 * est.stderr > _C_FS / cfg.n and abs(est.mean) <= 3.0 * est.stderr
 
     probes = 0
+    evaluate(h_lo, h_hi)
     while not is_localized(estimate(h_lo)):
         h_lo -= 2.0 * max(abs(h_lo), 0.1)
         probes += 1
@@ -335,7 +399,12 @@ def quenched_critical_point(
     undecided = False
     while h_hi - h_lo > cfg.target_width and probes < _MAX_PROBES:
         mid = 0.5 * (h_lo + h_hi)
-        est = estimate(mid)
+        if mid not in cache:
+            # the call also takes the next step's midpoint for either
+            # outcome, where that step will run
+            evaluate(mid, *(0.5 * (a + b) for a, b in ((h_lo, mid), (mid, h_hi))
+                            if b - a > cfg.target_width and probes + 1 < _MAX_PROBES))
+        est = cache[mid]
         probes += 1
         if is_noise_bound(est):
             undecided = True

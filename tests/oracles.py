@@ -12,7 +12,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from pinlab.disorder import log_mgf
 from pinlab.errors import InvalidParameterError
+from pinlab.quenched import quenched_free_energy, replica_charges
 
 
 def zeta_direct(s: float, n_direct: int = 200) -> float:
@@ -88,6 +90,57 @@ def partition_log_recursion(log_masses, site_weights, band=None) -> list[float]:
         hi.append(math.fsum(lead + (log_sum,)))
         lo.append(math.fsum(lead + (log_sum, -hi[-1])))
     return hi
+
+
+def critical_point_sequential(kernel, disorder, beta: float, config) -> dict:
+    """The bisection of ``quenched_critical_point`` with one bias per DP call.
+
+    The same charges, start window, decision rules and stops, written out
+    plainly: each probe is its own ``quenched_free_energy`` call and nothing
+    is evaluated ahead.  Returns the fields that fix the bracket.
+    """
+    n = config.n
+    charges = replica_charges(disorder, n, config.replicas, config.base_seed)
+    cache = {}
+
+    def estimate(h):
+        if h not in cache:
+            cache[h] = quenched_free_energy(kernel, charges, beta, h)
+        return cache[h]
+
+    def threshold(est):
+        return max(3.0 * est.stderr, 5.0 / n)
+
+    def localized(est):
+        return est.mean > threshold(est)
+
+    h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
+    probes = 0
+    while not localized(estimate(h_lo)):
+        h_lo -= 2.0 * max(abs(h_lo), 0.1)
+        probes += 1
+    while localized(estimate(h_hi)):
+        h_hi += 2.0 * max(abs(h_hi), 0.1)
+        probes += 1
+    undecided = False
+    while h_hi - h_lo > config.target_width and probes < 60:
+        mid = 0.5 * (h_lo + h_hi)
+        est = estimate(mid)
+        probes += 1
+        if 3.0 * est.stderr > 5.0 / n and abs(est.mean) <= 3.0 * est.stderr:
+            undecided = True
+            break
+        if localized(est):
+            h_lo = mid
+        else:
+            h_hi = mid
+    est_lo, est_hi = estimate(h_lo), estimate(h_hi)
+    slope = max((est_lo.mean - est_hi.mean) / max(h_hi - h_lo, 1e-12), 0.02)
+    widen = 2.0 * threshold(est_hi) / slope
+    if undecided:
+        widen *= 2.0
+    return {"h_lo": h_lo, "h_hi": h_hi + widen, "h_hi_raw": h_hi,
+            "undecided": undecided, "diagnostic_h": (h_lo, h_hi)}
 
 
 def enumerate_renewal_configs(masses: np.ndarray, n: int):

@@ -1,6 +1,7 @@
 """Charge laws: MGF closed forms, tilts, entropies, limits, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,9 +215,7 @@ class TestContinuousClosedForm:
 
 class TestFairSignsFold:
     """The two-atom table ``(-1, 1), (1/2, 1/2)`` against ``log cosh`` and
-    ``tanh`` at 60 digits.  Below ``lam`` of about 1e-6 the table keeps only
-    its absolute accuracy: ``log cosh lam`` is ``lam^2 / 2``, below the
-    rounding of the table's sum."""
+    ``tanh`` at 60 digits."""
 
     LAMS = [s * x for x in (1e-12, 1e-9, 1e-3, 0.8, 2.5, 30.0, 350.0, 700.0) for s in (1, -1)]
 
@@ -229,6 +228,29 @@ class TestFairSignsFold:
             want_mean = float(mp.tanh(mp.mpf(lam)))
         assert abs(log_mgf(law, lam) - want_log_m) <= 1e-15 * max(1.0, abs(want_log_m))
         assert abs(tilted_mean(law, lam) - want_mean) <= 1e-15
+
+
+class TestSmallTiltTable:
+    """``log M`` of an atom table near ``lam = 0``, where it is about
+    ``lam^2 / 2`` and the plain sum ``sum p e^{lam x}`` keeps only absolute
+    accuracy (170 times the value for fair signs at 1e-9)."""
+
+    @pytest.mark.parametrize("lam", [s * x for x in (1e-12, 1e-9, 1e-6, 1e-3) for s in (1, -1)])
+    @pytest.mark.parametrize(
+        "law",
+        [rademacher_disorder(), discrete_disorder([-2.0, 0.5, 3.0], [0.3, 0.5, 0.2])],
+        ids=["fair-signs", "three-atoms"],
+    )
+    def test_relative_accuracy_against_mpmath(self, law, lam):
+        # the reference sums the stored table exactly, so the three-atom
+        # table's first moment (about -2e-17, not 0) counts at lam 1e-12
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            want = float(mp.log(mp.fsum(
+                mp.mpf(float(p)) * mp.exp(mp.mpf(lam) * mp.mpf(float(x)))
+                for p, x in zip(law.ps, law.xs)
+            )))
+        assert abs(log_mgf(law, lam) - want) <= 1e-10 * abs(want)
 
 
 class TestTilt:
@@ -332,6 +354,37 @@ class TestSampling:
         beta = 0.9
         draws = tilt_transform(law, sample_base(law, derive_stream(9, 0), 10**6), beta)
         assert abs(draws.mean() - tilted_mean(law, beta)) <= 6.0 / math.sqrt(10**6)
+
+    @pytest.mark.parametrize(
+        "grid, values, beta",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 0.0, 0.0], 300.0),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 1.0, 1.0], -300.0),
+            ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2, 1.0, 1.5, 1.0, 0.2], -400.0),
+            ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2, 1.0, 1.5, 1.0, 0.2], 700.0),
+        ],
+        ids=["vanishing-top", "vanishing-bottom", "positive-ends-neg", "positive-ends-pos"],
+    )
+    def test_continuous_large_tilt_draws(self, grid, values, beta):
+        # scaled at the grid's end, every segment with mass underflowed (or
+        # the scale overflowed) and each draw was NaN
+        law = continuous_disorder(grid, values)
+        base = np.linspace(0.0, 1.0, 1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = tilt_transform(law, base, beta)
+        assert np.all(np.isfinite(draws))
+        assert law.xs[0] <= draws.min() and draws.max() <= law.xs[-1]
+        assert np.all(np.diff(draws) >= 0.0)
+
+    def test_continuous_untilted_draws_unchanged(self):
+        # sample draws at tilt 0: the inverse of the table's own trapezoid CDF
+        law = continuous_disorder([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2, 1.0, 1.5, 1.0, 0.2])
+        base = sample_base(law, derive_stream(11, 0), 1000)
+        cdf = np.concatenate([[0.0], np.cumsum(np.diff(law.xs) * 0.5 * (law.ps[1:] + law.ps[:-1]))])
+        cdf /= cdf[-1]
+        want = np.interp(base, cdf, law.xs)
+        np.testing.assert_array_equal(sample(law, derive_stream(11, 0), 1000), want)
 
     def test_continuous_tilt_mean(self):
         law = uniform_continuous_law()

@@ -29,7 +29,8 @@ from pinlab.quenched import (
 )
 from pinlab.rng import RngStream, derive_stream
 
-from oracles import partition_log_brute, partition_log_recursion
+import oracles
+from oracles import critical_point_sequential, partition_log_brute, partition_log_recursion
 
 
 KERNEL = make_power_kernel(0.5)
@@ -234,6 +235,51 @@ class TestScaledRecursionExtremes:
             assert list(call.args[3]) == [victim]
 
 
+class TestFarProduct:
+    """The seams of the far-sum product, which serves windows longer than a
+    run (``width > 64``): a window of 64 keeps the one-product step, and
+    runs start at steps 1, 2, 4, ..., 64, 128, 192, ... while no step is
+    repaired."""
+
+    @pytest.mark.parametrize("band", [None, 64, 65, 100])
+    @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
+    def test_window_sizes(self, n, band):
+        weights = 1.3 * charges(n + (band or 0), 3, n) - 0.2
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @pytest.mark.parametrize("band", [None, 100])
+    @pytest.mark.parametrize("weight", [800.0, -800.0])
+    @pytest.mark.parametrize("n", [65, 130, 200])
+    def test_rebase_every_step(self, n, weight, band):
+        # every step leaves the safe range, so every run has length 1
+        weights = np.full((2, n), weight)
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @pytest.mark.parametrize("band", [None, 100])
+    @pytest.mark.parametrize("weight", [600.0, -1500.0])
+    @pytest.mark.parametrize("p", [64, 127, 128, 129, 192])
+    def test_one_site_out_of_range_after_far_product(self, p, weight, band):
+        # site 128 is the first step of a run whose far sums were just taken
+        n = 260
+        weights = charges(p, 2, n)
+        weights[0, p] = weight
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @pytest.mark.parametrize("band", [None, 100])
+    def test_batch_composition(self, band):
+        # BLAS may round a column differently with another column count;
+        # each block of a wide call stays within the DP's bound of its own call
+        n = 300
+        log_k = log_mass_vector(KERNEL, n)
+        weights = 1.1 * charges(17, 96, n) - 0.3
+        wide = dp_log_partition(log_k, weights, band=band)
+        for block in range(3):
+            rows = slice(32 * block, 32 * block + 32)
+            alone = dp_log_partition(log_k, weights[rows], band=band)
+            err = np.abs(wide[rows] - alone) / np.maximum(1.0, np.abs(alone))
+            assert err.max() <= 1e-12
+
+
 def test_dp_memory_is_its_output_and_window():
     # the run buffers are _RUN_CAP x replicas; nothing scales with n but log Z and y
     n, reps, band = 4096, 64, 64
@@ -248,6 +294,22 @@ def test_dp_memory_is_its_output_and_window():
     log_z_bytes = reps * (n + 1) * 8
     y_bytes = (n + 1) * reps * 8
     assert peak < log_z_bytes + y_bytes + 2**20
+
+
+def test_dp_memory_with_far_product():
+    # a window longer than a run adds one 32 x (width + 32) Toeplitz block
+    n, reps = 2048, 32
+    weights = charges(1, reps, n)
+    log_k = log_mass_vector(KERNEL, n)
+    tracemalloc.start()
+    try:
+        dp_log_partition(log_k, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    log_z_and_y = 2 * reps * (n + 1) * 8
+    block = 32 * (n + 32) * 8
+    assert peak < log_z_and_y + block + 2**18
 
 
 class TestQuenchedFreeEnergy:
@@ -287,6 +349,25 @@ class TestQuenchedFreeEnergy:
     def test_rejects_negative_beta(self):
         with pytest.raises(InvalidParameterError):
             quenched_free_energy(KERNEL, replica_charges(GAUSS, 8, 2, 0), -0.1, 0.2)
+
+    @pytest.mark.parametrize("h", [[], [[0.1, 0.2]]])
+    def test_rejects_empty_or_nested_biases(self, h):
+        with pytest.raises(InvalidParameterError):
+            quenched_free_energy(KERNEL, replica_charges(GAUSS, 8, 2, 0), 1.0, h)
+
+    @pytest.mark.parametrize("n", [48, 130])
+    def test_biases_as_extra_rows(self, n):
+        # one call for several biases gives each bias's own estimate, to the
+        # DP's bound (the row count may change BLAS's rounding)
+        omega = replica_charges(GAUSS, n, 8, 12)
+        biases = [-0.3, 0.05, 0.4]
+        batch = quenched_free_energy(KERNEL, omega, 0.9, biases)
+        assert len(batch) == len(biases)
+        for h, est in zip(biases, batch):
+            alone = quenched_free_energy(KERNEL, omega, 0.9, h)
+            np.testing.assert_allclose(est.per_replica, alone.per_replica, rtol=1e-12, atol=1e-12)
+            assert est.stderr == pytest.approx(alone.stderr, rel=1e-9, abs=1e-14)
+            assert not est.per_replica.flags.writeable
 
     @pytest.mark.parametrize("n, replicas", [(0, 2), (8, 0)])
     def test_replica_charges_rejects_empty_sizes(self, n, replicas):
@@ -371,6 +452,9 @@ class TestCriticalPoint:
         assert bracket.h_lo <= h_ann
 
     def test_charges_drawn_once_per_size(self):
+        # the search probes several biases per DP call, and BLAS may round a
+        # column differently with another column count, so a fresh one-bias
+        # call agrees to the DP's bound; charges of another seed must miss
         kernel = make_power_kernel(1.5)
         cfg = QuenchedSearchConfig(n=64, replicas=3, base_seed=4, target_width=0.05)
         with mock.patch.object(quenched, "sample", wraps=quenched.sample) as spy:
@@ -379,8 +463,56 @@ class TestCriticalPoint:
         assert drawn == [64] * 3 + [128] * 3
         for label, diag in bracket.diagnostics.items():
             for n, key in ((64, "mean"), (128, "mean_2n")):
+                want = diag[key]
                 redrawn = quenched_free_energy(kernel, replica_charges(GAUSS, n, 3, 4), 0.6, diag["h"])
-                assert redrawn.mean == diag[key], (label, key)
+                assert abs(redrawn.mean - want) <= 1e-12 * max(1.0, abs(want)), (label, key)
+                other = quenched_free_energy(kernel, replica_charges(GAUSS, n, 3, 5), 0.6, diag["h"])
+                assert abs(other.mean - want) > 1e-6, (label, key)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, n, replicas, base_seed, target_width, undecided",
+        [
+            (1.5, 0.6, 128, 8, 3, 0.01, False),
+            (0.5, 1.0, 256, 16, 6, 0.01, False),
+            (0.5, 1.5, 200, 4, 2, 0.002, True),
+        ],
+    )
+    def test_batched_search_equals_sequential(
+        self, alpha, beta, n, replicas, base_seed, target_width, undecided
+    ):
+        # the biases probed ahead are the floats the one-bias-per-call
+        # bisection computes, so every decision and edge is the same
+        kernel = make_power_kernel(alpha)
+        cfg = QuenchedSearchConfig(n=n, replicas=replicas, base_seed=base_seed,
+                                   target_width=target_width)
+        bracket = quenched_critical_point(kernel, GAUSS, beta, cfg)
+        want = critical_point_sequential(kernel, GAUSS, beta, cfg)
+        assert want["undecided"] is undecided
+        got = {
+            "h_lo": bracket.h_lo,
+            "h_hi": bracket.h_hi,
+            "h_hi_raw": bracket.h_hi_raw,
+            "undecided": bracket.undecided,
+            "diagnostic_h": (bracket.diagnostics["h_lo"]["h"], bracket.diagnostics["h_hi"]["h"]),
+        }
+        assert got == want
+
+    def test_search_batches_its_probes(self):
+        # the edges share a call, each bisection call also takes the next
+        # step's two candidates, and the two 2n diagnostics stay apart
+        kernel = make_power_kernel(1.5)
+        cfg = QuenchedSearchConfig(n=128, replicas=8, base_seed=3, target_width=0.01)
+        calls = {}
+        for name, module, run in (("batched", quenched, quenched_critical_point),
+                                  ("sequential", oracles, critical_point_sequential)):
+            with mock.patch.object(module, "quenched_free_energy",
+                                   wraps=module.quenched_free_energy) as spy:
+                run(kernel, GAUSS, 0.6, cfg)
+            calls[name] = [np.size(call.args[3]) for call in spy.call_args_list]
+        batched = calls["batched"]
+        assert batched[0] == 2 and batched[-2:] == [1, 1] and max(batched) == 3
+        assert sum(batched[:-2]) > len(calls["sequential"])
+        assert len(batched) - 2 < 0.7 * len(calls["sequential"])
 
     def test_rejects_charges_of_wrong_shape(self):
         # one chain's charges, no replicas, no sites
