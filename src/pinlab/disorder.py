@@ -77,7 +77,10 @@ def discrete_disorder(xs, ps) -> DisorderLaw:
     ps = np.asarray(ps, dtype=float)
     if xs.shape != ps.shape or xs.ndim != 1 or xs.size < 2:
         raise InvalidParameterError("need matching atom and probability vectors, >= 2 atoms")
-    if np.any(ps < 0) or abs(ps.sum() - 1.0) > 1e-12:
+    if not np.all(np.isfinite(xs)):
+        raise InvalidParameterError("atoms must be finite")
+    # written so that a NaN probability fails it
+    if not (np.all(ps >= 0) and abs(ps.sum() - 1.0) <= 1e-12):
         raise InvalidParameterError("atom probabilities must be nonnegative and sum to 1")
     order = np.argsort(xs)
     xs, ps = xs[order], ps[order]
@@ -105,10 +108,10 @@ def continuous_disorder(grid, values) -> DisorderLaw:
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.shape != values.shape or grid.size < 3:
         raise InvalidParameterError("need a density table with >= 3 nodes")
-    if np.any(np.diff(grid) <= 0):
-        raise InvalidParameterError("density grid must be strictly increasing")
-    if np.any(values < 0):
-        raise InvalidParameterError("density values must be nonnegative")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise InvalidParameterError("density grid must be finite and strictly increasing")
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise InvalidParameterError("density values must be finite and nonnegative")
     total = float(np.trapezoid(values, grid))
     if total <= 0.0:
         raise InvalidParameterError("density integrates to zero")

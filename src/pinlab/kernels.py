@@ -133,15 +133,15 @@ def make_geometric_kernel(p: float) -> RenewalKernel:
 def make_table_kernel(masses) -> RenewalKernel:
     """Kernel from an explicit mass table ``masses[i] = K(i+1)``.
 
-    Enforces nonnegativity, normalization within 1e-12, and aperiodicity
-    (gcd of the support equals 1; periodic laws can be rescaled to the
-    sublattice and are out of scope).
+    Enforces finite nonnegative entries, normalization within 1e-12, and
+    aperiodicity (gcd of the support equals 1; periodic laws can be
+    rescaled to the sublattice and are out of scope).
     """
     arr = np.array(masses, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidParameterError("mass table must be a nonempty vector")
-    if np.any(arr < 0.0):
-        raise InvalidParameterError("kernel masses must be nonnegative")
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise InvalidParameterError("kernel masses must be finite and nonnegative")
     total = float(np.sum(arr))
     if abs(total - 1.0) > _MASS_TOL:
         raise InvalidParameterError(
@@ -248,17 +248,15 @@ def _fit_decay(u: np.ndarray, horizon: int) -> tuple[float, float]:
 
 
 _UNDECIDED_BAND = (0.95, 1.05)  # fitted decay of u_n^2 too close to 1 to call
-# chi gives up once the extrapolated horizon exceeds _REACH * max_horizon; the
-# extrapolation moves a few percent per doubling, so more doublings cannot help
+# chi starts at _START_HORIZON and doubles up to _MAX_HORIZON; it gives up once
+# the extrapolated horizon exceeds _REACH * _MAX_HORIZON, since the
+# extrapolation moves a few percent per doubling and more cannot help
+_START_HORIZON = 1 << 16
+_MAX_HORIZON = 1 << 21
 _REACH = 2
 
 
-def chi(
-    kernel: RenewalKernel,
-    tolerance: float = 2e-3,
-    start_horizon: int = 1 << 16,
-    max_horizon: int = 1 << 21,
-) -> ChiResult:
+def chi(kernel: RenewalKernel, tolerance: float = 2e-3) -> ChiResult:
     """Overlap sum ``chi = sum_{n>=1} u_n^2`` with convergence verdict.
 
     Convergence is decided from the fitted decay exponent of ``u_n``: with
@@ -269,12 +267,12 @@ def chi(
     undecided.  Each doubling resumes the reciprocal from the previous
     ``u``, so the whole search costs about one reciprocal at the final
     horizon.  :class:`PrecisionError` is raised, with the extrapolated
-    ``required_horizon``, at ``max_horizon`` or as soon as that horizon
-    exceeds twice ``max_horizon``.
+    ``required_horizon``, at ``_MAX_HORIZON`` or as soon as that horizon
+    exceeds twice ``_MAX_HORIZON``.
     """
     if not tolerance > 0.0:
         raise InvalidParameterError("tolerance must be positive")
-    horizon = start_horizon
+    horizon = _START_HORIZON
     head = None
     while True:
         u = head = return_probabilities(kernel, horizon, head)
@@ -291,7 +289,7 @@ def chi(
         # log of the horizon at which the fitted tail would meet the tolerance; the
         # reported estimate is capped at e^700 so that it fits a float
         log_needed = math.log(horizon) + math.log(tail / tolerance) / (decay2 - 1.0)
-        if horizon >= max_horizon or log_needed > math.log(_REACH * max_horizon):
+        if horizon >= _MAX_HORIZON or log_needed > math.log(_REACH * _MAX_HORIZON):
             raise PrecisionError(
                 f"chi tail {tail:.3e} exceeds tolerance {tolerance:.3e} at horizon {horizon}",
                 required_horizon=int(math.exp(min(log_needed, 700.0))),

@@ -3,7 +3,8 @@
 Each check sums a small system term by term, so it shares no algorithm
 with the recursions it checks.  Two enumerators carry all of it: renewal
 configurations on ``[0, n]`` (the pinned partition sum keeps those whose
-last renewal is ``n``) and charge assignments of a finitely supported law.
+last renewal is ``n``, the free-endpoint sums those inside ``[0, n-1]``)
+and charge assignments of a finitely supported law.
 The cost is exponential in ``n``, so the checks cap ``n``.  The checks
 return the values they compare, not a verdict: each caller applies its own
 tolerance.
@@ -26,6 +27,9 @@ __all__ = [
     "renewal_configurations",
     "charge_assignments",
     "pinned_partition_log",
+    "free_endpoint_configurations",
+    "free_endpoint_likelihood",
+    "pair_moment",
     "annealed_partition_check",
     "replica_moment_exact_check",
 ]
@@ -90,6 +94,37 @@ def annealed_partition_check(
     return lhs, rhs
 
 
+def free_endpoint_configurations(kernel: RenewalKernel, n: int) -> list:
+    """``(times, weight)`` for every renewal set ``0 = t_0 < ... < t_k <=
+    n-1`` in the window ``[0, n-1]``: its probability times the chance
+    ``P(gap > n-1-t_k)`` that the gap after the last renewal overshoots the
+    window, the kernel's exact tail (0 past a finite support)."""
+    out = []
+    for times, prob in renewal_configurations(kernel.mass_array(n - 1), n - 1):
+        tail = kernel.tail_mass(n - times[-1])
+        if tail > 0.0:
+            out.append((times, prob * tail))
+    return out
+
+
+def free_endpoint_likelihood(kernel: RenewalKernel, site_weights) -> float:
+    """Word-averaged likelihood ``f_n`` with a free right endpoint,
+    ``n = len(site_weights)``: every renewal in the window, ``0`` and the
+    last included, collects ``exp(site_weights[t])``."""
+    return sum(
+        prob * math.exp(sum(site_weights[t] for t in times))
+        for times, prob in free_endpoint_configurations(kernel, len(site_weights))
+    )
+
+
+def pair_moment(kernel: RenewalKernel, xi_value: float, n: int) -> float:
+    """``E[xi^(# simultaneous renewals in [0, n-1])]`` of two independent
+    chains, by double enumeration of their window sets."""
+    configs = free_endpoint_configurations(kernel, n)
+    return sum(prob_a * prob_b * xi_value ** len(set(times_a).intersection(times_b))
+               for times_a, prob_a in configs for times_b, prob_b in configs)
+
+
 def replica_moment_exact_check(
     kernel_tr: RenewalKernel, disorder: DisorderLaw, beta: float, n: int
 ) -> tuple[float, float, float]:
@@ -104,28 +139,12 @@ def replica_moment_exact_check(
     """
     if n > 8:
         raise InvalidParameterError("exact check limited to n <= 8")
-    masses = kernel_tr.mass_array(kernel_tr.support_upper)
     lm = log_mgf(disorder, beta)
-    # renewal sets on the window [0, n-1], times the probability that the
-    # gap after the last renewal overshoots the window
-    configs = [(times, prob * float(masses[n - 1 - times[-1]:].sum()))
-               for times, prob in renewal_configurations(masses, n - 1)]
-
-    # f_n = sum over configs of p * prod of exp(beta w_t - log M(beta)) at
-    # its renewals; the tilted letter law gives the charges probability
-    # prob * f_n, so the disorder average is sum prob * f_n^2
+    # the tilted letter law gives the charges probability prob * f_n, so the
+    # disorder average of f_n is sum prob * f_n^2
     lhs = 0.0
     for charges, prob in charge_assignments(disorder, n):
-        tilt = np.exp(beta * charges - lm)
-        f_n = sum(p * math.prod(tilt[t] for t in times) for times, p in configs)
-        lhs += prob * f_n * f_n
-
+        lhs += prob * free_endpoint_likelihood(kernel_tr, beta * charges - lm) ** 2
     log_xi_value = log_xi(disorder, beta)
-    xi_value = math.exp(log_xi_value)
-    rhs = 0.0
-    for times_a, prob_a in configs:
-        set_a = set(times_a)
-        for times_b, prob_b in configs:
-            rhs += prob_a * prob_b * xi_value ** len(set_a.intersection(times_b))
-
+    rhs = pair_moment(kernel_tr, math.exp(log_xi_value), n)
     return lhs, rhs, math.exp(replica_moment_log(kernel_tr, log_xi_value, n))

@@ -228,6 +228,8 @@ def partition_function_log(kernel: RenewalKernel, site_weights) -> float:
     """``log Z_n``, ``n = len(site_weights)``, of one chain whose renewal at
     site ``j`` collects ``exp(site_weights[j])``, e.g. ``beta * omega_j - h``."""
     weights = np.asarray(site_weights, dtype=float)[None, :]
+    if np.isnan(weights).any():
+        raise InvalidParameterError("site weights must not be NaN")
     n = weights.shape[1]
     log_k = log_mass_vector(kernel, n)
     return float(dp_log_partition(log_k, weights, band=kernel.support_upper)[0, n])
@@ -266,8 +268,8 @@ def quenched_free_energy(
     biases ``h`` the result is the list of their estimates, from one DP call
     that takes the replicas of every bias as its rows.
     """
-    if beta < 0.0:
-        raise InvalidParameterError("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidParameterError(f"beta must be finite and >= 0, got {beta!r}")
     if charges.ndim != 2 or charges.size == 0:
         raise InvalidParameterError(
             f"charges must be a nonempty (replicas, n) array, got shape {charges.shape}"
@@ -275,6 +277,8 @@ def quenched_free_energy(
     biases = np.asarray(h, dtype=float)
     if biases.ndim > 1 or biases.size == 0:
         raise InvalidParameterError(f"h must be a bias or a nonempty 1-D sequence, got {h!r}")
+    if not (np.isfinite(biases).all() and np.isfinite(charges).all()):
+        raise InvalidParameterError(f"h and the charges must be finite, got h = {h!r}")
     reps, n = charges.shape
     weights = np.empty((biases.size, reps, n))
     np.multiply(charges, beta, out=weights)

@@ -68,6 +68,7 @@ __all__ = [
     "beta_c_star_star",
     "critical_temperature_bounds",
     "replica_moment_log",
+    "free_endpoint_log_likelihood",
     "entropy_estimator",
     "entropy_monotonicity_scan",
     "annealed_variational_check",
@@ -291,6 +292,33 @@ def _sample_word_sequence(
     return letters
 
 
+def free_endpoint_log_likelihood(
+    log_z: np.ndarray, site_weights: np.ndarray, masses: np.ndarray
+) -> np.ndarray:
+    """``log f_n`` per row: the pinned sums closed with a free right endpoint,
+
+        log f_n = logsumexp_m [ log Z_m + a_m + log P(gap > n-1-m) ],
+
+    ``log_z`` is ``dp_log_partition`` of the ``(rows, n)`` ``site_weights``;
+    ``a_m`` restores the weight of the last renewal ``m``, which the DP
+    leaves out.  ``masses[g-1] = K^tr(g)`` lists the whole truncated law,
+    so ``P(gap > q)`` is exactly 0 for ``q`` at or past its last gap with
+    mass (where ``1 - sum K`` keeps the rounding of the sum) and is clipped
+    at 0 below it; its log is then ``-inf``.
+    """
+    n = site_weights.shape[1]
+    cum = np.cumsum(masses)
+    m_lo = max(0, n - len(masses))
+    qs = n - 1 - np.arange(m_lo, n)
+    surv = np.where(qs == 0, 1.0, np.maximum(1.0 - cum[np.maximum(qs, 1) - 1], 0.0))
+    surv[qs >= np.flatnonzero(masses)[-1] + 1] = 0.0
+    with np.errstate(divide="ignore"):
+        log_surv = np.log(surv)
+    closing = log_z[:, m_lo:n] + site_weights[:, m_lo:n] + log_surv[None, :]
+    peak = closing.max(axis=1)
+    return peak + np.log(np.exp(closing - peak[:, None]).sum(axis=1))
+
+
 _F2_TOL = 1e-8  # fixed-point residual of the annealed upper bound
 
 
@@ -308,19 +336,15 @@ def entropy_estimator(
 
     Per replica: sample the concatenated tilted-word sequence, run the
     log-domain renewal DP for the truncated kernel at tilt ``beta`` and
-    bias ``log M(beta)``, and close with a free right endpoint,
-
-        log f_n = logsumexp_m [ log Z_m + a_m + log P(gap > n-1-m) ],
-
-    where ``a_m`` is the charge weight at the last renewal ``m`` (the DP
-    convention leaves the terminal site unweighted, so it is restored
-    here) and the survival factor accounts for the chain overshooting the
-    window.  The per-letter average of ``log f_n`` over replicas tends to
-    ``H_tr``; at ``beta = 0`` the likelihood ratio is identically one and
-    the estimate is exactly zero.
+    bias ``log M(beta)``, and close with a free right endpoint
+    (:func:`free_endpoint_log_likelihood`).  The per-letter average of
+    ``log f_n`` over replicas tends to ``H_tr``; at ``beta = 0`` the
+    likelihood ratio is identically one and the estimate is exactly zero.
     """
     if tr < 1 or n < 2 or replicas < 1:
         raise InvalidParameterError("need tr >= 1, n >= 2, replicas >= 1")
+    if not math.isfinite(beta):
+        raise InvalidParameterError(f"beta must be finite, got {beta!r}")
     ktr = truncate_kernel(kernel, tr)
     masses = ktr.mass_array(tr)
     m_tr = ktr.mean()
@@ -335,17 +359,8 @@ def entropy_estimator(
             stream = derive_stream(base_seed, r)
             charges[r] = _sample_word_sequence(disorder, masses, beta, n, stream)
         site_weights = beta * charges - lm
-        log_k = log_mass_vector(ktr, n)
-        log_z = dp_log_partition(log_k, site_weights, band=tr)
-
-        cum = np.cumsum(masses)
-        m_lo = max(0, n - tr)
-        qs = n - 1 - np.arange(m_lo, n)
-        surv = np.where(qs == 0, 1.0, 1.0 - cum[np.maximum(qs, 1) - 1])
-        closing = log_z[:, m_lo:n] + site_weights[:, m_lo:n] + np.log(surv)[None, :]
-        peak = closing.max(axis=1)
-        log_f = peak + np.log(np.exp(closing - peak[:, None]).sum(axis=1))
-        per_replica = log_f / n
+        log_z = dp_log_partition(log_mass_vector(ktr, n), site_weights, band=tr)
+        per_replica = free_endpoint_log_likelihood(log_z, site_weights, masses) / n
         estimate, stderr = _mean_stderr(per_replica)
 
     lower = upper = None

@@ -3,8 +3,10 @@
 Three ingredients live here:
 
 * zeta-function helpers (Riemann values, Hurwitz tails, and the
-  log-weighted sum ``sum n^-s log n``), all by Euler-Maclaurin summation,
-  with the reflection formula for the Riemann values at ``s < 0``,
+  log-weighted sum ``sum n^-s log n``), all from one Euler-Maclaurin
+  expansion of ``sum n^-s`` (the log-weighted sum is its ``s``-derivative,
+  term by term), with the reflection formula for the Riemann values at
+  ``s < 0``,
 * evaluation of ``sum_{n>=1} n^-s x^n`` at ``x = exp(-f)``, accurate down
   to ``f ~ 1e-300`` (needed to resolve free energies near a high-order
   phase transition),
@@ -127,31 +129,28 @@ def zeta_tail(s: float, n0: int) -> float:
 
 
 def zeta_log_sum(s: float) -> float:
-    """``sum_{n>=1} n^-s log n`` for ``s > 1``, i.e. ``-zeta'(s)``.
-
-    The head is summed directly; the tail from ``N = 64`` on is the
-    Euler-Maclaurin expansion of ``f(x) = x^-s log x``:
-
-        sum_{n>=N} f(n) = int_N^inf f + f(N)/2 - f'(N)/12 + f'''(N)/720 - ...
-
-    For ``N = 64`` the first three correction terms already leave a
-    remainder far below double precision for every ``s > 1``.
-    """
-    if s <= 1.0:
+    """``sum_{n>=1} n^-s log n = -zeta'(s)`` for ``s > 1``: ``-d/ds`` of the
+    expansion :func:`_power_sum` sums, term by term, each rising factorial
+    carried with its derivative.  Within about 1e-16 relative for ``s`` in
+    ``[1.01, 10]``."""
+    if not s > 1.0:
         raise InvalidParameterError("zeta_log_sum requires s > 1")
-    N = 64.0
-    ns = np.arange(1.0, N)
-    head = float(np.sum(ns ** (-s) * np.log(ns)))
-    lg = math.log(N)
-    sm1 = s - 1.0
-    integral = N ** (-sm1) * (lg / sm1 + 1.0 / (sm1 * sm1))
-    f0 = N ** (-s) * lg
-    f1 = N ** (-s - 1.0) * (1.0 - s * lg)
-    f3 = N ** (-s - 3.0) * (
-        -s * (s + 1.0) * (s + 2.0) * lg
-        + (3.0 * s * s + 6.0 * s + 2.0)
-    )
-    return head + integral + f0 / 2.0 - f1 / 12.0 + f3 / 720.0
+    s = float(s)
+    x = float(_EM_BASE)
+    log_x = math.log(x)
+    terms = [n ** -s * math.log(n) for n in range(2, _EM_BASE)]
+    integral = x ** (1.0 - s) / (s - 1.0)
+    terms.append(integral * log_x)
+    terms.append(integral / (s - 1.0))
+    terms.append(0.5 * x ** -s * log_x)
+    rising = s * x ** (-s - 1.0)
+    d_rising = x ** (-s - 1.0) - rising * log_x
+    for k, coeff in enumerate(_EM_COEFFS):
+        terms.append(-coeff * d_rising)
+        a, b = s + 2 * k + 1, s + 2 * k + 2
+        d_rising = (d_rising * a * b + rising * (a + b)) / (x * x)
+        rising *= a * b / (x * x)
+    return math.fsum(terms)
 
 
 _POLYLOG_RTOL = 1e-16

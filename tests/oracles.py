@@ -38,26 +38,6 @@ def power_kernel_tail_integral_bound(alpha: float, n0: int) -> tuple[float, floa
     return lower, upper
 
 
-def partition_log_brute(masses: np.ndarray, beta: float, h: float, omega) -> float:
-    """log of the pinned partition sum by exhaustive renewal enumeration.
-
-    Sums over all renewal subsets 0 = k_0 < ... < k_N = n, weighting each
-    gap by its kernel mass and each renewal start by exp(beta w - h).
-    """
-    omega = np.asarray(omega, dtype=float)
-    n = len(omega)
-    total = 0.0
-    for code in range(1 << (n - 1)):
-        points = [0] + [j for j in range(1, n) if (code >> (j - 1)) & 1] + [n]
-        weight = 1.0
-        for a, b in zip(points, points[1:]):
-            gap = b - a
-            mass = masses[gap - 1] if gap <= len(masses) else 0.0
-            weight *= mass * math.exp(beta * omega[a] - h)
-        total += weight
-    return math.log(total)
-
-
 def partition_log_recursion(log_masses, site_weights, band=None) -> list[float]:
     """``log Z_m`` for ``m = 0..n`` by the plain log-domain renewal recursion.
 
@@ -141,59 +121,6 @@ def critical_point_sequential(kernel, disorder, beta: float, config) -> dict:
         widen *= 2.0
     return {"h_lo": h_lo, "h_hi": h_hi + widen, "h_hi_raw": h_hi,
             "undecided": undecided, "diagnostic_h": (h_lo, h_hi)}
-
-
-def enumerate_renewal_configs(masses: np.ndarray, n: int):
-    """(renewal_times, probability) over the window [0, n-1], including the
-    survival factor of the gap that overshoots the window."""
-    tr = len(masses)
-    cum = np.cumsum(masses)
-
-    def survival(q):
-        if q <= 0:
-            return 1.0
-        if q >= tr:
-            return 0.0
-        return float(1.0 - cum[q - 1])
-
-    out = []
-    stack = [((0,), 1.0)]
-    while stack:
-        times, prob = stack.pop()
-        last = times[-1]
-        tail = survival(n - 1 - last)
-        if tail > 0.0:
-            out.append((times, prob * tail))
-        for gap in range(1, min(tr, n - 1 - last) + 1):
-            if masses[gap - 1] > 0.0:
-                stack.append((times + (last + gap,), prob * masses[gap - 1]))
-    return out
-
-
-def free_endpoint_likelihood_brute(masses: np.ndarray, site_weights) -> float:
-    """Word-averaged likelihood with a free right endpoint, enumerated.
-
-    ``site_weights[k] = log w_k``; every renewal inside the window
-    (including 0 and the last one) collects its weight.
-    """
-    site_weights = np.asarray(site_weights, dtype=float)
-    n = len(site_weights)
-    total = 0.0
-    for times, prob in enumerate_renewal_configs(masses, n):
-        total += prob * math.exp(sum(site_weights[t] for t in times))
-    return total
-
-
-def pair_moment_brute(masses: np.ndarray, xi_value: float, n: int) -> float:
-    """E[xi^(# simultaneous renewals in [0, n-1])] by double enumeration."""
-    configs = enumerate_renewal_configs(masses, n)
-    total = 0.0
-    for times_a, prob_a in configs:
-        set_a = set(times_a)
-        for times_b, prob_b in configs:
-            overlap = len(set_a.intersection(times_b))
-            total += prob_a * prob_b * xi_value**overlap
-    return total
 
 
 def replica_moment_log_dp(kernel_tr, log_xi_value: float, n: int) -> float:

@@ -26,7 +26,7 @@ from pinlab.kernels import (
     return_probabilities,
     truncate_kernel,
 )
-from pinlab.oracles import annealed_partition_check, replica_moment_exact_check
+from pinlab.oracles import annealed_partition_check, pinned_partition_log, replica_moment_exact_check
 from pinlab.quenched import (
     QuenchedSearchConfig,
     partition_function_log,
@@ -42,7 +42,7 @@ from pinlab.relevance import (
     entropy_monotonicity_scan,
 )
 
-from oracles import return_prefactor_limit, loglog_slope, partition_log_brute
+from oracles import return_prefactor_limit, loglog_slope
 
 GAUSS = gaussian_disorder()
 RAD = rademacher_disorder()
@@ -111,7 +111,7 @@ def test_05_dp_vs_enumeration():
         h = float(2.0 * rng.random() - 1.0)
         omega = rng.standard_normal(n)
         got = partition_function_log(kernel, beta * omega - h)
-        want = partition_log_brute(kernel.mass_array(n), beta, h, omega)
+        want = pinned_partition_log(kernel.mass_array(n), beta * omega - h)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-12, (case, n, beta, h)
     report(5, f"20 random instances, n <= 12; worst DP-vs-enumeration gap {worst:.2e} <= 1e-12")

@@ -261,6 +261,18 @@ class TestConfigErrors:
             ("annealed-curve",
              {"kernel": GEOMETRIC, "disorder": "gaussian", "beta_grid": [0.5]},
              "disorder"),
+            # a NaN table entry built a NaN law, which failed later (exit 3)
+            ("homopolymer",
+             {"kernel": {"family": "table", "masses": [math.nan, 1.0]}, "lambda_grid": [0.5]},
+             "kernel"),
+            ("annealed-curve",
+             {"kernel": GEOMETRIC, "beta_grid": [0.5], "disorder": {
+                 "family": "discrete", "table": {"xs": [-1, 1], "ps": [math.nan, 0.5]}}},
+             "disorder"),
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "beta_grid": [0.5], "base_seed": 1, "disorder": {
+                 "family": "continuous", "table": {"grid": [0, 1, 2], "values": [1, math.nan, 1]}}},
+             "disorder"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):

@@ -72,6 +72,20 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError, match="distinct"):
             discrete_disorder([0.0, 1.0, 1.0], [0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("make, table", [
+        (discrete_disorder, ([-1, 1], [math.nan, 0.5])),
+        (discrete_disorder, ([math.nan, 1], [0.5, 0.5])),
+        (discrete_disorder, ([-math.inf, 1], [0.5, 0.5])),
+        (discrete_disorder, ([-1, 1], [math.inf, 0.5])),
+        (continuous_disorder, ([0, 1, 2], [1, math.nan, 1])),
+        (continuous_disorder, ([0, math.nan, 2], [1, 1, 1])),
+        (continuous_disorder, ([0, 1, math.inf], [1, 1, 1])),
+        (continuous_disorder, ([0, 1, 2], [1, math.inf, 1])),
+    ])
+    def test_table_rejects_non_finite_entry(self, make, table):
+        with pytest.raises(InvalidParameterError, match="finite|sum to 1"):
+            make(*table)
+
     def test_fair_signs_are_a_discrete_table(self):
         law = rademacher_disorder()
         assert law.family == "discrete"

@@ -87,6 +87,11 @@ class TestTableKernel:
         with pytest.raises(InvalidParameterError):
             make_table_kernel([1.2, -0.2])
 
+    @pytest.mark.parametrize("masses", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0]])
+    def test_rejects_non_finite_mass(self, masses):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            make_table_kernel(masses)
+
     def test_rejects_periodic_support(self):
         with pytest.raises(InvalidParameterError):
             make_table_kernel([0.0, 0.5, 0.0, 0.5])
@@ -163,6 +168,13 @@ class TestReturnProbabilities:
         assert abs(slope - (alpha - 1.0)) <= 0.05
 
 
+def chi_at(kernel, tolerance, start_horizon, max_horizon):
+    """``chi`` with its horizon constants set for one call."""
+    with mock.patch.object(kernels, "_START_HORIZON", start_horizon), \
+            mock.patch.object(kernels, "_MAX_HORIZON", max_horizon):
+        return chi(kernel, tolerance=tolerance)
+
+
 class TestChi:
     def test_geometric_diverges(self):
         result = chi(make_geometric_kernel(0.5))
@@ -170,8 +182,8 @@ class TestChi:
         assert math.isinf(result.value)
 
     def test_alpha_030_finite_and_stable(self):
-        a = chi(make_power_kernel(0.3), tolerance=1e-2, start_horizon=1 << 16, max_horizon=1 << 16)
-        b = chi(make_power_kernel(0.3), tolerance=1e-2, start_horizon=1 << 17, max_horizon=1 << 17)
+        a = chi_at(make_power_kernel(0.3), 1e-2, 1 << 16, 1 << 16)
+        b = chi_at(make_power_kernel(0.3), 1e-2, 1 << 17, 1 << 17)
         assert a.status == b.status == "finite"
         assert abs(a.value - b.value) <= 0.01 * b.value
 
@@ -193,20 +205,15 @@ class TestChi:
         from pinlab.errors import PrecisionError
 
         with pytest.raises(PrecisionError) as info:
-            chi(
-                make_power_kernel(0.3),
-                tolerance=1e-9,
-                start_horizon=1 << 14,
-                max_horizon=1 << 15,
-            )
+            chi_at(make_power_kernel(0.3), 1e-9, 1 << 14, 1 << 15)
         assert info.value.required_horizon is not None
         assert info.value.required_horizon > (1 << 15)
 
     def test_exhausted_budget_reports_required_horizon(self):
         from pinlab.errors import PrecisionError
 
-        # the first horizon already extrapolates past twice max_horizon, so
-        # chi stops there instead of doubling up to max_horizon
+        # the first horizon already extrapolates past twice _MAX_HORIZON, so
+        # chi stops there instead of doubling up to _MAX_HORIZON
         with mock.patch.object(
             kernels, "return_probabilities", wraps=kernels.return_probabilities
         ) as spy:
@@ -237,7 +244,7 @@ class TestChi:
         result = chi(kernel, tolerance=tolerance)
         assert (result.status, result.horizon) == (status, horizon)
         # one fresh reciprocal at the final horizon
-        fresh = chi(kernel, tolerance=tolerance, start_horizon=horizon, max_horizon=horizon)
+        fresh = chi_at(kernel, tolerance, horizon, horizon)
         assert fresh.status == status
         for field in ("value", "partial_sum", "fitted_decay"):
             # equal infinities and NaNs (the undecided value) count as equal

@@ -30,7 +30,7 @@ from pinlab.quenched import (
 from pinlab.rng import RngStream, derive_stream
 
 import oracles
-from oracles import critical_point_sequential, partition_log_brute, partition_log_recursion
+from oracles import critical_point_sequential, partition_log_recursion
 
 
 KERNEL = make_power_kernel(0.5)
@@ -63,16 +63,18 @@ class TestPartitionFunction:
         stream = derive_stream(123, n)
         omega = stream.normal(n)
         got = partition_function_log(KERNEL, 0.8 * omega + 0.1)
-        want = partition_log_brute(KERNEL.mass_array(n), 0.8, -0.1, omega)
+        want = pinned_partition_log(KERNEL.mass_array(n), 0.8 * omega + 0.1)
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_package_oracle_matches_enumeration(self, n):
-        # pinlab.oracles backs `pinlab validate`; a zero mass exercises the skipped gaps
-        masses = np.array([0.4, 0.0, 0.6])
+        # pinlab.oracles backs `pinlab validate`; a zero mass exercises the
+        # skipped gaps, and gaps past the table have no mass
+        masses = [0.4, 0.0, 0.6]
+        log_masses = [math.log(m) if m > 0.0 else -math.inf for m in masses + [0.0] * n]
         weights = 0.8 * derive_stream(321, n).normal(n) - 0.1
-        got = pinned_partition_log(masses, weights)
-        want = partition_log_brute(masses, 1.0, 0.0, weights)
+        got = pinned_partition_log(np.array(masses), weights)
+        want = partition_log_recursion(log_masses, weights)[n]
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_beta_zero_equals_homopolymer(self):
@@ -349,6 +351,23 @@ class TestQuenchedFreeEnergy:
     def test_rejects_negative_beta(self):
         with pytest.raises(InvalidParameterError):
             quenched_free_energy(KERNEL, replica_charges(GAUSS, 8, 2, 0), -0.1, 0.2)
+
+    @pytest.mark.parametrize(
+        "beta, h, bad_site",
+        [(math.nan, 0.2, None), (math.inf, 0.2, None), (1.0, math.nan, None),
+         (1.0, math.inf, None), (1.0, [0.1, math.nan], None), (1.0, 0.2, math.nan),
+         (1.0, 0.2, -math.inf)],
+    )
+    def test_rejects_non_finite_input(self, beta, h, bad_site):
+        charges = replica_charges(GAUSS, 8, 2, 0)
+        if bad_site is not None:
+            charges[1, 3] = bad_site
+        with pytest.raises(InvalidParameterError):
+            quenched_free_energy(KERNEL, charges, beta, h)
+
+    def test_partition_rejects_nan_weight(self):
+        with pytest.raises(InvalidParameterError):
+            partition_function_log(KERNEL, [0.0, math.nan])
 
     @pytest.mark.parametrize("h", [[], [[0.1, 0.2]]])
     def test_rejects_empty_or_nested_biases(self, h):

@@ -22,9 +22,10 @@ from pinlab.kernels import (
     kernel_entropy,
     make_geometric_kernel,
     make_power_kernel,
+    make_table_kernel,
     truncate_kernel,
 )
-from pinlab.oracles import replica_moment_exact_check
+from pinlab.oracles import free_endpoint_likelihood, pair_moment, replica_moment_exact_check
 from pinlab.quenched import dp_log_partition, log_mass_vector
 from pinlab.relevance import (
     annealed_variational_check,
@@ -33,11 +34,12 @@ from pinlab.relevance import (
     critical_temperature_bounds,
     entropy_estimator,
     entropy_monotonicity_scan,
+    free_endpoint_log_likelihood,
     replica_moment_log,
 )
 from pinlab.rng import derive_stream
 
-from oracles import free_endpoint_likelihood_brute, pair_moment_brute, replica_moment_log_dp
+from oracles import replica_moment_log_dp
 
 GAUSS = gaussian_disorder()
 RAD = rademacher_disorder()
@@ -140,10 +142,9 @@ class TestReplicaMoment:
         ]
         for kernel in kernels:
             for n in range(1, 8):
-                masses = kernel.mass_array(n)
                 for beta in (0.4, 1.1):
                     lx = log_xi(RAD, beta)
-                    want = pair_moment_brute(masses, math.exp(lx), n)
+                    want = pair_moment(kernel, math.exp(lx), n)
                     got = math.exp(replica_moment_log(kernel, lx, n))
                     assert got == pytest.approx(want, rel=1e-13)
 
@@ -198,34 +199,37 @@ class TestReplicaMoment:
 
 
 class TestEntropyEstimatorCore:
-    def _log_fn_via_package(self, ktr, tr, weights):
-        # mirrors the estimator's closing step for one explicit weight row
-        n = len(weights)
-        masses = ktr.mass_array(tr)
-        log_z = dp_log_partition(log_mass_vector(ktr, n), weights[None, :], band=tr)
-        cum = np.cumsum(masses)
-        m_lo = max(0, n - tr)
-        qs = n - 1 - np.arange(m_lo, n)
-        surv = np.where(qs == 0, 1.0, 1.0 - cum[np.maximum(qs, 1) - 1])
-        closing = log_z[0, m_lo:n] + weights[m_lo:n] + np.log(surv)
-        peak = closing.max()
-        return float(peak + np.log(np.exp(closing - peak).sum()))
+    @staticmethod
+    def _log_fn(ktr, tr, weights):
+        # the estimator's DP call and closing, for one explicit weight row
+        rows = weights[None, :]
+        log_z = dp_log_partition(log_mass_vector(ktr, len(weights)), rows, band=tr)
+        return float(free_endpoint_log_likelihood(log_z, rows, ktr.mass_array(tr))[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
     @pytest.mark.parametrize("tr", [1, 3, 4])
     def test_free_endpoint_likelihood_matches_enumeration(self, n, tr):
         ktr = truncate_kernel(P03, tr)
-        masses = ktr.mass_array(tr)
         stream = derive_stream(2024, n * 10 + tr)
         weights = 0.8 * stream.normal(n) - 0.32
-        got = self._log_fn_via_package(ktr, tr, weights)
-        want = math.log(free_endpoint_likelihood_brute(masses, weights))
+        got = self._log_fn(ktr, tr, weights)
+        want = math.log(free_endpoint_likelihood(ktr, weights))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_unit_weights_integrate_to_one(self):
         ktr = truncate_kernel(P03, 5)
-        weights = np.zeros(64)
-        assert abs(self._log_fn_via_package(ktr, 5, weights)) <= 1e-12
+        assert abs(self._log_fn(ktr, 5, np.zeros(64))) <= 1e-12
+
+    @pytest.mark.parametrize("masses", [[0.5, 0.5 + 5e-13], [0.7, 0.2, 0.1]])
+    def test_truncation_past_the_support(self, masses):
+        # past the support 1 - sum K reads 5e-13 below 0 (a NaN log f_n) or
+        # 1.1e-16 above it, which made a chain that stops early outweigh
+        # every true path through the strongly negative weights
+        ktr = truncate_kernel(make_table_kernel(masses), 12)
+        weights = np.array([0.0, 0.3, -0.2] + [-100.0] * 6)
+        got = self._log_fn(ktr, 12, weights)
+        want = math.log(free_endpoint_likelihood(ktr, weights))
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestEntropyEstimator:
@@ -281,6 +285,11 @@ class TestEntropyEstimator:
             entropy_estimator(P03, GAUSS, 1.0, tr=0, n=64, replicas=2, base_seed=0)
         with pytest.raises(InvalidParameterError):
             entropy_estimator(P03, GAUSS, 1.0, tr=4, n=1, replicas=2, base_seed=0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(InvalidParameterError):
+            entropy_estimator(P03, GAUSS, beta, tr=4, n=64, replicas=2, base_seed=0)
 
 
 class TestMonotonicityScan:

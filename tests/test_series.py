@@ -21,6 +21,7 @@ from pinlab.series import (
     renewal_function,
     renewal_function_dp,
     zeta,
+    zeta_log_sum,
     zeta_tail,
 )
 
@@ -178,6 +179,18 @@ class TestZeta:
             for n0 in (1, 2, 64, 8193, 10**6):
                 want = float(mp.zeta(s, n0))
                 assert zeta_tail(s, n0) == pytest.approx(want, rel=1e-14, abs=0.0), n0
+
+    @pytest.mark.parametrize("s", [1.01, 1.1, 1.3, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0])
+    def test_log_sum_against_mpmath(self, s):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            want = float(-mp.zeta(s, derivative=1))
+        assert zeta_log_sum(s) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5, math.nan])
+    def test_log_sum_rejects_s_at_most_one(self, s):
+        with pytest.raises(InvalidParameterError):
+            zeta_log_sum(s)
 
 
 class TestPolylog:
