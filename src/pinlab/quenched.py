@@ -10,14 +10,13 @@ hundreds of orders of magnitude, so the recursion is the scaled forward
 algorithm: each replica holds its terms in the linear domain under one
 log-scale, a step is one matrix-vector product and one multiply, the scale
 moves only when a sum or a new term leaves a safe range, and ``log Z_m`` is
-stored in the log domain.  Steps go in runs of up to 64; where the window
-is longer than a run, the part of a run's sums over the sites before it is
-one matrix product at the start of the run, and each step's product covers
-only the run's own sites.  Logs and range tests are taken once per run;
-the first step of a run that leaves the range is repaired and the steps
-after it are computed again.  A step whose linear sum underflows or
-overflows is redone by an exact log-sum-exp, so the extremes give the
-log-domain result.
+stored in the log domain.  Steps go in runs of up to 64; the part of a
+run's sums over the sites before it is one matrix product at the start of
+the run, and each step's product covers only the run's own sites.  Logs
+and range tests are taken once per run; the first step of a run that
+leaves the range is repaired and the steps after it are computed again.
+A step whose linear sum underflows or overflows is redone by an exact
+log-sum-exp, so the extremes give the log-domain result.
 Replicas share nothing: :func:`replica_charges` draws the charges of
 replica ``r`` from its private stream at ``(base_seed, r)``, which makes
 estimates bit-reproducible and embarrassingly parallel.
@@ -25,7 +24,8 @@ estimates bit-reproducible and embarrassingly parallel.
 The quenched free energy per site is estimated as the replica average of
 ``log Z_n / n`` over one ``(replicas, n)`` array of charges, drawn once
 and reused for every bias; several biases can share one DP call as extra
-rows.  Locating its zero in ``h`` is done by bisection with an explicit
+rows.  The critical-point search draws its charges once, at ``2n``, and
+runs on their first ``n`` columns.  Locating its zero in ``h`` is done by bisection with an explicit
 finite-size allowance: a point is declared localized only when the
 estimate clears ``max(3 stderr, 5 / n)``, and the reported upper edge is
 widened by the allowance mapped through the locally observed slope, so the
@@ -90,8 +90,8 @@ _TINY = np.finfo(float).tiny
 # run whose steps all stay in range, and starts again at one after a step that
 # does not; the run buffers hold _RUN_CAP x replicas floats each.
 _RUN_CAP = 64
-# Rows of the Toeplitz block of a long window's far sums: half a run, so the
-# block is _HALF x (width + _HALF) floats (0.5 MB at width 2048).
+# Rows of the Toeplitz block of the far sums: half a run, so the block is
+# _HALF x (width + _HALF) floats (0.5 MB at width 2048).
 _HALF = _RUN_CAP // 2
 
 
@@ -111,22 +111,21 @@ def dp_log_partition(
     HMMs).  Steps go in runs of up to ``_RUN_CAP``, and a step is two array
     operations across the replicas: the sum ``s_m`` of the kernel masses
     times the window's rows of ``y``, and the new entry ``y[m] = s_m
-    e^{w_m}``.  Where the window is at most ``_RUN_CAP`` sites the sum is
-    one product of the reversed masses with the window.  Where it is longer,
-    the part of every sum of a run ``[m, end)`` over the sites ``j < m`` is
-    one matrix product at the start of the run, written into ``y[m:end]``
-    (its Toeplitz factor is a column slice of one ``_HALF``-row block per
-    call), and the sum of step ``m + i`` is the product of ``K(i), ...,
-    K(1), 1`` with ``y[m : m+i+1]``.  A run never spans a rebase, so
-    ``y[j]`` for ``j < m`` stays fixed while the run goes on.  ``e^w`` is
-    taken once per block of ``_RUN_CAP`` sites; after a run, one ``log``
-    gives its ``log Z_m = c_r + log s_m`` and one range test covers all its
-    steps.  The first step at which a replica's sum or new entry leaves the
-    safe range is repaired and the run's later steps are computed again:
-    the replica is rebased (``c_r`` becomes the window's largest ``log Z_j
-    + w_j`` and its window is recomputed from ``log Z``), and a sum that is
-    zero, subnormal or near either end of the float range is first
-    recomputed by the exact log-sum-exp step for that replica alone.  So
+    e^{w_m}``.  The part of every sum of a run ``[m, end)`` over the sites
+    ``j < m`` is one matrix product at the start of the run, written into
+    ``y[m:end]`` (its Toeplitz factor is a column slice of one
+    ``_HALF``-row block per call), and the sum of step ``m + i`` is the
+    product of ``K(i), ..., K(1), 1`` (0 past the band) with ``y[m :
+    m+i+1]``.  A run never spans a rebase, so ``y[j]`` for ``j < m`` stays
+    fixed while the run goes on.  ``e^w`` is taken once per block of
+    ``_RUN_CAP`` sites; after a run, one ``log`` gives its ``log Z_m = c_r
+    + log s_m`` and one range test covers all its steps.  The first step at
+    which a replica's sum or new entry leaves the safe range is repaired
+    and the run's later steps are computed again: the replica is rebased
+    (``c_r`` becomes the window's largest ``log Z_j + w_j`` and its window
+    is recomputed from ``log Z``), and a sum that is zero, subnormal or
+    near either end of the float range is first recomputed by the exact
+    log-sum-exp step for that replica alone.  So
     large ``beta * w``, extreme ``h``, gapped kernels and long stretches of
     very negative weight give the log-domain values, and ``-inf`` where
     ``Z_m = 0``.
@@ -140,16 +139,14 @@ def dp_log_partition(
     """
     reps, n = site_weights.shape
     width = n if band is None else min(band, n)
-    k_rev = np.exp(log_k[:width][::-1])  # K(width), ..., K(1)
-    far = width > _RUN_CAP
-    if far:
-        # toe[i, c] = K(width + _HALF + i - c), 0 past the band: in a run from
-        # m, rows i and i + _HALF take site j from column width + _HALF - m + j
-        # and from the column _HALF to its left
-        pad = np.concatenate([np.zeros(2 * _HALF - 1), k_rev])
-        toe = np.lib.stride_tricks.sliding_window_view(pad, width + _HALF)[_HALF - 1 :: -1].copy()
-        near = np.append(k_rev[width - _RUN_CAP + 1 :], 1.0)  # K(63), ..., K(1), 1
-        nears = [near[_RUN_CAP - 1 - i :] for i in range(_RUN_CAP)]  # step m + i's
+    # K(width), ..., K(1) after 2 * _HALF - 1 zeros
+    pad = np.concatenate([np.zeros(2 * _HALF - 1), np.exp(log_k[:width][::-1])])
+    # toe[i, c] = K(width + _HALF + i - c), 0 past the band: in a run from m,
+    # rows i and i + _HALF take site j from column width + _HALF - m + j and
+    # from the column _HALF to its left
+    toe = np.lib.stride_tricks.sliding_window_view(pad, width + _HALF)[_HALF - 1 :: -1].copy()
+    near = np.append(pad[1 - _RUN_CAP :], 1.0)  # K(63), ..., K(1), 1, 0 past the band
+    nears = [near[_RUN_CAP - 1 - i :] for i in range(_RUN_CAP)]  # step m + i's
     log_z = np.empty((reps, n + 1))
     log_z[:, 0] = 0.0
     y = np.empty((n + 1, reps))  # row n takes the last step's unused entry
@@ -167,21 +164,15 @@ def dp_log_partition(
                 np.exp(site_weights[:, m:hi], out=growth[: hi - m].T)
                 tiny_growth = not growth[: hi - m].min(initial=1.0) >= _TINY
             s, g = sums[: end - m], growth[m - g0 : end - g0]
-            if far:
-                j0 = max(0, m - width)
-                c0 = width + _HALF - (m - j0)
-                top = min(end, m + _HALF)
-                np.matmul(toe[: top - m, c0:], y[j0:m], out=y[m:top])
-                if end > top:
-                    np.matmul(toe[: end - top, c0 - _HALF : width], y[j0:m], out=y[top:end])
-                for t, s_t, g_t, k_t in zip(range(m, end), s, g, nears):
-                    np.dot(k_t, y[m : t + 1], out=s_t)
-                    np.multiply(s_t, g_t, out=y[t])
-            else:
-                for s_t, g_t, t in zip(s, g, range(m, end)):
-                    j0 = t - width if t > width else 0
-                    np.dot(k_rev[width - t + j0:], y[j0:t], out=s_t)
-                    np.multiply(s_t, g_t, out=y[t])
+            j0 = max(0, m - width)
+            c0 = width + _HALF - (m - j0)
+            top = min(end, m + _HALF)
+            np.matmul(toe[: top - m, c0:], y[j0:m], out=y[m:top])
+            if end > top:
+                np.matmul(toe[: end - top, c0 - _HALF : width], y[j0:m], out=y[top:end])
+            for t, s_t, g_t, k_t in zip(range(m, end), s, g, nears):
+                np.dot(k_t, y[m : t + 1], out=s_t)
+                np.multiply(s_t, g_t, out=y[t])
             lz = np.log(s, out=s)
             np.add(scale, lz, out=log_z[:, m:end].T)
             size = np.abs(lz)
@@ -226,10 +217,11 @@ def _log_step(log_z, site_weights, log_k, rows, j0, m):
 
 def partition_function_log(kernel: RenewalKernel, site_weights) -> float:
     """``log Z_n``, ``n = len(site_weights)``, of one chain whose renewal at
-    site ``j`` collects ``exp(site_weights[j])``, e.g. ``beta * omega_j - h``."""
+    site ``j`` collects ``exp(site_weights[j])``, e.g. ``beta * omega_j - h``;
+    a weight of ``-inf`` forbids a renewal at its site."""
     weights = np.asarray(site_weights, dtype=float)[None, :]
-    if np.isnan(weights).any():
-        raise InvalidParameterError("site weights must not be NaN")
+    if np.isnan(weights).any() or (weights == math.inf).any():
+        raise InvalidParameterError("site weights must not be NaN or +inf")
     n = weights.shape[1]
     log_k = log_mass_vector(kernel, n)
     return float(dp_log_partition(log_k, weights, band=kernel.support_upper)[0, n])
@@ -266,7 +258,8 @@ def quenched_free_energy(
     e.g. from :func:`replica_charges`; row ``r`` gives the site weights
     ``beta * charges[r] - h`` of replica ``r``.  For a 1-D sequence of
     biases ``h`` the result is the list of their estimates, from one DP call
-    that takes the replicas of every bias as its rows.
+    that takes the replicas of every bias as its rows.  Site weights, means
+    or standard errors that are not finite raise :class:`PrecisionError`.
     """
     if not 0.0 <= beta < math.inf:
         raise InvalidParameterError(f"beta must be finite and >= 0, got {beta!r}")
@@ -281,16 +274,24 @@ def quenched_free_energy(
         raise InvalidParameterError(f"h and the charges must be finite, got h = {h!r}")
     reps, n = charges.shape
     weights = np.empty((biases.size, reps, n))
-    np.multiply(charges, beta, out=weights)
-    weights -= biases.reshape(-1, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(charges, beta, out=weights)
+        weights -= biases.reshape(-1, 1, 1)
+    if not np.isfinite(weights).all():
+        raise PrecisionError(f"site weights overflow at beta = {beta!r}, h = {h!r}")
     log_k = log_mass_vector(kernel, n)
     log_z = dp_log_partition(log_k, weights.reshape(-1, n), band=kernel.support_upper)
     per_replica = log_z[:, n] / n
     per_replica.setflags(write=False)
-    estimates = [
-        FreeEnergyEstimate(*_mean_stderr(rows), per_replica=rows)
-        for rows in per_replica.reshape(-1, reps)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = [
+            FreeEnergyEstimate(*_mean_stderr(rows), per_replica=rows)
+            for rows in per_replica.reshape(-1, reps)
+        ]
+    if not all(math.isfinite(e.mean) and math.isfinite(e.stderr) for e in estimates):
+        raise PrecisionError(
+            f"log Z_n / n has no finite replica mean and stderr at beta = {beta!r}, h = {h!r}"
+        )
     return estimates if biases.ndim else estimates[0]
 
 
@@ -359,13 +360,16 @@ def quenched_critical_point(
     midpoint also takes the next step's midpoint for either outcome, where
     a next step will run: these are the floats the one-bias-per-call search
     computes, so the probes, the stop and the bracket are those of that
-    search, with about half its DP calls.  The two ``2n`` diagnostics are
-    separate calls, which keeps the peak memory at one ``2n`` call.
+    search, with about half its DP calls.  The charges are drawn once at
+    ``2n``: each replica's stream gives the same first ``n`` draws at
+    either length, so the search runs on the first ``n`` columns, and the
+    two ``2n`` diagnostics share one DP call.
     """
     cfg = config
     h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
 
-    charges = replica_charges(disorder, cfg.n, cfg.replicas, cfg.base_seed)
+    charges_2n = replica_charges(disorder, 2 * cfg.n, cfg.replicas, cfg.base_seed)
+    charges = charges_2n[:, : cfg.n]
     cache: dict[float, FreeEnergyEstimate] = {}
 
     def evaluate(*hs: float) -> None:
@@ -419,10 +423,9 @@ def quenched_critical_point(
             h_hi = mid
 
     est_lo, est_hi = estimate(h_lo), estimate(h_hi)
-    charges_2n = replica_charges(disorder, 2 * cfg.n, cfg.replicas, cfg.base_seed)
+    ests_2n = quenched_free_energy(kernel, charges_2n, beta, [h_lo, h_hi])
     diag = {}
-    for label, h, est in (("h_lo", h_lo, est_lo), ("h_hi", h_hi, est_hi)):
-        est2 = quenched_free_energy(kernel, charges_2n, beta, h)
+    for label, h, est, est2 in zip(("h_lo", "h_hi"), (h_lo, h_hi), (est_lo, est_hi), ests_2n):
         diag[label] = {
             "h": h,
             "n": cfg.n,

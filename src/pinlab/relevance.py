@@ -302,18 +302,14 @@ def free_endpoint_log_likelihood(
     ``log_z`` is ``dp_log_partition`` of the ``(rows, n)`` ``site_weights``;
     ``a_m`` restores the weight of the last renewal ``m``, which the DP
     leaves out.  ``masses[g-1] = K^tr(g)`` lists the whole truncated law,
-    so ``P(gap > q)`` is exactly 0 for ``q`` at or past its last gap with
-    mass (where ``1 - sum K`` keeps the rounding of the sum) and is clipped
-    at 0 below it; its log is then ``-inf``.
+    and ``P(gap > q)`` is the suffix sum of its masses from ``q + 1``: never
+    negative, and exactly 0 (log ``-inf``) from its last gap with mass on.
     """
     n = site_weights.shape[1]
-    cum = np.cumsum(masses)
+    surv = np.cumsum(masses[::-1])[::-1]  # surv[q] = P(gap > q)
     m_lo = max(0, n - len(masses))
-    qs = n - 1 - np.arange(m_lo, n)
-    surv = np.where(qs == 0, 1.0, np.maximum(1.0 - cum[np.maximum(qs, 1) - 1], 0.0))
-    surv[qs >= np.flatnonzero(masses)[-1] + 1] = 0.0
     with np.errstate(divide="ignore"):
-        log_surv = np.log(surv)
+        log_surv = np.log(surv[n - 1 - np.arange(m_lo, n)])
     closing = log_z[:, m_lo:n] + site_weights[:, m_lo:n] + log_surv[None, :]
     peak = closing.max(axis=1)
     return peak + np.log(np.exp(closing - peak[:, None]).sum(axis=1))

@@ -13,8 +13,14 @@ from scipy.stats import chisquare
 
 from pinlab import quenched
 
-from pinlab.disorder import gaussian_disorder, log_mgf, rademacher_disorder
-from pinlab.errors import InvalidParameterError
+from pinlab.disorder import (
+    continuous_disorder,
+    discrete_disorder,
+    gaussian_disorder,
+    log_mgf,
+    rademacher_disorder,
+)
+from pinlab.errors import InvalidParameterError, PrecisionError
 from pinlab.homopolymer import annealed_free_energy
 from pinlab.kernels import make_power_kernel, make_table_kernel
 from pinlab.oracles import annealed_partition_check, pinned_partition_log
@@ -238,12 +244,12 @@ class TestScaledRecursionExtremes:
 
 
 class TestFarProduct:
-    """The seams of the far-sum product, which serves windows longer than a
-    run (``width > 64``): a window of 64 keeps the one-product step, and
-    runs start at steps 1, 2, 4, ..., 64, 128, 192, ... while no step is
-    repaired."""
+    """The seams of the far-sum product, which every window takes: windows
+    shorter than a run (``width < 64``) read zeros past the band in the
+    near masses, and runs start at steps 1, 2, 4, ..., 64, 128, 192, ...
+    while no step is repaired."""
 
-    @pytest.mark.parametrize("band", [None, 64, 65, 100])
+    @pytest.mark.parametrize("band", [None, 1, 8, 63, 64, 65, 100])
     @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
     def test_window_sizes(self, n, band):
         weights = 1.3 * charges(n + (band or 0), 3, n) - 0.2
@@ -365,9 +371,28 @@ class TestQuenchedFreeEnergy:
         with pytest.raises(InvalidParameterError):
             quenched_free_energy(KERNEL, charges, beta, h)
 
+    @pytest.mark.parametrize(
+        "beta, h",
+        [(1e308, 0.0),    # beta * charges overflows
+         (1.0, -1e308),   # the weights are finite, log Z_n overflows: mean inf
+         (1e300, 0.0)],   # the mean is finite, the spread's square overflows
+    )
+    def test_overflow_raises_precision_error(self, beta, h):
+        with pytest.raises(PrecisionError):
+            quenched_free_energy(KERNEL, replica_charges(GAUSS, 16, 4, 0), beta, h)
+
     def test_partition_rejects_nan_weight(self):
         with pytest.raises(InvalidParameterError):
             partition_function_log(KERNEL, [0.0, math.nan])
+
+    def test_partition_rejects_plus_inf_weight(self):
+        with pytest.raises(InvalidParameterError):
+            partition_function_log(KERNEL, [0.0, math.inf])
+
+    def test_partition_minus_inf_weight_forbids_the_contact(self):
+        # no renewal at site 1, so Z_2 = K(2)
+        got = partition_function_log(KERNEL, [0.0, -math.inf])
+        assert got == pytest.approx(math.log(KERNEL.mass_array(2)[1]), rel=1e-15)
 
     @pytest.mark.parametrize("h", [[], [[0.1, 0.2]]])
     def test_rejects_empty_or_nested_biases(self, h):
@@ -387,6 +412,19 @@ class TestQuenchedFreeEnergy:
             np.testing.assert_allclose(est.per_replica, alone.per_replica, rtol=1e-12, atol=1e-12)
             assert est.stderr == pytest.approx(alone.stderr, rel=1e-9, abs=1e-14)
             assert not est.per_replica.flags.writeable
+
+    @pytest.mark.parametrize(
+        "law",
+        [GAUSS, discrete_disorder([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2]),
+         continuous_disorder([0.0, 1.0, 2.0, 4.0], [1.0, 3.0, 1.0, 0.5])],
+        ids=["gaussian", "discrete", "continuous"],
+    )
+    @pytest.mark.parametrize("n", [1, 37, 1024])
+    def test_replica_charges_prefix(self, law, n):
+        # the critical-point search draws once at 2n and runs on the first n
+        # columns, which must be the charges drawn at n, bit for bit
+        long = replica_charges(law, 2 * n, 5, 9)
+        np.testing.assert_array_equal(long[:, :n], replica_charges(law, n, 5, 9))
 
     @pytest.mark.parametrize("n, replicas", [(0, 2), (8, 0)])
     def test_replica_charges_rejects_empty_sizes(self, n, replicas):
@@ -471,15 +509,17 @@ class TestCriticalPoint:
         assert bracket.h_lo <= h_ann
 
     def test_charges_drawn_once_per_size(self):
-        # the search probes several biases per DP call, and BLAS may round a
-        # column differently with another column count, so a fresh one-bias
-        # call agrees to the DP's bound; charges of another seed must miss
+        # the charges are drawn once, at 2n, and the search takes their first
+        # n columns; the search probes several biases per DP call, and BLAS
+        # may round a column differently with another column count, so a
+        # fresh one-bias call agrees to the DP's bound; charges of another
+        # seed must miss
         kernel = make_power_kernel(1.5)
         cfg = QuenchedSearchConfig(n=64, replicas=3, base_seed=4, target_width=0.05)
         with mock.patch.object(quenched, "sample", wraps=quenched.sample) as spy:
             bracket = quenched_critical_point(kernel, GAUSS, 0.6, cfg)
-        drawn = sorted(call.args[2] for call in spy.call_args_list)
-        assert drawn == [64] * 3 + [128] * 3
+        drawn = [call.args[2] for call in spy.call_args_list]
+        assert drawn == [128] * 3
         for label, diag in bracket.diagnostics.items():
             for n, key in ((64, "mean"), (128, "mean_2n")):
                 want = diag[key]
@@ -518,7 +558,7 @@ class TestCriticalPoint:
 
     def test_search_batches_its_probes(self):
         # the edges share a call, each bisection call also takes the next
-        # step's two candidates, and the two 2n diagnostics stay apart
+        # step's two candidates, and the two 2n diagnostics share the last
         kernel = make_power_kernel(1.5)
         cfg = QuenchedSearchConfig(n=128, replicas=8, base_seed=3, target_width=0.01)
         calls = {}
@@ -529,9 +569,9 @@ class TestCriticalPoint:
                 run(kernel, GAUSS, 0.6, cfg)
             calls[name] = [np.size(call.args[3]) for call in spy.call_args_list]
         batched = calls["batched"]
-        assert batched[0] == 2 and batched[-2:] == [1, 1] and max(batched) == 3
-        assert sum(batched[:-2]) > len(calls["sequential"])
-        assert len(batched) - 2 < 0.7 * len(calls["sequential"])
+        assert batched[0] == 2 and batched[-1] == 2 and max(batched) == 3
+        assert sum(batched[:-1]) > len(calls["sequential"])
+        assert len(batched) - 1 < 0.7 * len(calls["sequential"])
 
     def test_rejects_charges_of_wrong_shape(self):
         # one chain's charges, no replicas, no sites
