@@ -236,15 +236,32 @@ class ChiResult:
 
 
 def _fit_decay(u: np.ndarray, horizon: int) -> tuple[float, float]:
-    """Least-squares slope of ``log u_n`` vs ``log n`` on the last decade."""
+    """Fit ``u_n ~ C n^-s`` on the last decade ``n = max(H // 10, 8)..H``
+    and return ``(s, C)``.
+
+    Least squares of ``y = log u_n`` against ``x = log n`` over the
+    positive ``u_n``, in closed form on the deviations ``dx``, ``dy`` from
+    the means: ``slope = sum dx dy / sum dx^2`` and ``intercept = mean(y)
+    - slope mean(x)``.  O(H), with at most four window-length float arrays
+    alive at once; the sums are numpy's pairwise ones, so the fit does not
+    depend on the BLAS thread count.  Fewer than 8 positive values raise
+    :class:`PrecisionError`.
+    """
     lo = max(horizon // 10, 8)
-    ns = np.arange(lo, horizon + 1, dtype=float)
     vals = u[lo : horizon + 1]
     keep = vals > 0.0
-    if keep.sum() < 8:
+    x = np.arange(lo, horizon + 1, dtype=float)
+    if not keep.all():
+        x, vals = x[keep], vals[keep]
+    if len(vals) < 8:
         raise PrecisionError("too few positive return probabilities to fit a decay")
-    slope, intercept = np.polyfit(np.log(ns[keep]), np.log(vals[keep]), 1)
-    return -float(slope), math.exp(float(intercept))
+    np.log(x, out=x)
+    y = np.log(vals)
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    x -= x_mean
+    y -= y_mean
+    slope = float(np.sum(x * y)) / float(np.sum(x * x))
+    return -slope, math.exp(y_mean - slope * x_mean)
 
 
 _UNDECIDED_BAND = (0.95, 1.05)  # fitted decay of u_n^2 too close to 1 to call
@@ -265,10 +282,11 @@ def chi(kernel: RenewalKernel, tolerance: float = 2e-3) -> ChiResult:
     fitted tail ``C^2 N^(1-2s) / (2s-1)`` added and certified ``<=
     tolerance`` (doubling the horizon as needed), inside the band
     undecided.  Each doubling resumes the reciprocal from the previous
-    ``u``, so the whole search costs about one reciprocal at the final
-    horizon.  :class:`PrecisionError` is raised, with the extrapolated
-    ``required_horizon``, at ``_MAX_HORIZON`` or as soon as that horizon
-    exceeds twice ``_MAX_HORIZON``.
+    ``u`` and fits the decay in closed form (:func:`_fit_decay`), so the
+    whole search costs about one reciprocal at the final horizon plus one
+    O(H) fit per horizon ``H``.  :class:`PrecisionError` is raised, with
+    the extrapolated ``required_horizon``, at ``_MAX_HORIZON`` or as soon
+    as that horizon exceeds twice ``_MAX_HORIZON``.
     """
     if not tolerance > 0.0:
         raise InvalidParameterError("tolerance must be positive")

@@ -207,7 +207,14 @@ def return_prefactor_limit(alpha: float) -> float:
     return (alpha / math.pi) * math.sin(alpha * math.pi) * zeta_direct(1.0 + alpha)
 
 
-def loglog_slope(xs, ys) -> float:
+def loglog_fit(xs, ys) -> tuple[float, float]:
+    """``(slope, prefactor)`` of the least-squares line of ``log ys`` against
+    ``log xs`` by ``np.polyfit``, so ``ys ~ prefactor * xs^slope``."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
+    return float(slope), math.exp(float(intercept))
+
+
+def loglog_slope(xs, ys) -> float:
+    return loglog_fit(xs, ys)[0]

@@ -2,6 +2,7 @@
 entropy, and the joint-return kernel."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinlab import kernels
-from pinlab.errors import InvalidParameterError, UndecidedError
+from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.kernels import (
     chi,
     kernel_entropy,
@@ -25,7 +26,13 @@ from pinlab.kernels import (
 )
 from pinlab.series import kernel_from_renewal_function_dp, renewal_function_dp
 
-from oracles import return_prefactor_limit, loglog_slope, power_kernel_tail_integral_bound, zeta_direct
+from oracles import (
+    loglog_fit,
+    loglog_slope,
+    power_kernel_tail_integral_bound,
+    return_prefactor_limit,
+    zeta_direct,
+)
 
 
 def random_table_kernel(weights):
@@ -251,6 +258,79 @@ class TestChi:
             np.testing.assert_allclose(
                 getattr(result, field), getattr(fresh, field), rtol=1e-12, err_msg=field
             )
+
+
+def polyfit_decay(u, horizon):
+    """``(s, C)`` of ``u_n ~ C n^-s`` by ``np.polyfit`` over the positive
+    ``u_n`` of ``_fit_decay``'s window."""
+    lo = max(horizon // 10, 8)
+    ns = np.arange(lo, horizon + 1)
+    vals = u[lo : horizon + 1]
+    keep = vals > 0.0
+    slope, prefactor = loglog_fit(ns[keep], vals[keep])
+    return -slope, prefactor
+
+
+def power_law_with_noise(horizon):
+    """``0.4 n^-0.6`` for ``n = 0..horizon`` (``n = 0`` read as 1) with
+    multiplicative log-normal noise."""
+    ns = np.arange(horizon + 1, dtype=float)
+    ns[0] = 1.0
+    noise = np.exp(0.05 * np.random.default_rng(0).standard_normal(horizon + 1))
+    return 0.4 * ns**-0.6 * noise
+
+
+class TestFitDecay:
+    @pytest.fixture(scope="class", params=[0.3, 0.5, 0.7])
+    def power_returns(self, request):
+        return return_probabilities(make_power_kernel(request.param), 1 << 18)
+
+    @pytest.mark.parametrize("horizon", [1 << 16, 1 << 18])
+    def test_matches_polyfit_on_power_returns(self, power_returns, horizon):
+        s, c = kernels._fit_decay(power_returns, horizon)
+        s_ref, c_ref = polyfit_decay(power_returns, horizon)
+        assert s == pytest.approx(s_ref, rel=1e-12, abs=0.0)
+        assert c == pytest.approx(c_ref, rel=1e-12, abs=0.0)
+
+    def test_masks_zeros_and_negative_noise(self):
+        horizon = 4096
+        u = power_law_with_noise(horizon)
+        lo = horizon // 10
+        u[lo] = 0.0
+        u[lo + 17 :: 301] = 0.0
+        u[lo + 5 :: 211] = -1e-300
+        u[horizon] = -1e-18
+        s, c = kernels._fit_decay(u, horizon)
+        s_ref, c_ref = polyfit_decay(u, horizon)
+        assert s == pytest.approx(s_ref, rel=1e-12, abs=0.0)
+        assert c == pytest.approx(c_ref, rel=1e-12, abs=0.0)
+        # the noise is mean-zero in log scale, so the fit lands near the law
+        assert s == pytest.approx(0.6, abs=0.02)
+
+    # (10, 3): the window 8..10 holds three values, all positive
+    @pytest.mark.parametrize("horizon, positive", [(4096, 0), (4096, 1), (4096, 7), (10, 3)])
+    def test_fewer_than_eight_positive_values_raise(self, horizon, positive):
+        u = np.zeros(horizon + 1)
+        u[0] = 1.0
+        u[horizon + 1 - positive :] = 1e-3
+        u[horizon // 10 : horizon + 1 - positive : 2] = -1e-17
+        with pytest.raises(PrecisionError):
+            kernels._fit_decay(u, horizon)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_memory_is_a_few_window_arrays(self, masked):
+        # a few float arrays of the window's length, not a least-squares system
+        horizon = 1 << 20
+        u = power_law_with_noise(horizon)
+        if masked:
+            u[horizon // 10 :: 1000] = 0.0
+        tracemalloc.start()
+        try:
+            kernels._fit_decay(u, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * horizon
 
 
 class TestTruncation:
