@@ -12,16 +12,20 @@ Subcommands::
 A flag is registered only on the commands that read it (``_COMMANDS``):
 ``--config`` and ``--out`` on all, ``--format`` on all but ``validate``,
 ``--seed`` on ``phase-diagram``, ``relevance`` and ``validate``, and
-``--threads`` on ``phase-diagram``.
+``--threads`` on ``phase-diagram``, which solves its beta grid serially
+and accepts only ``--threads 1``.
 
 One JSON document configures a run (no environment overrides except the
 output directory via ``PINLAB_OUT_DIR``); the manifest hash covers that
 document, so reruns with the same config and seed produce byte-identical
 numeric payloads.  Floats print with 17 significant digits for exact
 round trips.  ``main`` builds one :class:`RunWriter` per run once the
-config is read, and the run ends with its ``<command>_manifest.json``
-also when it fails with a pinlab error: the manifest then names the
-error, the exit code and the outputs written before it.
+config is read.  The writer keeps the run's identity (toolkit version,
+command, config hash and seed) in one dict, which heads every CSV table,
+JSON table and manifest it writes.  The run ends with its
+``<command>_manifest.json`` also when it fails with a pinlab error: the
+manifest then names the error, the exit code and the outputs written
+before it.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant failure,
 4 completed with undecided verdicts or warnings.
@@ -36,7 +40,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -192,16 +195,21 @@ def _fmt(x) -> str:
 class RunWriter:
     """Collects rows, warnings, and timings; emits payload plus manifest.
 
-    A command sets ``seed`` when it reads one; ``validate`` records its
-    per-check verdicts in ``checks``.
+    ``_identity`` holds the run's toolkit version, command, config hash
+    and seed, in the order of the CSV header; a command sets its seed when
+    it reads one.  ``validate`` records its per-check verdicts in
+    ``checks``.
     """
 
     def __init__(self, command: str, cfg: dict, out_dir: str, fmt: str | None):
-        self.command = command
-        self.cfg = cfg
+        self._identity = {
+            "pinlab": __version__,
+            "command": command,
+            "config_hash": _config_hash(cfg),
+            "seed": None,
+        }
         self.out_dir = out_dir
         self.fmt = fmt
-        self.seed: int | None = None
         self.warnings: list[str] = []
         self.timings: dict[str, float] = {}
         self.outputs: list[str] = []
@@ -210,17 +218,6 @@ class RunWriter:
 
     def time_block(self, name: str, started: float):
         self.timings[name] = round(time.perf_counter() - started, 6)
-
-    def header_lines(self, columns: list[str]) -> list[str]:
-        lines = [
-            f"# pinlab {__version__}",
-            f"# command {self.command}",
-            f"# config_hash {_config_hash(self.cfg)}",
-        ]
-        if self.seed is not None:
-            lines.append(f"# seed {self.seed}")
-        lines.append("# columns " + ",".join(columns))
-        return lines
 
     def write_json(self, name: str, doc) -> str:
         """Write ``doc`` to ``name`` in the output directory; return the path."""
@@ -232,20 +229,15 @@ class RunWriter:
 
     def write_table(self, stem: str, columns: list[str], rows: list[dict]) -> str:
         if self.fmt == "json":
-            doc = {
-                "pinlab": __version__,
-                "command": self.command,
-                "config_hash": _config_hash(self.cfg),
-                "seed": self.seed,
-                "columns": columns,
-                "rows": rows,
-            }
+            doc = {**self._identity, "columns": columns, "rows": rows}
             path = self.write_json(f"{stem}.json", doc)
         else:
             path = os.path.join(self.out_dir, f"{stem}.csv")
             with open(path, "w") as fh:
-                for line in self.header_lines(columns):
-                    fh.write(line + "\n")
+                for key, value in self._identity.items():
+                    if value is not None:
+                        fh.write(f"# {key} {value}\n")
+                fh.write("# columns " + ",".join(columns) + "\n")
                 fh.write(",".join(columns) + "\n")
                 for row in rows:
                     fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
@@ -259,10 +251,7 @@ class RunWriter:
             code = EXIT_UNDECIDED if self.warnings else EXIT_OK
         self.timings["total"] = round(time.perf_counter() - self._t0, 6)
         manifest = {
-            "pinlab": __version__,
-            "command": self.command,
-            "config_hash": _config_hash(self.cfg),
-            "seed": self.seed,
+            **self._identity,
             "timings": self.timings,
             "warnings": self.warnings,
             "outputs": [os.path.basename(p) for p in self.outputs],
@@ -271,7 +260,8 @@ class RunWriter:
         }
         if self.checks:
             manifest["checks"] = self.checks
-        self.write_json(f"{self.command.replace('-', '_')}_manifest.json", manifest)
+        stem = self._identity["command"].replace("-", "_")
+        self.write_json(f"{stem}_manifest.json", manifest)
         for out in self.outputs:
             print(out)
         return code
@@ -313,7 +303,7 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
-    seed = writer.seed = _seed_from_config(cfg, args.seed)
+    seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed)
     qcfg = QuenchedSearchConfig(
         n=_fetch_number(cfg, "quenched.n", int, 4096, positive=True),
         replicas=_fetch_number(cfg, "quenched.replicas", int, 64, positive=True),
@@ -321,15 +311,8 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
         target_width=_fetch_number(cfg, "quenched.target_width", float, 0.002, positive=True),
     )
 
-    def solve(beta: float):
-        return quenched_critical_point(kernel, disorder, beta, qcfg)
-
     t0 = time.perf_counter()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            brackets = list(pool.map(solve, grid))
-    else:
-        brackets = [solve(beta) for beta in grid]
+    brackets = [quenched_critical_point(kernel, disorder, beta, qcfg) for beta in grid]
     writer.time_block("quenched_brackets", t0)
 
     rows = []
@@ -358,7 +341,7 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     beta = _fetch_number(cfg, "beta", float)
-    seed = writer.seed = _seed_from_config(cfg, args.seed)
+    seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed)
     tr_schedule = _as_numbers(
         "tr_schedule",
         int,
@@ -524,7 +507,7 @@ _CONSTRUCTION_CHECK = "kernel-mass-normalization"
 
 
 def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
-    seed = writer.seed = _seed_from_config(cfg, args.seed, default=0)
+    seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed, default=0)
     names = [_CONSTRUCTION_CHECK] + [name for name, _, _ in _CHECKS]
     selected = _fetch(cfg, "checks", required=False)
     if selected is not None:
@@ -578,8 +561,9 @@ _FLAGS = {
     "--out": {"default": None, "help": "output directory"},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
     "--seed": {"type": int, "default": None, "help": "override config base_seed"},
-    "--threads": {"type": int, "default": 1,
-                  "help": "solve the beta grid on this many threads"},
+    # the beta grid is solved serially; the flag stays for callers that pass 1
+    "--threads": {"type": int, "choices": (1,), "default": 1,
+                  "help": "accepted for compatibility; only 1"},
 }
 
 # command -> (runner, the flags it reads)

@@ -32,9 +32,8 @@ from .errors import (
     UndecidedError,
 )
 from .series import (
-    kernel_from_renewal_function,
     polylog_exp,
-    renewal_function,
+    power_series_inverse,
     zeta,
     zeta_log_sum,
     zeta_tail,
@@ -199,13 +198,17 @@ def return_probabilities(
     """Read-only ``u_m = P(S_m = 0)`` for ``m = 0..n`` (``u_0 = 1``), the
     solution of ``u_m = sum_{j=1}^m K(j) u_{m-j}``.
 
-    O(N log N) power-series reciprocal; agrees with the exact recursion to
-    better than 1e-12 per term.  ``head``, the ``u`` of the same kernel at
-    a shorter horizon, lets the reciprocal resume instead of restart.
+    ``U(z) = 1 / (1 - K(z))`` by the O(N log N) power-series reciprocal;
+    agrees with the exact recursion to better than 1e-12 per term.
+    ``head``, the ``u`` of the same kernel at a shorter horizon, lets the
+    reciprocal resume instead of restart.
     """
     if n < 0:
         raise InvalidParameterError("horizon must be >= 0")
-    u = renewal_function(kernel.mass_array(n), n, head)
+    a = np.empty(n + 1)
+    a[0] = 1.0
+    np.negative(kernel.mass_array(n), out=a[1:])
+    u = power_series_inverse(a, n + 1, head)
     u.setflags(write=False)
     return u
 
@@ -366,7 +369,8 @@ def overlap_kernel(kernel: RenewalKernel, n: int) -> np.ndarray:
     independent copies.
 
     Squares the return probabilities (independence of the two copies) and
-    inverts the renewal recursion.  Inversion noise in ``(-1e-10, 0)`` is
+    inverts the renewal recursion, ``K_2(z) = 1 - 1/V(z)`` with ``V(z) =
+    sum u_m^2 z^m``.  Inversion noise in ``(-1e-10, 0)`` is
     clamped to zero; anything below aborts as numerical corruption.  The
     partial sums ``L_2(n)`` increase to ``chi / (chi + 1)`` for an
     untruncated transient input and to 1 for a truncated one.
@@ -376,7 +380,8 @@ def overlap_kernel(kernel: RenewalKernel, n: int) -> np.ndarray:
     u = return_probabilities(kernel, n)
     v = u * u
     v[0] = 1.0
-    k2 = kernel_from_renewal_function(v, n)
+    k2 = power_series_inverse(v, n + 1)[1:]
+    np.negative(k2, out=k2)
     worst = float(k2.min()) if k2.size else 0.0
     if worst < _NEGATIVE_MASS_ABORT:
         raise InternalConsistencyError(

@@ -240,13 +240,32 @@ def replica_charges(disorder: DisorderLaw, n: int, replicas: int, base_seed: int
     return rows
 
 
+def _site_weights(charges: np.ndarray, beta: float, h) -> np.ndarray:
+    """``beta * charges - h``, built in one array, for a bias ``h`` or each
+    bias of a 1-D array ``h`` (then one ``charges``-shaped block per bias).
+    A weight that is not finite raises :class:`PrecisionError`."""
+    biases = np.asarray(h, dtype=float)
+    weights = np.empty(biases.shape + charges.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(charges, beta, out=weights)
+        weights -= biases.reshape(biases.shape + (1, 1))
+    if not np.isfinite(weights).all():
+        raise PrecisionError(f"site weights overflow at beta = {beta!r}, h = {h!r}")
+    return weights
+
+
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Mean of the replica values and its standard error ``std(ddof=1) /
-    sqrt(R)``, 0 for a single replica."""
-    mean = float(values.mean())
-    if len(values) == 1:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
+    sqrt(R)``, 0 for a single replica.  A mean or standard error that is
+    not finite raises :class:`PrecisionError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        stderr = 0.0 if len(values) == 1 else float(values.std(ddof=1) / math.sqrt(len(values)))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise PrecisionError(
+            f"the replicas have no finite mean and stderr (mean {mean!r}, stderr {stderr!r})"
+        )
+    return mean, stderr
 
 
 def quenched_free_energy(
@@ -273,25 +292,15 @@ def quenched_free_energy(
     if not (np.isfinite(biases).all() and np.isfinite(charges).all()):
         raise InvalidParameterError(f"h and the charges must be finite, got h = {h!r}")
     reps, n = charges.shape
-    weights = np.empty((biases.size, reps, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(charges, beta, out=weights)
-        weights -= biases.reshape(-1, 1, 1)
-    if not np.isfinite(weights).all():
-        raise PrecisionError(f"site weights overflow at beta = {beta!r}, h = {h!r}")
+    weights = _site_weights(charges, beta, h).reshape(-1, n)
     log_k = log_mass_vector(kernel, n)
-    log_z = dp_log_partition(log_k, weights.reshape(-1, n), band=kernel.support_upper)
+    log_z = dp_log_partition(log_k, weights, band=kernel.support_upper)
     per_replica = log_z[:, n] / n
     per_replica.setflags(write=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        estimates = [
-            FreeEnergyEstimate(*_mean_stderr(rows), per_replica=rows)
-            for rows in per_replica.reshape(-1, reps)
-        ]
-    if not all(math.isfinite(e.mean) and math.isfinite(e.stderr) for e in estimates):
-        raise PrecisionError(
-            f"log Z_n / n has no finite replica mean and stderr at beta = {beta!r}, h = {h!r}"
-        )
+    estimates = [
+        FreeEnergyEstimate(*_mean_stderr(rows), per_replica=rows)
+        for rows in per_replica.reshape(-1, reps)
+    ]
     return estimates if biases.ndim else estimates[0]
 
 

@@ -54,7 +54,7 @@ from .kernels import (
     return_probabilities,
     truncate_kernel,
 )
-from .quenched import _mean_stderr, dp_log_partition, log_mass_vector
+from .quenched import _mean_stderr, _site_weights, dp_log_partition, log_mass_vector
 from .rng import derive_stream
 from .roots import brentq
 from .series import power_series_inverse
@@ -273,15 +273,17 @@ def _sample_word_sequence(
     first letter of each word is tilted, the rest are not.  Draw order is
     fixed (lengths, base letters, first letters) and length draws do not
     depend on ``beta``, so a shared stream yields common random numbers
-    across a tilt grid.
+    across a tilt grid.  A uniform at or above the rounded total of the
+    masses takes the longest length with mass on.
     """
     cum = np.cumsum(masses)
+    longest = int(np.flatnonzero(masses)[-1])
     mean_len = float(np.dot(np.arange(1, len(masses) + 1), masses))
     lengths = np.empty(0, dtype=np.int64)
     covered = 0.0
     while covered < n:
         want = max(int((n - covered) / mean_len * 1.2) + 8, 16)
-        draw = np.searchsorted(cum, stream.uniform(want), side="right") + 1
+        draw = np.minimum(np.searchsorted(cum, stream.uniform(want), side="right"), longest) + 1
         lengths = np.concatenate([lengths, draw])
         covered = float(lengths.sum())
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
@@ -336,6 +338,8 @@ def entropy_estimator(
     (:func:`free_endpoint_log_likelihood`).  The per-letter average of
     ``log f_n`` over replicas tends to ``H_tr``; at ``beta = 0`` the
     likelihood ratio is identically one and the estimate is exactly zero.
+    Site weights, means or standard errors that are not finite raise
+    :class:`PrecisionError`, as in :func:`pinlab.quenched.quenched_free_energy`.
     """
     if tr < 1 or n < 2 or replicas < 1:
         raise InvalidParameterError("need tr >= 1, n >= 2, replicas >= 1")
@@ -354,7 +358,7 @@ def entropy_estimator(
         for r in range(replicas):
             stream = derive_stream(base_seed, r)
             charges[r] = _sample_word_sequence(disorder, masses, beta, n, stream)
-        site_weights = beta * charges - lm
+        site_weights = _site_weights(charges, beta, lm)
         log_z = dp_log_partition(log_mass_vector(ktr, n), site_weights, band=tr)
         per_replica = free_endpoint_log_likelihood(log_z, site_weights, masses) / n
         estimate, stderr = _mean_stderr(per_replica)
@@ -362,8 +366,7 @@ def entropy_estimator(
     lower = upper = None
     sandwich = None
     if compute_bounds:
-        pos = masses[masses > 0.0]
-        lower = (relative_entropy_tilt(disorder, beta) + float(np.sum(pos * np.log(pos)))) / m_tr
+        lower = (relative_entropy_tilt(disorder, beta) - kernel_entropy(ktr)) / m_tr
         upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=_F2_TOL).f2
         slack = 3.0 * stderr
         sandwich = (lower - slack <= estimate) and (estimate <= upper + slack)

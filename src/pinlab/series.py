@@ -10,14 +10,16 @@ Three ingredients live here:
 * evaluation of ``sum_{n>=1} n^-s x^n`` at ``x = exp(-f)``, accurate down
   to ``f ~ 1e-300`` (needed to resolve free energies near a high-order
   phase transition),
-* solution of renewal-type convolution recursions by Newton iteration on
-  the power-series reciprocal (O(N log N)): middle-product steps whose
-  real FFTs (``numpy.fft``) have the 5-smooth length just above the
-  coefficients they lift, resumable from a known ``head`` so that a
-  growing horizon costs about one reciprocal at its end.  This is the
-  only path the library runs; the exact O(N^2) dynamic programs
-  (``renewal_function_dp``, ``kernel_from_renewal_function_dp``) are kept
-  as reference oracles for the tests.
+* the power-series reciprocal :func:`power_series_inverse` (O(N log N)),
+  which solves every renewal-type convolution recursion: the return
+  probabilities are ``1 / (1 - K(z))``, the overlap gap law is ``1 -
+  1/V(z)``, and the pair-chain moment is one reciprocal too.  Newton
+  steps take the middle product, their real FFTs (``numpy.fft``) have
+  the 5-smooth length just above the coefficients they lift, and a known
+  ``head`` lets a growing horizon cost about one reciprocal at its end.
+  This is the only path the library runs; the exact O(N^2) dynamic
+  programs (``renewal_function_dp``, ``kernel_from_renewal_function_dp``)
+  are kept as reference oracles for the tests.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ __all__ = [
     "polylog_exp",
     "next_fast_len",
     "power_series_inverse",
-    "renewal_function",
     "renewal_function_dp",
-    "kernel_from_renewal_function",
     "kernel_from_renewal_function_dp",
 ]
 
@@ -324,7 +324,7 @@ def power_series_inverse(a: np.ndarray, n: int, head: np.ndarray | None = None) 
 def renewal_function_dp(k_masses: np.ndarray, n: int) -> np.ndarray:
     """Renewal probabilities ``u_0..u_n`` by the exact dynamic program.
 
-    Reference oracle for :func:`renewal_function`.
+    Reference oracle for :func:`power_series_inverse` of ``1 - K(z)``.
 
     ``u_0 = 1`` and ``u_m = sum_{j=1}^{m} K(j) u_{m-j}``, with
     ``k_masses[j-1] = K(j)`` (entries beyond the kernel support are 0).
@@ -339,26 +339,10 @@ def renewal_function_dp(k_masses: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def renewal_function(
-    k_masses: np.ndarray, n: int, head: np.ndarray | None = None
-) -> np.ndarray:
-    """Renewal probabilities ``u_0..u_n``; ``U(z) = 1 / (1 - K(z))``.
-
-    Agrees with :func:`renewal_function_dp` to better than 1e-12 per term.
-    ``head`` is ``u_0..u_h`` of the same kernel at a shorter horizon; the
-    inverse resumes from it (see :func:`power_series_inverse`).
-    """
-    a = np.zeros(n + 1, dtype=float)
-    a[0] = 1.0
-    avail = min(n, len(k_masses))
-    a[1 : avail + 1] = -np.asarray(k_masses[:avail], dtype=float)
-    return power_series_inverse(a, n + 1, head)
-
-
 def kernel_from_renewal_function_dp(v: np.ndarray, n: int) -> np.ndarray:
     """Invert ``v_m = sum_{j=1}^m K(j) v_{m-j}`` for the gap law ``K(1..n)``.
 
-    Reference oracle for :func:`kernel_from_renewal_function`.
+    Reference oracle for ``1 - 1/V(z)`` by :func:`power_series_inverse`.
 
     ``v`` must carry ``v_0 = 1`` and at least ``n`` further entries.
     """
@@ -367,9 +351,3 @@ def kernel_from_renewal_function_dp(v: np.ndarray, n: int) -> np.ndarray:
         acc = v[m] - np.dot(k[: m - 1], v[m - 1 : 0 : -1])
         k[m - 1] = acc
     return k
-
-
-def kernel_from_renewal_function(v: np.ndarray, n: int) -> np.ndarray:
-    """Gap law ``K(1..n)`` of a renewal sequence ``v``: ``K(z) = 1 - 1/V(z)``."""
-    w = power_series_inverse(np.asarray(v[: n + 1], dtype=float), n + 1)
-    return -w[1:]

@@ -402,14 +402,20 @@ class TestPhaseDiagramCommand:
                 "quenched": {"n": 256, "replicas": 4, "target_width": 0.02},
             },
         )
-        serial, threaded = tmp_path / "s", tmp_path / "t"
+        # the grid is solved serially: --threads 1 is the default, any other
+        # count is a usage error
+        serial, flagged = tmp_path / "s", tmp_path / "t"
         assert run(["phase-diagram", "--config", cfg, "--out", serial]) in (EXIT_OK, 4)
         assert run(
-            ["phase-diagram", "--config", cfg, "--out", threaded, "--threads", "2"]
+            ["phase-diagram", "--config", cfg, "--out", flagged, "--threads", "1"]
         ) in (EXIT_OK, 4)
         assert (serial / "phase_diagram.csv").read_bytes() == (
-            threaded / "phase_diagram.csv"
+            flagged / "phase_diagram.csv"
         ).read_bytes()
+        with pytest.raises(SystemExit) as info:
+            run(["phase-diagram", "--config", cfg, "--out", tmp_path / "x", "--threads", "2"])
+        assert info.value.code == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
 
 
 class TestRelevanceCommand:
@@ -548,6 +554,8 @@ class TestValidateCommand:
         ]
 
     def test_checks_the_series_path_the_library_runs(self, tmp_path, capsys, monkeypatch):
+        import pinlab.kernels
+        import pinlab.relevance
         import pinlab.series
 
         exact = pinlab.series.power_series_inverse
@@ -557,7 +565,9 @@ class TestValidateCommand:
             v[1] += 1e-9
             return v
 
-        monkeypatch.setattr(pinlab.series, "power_series_inverse", perturbed)
+        # every module that binds the reciprocal
+        for module in (pinlab.series, pinlab.kernels, pinlab.relevance):
+            monkeypatch.setattr(module, "power_series_inverse", perturbed)
         cfg = write_config(
             tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
         )

@@ -14,7 +14,7 @@ from pinlab.disorder import (
     log_xi,
     rademacher_disorder,
 )
-from pinlab.errors import InvalidParameterError, UndecidedError
+from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
 from pinlab.kernels import (
     ChiResult,
@@ -33,6 +33,7 @@ from pinlab.relevance import (
     beta_c_star_star,
     critical_temperature_bounds,
     entropy_estimator,
+    _sample_word_sequence,
     entropy_monotonicity_scan,
     free_endpoint_log_likelihood,
     replica_moment_log,
@@ -232,6 +233,34 @@ class TestEntropyEstimatorCore:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestWordLengths:
+    class TopStream:
+        """Every uniform the largest float below 1, every normal 0."""
+
+        def uniform(self, count):
+            return np.full(count, 1.0 - 2.0**-53)
+
+        def normal(self, count):
+            return np.zeros(count)
+
+    @pytest.mark.parametrize(
+        "kernel, tr, longest",
+        [(make_power_kernel(0.5), 4, 4), (make_power_kernel(1.5), 32, 32),
+         (make_table_kernel([0.6, 0.4 - 1e-13]), 6, 2)],
+        ids=["power0.5-tr4", "power1.5-tr32", "table-past-support"],
+    )
+    def test_top_uniform_takes_the_longest_length_with_mass(self, kernel, tr, longest):
+        # the truncated masses sum to 1 - 2^-53 or less, so the top uniform
+        # lies at or past their cumulative total
+        masses = truncate_kernel(kernel, tr).mass_array(tr)
+        assert np.cumsum(masses)[-1] <= 1.0 - 2.0**-53
+        letters = _sample_word_sequence(GAUSS, masses, 1.0, 3 * longest + 1, self.TopStream())
+        # only first letters are tilted away from 0, so they mark the word starts
+        np.testing.assert_array_equal(
+            np.flatnonzero(letters), np.arange(0, 3 * longest + 1, longest)
+        )
+
+
 class TestEntropyEstimator:
     def test_beta_zero_exact(self):
         rep = entropy_estimator(P03, GAUSS, 0.0, tr=4, n=128, replicas=4, base_seed=1)
@@ -291,6 +320,11 @@ class TestEntropyEstimator:
         with pytest.raises(InvalidParameterError):
             entropy_estimator(P03, GAUSS, beta, tr=4, n=64, replicas=2, base_seed=0)
 
+    def test_overflowing_weights_raise_precision_error(self):
+        # log M(1e160) = 5e319 overflows, so no site weight is finite
+        with pytest.raises(PrecisionError):
+            entropy_estimator(P03, GAUSS, 1e160, 4, 16, 2, 0, compute_bounds=False)
+
 
 class TestMonotonicityScan:
     def test_rademacher_grid_nondecreasing(self):
@@ -308,6 +342,12 @@ class TestMonotonicityScan:
         )
         assert scan.reports[0].estimate == scan.reports[1].estimate
         assert scan.monotone_ok
+
+    def test_overflowing_grid_point_raises_precision_error(self):
+        with pytest.raises(PrecisionError):
+            entropy_monotonicity_scan(
+                P03, GAUSS, [0.5, 1.0, 1e160], tr=4, n=16, replicas=2, base_seed=0
+            )
 
     def test_rejects_decreasing_grid(self):
         with pytest.raises(InvalidParameterError):

@@ -13,12 +13,10 @@ from pinlab.kernels import make_power_kernel
 from pinlab.series import (
     _SERIES_TERMS,
     _zeta_row,
-    kernel_from_renewal_function,
     kernel_from_renewal_function_dp,
     next_fast_len,
     polylog_exp,
     power_series_inverse,
-    renewal_function,
     renewal_function_dp,
     zeta,
     zeta_log_sum,
@@ -62,12 +60,18 @@ def kernel_masses(draw):
     return masses / masses.sum()
 
 
+def renewal(masses, n, head=None):
+    """``u_0..u_n`` as the library computes them: the reciprocal of
+    ``1 - K(z)``, with ``K(j) = masses[j-1]`` (0 past the table)."""
+    return power_series_inverse(np.concatenate(([1.0], -masses[:n])), n + 1, head)
+
+
 class TestAgainstDynamicPrograms:
     @settings(max_examples=60)
     @given(lengths, kernel_masses())
     def test_renewal_function(self, length, masses):
         n = length - 1
-        u = renewal_function(masses, n)
+        u = renewal(masses, n)
         assert u.shape == (length,)
         assert np.max(np.abs(u - renewal_function_dp(masses, n))) <= 1e-12
 
@@ -77,7 +81,7 @@ class TestAgainstDynamicPrograms:
         n = length - 1
         v = renewal_function_dp(masses, n) ** 2
         v[0] = 1.0
-        k2 = kernel_from_renewal_function(v, n)
+        k2 = -power_series_inverse(v, n + 1)[1:]
         assert k2.shape == (n,)
         if n:
             assert np.max(np.abs(k2 - kernel_from_renewal_function_dp(v, n))) <= 1e-12
@@ -91,8 +95,8 @@ class TestResume:
         # the fresh inverse round apart by about 1e-14 at these lengths, so both
         # are held to the bound of a fresh inverse against the exact recursion
         n = length - 1
-        head = renewal_function(masses, known - 1)
-        resumed = renewal_function(masses, n, head)
+        head = renewal(masses, known - 1)
+        resumed = renewal(masses, n, head)
         assert resumed.shape == (length,)
         assert np.max(np.abs(resumed - renewal_function_dp(masses, n))) <= 1e-12
 
@@ -100,16 +104,16 @@ class TestResume:
     def test_doubled_horizon_is_the_fresh_result(self, horizon):
         # the rungs below 2h - 1 coefficients are those of a call at h
         masses = make_power_kernel(0.3).mass_array(2 * horizon)
-        head = renewal_function(masses, horizon)
+        head = renewal(masses, horizon)
         np.testing.assert_array_equal(
-            renewal_function(masses, 2 * horizon, head), renewal_function(masses, 2 * horizon)
+            renewal(masses, 2 * horizon, head), renewal(masses, 2 * horizon)
         )
 
     def test_power_kernel_head_matches_fresh(self):
         masses = make_power_kernel(0.5).mass_array(5000)
-        fresh = renewal_function(masses, 5000)
+        fresh = renewal(masses, 5000)
         for known in (1, 2, 65, 700, 2501, 4999):
-            resumed = renewal_function(masses, 5000, renewal_function(masses, known - 1))
+            resumed = renewal(masses, 5000, renewal(masses, known - 1))
             assert np.max(np.abs(resumed - fresh)) <= 1e-14
 
     def test_long_head_is_cut(self):
