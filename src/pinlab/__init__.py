@@ -43,8 +43,6 @@ from .quenched import (
 )
 from .relevance import (
     annealed_variational_check,
-    beta_c_star,
-    beta_c_star_star,
     critical_temperature_bounds,
     entropy_estimator,
     entropy_monotonicity_scan,
@@ -88,8 +86,6 @@ __all__ = [
     "quenched_free_energy",
     "quenched_critical_point",
     # relevance
-    "beta_c_star",
-    "beta_c_star_star",
     "critical_temperature_bounds",
     "entropy_estimator",
     "entropy_monotonicity_scan",

@@ -34,6 +34,7 @@ Exit codes: 0 success, 2 configuration error, 3 invariant failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -330,7 +331,7 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
                 "verdict": verdict,
             }
         )
-        sidecar.append(bracket.to_json())
+        sidecar.append(dataclasses.asdict(bracket))
     writer.write_table(
         "phase_diagram", ["beta", "h_c_ann", "h_que_lo", "h_que_hi", "verdict"], rows
     )
@@ -356,8 +357,7 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     replicas = _fetch_number(cfg, "replicas", int, 64, positive=True)
 
     t0 = time.perf_counter()
-    chi_result = compute_chi(kernel)
-    bounds = critical_temperature_bounds(kernel, disorder, chi_result=chi_result)
+    bounds = critical_temperature_bounds(kernel, disorder, compute_chi(kernel))
     writer.time_block("temperature_bounds", t0)
 
     t0 = time.perf_counter()
@@ -400,7 +400,7 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
         ["beta", "tr", "m_tr", "estimate", "stderr", "lower", "upper", "verdict"],
         rows,
     )
-    doc = bounds.to_json()
+    doc = dataclasses.asdict(bounds)
     doc["beta"] = beta
     doc["overall_verdict"] = overall
     writer.outputs.append(writer.write_json("relevance_bounds.json", doc))

@@ -42,7 +42,6 @@ __all__ = [
     "tilted_mean",
     "relative_entropy_tilt",
     "log_xi",
-    "xi_limit",
     "relative_entropy_limit",
     "sample",
     "sample_base",
@@ -216,21 +215,31 @@ def _exact_mean(law: DisorderLaw) -> float:
     return num / den
 
 
+def _atom_weights(law: DisorderLaw, lam: float) -> tuple[float, np.ndarray]:
+    """``(anchor, wts)`` for an atom table: ``anchor`` is the atom where
+    ``lam x`` is largest and ``wts = p * exp(lam (x - anchor))``, so
+    ``M(lam) = exp(lam anchor) * sum(wts)`` with every weight at most its
+    probability.  An exponent that overflows to ``-inf`` gives the right 0.
+    """
+    anchor = float(law.xs[-1] if lam >= 0.0 else law.xs[0])
+    with np.errstate(over="ignore"):
+        return anchor, law.ps * np.exp(lam * (law.xs - anchor))
+
+
 def log_mgf(law: DisorderLaw, lam: float) -> float:
     """``log M(lambda)``, stable for large tilts and relatively accurate for
     small ones."""
     if law.family == "gaussian":
         return 0.5 * lam * lam
     if law.family == "discrete":
-        t = lam * law.xs
-        if np.abs(t).max() < 1.0:
+        if abs(lam) * float(np.abs(law.xs).max()) < 1.0:
             # M - 1 = lam sum p x + lam^2 sum p x^2 w0(lam x), with w0(y) =
             # (e^y - 1 - y) / y^2 > 0 from its Taylor series: only the first
             # moment cancels, so it is summed exactly
-            curv = math.fsum(law.ps * law.xs * law.xs * _segment_weights(t)[0])
+            curv = math.fsum(law.ps * law.xs * law.xs * _segment_weights(lam * law.xs)[0])
             return math.log1p(lam * _exact_mean(law) + lam * lam * curv)
-        mx = float(np.max(t))
-        return mx + math.log(float(np.dot(law.ps, np.exp(t - mx))))
+        anchor, wts = _atom_weights(law, lam)
+        return lam * anchor + math.log(float(wts.sum()))
     shift, m0, _ = _continuous_moments(law, lam)
     return shift + math.log(m0)
 
@@ -240,10 +249,8 @@ def tilted_mean(law: DisorderLaw, beta: float) -> float:
     if law.family == "gaussian":
         return beta
     if law.family == "discrete":
-        t = beta * law.xs
-        t -= t.max()
-        wts = law.ps * np.exp(t)
-        return float(np.dot(wts, law.xs) / wts.sum())
+        _, wts = _atom_weights(law, beta)
+        return float(np.dot(wts / wts.sum(), law.xs))
     _, m0, m1 = _continuous_moments(law, beta)
     return m1 / m0
 
@@ -260,11 +267,6 @@ def log_xi(law: DisorderLaw, beta: float) -> float:
     """``log Xi(beta)`` with ``Xi(beta) = M(2 beta) / M(beta)^2``, the
     second-moment ratio: ``Xi >= 1``, nondecreasing for ``beta >= 0``."""
     return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
-
-
-def xi_limit(law: DisorderLaw) -> float:
-    """``lim_{beta->inf} Xi(beta) = 1 / mu_0({w})`` (``inf`` when no atom)."""
-    return 1.0 / law.atom_at_w if law.atom_at_w > 0.0 else math.inf
 
 
 def relative_entropy_limit(law: DisorderLaw) -> float:
@@ -299,9 +301,7 @@ def tilt_transform(law: DisorderLaw, base: np.ndarray, beta: float) -> np.ndarra
     if law.family == "gaussian":
         return base + beta
     if law.family == "discrete":
-        t = beta * law.xs
-        t -= t.max()
-        wts = law.ps * np.exp(t)
+        _, wts = _atom_weights(law, beta)
         cdf = np.cumsum(wts / wts.sum())
         idx = np.searchsorted(cdf, base, side="right")
         return law.xs[np.minimum(idx, len(law.xs) - 1)]

@@ -296,18 +296,17 @@ def joint_truncation_bound(
     kernel: RenewalKernel,
     tr: int,
     lam: float,
-    chi_result: ChiResult | None = None,
+    chi_result: ChiResult,
 ) -> float:
     """Finite-truncation bound: ``tr * f2_tr(lam) <= log[(1 - L2(tr-1)) /
-    (exp(-lam) - L2(tr-1))]`` for ``lam`` below the joint threshold.
+    (exp(-lam) - L2(tr-1))]`` for ``lam`` below the joint threshold
+    ``lambda_0``, read from the kernel's ``chi_result``.
 
     Uses partial sums of the untruncated overlap kernel, which coincide
     with the truncated one below ``tr``.
     """
     if tr < 1:
         raise InvalidParameterError("truncation point must be >= 1")
-    if chi_result is None:
-        chi_result = compute_chi(kernel)
     lam0 = lambda0_from_chi(chi_result)
     if lam >= lam0:
         raise DomainError(f"bound requires lam < lambda0 = {lam0!r}, got {lam!r}")

@@ -332,19 +332,7 @@ class CriticalPointBracket:
     width: float
     undecided: bool
     threshold: float
-    diagnostics: dict
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "h_lo": self.h_lo,
-            "h_hi": self.h_hi,
-            "h_hi_raw": self.h_hi_raw,
-            "width": self.width,
-            "undecided": self.undecided,
-            "threshold": self.threshold,
-            "per_n_diagnostics": self.diagnostics,
-        }
+    per_n_diagnostics: dict
 
 
 def quenched_critical_point(
@@ -459,5 +447,5 @@ def quenched_critical_point(
         width=h_hi_report - h_lo,
         undecided=undecided,
         threshold=threshold(est_hi),
-        diagnostics=diag,
+        per_n_diagnostics=diag,
     )

@@ -18,9 +18,10 @@ estimates or bounds that functional:
 * the annealed upper bound ``H_tr <= f2_tr(log Xi(beta))`` and the
   restriction lower bound ``m_tr H_tr >= h(mu_beta|mu_0) + sum K^tr log
   K^tr``;
-* the induced temperature bounds: ``beta_c_star`` where ``Xi`` crosses
-  ``1 + 1/chi`` and ``beta_c_star_star`` where the tilt entropy crosses
-  the kernel entropy;
+* the induced temperature bounds ``beta_c* <= beta_c <= beta_c**``, both
+  from one call, :func:`critical_temperature_bounds`, given the kernel's
+  ``chi``: ``beta_c*`` where ``Xi`` crosses ``1 + 1/chi``, ``beta_c**``
+  where the tilt entropy crosses the kernel entropy;
 * a restricted variational check: over product word measures with tilted
   first letter, ``beta * mean(mu_t) - h(mu_t | mu_0)`` peaks at the tilt
   ``t = beta`` with value ``log M(beta)``.
@@ -42,14 +43,12 @@ from .disorder import (
     sample_base,
     tilt_transform,
     tilted_mean,
-    xi_limit,
 )
 from .errors import InvalidParameterError
 from .homopolymer import joint_free_energy
 from .kernels import (
     ChiResult,
     RenewalKernel,
-    chi as compute_chi,
     kernel_entropy,
     return_probabilities,
     truncate_kernel,
@@ -64,8 +63,6 @@ __all__ = [
     "RelevanceReport",
     "MonotonicityScan",
     "VariationalCheck",
-    "beta_c_star",
-    "beta_c_star_star",
     "critical_temperature_bounds",
     "replica_moment_log",
     "free_endpoint_log_likelihood",
@@ -94,104 +91,62 @@ def _increasing_root(fn, target: float, tol: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BetaCStar:
-    value: float          # may be inf; 0.0 in the degenerate chi = inf case
-    residual: float
-    degenerate: bool      # chi = inf: the defining set is empty
-
-
-def beta_c_star(
-    kernel: RenewalKernel,
-    disorder: DisorderLaw,
-    tol: float = 1e-10,
-    chi_result: ChiResult | None = None,
-) -> BetaCStar:
-    """Last tilt with ``Xi(beta) = M(2 beta)/M(beta)^2`` below ``1 + 1/chi``.
-
-    Returns ``inf`` when the large-tilt limit ``1/mu_0({w})`` never
-    reaches the threshold, and ``0`` (flagged degenerate) when ``chi``
-    diverges so the threshold collapses to 1.
-    """
-    if chi_result is None:
-        chi_result = compute_chi(kernel)
-    chi_val = chi_result.require_value()
-    if math.isinf(chi_val):
-        return BetaCStar(value=0.0, residual=0.0, degenerate=True)
-    threshold = 1.0 + 1.0 / chi_val
-    if xi_limit(disorder) <= threshold:
-        return BetaCStar(value=math.inf, residual=0.0, degenerate=False)
-    root = _increasing_root(
-        lambda b: log_xi(disorder, b), math.log(threshold), tol
-    )
-    residual = abs(math.exp(log_xi(disorder, root)) - threshold)
-    return BetaCStar(value=root, residual=residual, degenerate=False)
-
-
-@dataclass(frozen=True)
-class BetaCStarStar:
-    value: float  # may be inf
-    residual: float
-
-
-def beta_c_star_star(
-    kernel: RenewalKernel, disorder: DisorderLaw, tol: float = 1e-10
-) -> BetaCStarStar:
-    """First tilt whose relative entropy exceeds the kernel entropy.
-
-    ``h(mu_beta | mu_0)`` grows continuously from 0 to
-    ``log(1/mu_0({w}))``; if that limit never clears ``h(K)`` the bound
-    is ``inf``.
-    """
-    h_k = kernel_entropy(kernel)
-    if relative_entropy_limit(disorder) <= h_k:
-        return BetaCStarStar(value=math.inf, residual=0.0)
-    root = _increasing_root(lambda b: relative_entropy_tilt(disorder, b), h_k, tol)
-    return BetaCStarStar(
-        value=root, residual=abs(relative_entropy_tilt(disorder, root) - h_k)
-    )
+def _crossing(fn, level: float, disorder: DisorderLaw, tol: float) -> float:
+    """Where the nondecreasing ``fn``, which tends to ``log(1/mu_0({w}))`` as
+    ``beta -> inf``, crosses ``level``; ``inf`` when that limit does not
+    exceed it."""
+    if relative_entropy_limit(disorder) <= level:
+        return math.inf
+    return _increasing_root(fn, level, tol)
 
 
 @dataclass(frozen=True)
 class CriticalTemperatureBounds:
-    beta_c_star: float
-    beta_c_star_star: float
+    beta_c_star: float        # may be inf; 0.0 in the degenerate chi = inf case
+    beta_c_star_star: float   # may be inf
     star_residual: float
     star_star_residual: float
-    star_degenerate: bool
-    chi_value: float
+    star_degenerate: bool     # chi = inf: the defining set of beta_c_star is empty
+    chi: float
     kernel_entropy: float
-
-    def to_json(self) -> dict:
-        return {
-            "beta_c_star": self.beta_c_star,
-            "beta_c_star_star": self.beta_c_star_star,
-            "star_residual": self.star_residual,
-            "star_star_residual": self.star_star_residual,
-            "star_degenerate": self.star_degenerate,
-            "chi": self.chi_value,
-            "kernel_entropy": self.kernel_entropy,
-        }
 
 
 def critical_temperature_bounds(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
+    chi_result: ChiResult,
     tol: float = 1e-10,
-    chi_result: ChiResult | None = None,
 ) -> CriticalTemperatureBounds:
-    if chi_result is None:
-        chi_result = compute_chi(kernel)
-    star = beta_c_star(kernel, disorder, tol, chi_result=chi_result)
-    star_star = beta_c_star_star(kernel, disorder, tol)
+    """``beta_c* <= beta_c <= beta_c**`` for the kernel's ``chi_result``.
+
+    ``beta_c*`` is the last tilt with ``Xi(beta) = M(2 beta)/M(beta)^2``
+    below ``1 + 1/chi`` (0, flagged degenerate, when ``chi`` diverges so the
+    threshold collapses to 1); ``beta_c**`` the first tilt whose relative
+    entropy ``h(mu_beta | mu_0)`` exceeds the kernel entropy ``h(K)``.  Both
+    sides grow to ``log(1/mu_0({w}))``, so a bound is ``inf`` when that
+    limit does not clear its level.  An undecided ``chi`` raises
+    :class:`UndecidedError`.
+    """
+    chi_val = chi_result.require_value()
+    h_k = kernel_entropy(kernel)
+    star = star_residual = 0.0
+    if not math.isinf(chi_val):
+        threshold = 1.0 + 1.0 / chi_val
+        star = _crossing(lambda b: log_xi(disorder, b), math.log(threshold), disorder, tol)
+        if math.isfinite(star):
+            star_residual = abs(math.exp(log_xi(disorder, star)) - threshold)
+    star_star = _crossing(lambda b: relative_entropy_tilt(disorder, b), h_k, disorder, tol)
+    star_star_residual = 0.0
+    if math.isfinite(star_star):
+        star_star_residual = abs(relative_entropy_tilt(disorder, star_star) - h_k)
     return CriticalTemperatureBounds(
-        beta_c_star=star.value,
-        beta_c_star_star=star_star.value,
-        star_residual=star.residual,
-        star_star_residual=star_star.residual,
-        star_degenerate=star.degenerate,
-        chi_value=chi_result.value,
-        kernel_entropy=kernel_entropy(kernel),
+        beta_c_star=star,
+        beta_c_star_star=star_star,
+        star_residual=star_residual,
+        star_star_residual=star_star_residual,
+        star_degenerate=math.isinf(chi_val),
+        chi=chi_result.value,
+        kernel_entropy=h_k,
     )
 
 

@@ -36,8 +36,7 @@ from pinlab.quenched import (
 )
 from pinlab.relevance import (
     annealed_variational_check,
-    beta_c_star,
-    beta_c_star_star,
+    critical_temperature_bounds,
     entropy_estimator,
     entropy_monotonicity_scan,
 )
@@ -214,21 +213,20 @@ def test_13_temperature_bound_closed_forms(chi_03):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     kernel = make_power_kernel(0.3)
-    star = beta_c_star(kernel, GAUSS, chi_result=chi_03)
+    bounds = critical_temperature_bounds(kernel, GAUSS, chi_03)
     want_star = math.sqrt(math.log(1.0 + 1.0 / chi_03.value))
-    assert abs(star.value - want_star) <= 1e-8
+    assert abs(bounds.beta_c_star - want_star) <= 1e-8
 
-    star_star = beta_c_star_star(kernel, GAUSS)
     s = 1.3
     z = mp.zeta(s)
     h_k_independent = float(mp.log(z) - s * mp.zeta(s, 1, 1) / z)
     want_star_star = math.sqrt(2.0 * h_k_independent)
-    assert abs(star_star.value - want_star_star) <= 1e-8
+    assert abs(bounds.beta_c_star_star - want_star_star) <= 1e-8
 
-    rad_star = beta_c_star(kernel, RAD, chi_result=chi_03)
+    rad = critical_temperature_bounds(kernel, RAD, chi_03)
     assert chi_03.value <= 1.0
-    assert math.isinf(rad_star.value)
-    report(13, f"beta_c* = {star.value:.8f}, beta_c** = {star_star.value:.8f} match closed forms to 1e-8; fair-sign case infinite")
+    assert math.isinf(rad.beta_c_star)
+    report(13, f"beta_c* = {bounds.beta_c_star:.8f}, beta_c** = {bounds.beta_c_star_star:.8f} match closed forms to 1e-8; fair-sign case infinite")
 
 
 def test_14_variational_identity():

@@ -23,7 +23,6 @@ from pinlab.disorder import (
     sample_base,
     tilt_transform,
     tilted_mean,
-    xi_limit,
 )
 from pinlab.errors import InvalidParameterError
 from pinlab.rng import derive_stream
@@ -267,6 +266,36 @@ class TestSmallTiltTable:
         assert abs(log_mgf(law, lam) - want) <= 1e-10 * abs(want)
 
 
+class TestExtremeTiltTable:
+    """Atom tables at ``|lam|`` near the float maximum: the tilt keeps the
+    atom where ``lam x`` is largest, with no overflow warning and no NaN."""
+
+    LAWS = pytest.mark.parametrize(
+        "law",
+        [rademacher_disorder(), discrete_disorder([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2])],
+        ids=["fair-signs", "three-atoms"],
+    )
+
+    @LAWS
+    @pytest.mark.parametrize("lam", [1e308, -1e308])
+    def test_tilt_keeps_the_anchor_atom(self, law, lam):
+        top = -1 if lam > 0 else 0
+        anchor, p_anchor = float(law.xs[top]), float(law.ps[top])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_mgf(law, lam) == lam * anchor + math.log(p_anchor)
+            assert tilted_mean(law, lam) == anchor
+            draws = tilt_transform(law, np.linspace(0.0, 1.0, 11, endpoint=False), lam)
+        assert np.all(draws == anchor)
+
+    def test_overflowing_log_mgf_is_inf(self):
+        law = discrete_disorder([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_mgf(law, 1.5e308) == math.inf
+            assert log_mgf(law, -1.5e308) == math.inf
+
+
 class TestTilt:
     @ALL_LAWS
     def test_identity_tilt(self, law):
@@ -341,9 +370,8 @@ class TestXi:
 
     def test_rademacher_limit_is_inverse_atom(self):
         law = rademacher_disorder()
-        assert xi_limit(law) == pytest.approx(1.0 / law.atom_at_w)
-        assert abs(xi(law, 50.0) - 2.0) <= 1e-6
-        assert math.isinf(xi_limit(gaussian_disorder()))
+        assert abs(xi(law, 50.0) - 1.0 / law.atom_at_w) <= 1e-6
+        assert abs(math.log(xi(law, 50.0)) - relative_entropy_limit(law)) <= 1e-6
 
 
 class TestSampling:

@@ -4,6 +4,7 @@ imports numpy and nothing outside the standard library besides.  Only the
 modules that define the kernel and disorder families branch on them."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -84,19 +85,27 @@ _RUN_WITHOUT_SCIPY = """
 import sys
 import pinlab
 from pinlab import cli
-code = cli.main(["validate", "--config", sys.argv[1], "--out", sys.argv[2]])
+validate, relevance, out = sys.argv[1:]
+codes = [cli.main(["validate", "--config", validate, "--out", out + "/validate"]),
+         cli.main(["relevance", "--config", relevance, "--out", out + "/relevance"])]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(code, loaded)
+print(codes, loaded)
 """
 
 
 def test_runtime_never_imports_scipy(tmp_path):
     # scipy is a test oracle only; a stray import would bring back about
-    # half a second of start-up
+    # half a second of start-up.  relevance runs at the bench's smoke sizes
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    config = ROOT / "bench" / "configs" / "validate.json"
+    relevance = json.loads((ROOT / "bench" / "configs" / "relevance.json").read_text())
+    relevance.update(tr_schedule=[4, 8], n_multiplier=16, replicas=8)
+    relevance_config = tmp_path / "relevance.json"
+    relevance_config.write_text(json.dumps(relevance))
+    validate_config = ROOT / "bench" / "configs" / "validate.json"
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(config), str(tmp_path)],
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(validate_config), str(relevance_config),
+         str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "relevance" / "relevance_bounds.json").is_file()

@@ -497,8 +497,8 @@ class TestCriticalPoint:
         assert bracket.h_lo <= 0.0 <= bracket.h_hi
         assert bracket.width <= 0.04
         assert not bracket.undecided
-        assert set(bracket.diagnostics) == {"h_lo", "h_hi"}
-        assert bracket.diagnostics["h_lo"]["n2"] == 2048
+        assert set(bracket.per_n_diagnostics) == {"h_lo", "h_hi"}
+        assert bracket.per_n_diagnostics["h_lo"]["n2"] == 2048
 
     def test_upper_edge_below_annealed_curve(self):
         kernel = make_power_kernel(1.5)
@@ -520,7 +520,7 @@ class TestCriticalPoint:
             bracket = quenched_critical_point(kernel, GAUSS, 0.6, cfg)
         drawn = [call.args[2] for call in spy.call_args_list]
         assert drawn == [128] * 3
-        for label, diag in bracket.diagnostics.items():
+        for label, diag in bracket.per_n_diagnostics.items():
             for n, key in ((64, "mean"), (128, "mean_2n")):
                 want = diag[key]
                 redrawn = quenched_free_energy(kernel, replica_charges(GAUSS, n, 3, 4), 0.6, diag["h"])
@@ -552,7 +552,7 @@ class TestCriticalPoint:
             "h_hi": bracket.h_hi,
             "h_hi_raw": bracket.h_hi_raw,
             "undecided": bracket.undecided,
-            "diagnostic_h": (bracket.diagnostics["h_lo"]["h"], bracket.diagnostics["h_hi"]["h"]),
+            "diagnostic_h": tuple(bracket.per_n_diagnostics[edge]["h"] for edge in ("h_lo", "h_hi")),
         }
         assert got == want
 

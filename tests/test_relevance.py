@@ -29,8 +29,6 @@ from pinlab.oracles import free_endpoint_likelihood, pair_moment, replica_moment
 from pinlab.quenched import dp_log_partition, log_mass_vector
 from pinlab.relevance import (
     annealed_variational_check,
-    beta_c_star,
-    beta_c_star_star,
     critical_temperature_bounds,
     entropy_estimator,
     _sample_word_sequence,
@@ -53,70 +51,71 @@ def chi_03():
 
 
 def chi_stub(value):
-    """A ``chi`` verdict with the given value, for ``chi_result=``."""
+    """A ``chi`` verdict with the given value, for ``critical_temperature_bounds``."""
     status = "infinite" if math.isinf(value) else "finite"
     return ChiResult(status, value, value, 0.0, 1.4, 1 << 16)
 
 
 class TestBetaCStar:
     def test_gaussian_closed_form(self, chi_03):
-        got = beta_c_star(P03, GAUSS, chi_result=chi_03)
+        got = critical_temperature_bounds(P03, GAUSS, chi_03)
         want = math.sqrt(math.log(1.0 + 1.0 / chi_03.value))
-        assert got.value == pytest.approx(want, abs=1e-10)
-        assert got.residual <= 1e-9
-        assert not got.degenerate
-        assert got.value > 0.0  # finite overlap sum forces a positive bound
+        assert got.beta_c_star == pytest.approx(want, abs=1e-10)
+        assert got.star_residual <= 1e-9
+        assert not got.star_degenerate
+        assert got.beta_c_star > 0.0  # finite overlap sum forces a positive bound
 
     def test_rademacher_small_chi_infinite(self, chi_03):
         # threshold 1 + 1/chi > 2 = limit of Xi for fair signs
         assert chi_03.value < 1.0
-        got = beta_c_star(P03, RAD, chi_result=chi_03)
-        assert math.isinf(got.value)
+        got = critical_temperature_bounds(P03, RAD, chi_03)
+        assert math.isinf(got.beta_c_star)
 
     def test_rademacher_chi_two_has_root(self):
-        got = beta_c_star(P03, RAD, 1e-12, chi_result=chi_stub(2.0))
-        assert math.isfinite(got.value)
-        assert math.exp(log_xi(RAD, got.value)) == pytest.approx(1.5, abs=1e-10)
+        got = critical_temperature_bounds(P03, RAD, chi_stub(2.0), 1e-12)
+        assert math.isfinite(got.beta_c_star)
+        assert math.exp(log_xi(RAD, got.beta_c_star)) == pytest.approx(1.5, abs=1e-10)
         # cosh(2b)/cosh(b)^2 = 1.5 at b = arcsinh(1)
-        assert got.value == pytest.approx(math.asinh(1.0), abs=1e-10)
+        assert got.beta_c_star == pytest.approx(math.asinh(1.0), abs=1e-10)
 
     def test_rademacher_chi_half_infinite(self):
-        got = beta_c_star(P03, RAD, 1e-12, chi_result=chi_stub(0.5))
-        assert math.isinf(got.value)
+        got = critical_temperature_bounds(P03, RAD, chi_stub(0.5), 1e-12)
+        assert math.isinf(got.beta_c_star)
 
     def test_degenerate_chi_infinite(self):
-        got = beta_c_star(P03, GAUSS, 1e-12, chi_result=chi_stub(math.inf))
-        assert got.value == 0.0
-        assert got.degenerate
+        got = critical_temperature_bounds(P03, GAUSS, chi_stub(math.inf), 1e-12)
+        assert got.beta_c_star == 0.0
+        assert got.star_degenerate
 
     def test_undecided_chi_propagates(self):
+        kernel = make_power_kernel(0.5)
         with pytest.raises(UndecidedError):
-            beta_c_star(make_power_kernel(0.5), GAUSS)
+            critical_temperature_bounds(kernel, GAUSS, chi(kernel))
 
 
 class TestBetaCStarStar:
-    def test_gaussian_closed_form(self):
+    def test_gaussian_closed_form(self, chi_03):
         h_k = kernel_entropy(P03)
-        got = beta_c_star_star(P03, GAUSS)
-        assert got.value == pytest.approx(math.sqrt(2.0 * h_k), abs=1e-10)
-        assert got.residual <= 1e-9
+        got = critical_temperature_bounds(P03, GAUSS, chi_03)
+        assert got.beta_c_star_star == pytest.approx(math.sqrt(2.0 * h_k), abs=1e-10)
+        assert got.star_star_residual <= 1e-9
 
-    def test_rademacher_saturates(self):
+    def test_rademacher_saturates(self, chi_03):
         assert kernel_entropy(P03) > math.log(2.0)
-        got = beta_c_star_star(P03, RAD)
-        assert math.isinf(got.value)
+        got = critical_temperature_bounds(P03, RAD, chi_03)
+        assert math.isinf(got.beta_c_star_star)
 
-    def test_atomless_bounded_law_is_finite(self):
+    def test_atomless_bounded_law_is_finite(self, chi_03):
         grid = np.linspace(-1.0, 1.0, 33)
         law = continuous_disorder(grid, np.ones_like(grid))
         assert law.atom_at_w == 0.0
-        got = beta_c_star_star(P03, law)
-        assert math.isfinite(got.value)
+        got = critical_temperature_bounds(P03, law, chi_03)
+        assert math.isfinite(got.beta_c_star_star)
 
     def test_bundle(self, chi_03):
-        bounds = critical_temperature_bounds(P03, GAUSS, chi_result=chi_03)
+        bounds = critical_temperature_bounds(P03, GAUSS, chi_03)
         assert bounds.beta_c_star < bounds.beta_c_star_star
-        assert bounds.chi_value == chi_03.value
+        assert bounds.chi == chi_03.value
         assert bounds.kernel_entropy == kernel_entropy(P03)
 
 
@@ -197,6 +196,20 @@ class TestReplicaMoment:
         # the boundary terms cancel in the difference quotient
         quotient = (replica_moment_log(ktr, lam, 2 * n) - log_n) / n
         assert quotient == pytest.approx(f2tr, abs=1e-10)
+
+    @pytest.mark.parametrize("tr", [4, 8, 32])
+    @pytest.mark.parametrize(
+        "law, beta", [(GAUSS, 1.5), (GAUSS, 0.7), (RAD, 0.8)], ids=["gauss1.5", "gauss0.7", "rad0.8"]
+    )
+    def test_growth_rate_is_the_annealed_upper_bound(self, law, beta, tr):
+        # as above at machine precision: the series inverse of
+        # 1/(Xi - (Xi-1) U2) against the fixed point of the overlap kernel
+        ktr = truncate_kernel(P03, tr)
+        lx = log_xi(law, beta)
+        n = 8192
+        growth = (replica_moment_log(ktr, lx, 2 * n) - replica_moment_log(ktr, lx, n)) / n
+        f2 = joint_free_energy(P03, lx, tr=tr, tol=1e-8).f2
+        assert growth == pytest.approx(f2, rel=1e-12)
 
 
 class TestEntropyEstimatorCore:

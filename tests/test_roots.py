@@ -68,7 +68,7 @@ def test_increasing_root_is_scipys(disorder):
                            fitted_decay=1.4, horizon=1)
     roots, patch = _same_root_as_scipy(pinlab.relevance)
     with patch:
-        critical_temperature_bounds(kernel, disorder, chi_result=chi_result)
+        critical_temperature_bounds(kernel, disorder, chi_result)
     assert len(roots) == 2
 
 
