@@ -35,7 +35,6 @@ from .kernels import (
     truncate_kernel,
 )
 from .quenched import (
-    QuenchedSearchConfig,
     partition_function_log,
     quenched_critical_point,
     quenched_free_energy,
@@ -80,7 +79,6 @@ __all__ = [
     "joint_free_energy",
     "joint_truncation_bound",
     # quenched
-    "QuenchedSearchConfig",
     "partition_function_log",
     "replica_charges",
     "quenched_free_energy",

@@ -61,7 +61,7 @@ from .oracles import (
     pinned_partition_log,
     replica_moment_exact_check,
 )
-from .quenched import QuenchedSearchConfig, partition_function_log, quenched_critical_point
+from .quenched import partition_function_log, quenched_critical_point, replica_charges
 from .relevance import critical_temperature_bounds, entropy_estimator
 from .rng import derive_stream
 
@@ -305,15 +305,16 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
     seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed)
-    qcfg = QuenchedSearchConfig(
-        n=_fetch_number(cfg, "quenched.n", int, 4096, positive=True),
-        replicas=_fetch_number(cfg, "quenched.replicas", int, 64, positive=True),
-        base_seed=seed,
-        target_width=_fetch_number(cfg, "quenched.target_width", float, 0.002, positive=True),
-    )
+    n = _fetch_number(cfg, "quenched.n", int, 4096, positive=True)
+    replicas = _fetch_number(cfg, "quenched.replicas", int, 64, positive=True)
+    target_width = _fetch_number(cfg, "quenched.target_width", float, 0.002, positive=True)
 
     t0 = time.perf_counter()
-    brackets = [quenched_critical_point(kernel, disorder, beta, qcfg) for beta in grid]
+    # every beta sees the same disorder: one draw at 2n serves the whole grid
+    charges = replica_charges(disorder, 2 * n, replicas, seed)
+    brackets = [
+        quenched_critical_point(kernel, disorder, beta, charges, target_width) for beta in grid
+    ]
     writer.time_block("quenched_brackets", t0)
 
     rows = []

@@ -226,20 +226,41 @@ def _atom_weights(law: DisorderLaw, lam: float) -> tuple[float, np.ndarray]:
         return anchor, law.ps * np.exp(lam * (law.xs - anchor))
 
 
+def _anchored(law: DisorderLaw, lam: float) -> bool:
+    """Whether an atom table's tilt by ``lam`` is taken from its anchor
+    atom (:func:`_atom_weights`) rather than from the small-tilt series."""
+    return law.family == "discrete" and abs(lam) * float(np.abs(law.xs).max()) >= 1.0
+
+
+def _anchored_log_mgf(law: DisorderLaw, lam: float) -> tuple[float, float]:
+    """``(anchor, rest)`` with ``log M(lam) = lam * anchor + rest``.
+
+    Where an atom table is tilted from its anchor atom, ``rest = log
+    sum(wts)`` lies in ``[log p_anchor, 0]``, so the O(1) part of a
+    difference such as ``lam * x - log M(lam)`` survives any ``lam`` when
+    the ``lam * anchor`` terms cancel algebraically.  Otherwise ``anchor``
+    is 0 and ``rest`` is ``log M(lam)`` (``lam^2 / 2`` for gaussian laws).
+    """
+    if _anchored(law, lam):
+        anchor, wts = _atom_weights(law, lam)
+        return anchor, math.log(float(wts.sum()))
+    return 0.0, log_mgf(law, lam)
+
+
 def log_mgf(law: DisorderLaw, lam: float) -> float:
     """``log M(lambda)``, stable for large tilts and relatively accurate for
     small ones."""
     if law.family == "gaussian":
         return 0.5 * lam * lam
     if law.family == "discrete":
-        if abs(lam) * float(np.abs(law.xs).max()) < 1.0:
+        if not _anchored(law, lam):
             # M - 1 = lam sum p x + lam^2 sum p x^2 w0(lam x), with w0(y) =
             # (e^y - 1 - y) / y^2 > 0 from its Taylor series: only the first
             # moment cancels, so it is summed exactly
             curv = math.fsum(law.ps * law.xs * law.xs * _segment_weights(lam * law.xs)[0])
             return math.log1p(lam * _exact_mean(law) + lam * lam * curv)
-        anchor, wts = _atom_weights(law, lam)
-        return lam * anchor + math.log(float(wts.sum()))
+        anchor, rest = _anchored_log_mgf(law, lam)
+        return lam * anchor + rest
     shift, m0, _ = _continuous_moments(law, lam)
     return shift + math.log(m0)
 
@@ -259,13 +280,30 @@ def relative_entropy_tilt(law: DisorderLaw, beta: float) -> float:
     """``h(mu_beta | mu_0) = beta M'(beta)/M(beta) - log M(beta)``.
 
     Nonnegative, zero exactly at ``beta = 0``, nondecreasing in ``|beta|``.
+    An atom table tilted from its anchor atom ``a`` takes ``beta E_beta[x -
+    a] - log sum(wts)``: the ``beta a`` terms cancel before rounding.
     """
+    if _anchored(law, beta):
+        anchor, wts = _atom_weights(law, beta)
+        total = float(wts.sum())
+        return beta * float(np.dot(wts, law.xs - anchor)) / total - math.log(total)
     return beta * tilted_mean(law, beta) - log_mgf(law, beta)
 
 
 def log_xi(law: DisorderLaw, beta: float) -> float:
     """``log Xi(beta)`` with ``Xi(beta) = M(2 beta) / M(beta)^2``, the
-    second-moment ratio: ``Xi >= 1``, nondecreasing for ``beta >= 0``."""
+    second-moment ratio: ``Xi >= 1``, nondecreasing for ``beta >= 0``.
+
+    An atom table tilted from its anchor atom ``a`` takes ``log sum p
+    e^{2 beta (x - a)} - 2 log sum(wts)``: the ``2 beta a`` terms cancel
+    before rounding, and ``2 beta`` itself is never formed, so it cannot
+    overflow.
+    """
+    if _anchored(law, beta):
+        anchor, rest = _anchored_log_mgf(law, beta)
+        with np.errstate(over="ignore"):
+            doubled = law.ps * np.exp(2.0 * (beta * (law.xs - anchor)))
+        return math.log(float(doubled.sum())) - 2.0 * rest
     return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
 
 

@@ -24,8 +24,9 @@ estimates bit-reproducible and embarrassingly parallel.
 The quenched free energy per site is estimated as the replica average of
 ``log Z_n / n`` over one ``(replicas, n)`` array of charges, drawn once
 and reused for every bias; several biases can share one DP call as extra
-rows.  The critical-point search draws its charges once, at ``2n``, and
-runs on their first ``n`` columns.  Locating its zero in ``h`` is done by bisection with an explicit
+rows.  The critical-point search takes a ``(replicas, 2n)`` array of
+charges, which ``phase-diagram`` draws once for all its ``beta``, and runs
+on its first ``n`` columns.  Its zero in ``h`` is located by bisection with an explicit
 finite-size allowance: a point is declared localized only when the
 estimate clears ``max(3 stderr, 5 / n)``, and the reported upper edge is
 widened by the allowance mapped through the locally observed slope, so the
@@ -48,7 +49,6 @@ from .rng import derive_stream
 
 __all__ = [
     "FreeEnergyEstimate",
-    "QuenchedSearchConfig",
     "CriticalPointBracket",
     "dp_log_partition",
     "log_mass_vector",
@@ -316,14 +316,6 @@ _MAX_PROBES = 60
 
 
 @dataclass(frozen=True)
-class QuenchedSearchConfig:
-    n: int = 4096
-    replicas: int = 64
-    base_seed: int = 0
-    target_width: float = 0.002
-
-
-@dataclass(frozen=True)
 class CriticalPointBracket:
     beta: float
     h_lo: float
@@ -339,7 +331,8 @@ def quenched_critical_point(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
     beta: float,
-    config: QuenchedSearchConfig,
+    charges: np.ndarray,
+    target_width: float,
 ) -> CriticalPointBracket:
     """Bisection bracket for the quenched critical bias at fixed ``beta``.
 
@@ -357,36 +350,41 @@ def quenched_critical_point(
     midpoint also takes the next step's midpoint for either outcome, where
     a next step will run: these are the floats the one-bias-per-call search
     computes, so the probes, the stop and the bracket are those of that
-    search, with about half its DP calls.  The charges are drawn once at
-    ``2n``: each replica's stream gives the same first ``n`` draws at
+    search, with about half its DP calls.  ``charges`` is the ``(replicas,
+    2n)`` array of :func:`replica_charges` at ``2n``, drawn once by the
+    caller: each replica's stream gives the same first ``n`` draws at
     either length, so the search runs on the first ``n`` columns, and the
-    two ``2n`` diagnostics share one DP call.
+    two ``2n`` diagnostics share one DP call on the whole array.  Charges
+    that are not 2-D, or whose width is odd or below 2, and a
+    ``target_width`` that is not positive raise :class:`InvalidParameterError`.
     """
-    cfg = config
+    if charges.ndim != 2 or charges.shape[1] < 2 or charges.shape[1] % 2:
+        raise InvalidParameterError(f"charges must be a (replicas, 2n) array, got {charges.shape}")
+    if not target_width > 0.0:
+        raise InvalidParameterError(f"target_width must be > 0, got {target_width!r}")
+    n = charges.shape[1] // 2
     h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
-
-    charges_2n = replica_charges(disorder, 2 * cfg.n, cfg.replicas, cfg.base_seed)
-    charges = charges_2n[:, : cfg.n]
+    charges_n = charges[:, :n]
     cache: dict[float, FreeEnergyEstimate] = {}
 
     def evaluate(*hs: float) -> None:
         """Cache the estimates at the biases ``hs`` from one DP call."""
         todo = [h for h in dict.fromkeys(hs) if h not in cache]
         if todo:
-            cache.update(zip(todo, quenched_free_energy(kernel, charges, beta, todo)))
+            cache.update(zip(todo, quenched_free_energy(kernel, charges_n, beta, todo)))
 
     def estimate(h: float) -> FreeEnergyEstimate:
         evaluate(h)
         return cache[h]
 
     def threshold(est: FreeEnergyEstimate) -> float:
-        return max(3.0 * est.stderr, _C_FS / cfg.n)
+        return max(3.0 * est.stderr, _C_FS / n)
 
     def is_localized(est: FreeEnergyEstimate) -> bool:
         return est.mean > threshold(est)
 
     def is_noise_bound(est: FreeEnergyEstimate) -> bool:
-        return 3.0 * est.stderr > _C_FS / cfg.n and abs(est.mean) <= 3.0 * est.stderr
+        return 3.0 * est.stderr > _C_FS / n and abs(est.mean) <= 3.0 * est.stderr
 
     probes = 0
     evaluate(h_lo, h_hi)
@@ -402,13 +400,13 @@ def quenched_critical_point(
             raise PrecisionError("could not find a delocalized right endpoint")
 
     undecided = False
-    while h_hi - h_lo > cfg.target_width and probes < _MAX_PROBES:
+    while h_hi - h_lo > target_width and probes < _MAX_PROBES:
         mid = 0.5 * (h_lo + h_hi)
         if mid not in cache:
             # the call also takes the next step's midpoint for either
             # outcome, where that step will run
             evaluate(mid, *(0.5 * (a + b) for a, b in ((h_lo, mid), (mid, h_hi))
-                            if b - a > cfg.target_width and probes + 1 < _MAX_PROBES))
+                            if b - a > target_width and probes + 1 < _MAX_PROBES))
         est = cache[mid]
         probes += 1
         if is_noise_bound(est):
@@ -420,15 +418,15 @@ def quenched_critical_point(
             h_hi = mid
 
     est_lo, est_hi = estimate(h_lo), estimate(h_hi)
-    ests_2n = quenched_free_energy(kernel, charges_2n, beta, [h_lo, h_hi])
+    ests_2n = quenched_free_energy(kernel, charges, beta, [h_lo, h_hi])
     diag = {}
     for label, h, est, est2 in zip(("h_lo", "h_hi"), (h_lo, h_hi), (est_lo, est_hi), ests_2n):
         diag[label] = {
             "h": h,
-            "n": cfg.n,
+            "n": n,
             "mean": est.mean,
             "stderr": est.stderr,
-            "n2": 2 * cfg.n,
+            "n2": 2 * n,
             "mean_2n": est2.mean,
             "stderr_2n": est2.stderr,
         }

@@ -36,6 +36,7 @@ import numpy as np
 
 from .disorder import (
     DisorderLaw,
+    _anchored_log_mgf,
     log_mgf,
     log_xi,
     relative_entropy_limit,
@@ -308,12 +309,15 @@ def entropy_estimator(
         per_replica = np.zeros(replicas)
         estimate, stderr = 0.0, 0.0
     else:
-        lm = log_mgf(disorder, beta)
+        # beta * (x - anchor) - (log M(beta) - beta * anchor): the anchor
+        # terms, which swamp the O(1) weights of an atom table at large
+        # |beta|, cancel before rounding
+        anchor, rest = _anchored_log_mgf(disorder, beta)
         charges = np.empty((replicas, n))
         for r in range(replicas):
             stream = derive_stream(base_seed, r)
-            charges[r] = _sample_word_sequence(disorder, masses, beta, n, stream)
-        site_weights = _site_weights(charges, beta, lm)
+            charges[r] = _sample_word_sequence(disorder, masses, beta, n, stream) - anchor
+        site_weights = _site_weights(charges, beta, rest)
         log_z = dp_log_partition(log_mass_vector(ktr, n), site_weights, band=tr)
         per_replica = free_endpoint_log_likelihood(log_z, site_weights, masses) / n
         estimate, stderr = _mean_stderr(per_replica)

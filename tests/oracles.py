@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from pinlab.disorder import log_mgf
 from pinlab.errors import InvalidParameterError
-from pinlab.quenched import quenched_free_energy, replica_charges
+from pinlab.quenched import quenched_free_energy
 
 
 def zeta_direct(s: float, n_direct: int = 200) -> float:
@@ -72,15 +72,18 @@ def partition_log_recursion(log_masses, site_weights, band=None) -> list[float]:
     return hi
 
 
-def critical_point_sequential(kernel, disorder, beta: float, config) -> dict:
+def critical_point_sequential(
+    kernel, disorder, beta: float, charges: np.ndarray, target_width: float
+) -> dict:
     """The bisection of ``quenched_critical_point`` with one bias per DP call.
 
-    The same charges, start window, decision rules and stops, written out
-    plainly: each probe is its own ``quenched_free_energy`` call and nothing
-    is evaluated ahead.  Returns the fields that fix the bracket.
+    The same ``(replicas, 2n)`` charges, searched on their first ``n``
+    columns, with the same start window, decision rules and stops, written
+    out plainly: each probe is its own ``quenched_free_energy`` call and
+    nothing is evaluated ahead.  Returns the fields that fix the bracket.
     """
-    n = config.n
-    charges = replica_charges(disorder, n, config.replicas, config.base_seed)
+    n = charges.shape[1] // 2
+    charges = charges[:, :n]
     cache = {}
 
     def estimate(h):
@@ -103,7 +106,7 @@ def critical_point_sequential(kernel, disorder, beta: float, config) -> dict:
         h_hi += 2.0 * max(abs(h_hi), 0.1)
         probes += 1
     undecided = False
-    while h_hi - h_lo > config.target_width and probes < 60:
+    while h_hi - h_lo > target_width and probes < 60:
         mid = 0.5 * (h_lo + h_hi)
         est = estimate(mid)
         probes += 1

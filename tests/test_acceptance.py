@@ -28,7 +28,6 @@ from pinlab.kernels import (
 )
 from pinlab.oracles import annealed_partition_check, pinned_partition_log, replica_moment_exact_check
 from pinlab.quenched import (
-    QuenchedSearchConfig,
     partition_function_log,
     quenched_critical_point,
     quenched_free_energy,
@@ -173,8 +172,7 @@ def test_09_quenched_below_annealed():
 
 def test_10_critical_bias_vanishes_without_disorder():
     kernel = make_power_kernel(1.5)
-    cfg = QuenchedSearchConfig(n=4096, replicas=1, base_seed=0, target_width=0.002)
-    bracket = quenched_critical_point(kernel, GAUSS, 0.0, cfg)
+    bracket = quenched_critical_point(kernel, GAUSS, 0.0, replica_charges(GAUSS, 8192, 1, 0), 0.002)
     assert bracket.h_lo <= 0.0 <= bracket.h_hi, (bracket.h_lo, bracket.h_hi)
     assert bracket.width <= 0.01, bracket.width
     report(10, f"beta=0 bracket [{bracket.h_lo:.5f}, {bracket.h_hi:.5f}] contains 0, width {bracket.width:.5f} <= 0.01")

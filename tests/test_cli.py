@@ -2,10 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import pytest
 
+from pinlab import quenched
 from pinlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_UNDECIDED, main
+from pinlab.disorder import gaussian_disorder
+from pinlab.kernels import make_power_kernel
 
 
 GEOMETRIC = {"family": "geometric", "p": 0.5}
@@ -416,6 +420,58 @@ class TestPhaseDiagramCommand:
             run(["phase-diagram", "--config", cfg, "--out", tmp_path / "x", "--threads", "2"])
         assert info.value.code == EXIT_CONFIG
         assert not (tmp_path / "x").exists()
+
+    GRID_RUN = {
+        "kernel": {"family": "power", "alpha": 1.5},
+        "disorder": {"family": "gaussian"},
+        "beta_grid": [0.3, 0.6, 0.9],
+        "base_seed": 4,
+        "quenched": {"n": 64, "replicas": 3, "target_width": 0.05},
+    }
+
+    def test_charges_drawn_once_per_run(self, tmp_path):
+        # every beta sees the same disorder: the run draws each replica's
+        # charges once, at 2n, and each search takes their first n columns.
+        # The search probes several biases per DP call, and BLAS may round a
+        # column differently with another column count, so a fresh one-bias
+        # call agrees to the DP's bound; charges of another seed must miss
+        cfg = write_config(tmp_path, "cfg.json", self.GRID_RUN)
+        out = tmp_path / "out"
+        with mock.patch.object(quenched, "sample", wraps=quenched.sample) as spy:
+            assert run(["phase-diagram", "--config", cfg, "--out", out]) in (EXIT_OK, 4)
+        assert [call.args[2] for call in spy.call_args_list] == [128] * 3
+        kernel, law = make_power_kernel(1.5), gaussian_disorder()
+        sidecar = json.loads((out / "phase_diagram_diagnostics.json").read_text())
+        assert [bracket["beta"] for bracket in sidecar] == self.GRID_RUN["beta_grid"]
+        for bracket in sidecar:
+            beta = bracket["beta"]
+            for label, diag in bracket["per_n_diagnostics"].items():
+                for n, key in ((64, "mean"), (128, "mean_2n")):
+                    want = diag[key]
+                    redrawn = quenched.quenched_free_energy(
+                        kernel, quenched.replica_charges(law, n, 3, 4), beta, diag["h"])
+                    assert abs(redrawn.mean - want) <= 1e-12 * max(1.0, abs(want)), (beta, label)
+                    other = quenched.quenched_free_energy(
+                        kernel, quenched.replica_charges(law, n, 3, 5), beta, diag["h"])
+                    assert abs(other.mean - want) > 1e-6, (beta, label, key)
+
+    def test_grid_rows_equal_single_beta_runs(self, tmp_path):
+        # sharing one array of charges couples no two betas: each row of a
+        # grid run is the row of a run on that beta alone, byte for byte
+        def payload(name, grid):
+            cfg = write_config(tmp_path, f"{name}.json", dict(self.GRID_RUN, beta_grid=grid))
+            out = tmp_path / name
+            assert run(["phase-diagram", "--config", cfg, "--out", out]) in (EXIT_OK, 4)
+            lines = (out / "phase_diagram.csv").read_text().splitlines()
+            rows = [line for line in lines if not line.startswith("#")]
+            return rows, json.loads((out / "phase_diagram_diagnostics.json").read_text())
+
+        rows, sidecar = payload("grid", self.GRID_RUN["beta_grid"])
+        assert len(rows) == 4
+        for i, beta in enumerate(self.GRID_RUN["beta_grid"]):
+            alone, alone_sidecar = payload(f"beta{i}", [beta])
+            assert alone == [rows[0], rows[1 + i]]
+            assert alone_sidecar == [sidecar[i]]
 
 
 class TestRelevanceCommand:

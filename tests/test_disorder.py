@@ -288,6 +288,21 @@ class TestExtremeTiltTable:
             draws = tilt_transform(law, np.linspace(0.0, 1.0, 11, endpoint=False), lam)
         assert np.all(draws == anchor)
 
+    @LAWS
+    @pytest.mark.parametrize("beta", [50.0, 1e14, 1e16, 1e300, 1.5e308, 2.0**1023])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+    def test_entropies_reach_their_limit(self, law, beta, sign):
+        # log Xi and h(mu_beta | mu_0) both tend to -log p of the atom where
+        # beta x is largest; the beta * anchor terms cancel before rounding,
+        # so the O(1) limit survives every beta up to the float maximum.
+        # Tilting down is tilting the mirrored law up
+        want = relative_entropy_limit(discrete_disorder(sign * law.xs, law.ps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (log_xi(law, sign * beta), relative_entropy_tilt(law, sign * beta))
+        for value in got:
+            assert abs(value - want) <= 1e-15 * want, (got, want)
+
     def test_overflowing_log_mgf_is_inf(self):
         law = discrete_disorder([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2])
         with warnings.catch_warnings():

@@ -85,9 +85,10 @@ _RUN_WITHOUT_SCIPY = """
 import sys
 import pinlab
 from pinlab import cli
-validate, relevance, out = sys.argv[1:]
+validate, relevance, phase_diagram, out = sys.argv[1:]
 codes = [cli.main(["validate", "--config", validate, "--out", out + "/validate"]),
-         cli.main(["relevance", "--config", relevance, "--out", out + "/relevance"])]
+         cli.main(["relevance", "--config", relevance, "--out", out + "/relevance"]),
+         cli.main(["phase-diagram", "--config", phase_diagram, "--out", out + "/phase-diagram"])]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(codes, loaded)
 """
@@ -95,17 +96,21 @@ print(codes, loaded)
 
 def test_runtime_never_imports_scipy(tmp_path):
     # scipy is a test oracle only; a stray import would bring back about
-    # half a second of start-up.  relevance runs at the bench's smoke sizes
+    # half a second of start-up.  relevance and phase-diagram run at the
+    # bench's smoke sizes
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    relevance = json.loads((ROOT / "bench" / "configs" / "relevance.json").read_text())
+    configs = ROOT / "bench" / "configs"
+    relevance = json.loads((configs / "relevance.json").read_text())
     relevance.update(tr_schedule=[4, 8], n_multiplier=16, replicas=8)
-    relevance_config = tmp_path / "relevance.json"
-    relevance_config.write_text(json.dumps(relevance))
-    validate_config = ROOT / "bench" / "configs" / "validate.json"
+    phase_diagram = json.loads((configs / "phase_diagram.json").read_text())
+    phase_diagram["quenched"].update(n=64, replicas=4)
+    for name, doc in (("relevance", relevance), ("phase_diagram", phase_diagram)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(validate_config), str(relevance_config),
-         str(tmp_path)],
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(configs / "validate.json"),
+         str(tmp_path / "relevance.json"), str(tmp_path / "phase_diagram.json"), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
     assert (tmp_path / "relevance" / "relevance_bounds.json").is_file()
+    assert (tmp_path / "phase-diagram" / "phase_diagram.csv").is_file()

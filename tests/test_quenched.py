@@ -25,7 +25,6 @@ from pinlab.homopolymer import annealed_free_energy
 from pinlab.kernels import make_power_kernel, make_table_kernel
 from pinlab.oracles import annealed_partition_check, pinned_partition_log
 from pinlab.quenched import (
-    QuenchedSearchConfig,
     dp_log_partition,
     log_mass_vector,
     partition_function_log,
@@ -492,8 +491,8 @@ class TestCriticalPoint:
     def test_beta_zero_bracket_contains_zero(self):
         # light version of the acceptance run: order-1 kernel, small n
         kernel = make_power_kernel(1.5)
-        cfg = QuenchedSearchConfig(n=1024, replicas=1, base_seed=0, target_width=0.004)
-        bracket = quenched_critical_point(kernel, GAUSS, 0.0, cfg)
+        charges = replica_charges(GAUSS, 2048, 1, 0)
+        bracket = quenched_critical_point(kernel, GAUSS, 0.0, charges, 0.004)
         assert bracket.h_lo <= 0.0 <= bracket.h_hi
         assert bracket.width <= 0.04
         assert not bracket.undecided
@@ -502,31 +501,11 @@ class TestCriticalPoint:
 
     def test_upper_edge_below_annealed_curve(self):
         kernel = make_power_kernel(1.5)
-        cfg = QuenchedSearchConfig(n=512, replicas=8, base_seed=3, target_width=0.01)
-        bracket = quenched_critical_point(kernel, GAUSS, 0.6, cfg)
+        charges = replica_charges(GAUSS, 1024, 8, 3)
+        bracket = quenched_critical_point(kernel, GAUSS, 0.6, charges, 0.01)
         h_ann = log_mgf(GAUSS, 0.6)
         assert bracket.h_hi <= h_ann + bracket.width
         assert bracket.h_lo <= h_ann
-
-    def test_charges_drawn_once_per_size(self):
-        # the charges are drawn once, at 2n, and the search takes their first
-        # n columns; the search probes several biases per DP call, and BLAS
-        # may round a column differently with another column count, so a
-        # fresh one-bias call agrees to the DP's bound; charges of another
-        # seed must miss
-        kernel = make_power_kernel(1.5)
-        cfg = QuenchedSearchConfig(n=64, replicas=3, base_seed=4, target_width=0.05)
-        with mock.patch.object(quenched, "sample", wraps=quenched.sample) as spy:
-            bracket = quenched_critical_point(kernel, GAUSS, 0.6, cfg)
-        drawn = [call.args[2] for call in spy.call_args_list]
-        assert drawn == [128] * 3
-        for label, diag in bracket.per_n_diagnostics.items():
-            for n, key in ((64, "mean"), (128, "mean_2n")):
-                want = diag[key]
-                redrawn = quenched_free_energy(kernel, replica_charges(GAUSS, n, 3, 4), 0.6, diag["h"])
-                assert abs(redrawn.mean - want) <= 1e-12 * max(1.0, abs(want)), (label, key)
-                other = quenched_free_energy(kernel, replica_charges(GAUSS, n, 3, 5), 0.6, diag["h"])
-                assert abs(other.mean - want) > 1e-6, (label, key)
 
     @pytest.mark.parametrize(
         "alpha, beta, n, replicas, base_seed, target_width, undecided",
@@ -542,10 +521,9 @@ class TestCriticalPoint:
         # the biases probed ahead are the floats the one-bias-per-call
         # bisection computes, so every decision and edge is the same
         kernel = make_power_kernel(alpha)
-        cfg = QuenchedSearchConfig(n=n, replicas=replicas, base_seed=base_seed,
-                                   target_width=target_width)
-        bracket = quenched_critical_point(kernel, GAUSS, beta, cfg)
-        want = critical_point_sequential(kernel, GAUSS, beta, cfg)
+        charges = replica_charges(GAUSS, 2 * n, replicas, base_seed)
+        bracket = quenched_critical_point(kernel, GAUSS, beta, charges, target_width)
+        want = critical_point_sequential(kernel, GAUSS, beta, charges, target_width)
         assert want["undecided"] is undecided
         got = {
             "h_lo": bracket.h_lo,
@@ -560,13 +538,13 @@ class TestCriticalPoint:
         # the edges share a call, each bisection call also takes the next
         # step's two candidates, and the two 2n diagnostics share the last
         kernel = make_power_kernel(1.5)
-        cfg = QuenchedSearchConfig(n=128, replicas=8, base_seed=3, target_width=0.01)
+        charges = replica_charges(GAUSS, 256, 8, 3)
         calls = {}
         for name, module, run in (("batched", quenched, quenched_critical_point),
                                   ("sequential", oracles, critical_point_sequential)):
             with mock.patch.object(module, "quenched_free_energy",
                                    wraps=module.quenched_free_energy) as spy:
-                run(kernel, GAUSS, 0.6, cfg)
+                run(kernel, GAUSS, 0.6, charges, 0.01)
             calls[name] = [np.size(call.args[3]) for call in spy.call_args_list]
         batched = calls["batched"]
         assert batched[0] == 2 and batched[-1] == 2 and max(batched) == 3
@@ -579,10 +557,24 @@ class TestCriticalPoint:
             with pytest.raises(InvalidParameterError):
                 quenched_free_energy(KERNEL, np.zeros(shape), 1.0, 0.2)
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 0), (2, 7), (2, 1)])
+    def test_search_rejects_charges_of_wrong_shape(self, shape):
+        # one chain's charges, no sites, an odd width: no (replicas, 2n) array
+        with pytest.raises(InvalidParameterError):
+            quenched_critical_point(KERNEL, GAUSS, 1.0, np.zeros(shape), 0.05)
+
+    @pytest.mark.parametrize("target_width", [0.0, -1.0, math.nan])
+    def test_search_rejects_a_width_that_is_not_positive(self, target_width):
+        # a NaN width would stop the bisection before its first probe and
+        # return the start window as a decided bracket
+        with pytest.raises(InvalidParameterError):
+            quenched_critical_point(KERNEL, GAUSS, 1.0, replica_charges(GAUSS, 16, 2, 0),
+                                    target_width)
+
     def test_positive_bias_needed_at_positive_beta(self):
         # with disorder switched on, localization survives a strictly
         # positive bias, so the bracket's reliable lower edge is positive
-        cfg = QuenchedSearchConfig(n=2048, replicas=16, base_seed=6, target_width=0.05)
-        bracket = quenched_critical_point(KERNEL, GAUSS, 1.0, cfg)
+        charges = replica_charges(GAUSS, 4096, 16, 6)
+        bracket = quenched_critical_point(KERNEL, GAUSS, 1.0, charges, 0.05)
         assert bracket.h_lo > 0.0
         assert not bracket.undecided

@@ -339,6 +339,17 @@ class TestEntropyEstimator:
             entropy_estimator(P03, GAUSS, 1e160, 4, 16, 2, 0, compute_bounds=False)
 
 
+    @pytest.mark.parametrize("beta", [1e15, 1e16, 1e160])
+    def test_fair_signs_at_huge_beta(self, beta):
+        # from beta 200 up a -1 letter weighs e^{-2 beta} or less against a +1
+        # letter and is never drawn as a first letter, so the estimate is the
+        # one at 200, provided the beta * anchor terms of beta x - log M(beta)
+        # cancel before rounding and a +1 letter keeps its weight log 2
+        want = entropy_estimator(P03, RAD, 200.0, 4, 16, 2, 0, compute_bounds=False).estimate
+        got = entropy_estimator(P03, RAD, beta, 4, 16, 2, 0, compute_bounds=False).estimate
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 class TestMonotonicityScan:
     def test_rademacher_grid_nondecreasing(self):
         scan = entropy_monotonicity_scan(
