@@ -130,6 +130,14 @@ def dp_log_partition(
     very negative weight give the log-domain values, and ``-inf`` where
     ``Z_m = 0``.
 
+    Site ``j`` of ``y`` is stored at row ``j - off`` of an array of
+    ``min(n + 1, width + 2 * _RUN_CAP)`` rows.  A run reads the ``width``
+    sites before it and writes at most ``_RUN_CAP``, so when the next run
+    from ``m`` would pass the last row, the rows of the sites ``[m - width,
+    m)`` move to the front and ``off`` becomes ``m - width``.  The dense DP
+    (``width = n``) keeps all ``n + 1`` rows at offset 0; a banded one holds
+    ``O(replicas * band)`` floats besides its ``log Z`` output.
+
     Each finite ``log Z_m`` is within ``1e-12 * max(1, max_{j<=m} |log Z_j|)``
     of the exact recursion: ``c_r`` and the log-sum-exp terms are rounded at
     the size of the largest ``|log Z_j|`` on the path (about 2e-13 at 1000),
@@ -149,16 +157,21 @@ def dp_log_partition(
     nears = [near[_RUN_CAP - 1 - i :] for i in range(_RUN_CAP)]  # step m + i's
     log_z = np.empty((reps, n + 1))
     log_z[:, 0] = 0.0
-    y = np.empty((n + 1, reps))  # row n takes the last step's unused entry
+    # y[j - off] holds site j; site n takes the last step's unused entry
+    y = np.empty((min(n + 1, width + 2 * _RUN_CAP), reps))
+    off = 0
     scale = np.empty(reps)
     sums = np.empty((_RUN_CAP, reps))  # a run's s_m, then their logs
     growth = np.ones((_RUN_CAP, reps))  # e^{w_j} for the sites g0 <= j < g0 + _RUN_CAP
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if n:
-            _rebase(y, scale, log_z, site_weights, np.arange(reps), 0, 1)
+            _rebase(y, off, scale, log_z, site_weights, np.arange(reps), 0, 1)
         m, length, g0 = 1, 1, -_RUN_CAP
         while m <= n:
             end = min(m + length, n + 1)  # the run is steps m <= t < end
+            if end - off > len(y):  # keep the window's rows [m - width, m)
+                y[:width] = y[m - width - off : m - off]
+                off = m - width
             if end > g0 + _RUN_CAP:
                 g0, hi = m, min(m + _RUN_CAP, n)
                 np.exp(site_weights[:, m:hi], out=growth[: hi - m].T)
@@ -167,16 +180,17 @@ def dp_log_partition(
             j0 = max(0, m - width)
             c0 = width + _HALF - (m - j0)
             top = min(end, m + _HALF)
-            np.matmul(toe[: top - m, c0:], y[j0:m], out=y[m:top])
+            far, run = y[j0 - off : m - off], y[m - off : end - off]
+            np.matmul(toe[: top - m, c0:], far, out=run[: top - m])
             if end > top:
-                np.matmul(toe[: end - top, c0 - _HALF : width], y[j0:m], out=y[top:end])
-            for t, s_t, g_t, k_t in zip(range(m, end), s, g, nears):
-                np.dot(k_t, y[m : t + 1], out=s_t)
-                np.multiply(s_t, g_t, out=y[t])
+                np.matmul(toe[: end - top, c0 - _HALF : width], far, out=run[top - m :])
+            for i, s_t, g_t, k_t in zip(range(end - m), s, g, nears):
+                np.dot(k_t, run[: i + 1], out=s_t)
+                np.multiply(s_t, g_t, out=run[i])
             lz = np.log(s, out=s)
             np.add(scale, lz, out=log_z[:, m:end].T)
             size = np.abs(lz)
-            ok = (size <= _LOG_SAFE) & (y[m:end] <= _SAFE)
+            ok = (size <= _LOG_SAFE) & (run <= _SAFE)
             if tiny_growth and not lz.max() <= 0.0:
                 ok &= (g >= _TINY) | (lz <= 0.0)
             if end > n:
@@ -191,20 +205,21 @@ def dp_log_partition(
                 j0 = max(0, t - width)
                 log_z[exact, t] = _log_step(log_z, site_weights, log_k, exact, j0, t)
             if t < n:
-                off = np.flatnonzero(~ok[i])
-                _rebase(y, scale, log_z, site_weights, off, max(0, t + 1 - width), t + 1)
+                bad = np.flatnonzero(~ok[i])
+                _rebase(y, off, scale, log_z, site_weights, bad, max(0, t + 1 - width), t + 1)
             m, length = t + 1, 1
     return log_z
 
 
-def _rebase(y, scale, log_z, site_weights, rows, j0, j1):
-    """Put ``rows`` on the scale of their largest ``log Z_j + w_j``, j0 <= j < j1."""
+def _rebase(y, off, scale, log_z, site_weights, rows, j0, j1):
+    """Put ``rows`` on the scale of their largest ``log Z_j + w_j``, j0 <= j < j1;
+    ``y[j - off]`` holds site ``j``."""
     a = log_z[rows, j0:j1] + site_weights[rows, j0:j1]
     top = a.max(axis=1)
     top[~np.isfinite(top)] = 0.0
     scale[rows] = top
     a -= top[:, None]
-    y[j0:j1, rows] = np.exp(a, out=a).T
+    y[j0 - off : j1 - off, rows] = np.exp(a, out=a).T
 
 
 def _log_step(log_z, site_weights, log_k, rows, j0, m):
@@ -240,12 +255,13 @@ def replica_charges(disorder: DisorderLaw, n: int, replicas: int, base_seed: int
     return rows
 
 
-def _site_weights(charges: np.ndarray, beta: float, h) -> np.ndarray:
+def _site_weights(charges: np.ndarray, beta: float, h, out=None) -> np.ndarray:
     """``beta * charges - h``, built in one array, for a bias ``h`` or each
     bias of a 1-D array ``h`` (then one ``charges``-shaped block per bias).
-    A weight that is not finite raises :class:`PrecisionError`."""
+    The weights of one bias may be written into ``out``, e.g. ``charges``
+    itself.  A weight that is not finite raises :class:`PrecisionError`."""
     biases = np.asarray(h, dtype=float)
-    weights = np.empty(biases.shape + charges.shape)
+    weights = np.empty(biases.shape + charges.shape) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(charges, beta, out=weights)
         weights -= biases.reshape(biases.shape + (1, 1))

@@ -289,13 +289,17 @@ def entropy_estimator(
     """Monte Carlo estimate of the truncated specific relative entropy.
 
     Per replica: sample the concatenated tilted-word sequence, run the
-    log-domain renewal DP for the truncated kernel at tilt ``beta`` and
-    bias ``log M(beta)``, and close with a free right endpoint
+    banded renewal DP (:func:`pinlab.quenched.dp_log_partition`, the scaled
+    linear-domain recursion, band ``tr``) for the truncated kernel at tilt
+    ``beta`` and bias ``log M(beta)``, and close with a free right endpoint
     (:func:`free_endpoint_log_likelihood`).  The per-letter average of
     ``log f_n`` over replicas tends to ``H_tr``; at ``beta = 0`` the
     likelihood ratio is identically one and the estimate is exactly zero.
-    Site weights, means or standard errors that are not finite raise
-    :class:`PrecisionError`, as in :func:`pinlab.quenched.quenched_free_energy`.
+    The site weights are written over the ``(replicas, n)`` array of the
+    drawn letters, so they and the DP's ``log Z`` are the only arrays of
+    that size.  Site weights, means or standard errors that are not finite
+    raise :class:`PrecisionError`, as in
+    :func:`pinlab.quenched.quenched_free_energy`.
     """
     if tr < 1 or n < 2 or replicas < 1:
         raise InvalidParameterError("need tr >= 1, n >= 2, replicas >= 1")
@@ -317,7 +321,7 @@ def entropy_estimator(
         for r in range(replicas):
             stream = derive_stream(base_seed, r)
             charges[r] = _sample_word_sequence(disorder, masses, beta, n, stream) - anchor
-        site_weights = _site_weights(charges, beta, rest)
+        site_weights = _site_weights(charges, beta, rest, out=charges)
         log_z = dp_log_partition(log_mass_vector(ktr, n), site_weights, band=tr)
         per_replica = free_endpoint_log_likelihood(log_z, site_weights, masses) / n
         estimate, stderr = _mean_stderr(per_replica)

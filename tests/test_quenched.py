@@ -287,8 +287,67 @@ class TestFarProduct:
             assert err.max() <= 1e-12
 
 
+def window_moves(n, band):
+    """The steps at which a banded DP's window of ``band + 128`` rows moves,
+    while no step is repaired: runs start at 1, 2, 4, ..., 64, 128, 192, ...
+    and the window moves at the start of a run that would pass its end."""
+    rows, off, moves, m = min(n + 1, min(band, n) + 128), 0, [], 1
+    while m <= n:
+        end = min(m + min(m, 64), n + 1)
+        if end - off > rows:
+            moves.append(m)
+            off = m - band
+        m = end
+    return moves
+
+
+def window_weights(n, band):
+    return 0.5 * charges(n + band, 2, n) + 0.5
+
+
+class TestWindow:
+    """A banded DP keeps ``band + 128`` rows of its scaled terms and moves
+    the last ``band`` of them to the front when a run would pass the end,
+    so every seam of the window is read by the far product, the near steps,
+    the range test and the rebase."""
+
+    @pytest.mark.parametrize("band", [1, 8, 63, 64, 65, 100])
+    def test_plain_weights(self, band):
+        n = 4 * (band + 128)
+        assert len(window_moves(n, band)) >= 3
+        # no step of these weights is repaired, so the window moves where
+        # window_moves says
+        with mock.patch.object(quenched, "_rebase", wraps=quenched._rebase) as spy:
+            assert_matches_recursion(log_mass_vector(KERNEL, n), window_weights(n, band), band)
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("band", [1, 8, 63, 64, 65, 100])
+    @pytest.mark.parametrize("weight", [600.0, -1500.0])
+    def test_one_site_out_of_range_after_a_move(self, band, weight):
+        # the first step after the second move rebases, and at -1500 the
+        # steps that follow take the log-sum-exp step across the seam
+        n = 4 * (band + 128)
+        weights = window_weights(n, band)
+        weights[0, window_moves(n, band)[1]] = weight
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @pytest.mark.parametrize("weight", [800.0, -800.0])
+    def test_rebase_every_step(self, weight):
+        # every run has length 1, so the window moves every 128 steps
+        n = 600
+        assert_matches_recursion(log_mass_vector(KERNEL, n), np.full((2, n), weight), 100)
+
+    @settings(max_examples=30)
+    @given(st.floats(0.0, 300.0), st.floats(-800.0, 800.0), st.integers(1, 600), seeds,
+           st.integers(1, 40))
+    def test_long_banded_chains(self, beta, h, n, seed, band):
+        weights = beta * charges(seed, 3, n) - h
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+
 def test_dp_memory_is_its_output_and_window():
-    # the run buffers are _RUN_CAP x replicas; nothing scales with n but log Z and y
+    # a banded call keeps band + 128 rows of y and _RUN_CAP x replicas run
+    # buffers, so only its log Z output scales with n
     n, reps, band = 4096, 64, 64
     weights = charges(0, reps, n)
     log_k = log_mass_vector(KERNEL, n)
@@ -299,8 +358,7 @@ def test_dp_memory_is_its_output_and_window():
     finally:
         tracemalloc.stop()
     log_z_bytes = reps * (n + 1) * 8
-    y_bytes = (n + 1) * reps * 8
-    assert peak < log_z_bytes + y_bytes + 2**20
+    assert peak < 1.5 * log_z_bytes
 
 
 def test_dp_memory_with_far_product():

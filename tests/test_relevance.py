@@ -2,6 +2,7 @@
 entropy estimator and its sandwich, monotonicity, variational identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,17 @@ class TestEntropyEstimator:
         with pytest.raises(PrecisionError):
             entropy_estimator(P03, GAUSS, 1e160, 4, 16, 2, 0, compute_bounds=False)
 
+    def test_memory_is_the_weights_and_log_z(self):
+        # the weights are written over the drawn letters and the banded DP
+        # keeps a window of its terms, so two (replicas, n) arrays are live
+        replicas, n = 16, 8192
+        tracemalloc.start()
+        try:
+            entropy_estimator(P03, GAUSS, 1.5, 64, n, replicas, 0, compute_bounds=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * replicas * n * 8
 
     @pytest.mark.parametrize("beta", [1e15, 1e16, 1e160])
     def test_fair_signs_at_huge_beta(self, beta):
