@@ -3,7 +3,7 @@
 Subcommands::
 
     pinlab homopolymer   --config cfg.json   # (lambda, f, residual) sweep
-    pinlab annealed-curve --config cfg.json  # (beta, h_c_ann) with bisection check
+    pinlab annealed-curve --config cfg.json  # (beta, h_c_ann), bisection gap of lam > 0
     pinlab phase-diagram --config cfg.json   # annealed column exact, quenched bracketed
     pinlab relevance     --config cfg.json   # temperature bounds + truncation scan
     pinlab chi           --config cfg.json   # overlap sum with verdict

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, PrecisionError
 from .rng import RngStream
 
 __all__ = [
@@ -145,32 +145,82 @@ _W_TAYLOR = np.array(
 )
 
 
+_FAR_Y = -(2.0**64)  # below it e^y is 0 and 1/|y| is below half an ulp of 1
+_EXP_ZERO = -800.0   # e^y rounds to 0 below it
+
+
 def _segment_weights(y: np.ndarray) -> np.ndarray:
     """``w_j(y) = int_0^1 g_j(t) e^{y t} dt`` for ``y <= 0`` or ``|y| < 1``,
     with ``g = (1 - t, t, t^2)``; rows ``j = 0, 1, 2``.
 
     The closed forms lose digits to cancellation as ``y -> 0``, so they
-    serve only for ``y <= -1``; above it the Taylor series does.
+    serve only for ``y <= -1``; above it the Taylor series does.  Below
+    ``_FAR_Y`` they reduce to ``-1/y``, ``1/y^2`` and ``-2/y^3``, taken by
+    division so that no power of ``y`` overflows, down to ``y = -inf``.
     """
     w = np.empty((3, y.size))
     near = y > -1.0
+    far = y < _FAR_Y
     yn = y[near]
     acc = np.zeros((3, yn.size))
     for k in reversed(range(_W_TERMS)):
         acc = acc * yn + _W_TAYLOR[:, k : k + 1]
     w[:, near] = acc
-    yf = y[~near]
-    e = np.exp(yf)
-    w[0, ~near] = (np.expm1(yf) - yf) / (yf * yf)
-    w[1, ~near] = (e * (yf - 1.0) + 1.0) / (yf * yf)
-    w[2, ~near] = (e * (yf * (yf - 2.0) + 2.0) - 2.0) / (yf * yf * yf)
+    mid = ~(near | far)
+    ym = y[mid]
+    e = np.exp(ym)
+    w[0, mid] = (np.expm1(ym) - ym) / (ym * ym)
+    w[1, mid] = (e * (ym - 1.0) + 1.0) / (ym * ym)
+    w[2, mid] = (e * (ym * (ym - 2.0) + 2.0) - 2.0) / (ym * ym * ym)
+    yf = y[far]
+    w[0, far] = -1.0 / yf
+    w[1, far] = 1.0 / yf / yf
+    w[2, far] = -2.0 / yf / yf / yf
     return w
+
+
+def _scaled_segment_weights(y: np.ndarray) -> np.ndarray:
+    """``(|y| w0, |y| w1, y^2 w1, y^2 w2)`` of :func:`_segment_weights` for
+    ``y <= 0``, as rows; each stays in ``[0, 1]``, with the limits ``(1, 0,
+    1, 0)`` at ``y = -inf``.
+
+    Below ``-1`` they are ``1 - (e^y - 1)/y``, ``-q/y``, ``q = e^y (y - 1) +
+    1`` and ``(e^y (y (y - 2) + 2) - 2)/y``, with ``e^y`` taken at ``y``
+    clipped to ``_EXP_ZERO``, where it is 0 already, so that no product of
+    ``e^y`` with a power of ``y`` is ``0 * inf``.
+    """
+    v = np.empty((4, y.size))
+    near = y > -1.0
+    yn = y[near]
+    w0, w1, w2 = _segment_weights(yn)
+    v[:, near] = -yn * w0, -yn * w1, yn * yn * w1, yn * yn * w2
+    yf = y[~near]
+    yc = np.maximum(yf, _EXP_ZERO)
+    e = np.exp(yc)
+    q1 = e * (yc - 1.0) + 1.0
+    v[:, ~near] = 1.0 - np.expm1(yc) / yf, -q1 / yf, q1, (e * (yc * (yc - 2.0) + 2.0) - 2.0) / yf
+    return v
 
 
 def _mass_span(law: DisorderLaw) -> slice:
     """The nodes of a continuous law from its first to its last segment with mass."""
     live = np.flatnonzero((law.ps[:-1] > 0.0) | (law.ps[1:] > 0.0))
     return slice(live[0], live[-1] + 2)
+
+
+def _continuous_segments(law: DisorderLaw, lam: float):
+    """``(top, h, xc, pc, pd)`` of a continuous law's segments with mass:
+    ``top`` is the node where ``lam x`` is largest, and each segment of
+    length ``h`` runs from its endpoint ``xc`` where ``lam x`` is largest,
+    of density ``pc``, to its other endpoint, of density ``pd``."""
+    # outer segments without mass are dropped: a shift taken at their far end
+    # would make the scale of every segment with mass underflow
+    span = _mass_span(law)
+    xs, ps = law.xs[span], law.ps[span]
+    h = np.diff(xs)
+    if lam >= 0.0:
+        return float(xs[-1]), h, xs[1:], ps[1:], ps[:-1]
+    return float(xs[0]), h, xs[:-1], ps[:-1], ps[1:]
 
 
 def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, float]:
@@ -188,21 +238,46 @@ def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, flo
     segments with positive mass, so every scale ``e^{lam c - shift}`` of such
     a segment is at most 1 and the sums are a log-sum-exp over segments.
     """
-    # outer segments without mass are dropped: a shift taken at their far end
-    # would make the scale of every segment with mass underflow
-    span = _mass_span(law)
-    xs, ps = law.xs[span], law.ps[span]
-    h = np.diff(xs)
-    if lam >= 0.0:
-        xc, pc, pd, s, top = xs[1:], ps[1:], ps[:-1], -1.0, xs[-1]
-    else:
-        xc, pc, pd, s, top = xs[:-1], ps[:-1], ps[1:], 1.0, xs[0]
-    w0, w1, w2 = _segment_weights(-abs(lam) * h)
-    scale = h * np.exp(lam * (xc - top))
+    top, h, xc, pc, pd = _continuous_segments(law, lam)
+    s = -1.0 if lam >= 0.0 else 1.0
+    with np.errstate(over="ignore"):
+        w0, w1, w2 = _segment_weights(-abs(lam) * h)
+        scale = h * np.exp(lam * (xc - top))
+        shift = float(lam * top)
     mass = pc * w0 + pd * w1
     m0 = math.fsum(scale * mass)
     m1 = math.fsum(scale * (xc * mass + s * h * (pc * (w1 - w2) + pd * w2)))
-    return float(lam * top), m0, m1
+    return shift, m0, m1
+
+
+def _anchored_continuous(law: DisorderLaw, lam: float, doubled: bool = False):
+    """``(top, rest, slope)`` of a continuous law tilted from its anchor
+    ``top`` (:func:`_continuous_segments`): ``rest = log m0`` with ``m0 =
+    int p e^{lam (x - top)}``, and ``slope = lam E_lam[x - top]``.
+
+    Both are taken with the factor ``1/|lam|`` of ``m0`` pulled out, from
+    :func:`_scaled_segment_weights`: ``|lam| m0 = sum e^{u_c} (p_c v0 + p_d
+    v1)`` with ``u_c = lam (c - top)``, and ``lam |lam|`` times the first
+    moment about ``top`` is ``sum e^{u_c} (u_c (p_c v0 + p_d v1) - p_c (q1 -
+    q2) - p_d q2)``.  So neither the moment about 0 nor ``m0`` itself, which
+    underflow at large ``|lam|``, is formed.  With ``doubled`` the tilt is
+    ``2 lam``, which is never formed either.  Where the density is 0 at
+    ``top``, ``|lam| m0`` is of order ``1/|lam|``; if it underflows to 0
+    (only at ``|lam h|`` near the float limit) :class:`PrecisionError` is raised.
+    """
+    top, h, xc, pc, pd = _continuous_segments(law, lam)
+    factor = 2.0 if doubled else 1.0
+    with np.errstate(over="ignore"):
+        v0, v1, q1, q2 = _scaled_segment_weights(factor * (-abs(lam) * h))
+        u = np.maximum(factor * (lam * (xc - top)), _EXP_ZERO)
+    scale = np.exp(u)
+    mass = pc * v0 + pd * v1
+    total = math.fsum(scale * mass)
+    if total == 0.0:
+        # |lam| m0 ~ 1/|lam| where the density is 0 at top, so it can underflow
+        raise PrecisionError(f"tilted mass underflows at tilt {factor!r} * {lam!r}")
+    slope = math.fsum(scale * (u * mass - pc * (q1 - q2) - pd * q2)) / total
+    return top, math.log(total) - math.log(abs(lam)) - math.log(factor), slope
 
 
 def _exact_mean(law: DisorderLaw) -> float:
@@ -227,24 +302,28 @@ def _atom_weights(law: DisorderLaw, lam: float) -> tuple[float, np.ndarray]:
 
 
 def _anchored(law: DisorderLaw, lam: float) -> bool:
-    """Whether an atom table's tilt by ``lam`` is taken from its anchor
-    atom (:func:`_atom_weights`) rather than from the small-tilt series."""
-    return law.family == "discrete" and abs(lam) * float(np.abs(law.xs).max()) >= 1.0
+    """Whether a tilt by ``lam`` of an atom table or a continuous law is
+    taken from its anchor (:func:`_atom_weights`,
+    :func:`_anchored_continuous`) rather than from the small-tilt forms."""
+    return law.family != "gaussian" and abs(lam) * float(np.abs(law.xs).max()) >= 1.0
 
 
 def _anchored_log_mgf(law: DisorderLaw, lam: float) -> tuple[float, float]:
     """``(anchor, rest)`` with ``log M(lam) = lam * anchor + rest``.
 
-    Where an atom table is tilted from its anchor atom, ``rest = log
-    sum(wts)`` lies in ``[log p_anchor, 0]``, so the O(1) part of a
-    difference such as ``lam * x - log M(lam)`` survives any ``lam`` when
-    the ``lam * anchor`` terms cancel algebraically.  Otherwise ``anchor``
-    is 0 and ``rest`` is ``log M(lam)`` (``lam^2 / 2`` for gaussian laws).
+    Where a law is tilted from its anchor (the atom, or the end of the
+    support, where ``lam x`` is largest), ``rest`` is the log of ``E
+    e^{lam (x - anchor)} <= 1``, so the O(1) part of a difference such as
+    ``lam * x - log M(lam)`` survives any ``lam`` when the ``lam * anchor``
+    terms cancel algebraically.  Otherwise ``anchor`` is 0 and ``rest`` is
+    ``log M(lam)`` (``lam^2 / 2`` for gaussian laws).
     """
-    if _anchored(law, lam):
-        anchor, wts = _atom_weights(law, lam)
-        return anchor, math.log(float(wts.sum()))
-    return 0.0, log_mgf(law, lam)
+    if not _anchored(law, lam):
+        return 0.0, log_mgf(law, lam)
+    if law.family == "continuous":
+        return _anchored_continuous(law, lam)[:2]
+    anchor, wts = _atom_weights(law, lam)
+    return anchor, math.log(float(wts.sum()))
 
 
 def log_mgf(law: DisorderLaw, lam: float) -> float:
@@ -280,10 +359,13 @@ def relative_entropy_tilt(law: DisorderLaw, beta: float) -> float:
     """``h(mu_beta | mu_0) = beta M'(beta)/M(beta) - log M(beta)``.
 
     Nonnegative, zero exactly at ``beta = 0``, nondecreasing in ``|beta|``.
-    An atom table tilted from its anchor atom ``a`` takes ``beta E_beta[x -
-    a] - log sum(wts)``: the ``beta a`` terms cancel before rounding.
+    A law tilted from its anchor ``a`` takes ``beta E_beta[x - a] - log E
+    e^{beta (x - a)}``: the ``beta a`` terms cancel before rounding.
     """
     if _anchored(law, beta):
+        if law.family == "continuous":
+            _, rest, slope = _anchored_continuous(law, beta)
+            return slope - rest
         anchor, wts = _atom_weights(law, beta)
         total = float(wts.sum())
         return beta * float(np.dot(wts, law.xs - anchor)) / total - math.log(total)
@@ -294,13 +376,14 @@ def log_xi(law: DisorderLaw, beta: float) -> float:
     """``log Xi(beta)`` with ``Xi(beta) = M(2 beta) / M(beta)^2``, the
     second-moment ratio: ``Xi >= 1``, nondecreasing for ``beta >= 0``.
 
-    An atom table tilted from its anchor atom ``a`` takes ``log sum p
-    e^{2 beta (x - a)} - 2 log sum(wts)``: the ``2 beta a`` terms cancel
-    before rounding, and ``2 beta`` itself is never formed, so it cannot
-    overflow.
+    A law tilted from its anchor ``a`` takes ``log E e^{2 beta (x - a)} -
+    2 log E e^{beta (x - a)}``: the ``2 beta a`` terms cancel before
+    rounding, and ``2 beta`` itself is never formed, so it cannot overflow.
     """
     if _anchored(law, beta):
         anchor, rest = _anchored_log_mgf(law, beta)
+        if law.family == "continuous":
+            return _anchored_continuous(law, beta, doubled=True)[1] - 2.0 * rest
         with np.errstate(over="ignore"):
             doubled = law.ps * np.exp(2.0 * (beta * (law.xs - anchor)))
         return math.log(float(doubled.sum())) - 2.0 * rest

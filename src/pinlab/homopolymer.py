@@ -155,7 +155,7 @@ def annealed_free_energy(
 class AnnealedCurvePoint:
     beta: float
     h_c: float              # log M(beta), exact
-    bisection_zero: float   # location recovered by bisecting the solver's phase
+    bisection_zero: float   # bisection of the pinning criterion log M(beta) - h > 0
 
 
 def annealed_critical_curve(
@@ -163,13 +163,16 @@ def annealed_critical_curve(
     disorder: DisorderLaw,
     beta_grid,
 ) -> list[AnnealedCurvePoint]:
-    """``(beta, log M(beta))`` pairs, each cross-checked by bisection.
+    """``(beta, log M(beta))`` pairs, each with a bisection of its phase.
 
-    The bisection brackets the sign change of the annealed free energy in
-    ``h``; disagreement with ``log M(beta)`` beyond 1e-8 aborts.
-    ``log M(beta)`` is computed once per ``beta`` and every probe solves the
-    homogeneous model at ``log M(beta) - h``: the same numbers
-    :func:`annealed_free_energy` gives, without its ``log M(beta)`` per probe.
+    ``log M(beta)`` is computed once per ``beta``.  The two edges of the
+    bracket ``log M(beta) -+ 0.75`` are solved as the homogeneous model at
+    ``lam = log M(beta) - h``, which must be pinned below and unpinned
+    above.  Each interior probe is decided by the pinning criterion ``lam >
+    0``, the branch :func:`homopolymer_free_energy` takes before it solves,
+    so the bisection gives the zero of the solver's phase with two solves
+    per ``beta``; it cross-checks the bracket arithmetic only, and a zero
+    more than 1e-8 from ``log M(beta)`` aborts.
     """
     betas = list(beta_grid)
     if not betas:
@@ -184,7 +187,7 @@ def annealed_critical_curve(
             raise InternalConsistencyError("annealed phase pinned above log M(beta)")
         while hi - lo > 0.25 * _VERIFY_TOL:
             mid = 0.5 * (lo + hi)
-            if homopolymer_free_energy(kernel, h_c - mid).pinned:
+            if h_c - mid > 0.0:
                 lo = mid
             else:
                 hi = mid

@@ -20,7 +20,7 @@ import numpy as np
 from .disorder import DisorderLaw, log_mgf, log_xi
 from .errors import InvalidParameterError
 from .kernels import RenewalKernel
-from .quenched import partition_function_log
+from .quenched import _partition_rows_log, partition_function_log
 from .relevance import replica_moment_log
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "annealed_partition_check",
     "replica_moment_exact_check",
 ]
+
+_BLOCK = 4096  # charge assignments per DP call of annealed_partition_check
 
 
 def renewal_configurations(masses: np.ndarray, n: int):
@@ -83,12 +85,19 @@ def annealed_partition_check(
     assignment, and the homogeneous partition sum at strength ``lam =
     log M(beta) - h``, i.e. the sum with every site weight ``lam``.  The
     caller compares them at its own tolerance.  Cost ``|support|^n``.
+    The assignments' site weights go through the DP as the rows of one
+    call per block of ``_BLOCK``, so memory stays ``O(_BLOCK * n)``; the
+    average is summed in assignment order.
     """
     if n > 14:
         raise InvalidParameterError("exhaustive check limited to n <= 14")
     lhs = 0.0
-    for charges, prob in charge_assignments(disorder, n):
-        lhs += prob * math.exp(partition_function_log(kernel, beta * charges - h))
+    assignments = charge_assignments(disorder, n)
+    while block := list(itertools.islice(assignments, _BLOCK)):
+        charges, probs = zip(*block)
+        log_z = _partition_rows_log(kernel, beta * np.array(charges) - h)
+        for prob, value in zip(probs, log_z.tolist()):
+            lhs += prob * math.exp(value)
     lam = log_mgf(disorder, beta) - h
     rhs = math.exp(partition_function_log(kernel, np.full(n, lam)))
     return lhs, rhs

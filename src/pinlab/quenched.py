@@ -234,12 +234,16 @@ def partition_function_log(kernel: RenewalKernel, site_weights) -> float:
     """``log Z_n``, ``n = len(site_weights)``, of one chain whose renewal at
     site ``j`` collects ``exp(site_weights[j])``, e.g. ``beta * omega_j - h``;
     a weight of ``-inf`` forbids a renewal at its site."""
-    weights = np.asarray(site_weights, dtype=float)[None, :]
+    return float(_partition_rows_log(kernel, np.asarray(site_weights, dtype=float)[None, :])[0])
+
+
+def _partition_rows_log(kernel: RenewalKernel, weights: np.ndarray) -> np.ndarray:
+    """:func:`partition_function_log` of each row of ``weights``, in one DP call."""
     if np.isnan(weights).any() or (weights == math.inf).any():
         raise InvalidParameterError("site weights must not be NaN or +inf")
     n = weights.shape[1]
     log_k = log_mass_vector(kernel, n)
-    return float(dp_log_partition(log_k, weights, band=kernel.support_upper)[0, n])
+    return dp_log_partition(log_k, weights, band=kernel.support_upper)[:, n]
 
 
 def replica_charges(disorder: DisorderLaw, n: int, replicas: int, base_seed: int) -> np.ndarray:

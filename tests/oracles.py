@@ -14,7 +14,8 @@ from scipy.integrate import quad
 
 from pinlab.disorder import log_mgf
 from pinlab.errors import InvalidParameterError
-from pinlab.quenched import quenched_free_energy
+from pinlab.oracles import charge_assignments
+from pinlab.quenched import partition_function_log, quenched_free_energy
 
 
 def zeta_direct(s: float, n_direct: int = 200) -> float:
@@ -221,3 +222,13 @@ def loglog_fit(xs, ys) -> tuple[float, float]:
 
 def loglog_slope(xs, ys) -> float:
     return loglog_fit(xs, ys)[0]
+
+
+def annealed_average_per_assignment(kernel, disorder, beta: float, h: float, n: int) -> float:
+    """``E[Z_n]`` over every charge assignment, in assignment order, with one
+    DP call per assignment: the reference for the blocked sum of
+    ``pinlab.oracles.annealed_partition_check``."""
+    total = 0.0
+    for charges, prob in charge_assignments(disorder, n):
+        total += prob * math.exp(partition_function_log(kernel, beta * charges - h))
+    return total

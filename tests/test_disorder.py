@@ -311,6 +311,58 @@ class TestExtremeTiltTable:
             assert log_mgf(law, -1.5e308) == math.inf
 
 
+class TestExtremeTiltContinuous:
+    """Continuous laws at large ``|beta|``: the tilt is taken from the end of
+    the support where ``beta x`` is largest, so ``log Xi`` and ``h(mu_beta |
+    mu_0)`` follow their asymptotes up to the float maximum, with no
+    warning.  For the uniform density they are ``log(|beta| / (2 p_end))``
+    and ``log(|beta| / p_end) - 1``, ``p_end`` the density at that end, up
+    to terms of order ``e^{-|beta| width}``."""
+
+    @pytest.mark.parametrize("beta", [1e9, 1e12, 1e15, 1e16, 1e17, 1e100, 1e300, 2.0**1023])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+    def test_entropies_follow_their_asymptotes(self, beta, sign):
+        law = uniform_continuous_law()
+        log_p_end = math.log(float(law.ps[-1] if sign > 0 else law.ps[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi = log_xi(law, sign * beta)
+            entropy = relative_entropy_tilt(law, sign * beta)
+        want_xi = math.log(beta) - math.log(2.0) - log_p_end
+        assert abs(xi - want_xi) <= 1e-9 * want_xi, (xi, want_xi)
+        want_entropy = math.log(beta) - log_p_end - 1.0
+        assert abs(entropy - want_entropy) <= 1e-9, (entropy, want_entropy)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            uniform_continuous_law(),
+            continuous_disorder([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2, 1.0, 1.5, 1.0, 0.2]),
+            # density 0 at the right end: log Xi grows like 2 log beta there
+            continuous_disorder([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 0.0, 0.0]),
+        ],
+        ids=["uniform", "peaked", "one-sided"],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+    def test_entropies_nondecreasing_in_beta(self, law, sign):
+        betas = [sign * float(b) for b in np.geomspace(1.0, 1e300, 601)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi = [log_xi(law, b) for b in betas]
+            entropy = [relative_entropy_tilt(law, b) for b in betas]
+        assert np.all(np.diff(xi) >= 0.0)
+        assert np.all(np.diff(entropy) >= 0.0)
+
+    @pytest.mark.parametrize("lam", [1e300, -1e300])
+    def test_log_mgf_and_mean_at_extreme_tilt(self, lam):
+        law = uniform_continuous_law()
+        top = float(law.xs[-1] if lam > 0 else law.xs[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(log_mgf(law, lam))
+            assert tilted_mean(law, lam) == pytest.approx(top, rel=1e-15)
+
+
 class TestTilt:
     @ALL_LAWS
     def test_identity_tilt(self, law):

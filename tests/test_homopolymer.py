@@ -153,6 +153,19 @@ class TestAnnealed:
         annealed_critical_curve(make_power_kernel(0.3), _LAWS["continuous"](), betas)
         assert calls == betas
 
+    def test_curve_solves_only_the_bracket_edges(self, monkeypatch):
+        # each interior probe is decided by lam > 0, which is the solver's
+        # own first branch, so a beta costs the two edge solves alone
+        calls = []
+
+        def spy(kernel, lam, tol=1e-10):
+            calls.append(lam)
+            return homopolymer_free_energy(kernel, lam, tol)
+
+        monkeypatch.setattr(pinlab.homopolymer, "homopolymer_free_energy", spy)
+        annealed_critical_curve(make_power_kernel(0.3), _LAWS["continuous"](), [0.25, 0.5, 1.0])
+        assert len(calls) == 6
+
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_curve_equals_bisection_of_annealed_free_energy(self, law):
         kernel, disorder = make_power_kernel(0.3), _LAWS[law]()

@@ -514,6 +514,35 @@ class TestAnnealedPartitionCheck:
         with pytest.raises(InvalidParameterError):
             annealed_partition_check(KERNEL, GAUSS, beta=0.5, h=0.0, n=3)
 
+    def test_assignments_share_one_dp_call(self, monkeypatch):
+        # the 64 assignments at n 6 are the rows of one call, plus one for rhs
+        rows = []
+
+        def spy(log_k, site_weights, band=None):
+            rows.append(site_weights.shape[0])
+            return dp_log_partition(log_k, site_weights, band)
+
+        monkeypatch.setattr(quenched, "dp_log_partition", spy)
+        annealed_partition_check(KERNEL, rademacher_disorder(), beta=0.7, h=0.2, n=6)
+        assert len(rows) <= 2
+        assert sum(rows) == 65
+
+    @pytest.mark.parametrize(
+        "law, n",
+        [(rademacher_disorder(), n) for n in range(1, 11)]
+        # 3^8 = 6561 assignments: the sum crosses a block seam
+        + [(discrete_disorder([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2]), 8)],
+    )
+    def test_blocked_average_matches_one_call_per_assignment(self, law, n):
+        lhs, _ = annealed_partition_check(KERNEL, law, beta=0.7, h=0.2, n=n)
+        want = oracles.annealed_average_per_assignment(KERNEL, law, 0.7, 0.2, n)
+        assert abs(lhs - want) <= 1e-15 * want
+
+    def test_non_finite_weight_is_rejected(self):
+        law = discrete_disorder([-1.0, 1.0], [0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match="NaN or \\+inf"):
+            annealed_partition_check(KERNEL, law, beta=math.inf, h=0.0, n=2)
+
 
 class TestStreams:
     def test_distinct_indices_differ(self):
