@@ -12,8 +12,9 @@ Subcommands::
 A flag is registered only on the commands that read it (``_COMMANDS``):
 ``--config`` and ``--out`` on all, ``--format`` on all but ``validate``,
 ``--seed`` on ``phase-diagram``, ``relevance`` and ``validate``, and
-``--threads`` on ``phase-diagram``, which solves its beta grid serially
-and accepts only ``--threads 1``.
+``--threads`` on ``phase-diagram``, which solves its beta grid on one
+thread, in lockstep (one DP call per bisection round across the grid), and
+accepts only ``--threads 1``.
 
 One JSON document configures a run (no environment overrides except the
 output directory via ``PINLAB_OUT_DIR``); the manifest hash covers that
@@ -312,9 +313,7 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
     t0 = time.perf_counter()
     # every beta sees the same disorder: one draw at 2n serves the whole grid
     charges = replica_charges(disorder, 2 * n, replicas, seed)
-    brackets = [
-        quenched_critical_point(kernel, disorder, beta, charges, target_width) for beta in grid
-    ]
+    brackets = quenched_critical_point(kernel, disorder, grid, charges, target_width)
     writer.time_block("quenched_brackets", t0)
 
     rows = []
@@ -562,9 +561,10 @@ _FLAGS = {
     "--out": {"default": None, "help": "output directory"},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
     "--seed": {"type": int, "default": None, "help": "override config base_seed"},
-    # the beta grid is solved serially; the flag stays for callers that pass 1
+    # the beta grid is solved on one thread; the flag stays for callers that pass 1
     "--threads": {"type": int, "choices": (1,), "default": 1,
-                  "help": "accepted for compatibility; only 1"},
+                  "help": "accepted for compatibility; only 1 (the beta grid is "
+                          "searched on one thread, in lockstep)"},
 }
 
 # command -> (runner, the flags it reads)

@@ -426,11 +426,15 @@ def tilt_transform(law: DisorderLaw, base: np.ndarray, beta: float) -> np.ndarra
         cdf = np.cumsum(wts / wts.sum())
         idx = np.searchsorted(cdf, base, side="right")
         return law.xs[np.minimum(idx, len(law.xs) - 1)]
-    # scaled by the largest beta x on the segments with mass, as in
-    # _continuous_moments; the clip keeps the factor of a node past them,
-    # whose density is 0, from overflowing
-    t = beta * law.xs
-    dens = law.ps * np.exp(np.minimum(t - t[_mass_span(law)].max(), 0.0))
+    # tilted from the node top where beta x is largest on the segments with
+    # mass (_continuous_segments), as beta (x - top), so beta x is never
+    # formed; an exponent that overflows to -inf gives the right factor 0,
+    # and the clip keeps the factor of a node past those segments, whose
+    # density is 0, from overflowing
+    top = _continuous_segments(law, beta)[0]
+    with np.errstate(over="ignore"):
+        t = beta * (law.xs - top)
+    dens = law.ps * np.exp(np.minimum(t, 0.0))
     gaps = np.diff(law.xs) * 0.5 * (dens[1:] + dens[:-1])
     cdf = np.concatenate([[0.0], np.cumsum(gaps)])
     cdf /= cdf[-1]

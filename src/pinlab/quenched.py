@@ -23,16 +23,20 @@ estimates bit-reproducible and embarrassingly parallel.
 
 The quenched free energy per site is estimated as the replica average of
 ``log Z_n / n`` over one ``(replicas, n)`` array of charges, drawn once
-and reused for every bias; several biases can share one DP call as extra
-rows.  The critical-point search takes a ``(replicas, 2n)`` array of
-charges, which ``phase-diagram`` draws once for all its ``beta``, and runs
-on its first ``n`` columns.  Its zero in ``h`` is located by bisection with an explicit
-finite-size allowance: a point is declared localized only when the
-estimate clears ``max(3 stderr, 5 / n)``, and the reported upper edge is
-widened by the allowance mapped through the locally observed slope, so the
-returned interval is an honest bracket rather than a point estimate.  The
-search evaluates its two starting edges in one call, and each call that
-probes a midpoint also takes both candidates for the next one.
+and reused for every bias; several biases, each with its own ``beta``, can
+share one DP call as extra rows.  The critical-point search takes a
+``beta`` grid and a ``(replicas, 2n)`` array of charges, which
+``phase-diagram`` draws once for all its ``beta``, and runs on its first
+``n`` columns.  Each ``beta``'s zero in ``h`` is located by bisection with
+an explicit finite-size allowance: a point is declared localized only when
+the estimate clears ``max(3 stderr, 5 / n)``, and the reported upper edge
+is widened by the allowance mapped through the locally observed slope, so
+the returned interval is an honest bracket rather than a point estimate.
+The grid is searched in lockstep: each round is one DP call that takes the
+next biases of every active ``beta`` (both starting edges in its first
+round, then one bias), up to four bias blocks per call.  Each bracket's
+reported estimates come from one DP call per ``beta`` on the whole ``2n``
+array, read at ``n`` and at ``2n``.
 """
 
 from __future__ import annotations
@@ -259,15 +263,17 @@ def replica_charges(disorder: DisorderLaw, n: int, replicas: int, base_seed: int
     return rows
 
 
-def _site_weights(charges: np.ndarray, beta: float, h, out=None) -> np.ndarray:
+def _site_weights(charges: np.ndarray, beta, h, out=None) -> np.ndarray:
     """``beta * charges - h``, built in one array, for a bias ``h`` or each
     bias of a 1-D array ``h`` (then one ``charges``-shaped block per bias).
+    ``beta`` is one value for every block or a 1-D array of one per bias.
     The weights of one bias may be written into ``out``, e.g. ``charges``
     itself.  A weight that is not finite raises :class:`PrecisionError`."""
     biases = np.asarray(h, dtype=float)
+    betas = np.asarray(beta, dtype=float)
     weights = np.empty(biases.shape + charges.shape) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(charges, beta, out=weights)
+        np.multiply(charges, betas.reshape(betas.shape + (1, 1)), out=weights)
         weights -= biases.reshape(biases.shape + (1, 1))
     if not np.isfinite(weights).all():
         raise PrecisionError(f"site weights overflow at beta = {beta!r}, h = {h!r}")
@@ -289,7 +295,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def quenched_free_energy(
-    kernel: RenewalKernel, charges: np.ndarray, beta: float, h: float | list[float]
+    kernel: RenewalKernel, charges: np.ndarray, beta, h: float | list[float]
 ) -> FreeEnergyEstimate | list[FreeEnergyEstimate]:
     """Replica average of ``log Z_n / n`` with its standard error.
 
@@ -297,10 +303,15 @@ def quenched_free_energy(
     e.g. from :func:`replica_charges`; row ``r`` gives the site weights
     ``beta * charges[r] - h`` of replica ``r``.  For a 1-D sequence of
     biases ``h`` the result is the list of their estimates, from one DP call
-    that takes the replicas of every bias as its rows.  Site weights, means
-    or standard errors that are not finite raise :class:`PrecisionError`.
+    that takes the replicas of every bias as its rows; ``beta`` is then one
+    value for all of them or a 1-D sequence of one per bias.  A ``beta``
+    that is not finite and >= 0, or a sequence of them whose length is not
+    that of ``h``, raises :class:`InvalidParameterError`.  Site weights,
+    means or standard errors that are not finite raise
+    :class:`PrecisionError`.
     """
-    if not 0.0 <= beta < math.inf:
+    betas = np.asarray(beta, dtype=float)
+    if not (np.isfinite(betas).all() and (betas >= 0.0).all()):
         raise InvalidParameterError(f"beta must be finite and >= 0, got {beta!r}")
     if charges.ndim != 2 or charges.size == 0:
         raise InvalidParameterError(
@@ -309,19 +320,33 @@ def quenched_free_energy(
     biases = np.asarray(h, dtype=float)
     if biases.ndim > 1 or biases.size == 0:
         raise InvalidParameterError(f"h must be a bias or a nonempty 1-D sequence, got {h!r}")
+    if betas.ndim and betas.shape != biases.shape:
+        raise InvalidParameterError(
+            f"beta must be one value or one per bias, got {betas.shape} for h of {biases.shape}"
+        )
     if not (np.isfinite(biases).all() and np.isfinite(charges).all()):
         raise InvalidParameterError(f"h and the charges must be finite, got h = {h!r}")
+    (estimates,) = _estimates(kernel, charges, beta, h, (charges.shape[1],))
+    return estimates if biases.ndim else estimates[0]
+
+
+def _estimates(kernel, charges, beta, h, sizes) -> list[list[FreeEnergyEstimate]]:
+    """For each ``m`` of ``sizes`` (at most the width of ``charges``), the
+    estimates of ``log Z_m / m`` at each bias, from one DP call: ``log Z_m``
+    is the DP's value at site ``m``, which reads only the first ``m``
+    columns of the charges."""
     reps, n = charges.shape
     weights = _site_weights(charges, beta, h).reshape(-1, n)
-    log_k = log_mass_vector(kernel, n)
-    log_z = dp_log_partition(log_k, weights, band=kernel.support_upper)
-    per_replica = log_z[:, n] / n
-    per_replica.setflags(write=False)
-    estimates = [
-        FreeEnergyEstimate(*_mean_stderr(rows), per_replica=rows)
-        for rows in per_replica.reshape(-1, reps)
-    ]
-    return estimates if biases.ndim else estimates[0]
+    log_z = dp_log_partition(log_mass_vector(kernel, n), weights, band=kernel.support_upper)
+    out = []
+    for m in sizes:
+        per_replica = log_z[:, m] / m
+        per_replica.setflags(write=False)
+        out.append([
+            FreeEnergyEstimate(*_mean_stderr(rows), per_replica=rows)
+            for rows in per_replica.reshape(-1, reps)
+        ])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +358,11 @@ _C_FS = 5.0           # finite-size allowance: threshold _C_FS / n
 _WIDEN_FACTOR = 2.0   # upper-edge widening in units of threshold/slope
 _MIN_SLOPE = 0.02
 _MAX_PROBES = 60
+# Bias blocks (replicas x n rows each) in one round of the grid search: 4
+# blocks at n are as many row-sites as the two-bias diagnostics call at 2n,
+# so no round's DP call is larger than the largest call the search makes
+# anyway.  A round takes the searches in grid order while they fit.
+_ROUND_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -350,13 +380,14 @@ class CriticalPointBracket:
 def quenched_critical_point(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
-    beta: float,
+    betas,
     charges: np.ndarray,
     target_width: float,
-) -> CriticalPointBracket:
-    """Bisection bracket for the quenched critical bias at fixed ``beta``.
+) -> list[CriticalPointBracket]:
+    """Bisection brackets for the quenched critical bias at each ``beta`` of
+    a grid, one :class:`CriticalPointBracket` per ``beta`` in grid order.
 
-    The search starts from the window ``(-0.1, log M(beta) + 0.1)``.  A
+    Each search starts from the window ``(-0.1, log M(beta) + 0.1)``.  A
     bias ``h`` is declared localized when the estimate exceeds
     ``max(3 stderr, 5 / n)`` and delocalized otherwise; localized
     declarations are reliable (finite-size estimates only undershoot the
@@ -366,54 +397,85 @@ def quenched_critical_point(
     the allowance near the transition the search stops early and the
     bracket is flagged undecided instead of being narrowed artificially.
 
-    The two starting edges share one DP call.  A call that probes a new
-    midpoint also takes the next step's midpoint for either outcome, where
-    a next step will run: these are the floats the one-bias-per-call search
-    computes, so the probes, the stop and the bracket are those of that
-    search, with about half its DP calls.  ``charges`` is the ``(replicas,
-    2n)`` array of :func:`replica_charges` at ``2n``, drawn once by the
-    caller: each replica's stream gives the same first ``n`` draws at
-    either length, so the search runs on the first ``n`` columns, and the
-    two ``2n`` diagnostics share one DP call on the whole array.  Charges
-    that are not 2-D, or whose width is odd or below 2, and a
-    ``target_width`` that is not positive raise :class:`InvalidParameterError`.
+    The searches run in lockstep rounds.  A round is one DP call whose row
+    blocks are the next biases of the active searches, in grid order while
+    they fit in ``_ROUND_BLOCKS`` blocks: both starting edges in a search's
+    first round, then one bias per round.  Rows are independent, so each
+    ``beta`` probes and stops as a search with one bias per call would (BLAS
+    may round a row by the call's row count, which moves an estimate in its
+    last bits only).  ``charges`` is the ``(replicas, 2n)`` array of
+    :func:`replica_charges` at ``2n``, drawn once by the caller: each
+    replica's stream gives the same first ``n`` draws at either length, so
+    the searches run on the first ``n`` columns.  Each ``beta``'s edges are
+    then read from one DP call of its own on the whole array, its ``log
+    Z_n`` and ``log Z_2n``: the estimates at ``n`` that widen the upper
+    edge and the ``2n`` diagnostics.  So a bracket, byte for byte, does not
+    depend on the other betas of the grid.  A grid that
+    is not a nonempty 1-D sequence of finite ``beta >= 0``, charges that are
+    not 2-D or whose width is odd or below 2, and a ``target_width`` that is
+    not positive raise :class:`InvalidParameterError`.
     """
+    values = np.asarray(betas, dtype=float)
+    if not (values.ndim == 1 and values.size and np.isfinite(values).all()
+            and (values >= 0.0).all()):
+        raise InvalidParameterError(
+            f"betas must be a nonempty 1-D grid of finite values >= 0, got {betas!r}"
+        )
     if charges.ndim != 2 or charges.shape[1] < 2 or charges.shape[1] % 2:
         raise InvalidParameterError(f"charges must be a (replicas, 2n) array, got {charges.shape}")
     if not target_width > 0.0:
         raise InvalidParameterError(f"target_width must be > 0, got {target_width!r}")
     n = charges.shape[1] // 2
-    h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
     charges_n = charges[:, :n]
+    grid = values.tolist()
+    searches = [
+        _bisection(-0.1, log_mgf(disorder, beta) + 0.1, n, target_width) for beta in grid
+    ]
+    wants = {i: next(search) for i, search in enumerate(searches)}  # in grid order
+    outcomes = [None] * len(grid)
+    while wants:
+        batch, room = [], _ROUND_BLOCKS
+        for i, hs in wants.items():
+            if len(hs) > room:
+                break
+            batch.append(i)
+            room -= len(hs)
+        ests = iter(quenched_free_energy(
+            kernel, charges_n, [grid[i] for i in batch for _ in wants[i]],
+            [h for i in batch for h in wants[i]],
+        ))
+        for i in batch:
+            try:
+                wants[i] = searches[i].send([next(ests) for _ in wants[i]])
+            except StopIteration as done:
+                del wants[i]
+                outcomes[i] = done.value
+    return [
+        _bracket(kernel, charges, beta, n, *outcome) for beta, outcome in zip(grid, outcomes)
+    ]
+
+
+def _bisection(h_lo: float, h_hi: float, n: int, target_width: float):
+    """One ``beta``'s search from the window ``(h_lo, h_hi)`` as a generator:
+    it yields the list of biases it needs estimated next, is sent their
+    estimates, and returns ``(h_lo, h_hi, undecided)``.  A bias is
+    estimated once."""
     cache: dict[float, FreeEnergyEstimate] = {}
 
-    def evaluate(*hs: float) -> None:
-        """Cache the estimates at the biases ``hs`` from one DP call."""
+    def estimate(*hs: float):
         todo = [h for h in dict.fromkeys(hs) if h not in cache]
         if todo:
-            cache.update(zip(todo, quenched_free_energy(kernel, charges_n, beta, todo)))
-
-    def estimate(h: float) -> FreeEnergyEstimate:
-        evaluate(h)
-        return cache[h]
-
-    def threshold(est: FreeEnergyEstimate) -> float:
-        return max(3.0 * est.stderr, _C_FS / n)
-
-    def is_localized(est: FreeEnergyEstimate) -> bool:
-        return est.mean > threshold(est)
-
-    def is_noise_bound(est: FreeEnergyEstimate) -> bool:
-        return 3.0 * est.stderr > _C_FS / n and abs(est.mean) <= 3.0 * est.stderr
+            cache.update(zip(todo, (yield todo)))
+        return cache[hs[0]]
 
     probes = 0
-    evaluate(h_lo, h_hi)
-    while not is_localized(estimate(h_lo)):
+    yield from estimate(h_lo, h_hi)
+    while not _is_localized((yield from estimate(h_lo)), n):
         h_lo -= 2.0 * max(abs(h_lo), 0.1)
         probes += 1
         if probes > 8:
             raise PrecisionError("could not find a localized left endpoint")
-    while is_localized(estimate(h_hi)):
+    while _is_localized((yield from estimate(h_hi)), n):
         h_hi += 2.0 * max(abs(h_hi), 0.1)
         probes += 1
         if probes > 16:
@@ -422,23 +484,33 @@ def quenched_critical_point(
     undecided = False
     while h_hi - h_lo > target_width and probes < _MAX_PROBES:
         mid = 0.5 * (h_lo + h_hi)
-        if mid not in cache:
-            # the call also takes the next step's midpoint for either
-            # outcome, where that step will run
-            evaluate(mid, *(0.5 * (a + b) for a, b in ((h_lo, mid), (mid, h_hi))
-                            if b - a > target_width and probes + 1 < _MAX_PROBES))
-        est = cache[mid]
+        est = yield from estimate(mid)
         probes += 1
-        if is_noise_bound(est):
-            undecided = True
+        if 3.0 * est.stderr > _C_FS / n and abs(est.mean) <= 3.0 * est.stderr:
+            undecided = True  # noise-bound: the sampling noise swamps the allowance
             break
-        if is_localized(est):
+        if _is_localized(est, n):
             h_lo = mid
         else:
             h_hi = mid
+    return h_lo, h_hi, undecided
 
-    est_lo, est_hi = estimate(h_lo), estimate(h_hi)
-    ests_2n = quenched_free_energy(kernel, charges, beta, [h_lo, h_hi])
+
+def _threshold(est: FreeEnergyEstimate, n: int) -> float:
+    return max(3.0 * est.stderr, _C_FS / n)
+
+
+def _is_localized(est: FreeEnergyEstimate, n: int) -> bool:
+    return est.mean > _threshold(est, n)
+
+
+def _bracket(kernel, charges, beta, n, h_lo, h_hi, undecided):
+    """The bracket of one finished search.  Its estimates at both edges, at
+    ``n`` and at ``2n``, come from one DP call on the whole ``(replicas,
+    2n)`` array, so they depend on nothing but ``beta``, the edges and the
+    charges: not on the betas that shared the search's rounds, whose row
+    count BLAS may round by."""
+    (est_lo, est_hi), ests_2n = _estimates(kernel, charges, beta, [h_lo, h_hi], (n, 2 * n))
     diag = {}
     for label, h, est, est2 in zip(("h_lo", "h_hi"), (h_lo, h_hi), (est_lo, est_hi), ests_2n):
         diag[label] = {
@@ -453,7 +525,7 @@ def quenched_critical_point(
 
     slope = (est_lo.mean - est_hi.mean) / max(h_hi - h_lo, 1e-12)
     slope = max(slope, _MIN_SLOPE)
-    widen = _WIDEN_FACTOR * threshold(est_hi) / slope
+    widen = _WIDEN_FACTOR * _threshold(est_hi, n) / slope
     if undecided:
         widen *= 2.0
     h_hi_report = h_hi + widen
@@ -464,6 +536,6 @@ def quenched_critical_point(
         h_hi_raw=h_hi,
         width=h_hi_report - h_lo,
         undecided=undecided,
-        threshold=threshold(est_hi),
+        threshold=_threshold(est_hi, n),
         per_n_diagnostics=diag,
     )

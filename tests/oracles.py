@@ -15,7 +15,12 @@ from scipy.integrate import quad
 from pinlab.disorder import log_mgf
 from pinlab.errors import InvalidParameterError
 from pinlab.oracles import charge_assignments
-from pinlab.quenched import partition_function_log, quenched_free_energy
+from pinlab.quenched import (
+    dp_log_partition,
+    log_mass_vector,
+    partition_function_log,
+    quenched_free_energy,
+)
 
 
 def zeta_direct(s: float, n_direct: int = 200) -> float:
@@ -81,22 +86,25 @@ def critical_point_sequential(
     The same ``(replicas, 2n)`` charges, searched on their first ``n``
     columns, with the same start window, decision rules and stops, written
     out plainly: each probe is its own ``quenched_free_energy`` call and
-    nothing is evaluated ahead.  Returns the fields that fix the bracket.
+    nothing is evaluated ahead.  The upper edge is widened with the edges'
+    estimates at ``n`` read from one DP call on the whole array (its
+    ``log Z_n``), as the bracket reports them.  Returns the fields that fix
+    the bracket.
     """
-    n = charges.shape[1] // 2
-    charges = charges[:, :n]
+    reps, n2 = charges.shape
+    n = n2 // 2
     cache = {}
 
     def estimate(h):
         if h not in cache:
-            cache[h] = quenched_free_energy(kernel, charges, beta, h)
+            cache[h] = quenched_free_energy(kernel, charges[:, :n], beta, h)
         return cache[h]
 
-    def threshold(est):
-        return max(3.0 * est.stderr, 5.0 / n)
+    def threshold(stderr):
+        return max(3.0 * stderr, 5.0 / n)
 
     def localized(est):
-        return est.mean > threshold(est)
+        return est.mean > threshold(est.stderr)
 
     h_lo, h_hi = -0.1, log_mgf(disorder, beta) + 0.1
     probes = 0
@@ -118,9 +126,14 @@ def critical_point_sequential(
             h_lo = mid
         else:
             h_hi = mid
-    est_lo, est_hi = estimate(h_lo), estimate(h_hi)
-    slope = max((est_lo.mean - est_hi.mean) / max(h_hi - h_lo, 1e-12), 0.02)
-    widen = 2.0 * threshold(est_hi) / slope
+    weights = np.concatenate([beta * charges - h for h in (h_lo, h_hi)])
+    log_z = dp_log_partition(log_mass_vector(kernel, n2), weights, band=kernel.support_upper)
+    (mean_lo, _), (mean_hi, stderr_hi) = (
+        (float(v.mean()), 0.0 if reps == 1 else float(v.std(ddof=1) / math.sqrt(reps)))
+        for v in (log_z[:reps, n] / n, log_z[reps:, n] / n)
+    )
+    slope = max((mean_lo - mean_hi) / max(h_hi - h_lo, 1e-12), 0.02)
+    widen = 2.0 * threshold(stderr_hi) / slope
     if undecided:
         widen *= 2.0
     return {"h_lo": h_lo, "h_hi": h_hi + widen, "h_hi_raw": h_hi,

@@ -172,7 +172,9 @@ def test_09_quenched_below_annealed():
 
 def test_10_critical_bias_vanishes_without_disorder():
     kernel = make_power_kernel(1.5)
-    bracket = quenched_critical_point(kernel, GAUSS, 0.0, replica_charges(GAUSS, 8192, 1, 0), 0.002)
+    (bracket,) = quenched_critical_point(
+        kernel, GAUSS, [0.0], replica_charges(GAUSS, 8192, 1, 0), 0.002
+    )
     assert bracket.h_lo <= 0.0 <= bracket.h_hi, (bracket.h_lo, bracket.h_hi)
     assert bracket.width <= 0.01, bracket.width
     report(10, f"beta=0 bracket [{bracket.h_lo:.5f}, {bracket.h_hi:.5f}] contains 0, width {bracket.width:.5f} <= 0.01")

@@ -362,6 +362,35 @@ class TestExtremeTiltContinuous:
             assert math.isfinite(log_mgf(law, lam))
             assert tilted_mean(law, lam) == pytest.approx(top, rel=1e-15)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+    def test_draws_at_extreme_tilt(self, sign):
+        # the tilt is formed as beta (x - top), so nothing overflows up to the
+        # float maximum; past e^-745 every factor but the end's is 0, so the
+        # draws at 1e300 and 2^1023 agree (their spread over the last segment,
+        # far wider than the tilted law's 1/beta, comes from the inverse CDF
+        # interpolated between nodes)
+        law = uniform_continuous_law()
+        base = np.linspace(0.0, 1.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [tilt_transform(law, base, sign * beta) for beta in (1e300, 2.0**1023)]
+        for got in draws:
+            assert np.isfinite(got).all()
+            assert law.xs[0] <= got.min() and got.max() <= law.xs[-1]
+        np.testing.assert_array_equal(draws[0], draws[1])
+
+    def test_draws_at_tilt_zero_are_the_plain_inverse_cdf(self):
+        # at tilt 0 every factor is exp(0) = 1, so the draws are the inverse of
+        # the untilted trapezoid CDF, bit for bit
+        law = continuous_disorder([0.0, 1.0, 2.0, 4.0], [1.0, 3.0, 1.0, 0.5])
+        base = sample_base(law, derive_stream(3, 0), 1000)
+        gaps = np.diff(law.xs) * 0.5 * (law.ps[1:] + law.ps[:-1])
+        cdf = np.concatenate([[0.0], np.cumsum(gaps)])
+        cdf /= cdf[-1]
+        for beta in (0.0, -0.0):
+            np.testing.assert_array_equal(tilt_transform(law, base, beta),
+                                          np.interp(base, cdf, law.xs))
+
 
 class TestTilt:
     @ALL_LAWS

@@ -470,6 +470,37 @@ class TestQuenchedFreeEnergy:
             assert est.stderr == pytest.approx(alone.stderr, rel=1e-9, abs=1e-14)
             assert not est.per_replica.flags.writeable
 
+    @pytest.mark.parametrize("replicas", [1, 3, 8])
+    @pytest.mark.parametrize("n", [48, 130])
+    def test_a_beta_per_bias(self, n, replicas):
+        # each bias's block is weighted by its own beta: the same floats as a
+        # call at that beta alone with the same biases, so the same row count
+        omega = replica_charges(GAUSS, n, replicas, 12)
+        betas, biases = [0.3, 1.1, 0.3, 0.0], [-0.2, 0.4, 0.1, 0.6]
+        mixed = quenched_free_energy(KERNEL, omega, betas, biases)
+        for i, beta in enumerate(betas):
+            alone = quenched_free_energy(KERNEL, omega, beta, biases)[i]
+            np.testing.assert_array_equal(mixed[i].per_replica, alone.per_replica)
+            assert (mixed[i].mean, mixed[i].stderr) == (alone.mean, alone.stderr)
+        # a numpy array of betas gives the same floats as a list
+        again = quenched_free_energy(KERNEL, omega, np.array(betas), biases)
+        for a, b in zip(again, mixed):
+            np.testing.assert_array_equal(a.per_replica, b.per_replica)
+
+    @pytest.mark.parametrize(
+        "beta, h",
+        [([0.5, 1.0], [0.1, 0.2, 0.3]),   # one beta short
+         ([0.5], [0.1, 0.2]),
+         ([0.5, 1.0], 0.1),               # a beta per bias, but one bias
+         ([[0.5, 1.0]], [0.1, 0.2]),      # a 2-D grid
+         ([0.5, -0.1], [0.1, 0.2]),
+         ([0.5, math.nan], [0.1, 0.2]),
+         ([math.inf, 0.5], [0.1, 0.2])],
+    )
+    def test_rejects_bad_betas_per_bias(self, beta, h):
+        with pytest.raises(InvalidParameterError):
+            quenched_free_energy(KERNEL, replica_charges(GAUSS, 8, 2, 0), beta, h)
+
     @pytest.mark.parametrize(
         "law",
         [GAUSS, discrete_disorder([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2]),
@@ -574,12 +605,34 @@ class TestStreams:
         assert pvalue > 0.01
 
 
+def bracket_fields(bracket):
+    """The fields of a bracket that :func:`critical_point_sequential` returns."""
+    return {
+        "h_lo": bracket.h_lo,
+        "h_hi": bracket.h_hi,
+        "h_hi_raw": bracket.h_hi_raw,
+        "undecided": bracket.undecided,
+        "diagnostic_h": tuple(bracket.per_n_diagnostics[edge]["h"] for edge in ("h_lo", "h_hi")),
+    }
+
+
+def assert_grid_is_sequential(kernel, betas, charges, target_width):
+    """Each ``beta``'s bracket from one grid call is the one-bias-per-call
+    bisection's, field for field."""
+    brackets = quenched_critical_point(kernel, GAUSS, betas, charges, target_width)
+    assert [b.beta for b in brackets] == list(betas)
+    for beta, bracket in zip(betas, brackets):
+        want = critical_point_sequential(kernel, GAUSS, beta, charges, target_width)
+        assert bracket_fields(bracket) == want, beta
+    return brackets
+
+
 class TestCriticalPoint:
     def test_beta_zero_bracket_contains_zero(self):
         # light version of the acceptance run: order-1 kernel, small n
         kernel = make_power_kernel(1.5)
         charges = replica_charges(GAUSS, 2048, 1, 0)
-        bracket = quenched_critical_point(kernel, GAUSS, 0.0, charges, 0.004)
+        (bracket,) = quenched_critical_point(kernel, GAUSS, [0.0], charges, 0.004)
         assert bracket.h_lo <= 0.0 <= bracket.h_hi
         assert bracket.width <= 0.04
         assert not bracket.undecided
@@ -589,7 +642,7 @@ class TestCriticalPoint:
     def test_upper_edge_below_annealed_curve(self):
         kernel = make_power_kernel(1.5)
         charges = replica_charges(GAUSS, 1024, 8, 3)
-        bracket = quenched_critical_point(kernel, GAUSS, 0.6, charges, 0.01)
+        bracket = quenched_critical_point(kernel, GAUSS, [0.6], charges, 0.01)[0]
         h_ann = log_mgf(GAUSS, 0.6)
         assert bracket.h_hi <= h_ann + bracket.width
         assert bracket.h_lo <= h_ann
@@ -605,38 +658,132 @@ class TestCriticalPoint:
     def test_batched_search_equals_sequential(
         self, alpha, beta, n, replicas, base_seed, target_width, undecided
     ):
-        # the biases probed ahead are the floats the one-bias-per-call
-        # bisection computes, so every decision and edge is the same
+        # a one-beta grid probes the floats the one-bias-per-call bisection
+        # computes, so every decision and edge is the same
         kernel = make_power_kernel(alpha)
         charges = replica_charges(GAUSS, 2 * n, replicas, base_seed)
-        bracket = quenched_critical_point(kernel, GAUSS, beta, charges, target_width)
+        bracket = quenched_critical_point(kernel, GAUSS, [beta], charges, target_width)[0]
         want = critical_point_sequential(kernel, GAUSS, beta, charges, target_width)
         assert want["undecided"] is undecided
-        got = {
-            "h_lo": bracket.h_lo,
-            "h_hi": bracket.h_hi,
-            "h_hi_raw": bracket.h_hi_raw,
-            "undecided": bracket.undecided,
-            "diagnostic_h": tuple(bracket.per_n_diagnostics[edge]["h"] for edge in ("h_lo", "h_hi")),
-        }
-        assert got == want
+        assert bracket_fields(bracket) == want
 
-    def test_search_batches_its_probes(self):
-        # the edges share a call, each bisection call also takes the next
-        # step's two candidates, and the two 2n diagnostics share the last
+    @pytest.mark.parametrize(
+        "alpha, betas, n, replicas, base_seed, target_width",
+        [
+            # the undecided beta 1.5 stops early, the others run on without it
+            (0.5, (0.5, 1.5, 0.0), 200, 4, 2, 0.002),
+            # six betas: four blocks a round, so the last ones wait
+            (0.5, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25), 128, 6, 5, 0.01),
+            # betas that need different numbers of edge moves and probes
+            (1.5, (2.0, 0.0, 0.6), 128, 8, 3, 0.03),
+            # a repeated beta
+            (0.5, (1.0, 1.0), 96, 4, 1, 0.01),
+        ],
+    )
+    def test_grid_equals_sequential(self, alpha, betas, n, replicas, base_seed, target_width):
+        kernel = make_power_kernel(alpha)
+        charges = replica_charges(GAUSS, 2 * n, replicas, base_seed)
+        brackets = assert_grid_is_sequential(kernel, betas, charges, target_width)
+        if 1.5 in betas:
+            assert [b.undecided for b in brackets] == [beta == 1.5 for beta in betas]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        betas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+        n=st.integers(8, 128),
+        replicas=st.integers(2, 8),
+        seed=st.integers(0, 2**16),
+        target_width=st.sampled_from([0.002, 0.01, 0.05]),
+    )
+    @example(betas=[0.0, 0.0], n=37, replicas=3, seed=0, target_width=0.002)
+    def test_grid_equals_sequential_hypothesis(self, betas, n, replicas, seed, target_width):
+        # BLAS may round a column differently with another column count, so
+        # a round's estimates can differ from a lone beta's in the last bits
+        # (3 rows against 6 at n 37: 3e-17 in log Z_n / n); the widened edge
+        # is read from the beta's own 2n call, so it does not
+        charges = replica_charges(GAUSS, 2 * n, replicas, seed)
+        assert_grid_is_sequential(KERNEL, betas, charges, target_width)
+
+    def test_search_batches_its_probes(self, monkeypatch):
+        # a one-beta grid shares a call between its two starting edges, then
+        # makes one call per probe, with no bias the one-bias-per-call
+        # bisection does not probe; one more DP call, at 2n, reads both edges
         kernel = make_power_kernel(1.5)
         charges = replica_charges(GAUSS, 256, 8, 3)
+        shapes = self.dp_rows(monkeypatch)
         calls = {}
-        for name, module, run in (("batched", quenched, quenched_critical_point),
-                                  ("sequential", oracles, critical_point_sequential)):
+        for name, module, run, beta in (
+            ("grid", quenched, quenched_critical_point, [0.6]),
+            ("sequential", oracles, critical_point_sequential, 0.6),
+        ):
             with mock.patch.object(module, "quenched_free_energy",
                                    wraps=module.quenched_free_energy) as spy:
-                run(kernel, GAUSS, 0.6, charges, 0.01)
-            calls[name] = [np.size(call.args[3]) for call in spy.call_args_list]
-        batched = calls["batched"]
-        assert batched[0] == 2 and batched[-1] == 2 and max(batched) == 3
-        assert sum(batched[:-1]) > len(calls["sequential"])
-        assert len(batched) - 1 < 0.7 * len(calls["sequential"])
+                run(kernel, GAUSS, beta, charges, 0.01)
+            calls[name] = [list(np.atleast_1d(call.args[3])) for call in spy.call_args_list]
+        probes = calls["grid"]
+        assert [len(hs) for hs in probes] == [2] + [1] * (len(probes) - 1)
+        assert sum(probes, []) == sum(calls["sequential"], [])
+        grid_shapes = shapes[: len(probes) + 1]  # the oracle's calls follow
+        assert grid_shapes[-1] == (16, 256)
+        assert [rows for rows, _ in grid_shapes[:-1]] == [8 * len(hs) for hs in probes]
+
+    @staticmethod
+    def dp_rows(monkeypatch):
+        """The ``(rows, n)`` of every DP call, in call order."""
+        shapes = []
+        real = quenched.dp_log_partition
+
+        def spy(log_k, site_weights, band=None):
+            shapes.append(site_weights.shape)
+            return real(log_k, site_weights, band)
+
+        monkeypatch.setattr(quenched, "dp_log_partition", spy)
+        return shapes
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 6])
+    def test_rounds_hold_at_most_four_blocks(self, monkeypatch, count):
+        # a round at n holds at most 4 bias blocks, as many row-sites as a
+        # two-bias diagnostics call at 2n, so no call is larger than that
+        n, replicas = 64, 4
+        shapes = self.dp_rows(monkeypatch)
+        betas = list(np.linspace(0.0, 1.5, count))
+        quenched_critical_point(KERNEL, GAUSS, betas, replica_charges(GAUSS, 2 * n, replicas, 1),
+                                0.01)
+        at_n = [rows for rows, sites in shapes if sites == n]
+        at_2n = [rows for rows, sites in shapes if sites == 2 * n]
+        assert len(at_n) + len(at_2n) == len(shapes)
+        assert max(at_n) <= 4 * replicas
+        assert at_2n == [2 * replicas] * count
+        if count >= 2:
+            assert at_n[0] == 4 * replicas  # both edges of the first two betas
+
+    def test_two_betas_share_every_round(self):
+        # the bench's two betas: each round holds both searches' next biases
+        # until one of them stops, so the rounds are as many as the longer
+        # search's one-bias-per-call probes, less its shared starting call
+        n, replicas = 128, 8
+        charges = replica_charges(GAUSS, 2 * n, replicas, 1)
+        with mock.patch.object(quenched, "quenched_free_energy",
+                               wraps=quenched.quenched_free_energy) as spy:
+            quenched_critical_point(KERNEL, GAUSS, [0.5, 1.0], charges, 0.01)
+        rounds = [list(call.args[2]) for call in spy.call_args_list
+                  if call.args[1].shape[1] == n]
+        assert rounds[0] == [0.5, 0.5, 1.0, 1.0]
+        both = [r == [0.5, 1.0] for r in rounds[1:]]
+        assert both == sorted(both, reverse=True)  # both, then the longer one alone
+        lengths = []
+        for beta in (0.5, 1.0):
+            with mock.patch.object(oracles, "quenched_free_energy",
+                                   wraps=oracles.quenched_free_energy) as seq:
+                critical_point_sequential(KERNEL, GAUSS, beta, charges, 0.01)
+            lengths.append(seq.call_count)
+        assert both.count(True) == min(lengths) - 2
+        assert len(rounds) == max(lengths) - 1
+
+    @pytest.mark.parametrize("betas", [[], [[0.5, 1.0]], [0.5, -0.1], [math.nan], [0.5, math.inf]])
+    def test_search_rejects_a_bad_grid(self, betas):
+        with pytest.raises(InvalidParameterError):
+            quenched_critical_point(KERNEL, GAUSS, betas, replica_charges(GAUSS, 16, 2, 0), 0.05)
 
     def test_rejects_charges_of_wrong_shape(self):
         # one chain's charges, no replicas, no sites
@@ -648,20 +795,20 @@ class TestCriticalPoint:
     def test_search_rejects_charges_of_wrong_shape(self, shape):
         # one chain's charges, no sites, an odd width: no (replicas, 2n) array
         with pytest.raises(InvalidParameterError):
-            quenched_critical_point(KERNEL, GAUSS, 1.0, np.zeros(shape), 0.05)
+            quenched_critical_point(KERNEL, GAUSS, [1.0], np.zeros(shape), 0.05)
 
     @pytest.mark.parametrize("target_width", [0.0, -1.0, math.nan])
     def test_search_rejects_a_width_that_is_not_positive(self, target_width):
         # a NaN width would stop the bisection before its first probe and
         # return the start window as a decided bracket
         with pytest.raises(InvalidParameterError):
-            quenched_critical_point(KERNEL, GAUSS, 1.0, replica_charges(GAUSS, 16, 2, 0),
+            quenched_critical_point(KERNEL, GAUSS, [1.0], replica_charges(GAUSS, 16, 2, 0),
                                     target_width)
 
     def test_positive_bias_needed_at_positive_beta(self):
         # with disorder switched on, localization survives a strictly
         # positive bias, so the bracket's reliable lower edge is positive
         charges = replica_charges(GAUSS, 4096, 16, 6)
-        bracket = quenched_critical_point(KERNEL, GAUSS, 1.0, charges, 0.05)
+        (bracket,) = quenched_critical_point(KERNEL, GAUSS, [1.0], charges, 0.05)
         assert bracket.h_lo > 0.0
         assert not bracket.undecided
