@@ -229,7 +229,10 @@ class RunWriter:
             fh.write("\n")
         return path
 
-    def write_table(self, stem: str, columns: list[str], rows: list[dict]) -> str:
+    def write_table(self, stem: str, rows: list[dict]) -> str:
+        """Write the nonempty ``rows`` as ``stem``; the first row's keys, in
+        order, are the columns."""
+        columns = list(rows[0])
         if self.fmt == "json":
             doc = {**self._identity, "columns": columns, "rows": rows}
             path = self.write_json(f"{stem}.json", doc)
@@ -284,7 +287,7 @@ def cmd_homopolymer(cfg: dict, args, writer: RunWriter) -> None:
         res = homopolymer_free_energy(kernel, lam, tol)
         rows.append({"lambda": lam, "f": res.f, "residual": res.residual})
     writer.time_block("sweep", t0)
-    writer.write_table("homopolymer", ["lambda", "f", "residual"], rows)
+    writer.write_table("homopolymer", rows)
 
 
 def cmd_annealed_curve(cfg: dict, args, writer: RunWriter) -> None:
@@ -298,7 +301,7 @@ def cmd_annealed_curve(cfg: dict, args, writer: RunWriter) -> None:
         {"beta": p.beta, "h_c_ann": p.h_c, "bisection_gap": p.bisection_zero - p.h_c}
         for p in points
     ]
-    writer.write_table("annealed_curve", ["beta", "h_c_ann", "bisection_gap"], rows)
+    writer.write_table("annealed_curve", rows)
 
 
 def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
@@ -332,9 +335,7 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
             }
         )
         sidecar.append(dataclasses.asdict(bracket))
-    writer.write_table(
-        "phase_diagram", ["beta", "h_c_ann", "h_que_lo", "h_que_hi", "verdict"], rows
-    )
+    writer.write_table("phase_diagram", rows)
     writer.outputs.append(writer.write_json("phase_diagram_diagnostics.json", sidecar))
 
 
@@ -395,11 +396,7 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
                 "verdict": verdict,
             }
         )
-    writer.write_table(
-        "relevance_scan",
-        ["beta", "tr", "m_tr", "estimate", "stderr", "lower", "upper", "verdict"],
-        rows,
-    )
+    writer.write_table("relevance_scan", rows)
     doc = dataclasses.asdict(bounds)
     doc["beta"] = beta
     doc["overall_verdict"] = overall
@@ -424,11 +421,7 @@ def cmd_chi(cfg: dict, args, writer: RunWriter) -> None:
             "horizon": result.horizon,
         }
     ]
-    writer.write_table(
-        "chi",
-        ["status", "chi", "partial_sum", "tail_estimate", "fitted_decay", "horizon"],
-        rows,
-    )
+    writer.write_table("chi", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +502,12 @@ _CONSTRUCTION_CHECK = "kernel-mass-normalization"
 def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
     seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed, default=0)
     names = [_CONSTRUCTION_CHECK] + [name for name, _, _ in _CHECKS]
-    selected = _fetch(cfg, "checks", required=False)
-    if selected is not None:
-        wanted = set(selected)
-        names = [name for name in names if name in wanted]
-        if not names:
-            raise ConfigError("checks", "no known check selected")
+    selected = _fetch(cfg, "checks", required=False, default=names)
+    if not (isinstance(selected, list) and selected and all(x in names for x in selected)):
+        raise ConfigError(
+            "checks", f"expected a nonempty list of names from {', '.join(names)}, got {selected!r}"
+        )
+    names = [name for name in names if name in selected]
 
     def report(name, verdict, detail, gap=None, tol=None):
         print(f"{verdict} {name} ({detail})")

@@ -57,8 +57,7 @@ class DisorderLaw:
 
     family: str
     xs: np.ndarray | None = None       # discrete atoms (ascending) / density grid
-    ps: np.ndarray | None = None       # atom probabilities / density values
-    atom_at_w: float = 0.0             # mass at the supremum w of the support
+    ps: np.ndarray | None = None       # atom probabilities (all > 0) / density values
 
 
 def gaussian_disorder() -> DisorderLaw:
@@ -71,7 +70,12 @@ def rademacher_disorder() -> DisorderLaw:
 
 
 def discrete_disorder(xs, ps) -> DisorderLaw:
-    """Finite atom table, standardized to mean 0 and variance 1."""
+    """Finite atom table, standardized to mean 0 and variance 1.
+
+    Atoms without mass are dropped, so the top atom of a table, where the
+    tilts are anchored, always carries mass; a table left with a single
+    atom is degenerate.
+    """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     if xs.shape != ps.shape or xs.ndim != 1 or xs.size < 2:
@@ -86,6 +90,7 @@ def discrete_disorder(xs, ps) -> DisorderLaw:
     # a sorted scan, not np.unique, which imports numpy.ma (about 1.3 MB)
     if np.any(xs[1:] == xs[:-1]):
         raise InvalidParameterError("atoms must be distinct")
+    xs, ps = xs[ps > 0.0], ps[ps > 0.0]
     mean = float(np.dot(ps, xs))
     var = float(np.dot(ps, (xs - mean) ** 2))
     if var <= 0.0:
@@ -93,7 +98,7 @@ def discrete_disorder(xs, ps) -> DisorderLaw:
     xs = (xs - mean) / math.sqrt(var)
     xs.setflags(write=False)
     ps.setflags(write=False)
-    return DisorderLaw(family="discrete", xs=xs, ps=ps, atom_at_w=float(ps[-1]))
+    return DisorderLaw(family="discrete", xs=xs, ps=ps)
 
 
 def continuous_disorder(grid, values) -> DisorderLaw:
@@ -391,8 +396,9 @@ def log_xi(law: DisorderLaw, beta: float) -> float:
 
 
 def relative_entropy_limit(law: DisorderLaw) -> float:
-    """``lim_{beta->inf} h(mu_beta | mu_0) = log(1 / mu_0({w}))``."""
-    return -math.log(law.atom_at_w) if law.atom_at_w > 0.0 else math.inf
+    """``lim_{beta->inf} h(mu_beta | mu_0) = log(1 / mu_0({w}))``: only an
+    atom table has mass at the supremum ``w`` of its support, on its top atom."""
+    return -math.log(law.ps[-1]) if law.family == "discrete" else math.inf
 
 
 # ---------------------------------------------------------------------------

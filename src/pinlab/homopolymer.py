@@ -42,7 +42,6 @@ from .kernels import (
     RenewalKernel,
     _mass_series,
     _pinned_series,
-    chi as compute_chi,
     overlap_kernel,
     truncate_kernel,
 )
@@ -145,10 +144,9 @@ def annealed_free_energy(
     disorder: DisorderLaw,
     beta: float,
     h: float,
-    tol: float = 1e-10,
 ) -> HomopolymerResult:
     """Annealed free energy: the homogeneous model at ``log M(beta) - h``."""
-    return homopolymer_free_energy(kernel, log_mgf(disorder, beta) - h, tol)
+    return homopolymer_free_energy(kernel, log_mgf(disorder, beta) - h)
 
 
 @dataclass(frozen=True)
@@ -211,12 +209,10 @@ def lambda0_from_chi(chi_result: ChiResult) -> float:
 @dataclass(frozen=True)
 class JointFreeEnergy:
     f2: float
-    residual: float
-    horizon: int
-    status: str
+    status: str  # 'pinned' | 'unpinned'
 
 
-_UNPINNED = JointFreeEnergy(f2=0.0, residual=0.0, horizon=0, status="unpinned")
+_UNPINNED = JointFreeEnergy(f2=0.0, status="unpinned")
 
 # overlap-kernel horizons of the joint solve: the first, doubled up to the last
 _JOINT_START_HORIZON = 1 << 13
@@ -244,13 +240,11 @@ def _solve_on_overlap(
                 )
             horizon *= 2
             continue
-        f, residual = _solve_fixed_point(lambda g: _mass_series(k2, g), lam, tol)
+        f, _ = _solve_fixed_point(lambda g: _mass_series(k2, g), lam, tol)
         dropped = max(total - reachable, 0.0)
         tail_bound = dropped * math.exp(-(horizon + 1) * f)
         if tail_bound <= 0.1 * tol * target:
-            return JointFreeEnergy(
-                f2=f, residual=residual + tail_bound, horizon=horizon, status="pinned"
-            )
+            return JointFreeEnergy(f2=f, status="pinned")
         if horizon >= _JOINT_MAX_HORIZON:
             needed = horizon + int(
                 math.log(max(tail_bound / (0.1 * tol * target), 2.0)) / max(f, 1e-300)
@@ -272,16 +266,17 @@ def joint_free_energy(
 ) -> JointFreeEnergy:
     """Free energy on the joint-return kernel of two independent copies.
 
-    Untruncated (``tr is None``): unpinned exactly on ``lam <= lambda_0``;
+    Untruncated (``tr is None``): unpinned exactly on ``lam <= lambda_0``,
+    read from the kernel's ``chi_result``, which is then required;
     above the threshold the transient overlap kernel is solved with a
     certified series tail.  Truncated: the joint kernel of the truncated
     chain is recurrent, so any ``lam > 0`` pins, with free energies of
-    order ``1/tr`` near the threshold resolved in log scale.  Only the
-    untruncated solve reads ``chi`` (``chi_result``, computed when absent).
+    order ``1/tr`` near the threshold resolved in log scale; ``chi_result``
+    is not read.
     """
     if tr is None:
         if chi_result is None:
-            chi_result = compute_chi(kernel)
+            raise InvalidParameterError("an untruncated joint solve needs the kernel's chi_result")
         if lam <= lambda0_from_chi(chi_result):
             return _UNPINNED
         total = 1.0

@@ -41,6 +41,7 @@ from .disorder import (
     log_xi,
     relative_entropy_limit,
     relative_entropy_tilt,
+    sample,
     sample_base,
     tilt_transform,
     tilted_mean,
@@ -78,27 +79,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _increasing_root(fn, target: float, tol: float) -> float:
-    """Root of a continuous nondecreasing ``fn`` crossing ``target``."""
-    hi = 1.0
-    for _ in range(200):
-        if fn(hi) > target:
-            break
-        hi *= 2.0
-    else:
-        raise InvalidParameterError("no sign change found for increasing root")
-    return brentq(
-        lambda b: fn(b) - target, 0.0, hi, xtol=tol, maxiter=200
-    )
+_ROOT_TOL = 1e-10  # xtol of the temperature-bound roots in beta
 
 
-def _crossing(fn, level: float, disorder: DisorderLaw, tol: float) -> float:
+def _crossing(fn, level: float, disorder: DisorderLaw) -> float:
     """Where the nondecreasing ``fn``, which tends to ``log(1/mu_0({w}))`` as
     ``beta -> inf``, crosses ``level``; ``inf`` when that limit does not
     exceed it."""
     if relative_entropy_limit(disorder) <= level:
         return math.inf
-    return _increasing_root(fn, level, tol)
+    hi = 1.0
+    for _ in range(200):
+        if fn(hi) > level:
+            break
+        hi *= 2.0
+    else:
+        raise InvalidParameterError("no sign change found for increasing root")
+    return brentq(lambda b: fn(b) - level, 0.0, hi, xtol=_ROOT_TOL, maxiter=200)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,6 @@ def critical_temperature_bounds(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
     chi_result: ChiResult,
-    tol: float = 1e-10,
 ) -> CriticalTemperatureBounds:
     """``beta_c* <= beta_c <= beta_c**`` for the kernel's ``chi_result``.
 
@@ -133,10 +129,10 @@ def critical_temperature_bounds(
     star = star_residual = 0.0
     if not math.isinf(chi_val):
         threshold = 1.0 + 1.0 / chi_val
-        star = _crossing(lambda b: log_xi(disorder, b), math.log(threshold), disorder, tol)
+        star = _crossing(lambda b: log_xi(disorder, b), math.log(threshold), disorder)
         if math.isfinite(star):
             star_residual = abs(math.exp(log_xi(disorder, star)) - threshold)
-    star_star = _crossing(lambda b: relative_entropy_tilt(disorder, b), h_k, disorder, tol)
+    star_star = _crossing(lambda b: relative_entropy_tilt(disorder, b), h_k, disorder)
     star_star_residual = 0.0
     if math.isfinite(star_star):
         star_star_residual = abs(relative_entropy_tilt(disorder, star_star) - h_k)
@@ -244,7 +240,7 @@ def _sample_word_sequence(
         covered = float(lengths.sum())
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     starts = starts[starts < n]
-    letters = tilt_transform(disorder, sample_base(disorder, stream, n), 0.0)
+    letters = sample(disorder, stream, n)
     first = tilt_transform(disorder, sample_base(disorder, stream, len(starts)), beta)
     letters[starts] = first
     return letters

@@ -31,9 +31,8 @@ class RngStream:
 
     base_seed: int
     stream_index: int
-    algorithm_id: str = _ALGORITHM
     position: int = 0
-    _generator: np.random.Generator | None = field(default=None, repr=False)
+    _generator: np.random.Generator | None = field(default=None, init=False, repr=False)
 
     def _gen(self) -> np.random.Generator:
         if self._generator is None:
@@ -54,7 +53,7 @@ class RngStream:
     def state(self) -> dict:
         """Serializable snapshot: address, position, bit-generator state."""
         return {
-            "algorithm_id": self.algorithm_id,
+            "algorithm_id": _ALGORITHM,
             "base_seed": int(self.base_seed),
             "stream_index": int(self.stream_index),
             "position": int(self.position),
@@ -63,10 +62,16 @@ class RngStream:
 
     @classmethod
     def from_state(cls, doc: dict) -> "RngStream":
+        """The stream a :meth:`state` snapshot describes; a snapshot of another
+        algorithm raises :class:`InvalidParameterError`."""
+        algorithm = doc.get("algorithm_id", _ALGORITHM)
+        if algorithm != _ALGORITHM:
+            raise InvalidParameterError(
+                f"stream state of algorithm {algorithm!r}, expected {_ALGORITHM!r}"
+            )
         stream = cls(
             base_seed=doc["base_seed"],
             stream_index=doc["stream_index"],
-            algorithm_id=doc.get("algorithm_id", _ALGORITHM),
             position=doc.get("position", 0),
         )
         stream._gen().bit_generator.state = doc["bit_generator"]

@@ -148,7 +148,7 @@ def test_08_joint_truncation_bound(chi_03):
     limit = joint_truncation_bound_limit(lam, lam0)
     seq = []
     for tr in (10, 50, 100, 500, 1000):
-        f2tr = joint_free_energy(kernel, lam, tr=tr, chi_result=chi_03).f2
+        f2tr = joint_free_energy(kernel, lam, tr=tr).f2
         bound = joint_truncation_bound(kernel, tr, lam, chi_result=chi_03)
         assert tr * f2tr <= bound, (tr, tr * f2tr, bound)
         assert tr * f2tr <= 1.1 * limit, (tr, tr * f2tr, limit)

@@ -9,6 +9,7 @@ import pytest
 from pinlab import quenched
 from pinlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_UNDECIDED, main
 from pinlab.disorder import gaussian_disorder
+from pinlab.errors import PrecisionError
 from pinlab.kernels import make_power_kernel
 
 
@@ -473,6 +474,28 @@ class TestPhaseDiagramCommand:
             assert alone == [rows[0], rows[1 + i]]
             assert alone_sidecar == [sidecar[i]]
 
+    def test_undecided_bracket_exits_undecided(self, tmp_path):
+        # at n 200 with 4 replicas the sampling noise swamps the 5/n allowance
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "kernel": {"family": "power", "alpha": 0.5},
+                "disorder": GAUSSIAN,
+                "beta_grid": [1.5],
+                "base_seed": 2,
+                "quenched": {"n": 200, "replicas": 4, "target_width": 0.002},
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["phase-diagram", "--config", cfg, "--out", out]) == EXIT_UNDECIDED
+        _, rows = read_rows(out / "phase_diagram.csv")
+        assert [row["verdict"] for row in rows] == ["undecided"]
+        manifest = json.loads((out / "phase_diagram_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_UNDECIDED
+        assert manifest["warnings"] == ["beta=1.5: quenched bracket undecided"]
+        assert manifest["error"] is None
+
 
 class TestRelevanceCommand:
     def test_smoke(self, tmp_path):
@@ -698,6 +721,40 @@ class TestValidateCommand:
         )
         assert run(["validate", "--config", cfg, "--out", tmp_path, "--seed", "5"]) == EXIT_OK
         assert json.loads((tmp_path / "validate_manifest.json").read_text())["seed"] == 5
+
+    def test_raising_check_fails(self, tmp_path, capsys, monkeypatch):
+        def overflow(kernel, weights):
+            raise PrecisionError("partition sum overflows")
+
+        monkeypatch.setattr("pinlab.cli.partition_function_log", overflow)
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
+        )
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_INVARIANT
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL dp-vs-enumeration (partition sum overflows)"
+        ]
+        manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
+        assert {"name": "dp-vs-enumeration", "verdict": "FAIL", "gap": None, "tol": None} in (
+            manifest["checks"]
+        )
+
+    @pytest.mark.parametrize(
+        "checks",
+        [5, [["x"]], "replica-identity", ["replica-identity", "no-such-check"], [], None, {}],
+        ids=["number", "nested-list", "bare-string", "unknown-name", "empty", "null", "object"],
+    )
+    def test_malformed_checks_is_config_error(self, tmp_path, capsys, checks):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "checks": checks}
+        )
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == EXIT_CONFIG
+        assert "config error at 'checks'" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG
+        assert manifest["error"].startswith("config error at 'checks'")
+        assert "checks" not in manifest  # no check ran
 
     def test_check_subset(self, tmp_path, capsys):
         cfg = write_config(

@@ -61,7 +61,7 @@ class TestConstruction:
         var = float(np.trapezoid(law.xs**2 * law.ps, law.xs))
         assert abs(mean) <= 1e-10
         assert abs(var - 1.0) <= 1e-10
-        assert law.atom_at_w == 0.0
+        assert relative_entropy_limit(law) == math.inf
 
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -90,7 +90,7 @@ class TestConstruction:
         assert law.family == "discrete"
         assert law.xs.tolist() == [-1.0, 1.0]
         assert law.ps.tolist() == [0.5, 0.5]
-        assert law.atom_at_w == 0.5
+        assert relative_entropy_limit(law) == math.log(2.0)
         assert disorder_to_json(law) == {
             "family": "discrete", "table": {"xs": [-1.0, 1.0], "ps": [0.5, 0.5]}
         }
@@ -303,6 +303,23 @@ class TestExtremeTiltTable:
         for value in got:
             assert abs(value - want) <= 1e-15 * want, (got, want)
 
+    def test_massless_atoms_are_dropped(self):
+        # a massless top atom would anchor the tilt where the law has no mass
+        law = discrete_disorder([-1.0, 0.0, 1.0], [0.5, 0.5, 0.0])
+        fair = rademacher_disorder()
+        assert (law.family, law.xs.tolist(), law.ps.tolist()) == (
+            fair.family, fair.xs.tolist(), fair.ps.tolist()
+        )
+        assert relative_entropy_limit(law) == math.log(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (1000.0, -1000.0, 1e300, -1e300):
+                values = (log_mgf(law, beta), relative_entropy_tilt(law, beta), log_xi(law, beta))
+                assert all(math.isfinite(v) for v in values), (beta, values)
+                assert values[1:] == (math.log(2.0), math.log(2.0))
+        with pytest.raises(InvalidParameterError, match="degenerate"):
+            discrete_disorder([0.0, 1.0], [1.0, 0.0])
+
     def test_overflowing_log_mgf_is_inf(self):
         law = discrete_disorder([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2])
         with warnings.catch_warnings():
@@ -466,7 +483,7 @@ class TestXi:
 
     def test_rademacher_limit_is_inverse_atom(self):
         law = rademacher_disorder()
-        assert abs(xi(law, 50.0) - 1.0 / law.atom_at_w) <= 1e-6
+        assert abs(xi(law, 50.0) - 1.0 / law.ps[-1]) <= 1e-6
         assert abs(math.log(xi(law, 50.0)) - relative_entropy_limit(law)) <= 1e-6
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import pinlab.homopolymer
 from pinlab.disorder import continuous_disorder, gaussian_disorder, log_mgf, rademacher_disorder
-from pinlab.errors import DomainError, PrecisionError, UndecidedError
+from pinlab.errors import DomainError, InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import (
     _solve_fixed_point,
     annealed_critical_curve,
@@ -238,10 +238,14 @@ class TestJointFreeEnergy:
         assert res.f2 == 0.0
         assert res.status == "unpinned"
 
+    def test_untruncated_needs_chi_result(self):
+        with pytest.raises(InvalidParameterError, match="chi_result"):
+            joint_free_energy(make_power_kernel(0.3), 1.0)
+
     def test_truncated_pins_at_any_positive_strength(self, chi_03):
         kernel = make_power_kernel(0.3)
         lam0 = lambda0_from_chi(chi_03)
-        res = joint_free_energy(kernel, lam0 / 2.0, tr=50, chi_result=chi_03)
+        res = joint_free_energy(kernel, lam0 / 2.0, tr=50)
         assert res.f2 > 0.0
         assert res.status == "pinned"
 
@@ -249,14 +253,14 @@ class TestJointFreeEnergy:
         kernel = make_power_kernel(0.3)
         lam = 1.5 * lambda0_from_chi(chi_03)
         full = joint_free_energy(kernel, lam, chi_result=chi_03)
-        trunc = joint_free_energy(kernel, lam, tr=1000, chi_result=chi_03)
+        trunc = joint_free_energy(kernel, lam, tr=1000)
         assert trunc.f2 == pytest.approx(full.f2, rel=0.01)
 
-    def test_unit_truncation_closed_form(self, chi_03):
+    def test_unit_truncation_closed_form(self):
         # tr = 1 collapses both chains to deterministic unit gaps: every
         # time is a simultaneous renewal and f2_1(lam) = lam
         kernel = make_power_kernel(0.3)
-        res = joint_free_energy(kernel, 0.37, tr=1, chi_result=chi_03)
+        res = joint_free_energy(kernel, 0.37, tr=1)
         assert res.f2 == pytest.approx(0.37, abs=1e-12)
 
     def test_unit_truncation_small_strength(self):
@@ -283,7 +287,7 @@ class TestJointFreeEnergy:
         lam0 = lambda0_from_chi(chi_03)
         for lam in (0.3 * lam0, 0.6 * lam0, 0.9 * lam0):
             values = [
-                joint_free_energy(kernel, lam, tr=tr, chi_result=chi_03).f2
+                joint_free_energy(kernel, lam, tr=tr).f2
                 for tr in (8, 16, 32, 64)
             ]
             assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
@@ -318,5 +322,5 @@ class TestTruncationBound:
         lam0 = lambda0_from_chi(chi_03)
         lam = lam0 / 2.0
         for tr in (10, 100, 1000):
-            f2tr = joint_free_energy(kernel, lam, tr=tr, chi_result=chi_03).f2
+            f2tr = joint_free_energy(kernel, lam, tr=tr).f2
             assert tr * f2tr <= joint_truncation_bound(kernel, tr, lam, chi_result=chi_03)

@@ -598,6 +598,12 @@ class TestStreams:
         np.testing.assert_array_equal(s.uniform(5), clone.uniform(5))
         assert clone.position == s.position
 
+    def test_state_of_another_algorithm_rejected(self):
+        doc = derive_stream(17, 4).state()
+        doc["algorithm_id"] = "mt19937"
+        with pytest.raises(InvalidParameterError, match="mt19937"):
+            RngStream.from_state(doc)
+
     def test_first_outputs_uniform_chi_square(self):
         firsts = np.array([derive_stream(31337, i).uniform(1)[0] for i in range(1000)])
         counts, _ = np.histogram(firsts, bins=10, range=(0.0, 1.0))
@@ -638,6 +644,18 @@ class TestCriticalPoint:
         assert not bracket.undecided
         assert set(bracket.per_n_diagnostics) == {"h_lo", "h_hi"}
         assert bracket.per_n_diagnostics["h_lo"]["n2"] == 2048
+
+    @pytest.mark.parametrize("mean, edge", [(0.0, "localized left"), (1e9, "delocalized right")])
+    def test_endpoint_search_gives_up(self, monkeypatch, mean, edge):
+        # every estimate says delocalized (mean 0) or localized (mean 1e9), so
+        # the window never gets the edge it needs
+        def stub(kernel, charges, betas, hs):
+            return [quenched.FreeEnergyEstimate(mean, 0.0, np.zeros(1)) for _ in hs]
+
+        monkeypatch.setattr(quenched, "quenched_free_energy", stub)
+        charges = replica_charges(GAUSS, 64, 2, 0)
+        with pytest.raises(PrecisionError, match=f"could not find a {edge} endpoint"):
+            quenched_critical_point(make_power_kernel(1.5), GAUSS, [0.5], charges, 0.01)
 
     def test_upper_edge_below_annealed_curve(self):
         kernel = make_power_kernel(1.5)

@@ -14,6 +14,7 @@ from pinlab.disorder import (
     log_mgf,
     log_xi,
     rademacher_disorder,
+    relative_entropy_limit,
 )
 from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
@@ -73,18 +74,18 @@ class TestBetaCStar:
         assert math.isinf(got.beta_c_star)
 
     def test_rademacher_chi_two_has_root(self):
-        got = critical_temperature_bounds(P03, RAD, chi_stub(2.0), 1e-12)
+        got = critical_temperature_bounds(P03, RAD, chi_stub(2.0))
         assert math.isfinite(got.beta_c_star)
         assert math.exp(log_xi(RAD, got.beta_c_star)) == pytest.approx(1.5, abs=1e-10)
         # cosh(2b)/cosh(b)^2 = 1.5 at b = arcsinh(1)
         assert got.beta_c_star == pytest.approx(math.asinh(1.0), abs=1e-10)
 
     def test_rademacher_chi_half_infinite(self):
-        got = critical_temperature_bounds(P03, RAD, chi_stub(0.5), 1e-12)
+        got = critical_temperature_bounds(P03, RAD, chi_stub(0.5))
         assert math.isinf(got.beta_c_star)
 
     def test_degenerate_chi_infinite(self):
-        got = critical_temperature_bounds(P03, GAUSS, chi_stub(math.inf), 1e-12)
+        got = critical_temperature_bounds(P03, GAUSS, chi_stub(math.inf))
         assert got.beta_c_star == 0.0
         assert got.star_degenerate
 
@@ -109,7 +110,7 @@ class TestBetaCStarStar:
     def test_atomless_bounded_law_is_finite(self, chi_03):
         grid = np.linspace(-1.0, 1.0, 33)
         law = continuous_disorder(grid, np.ones_like(grid))
-        assert law.atom_at_w == 0.0
+        assert relative_entropy_limit(law) == math.inf
         got = critical_temperature_bounds(P03, law, chi_03)
         assert math.isfinite(got.beta_c_star_star)
 
@@ -185,12 +186,12 @@ class TestReplicaMoment:
         assert abs(lhs - rhs) <= 1e-12
         assert abs(lhs - dp) <= 1e-12
 
-    def test_growth_rate_matches_joint_free_energy(self, chi_03):
+    def test_growth_rate_matches_joint_free_energy(self):
         # (1/n) log E[Xi^overlap] tends to the truncated joint free energy
         tr, beta = 4, 1.2
         ktr = truncate_kernel(P03, tr)
         lam = log_xi(RAD, beta)
-        f2tr = joint_free_energy(P03, lam, tr=tr, chi_result=chi_03).f2
+        f2tr = joint_free_energy(P03, lam, tr=tr).f2
         n = 4000
         log_n = replica_moment_log(ktr, lam, n)
         assert log_n / n == pytest.approx(f2tr, abs=2e-3)
