@@ -16,17 +16,19 @@ A flag is registered only on the commands that read it (``_COMMANDS``):
 thread, in lockstep (one DP call per bisection round across the grid), and
 accepts only ``--threads 1``.
 
-One JSON document configures a run (no environment overrides except the
-output directory via ``PINLAB_OUT_DIR``); the manifest hash covers that
-document, so reruns with the same config and seed produce byte-identical
-numeric payloads.  Floats print with 17 significant digits for exact
-round trips.  ``main`` builds one :class:`RunWriter` per run once the
-config is read.  The writer keeps the run's identity (toolkit version,
-command, config hash and seed) in one dict, which heads every CSV table,
-JSON table and manifest it writes.  The run ends with its
-``<command>_manifest.json`` also when it fails with a pinlab error: the
-manifest then names the error, the exit code and the outputs written
-before it.
+One JSON object configures a run (no environment overrides except the
+output directory via ``PINLAB_OUT_DIR``); any other JSON value is a
+config error.  ``annealed-curve`` reads only ``disorder`` and
+``beta_grid``: the annealed critical curve ``log M(beta)`` holds for
+every recurrent kernel.  The manifest hash covers the document, so reruns
+with the same config and seed produce byte-identical numeric payloads.
+Floats print with 17 significant digits for exact round trips.  ``main``
+builds one :class:`RunWriter` per run once the config is read.  The
+writer keeps the run's identity (toolkit version, command, config hash
+and seed) in one dict, which heads every CSV table, JSON table and
+manifest it writes.  The run ends with its ``<command>_manifest.json``
+also when it fails with a pinlab error: the manifest then names the
+error, the exit code and the outputs written before it.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant failure,
 4 completed with undecided verdicts or warnings.
@@ -98,15 +100,15 @@ def _fetch(cfg: dict, path: str, required: bool = True, default=None):
 
 def _as_number(path: str, cast, value, positive=False):
     """``cast(value)`` for ``cast`` ``int`` or ``float``; a value that does
-    not parse, a boolean, NaN, a fraction for ``int``, or (when ``positive``)
-    a number at or below 0 is a config error at ``path``."""
+    not parse, a boolean, NaN, an infinity, a fraction for ``int``, or (when
+    ``positive``) a number at or below 0 is a config error at ``path``."""
     try:
         number = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, f"expected a number, got {value!r}") from exc
     fraction = isinstance(value, float) and number != value
     kind = "integer" if cast is int else "number"
-    if isinstance(value, bool) or number != number or fraction:
+    if isinstance(value, bool) or not -math.inf < number < math.inf or fraction:
         raise ConfigError(path, f"expected a {kind}, got {value!r}")
     if positive and not number > 0:
         raise ConfigError(path, f"expected a positive {kind}, got {value!r}")
@@ -280,22 +282,20 @@ class RunWriter:
 def cmd_homopolymer(cfg: dict, args, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     grid = _grid_from_config(cfg, "lambda_grid")
-    tol = _fetch_number(cfg, "tol", float, 1e-10, positive=True)
     t0 = time.perf_counter()
     rows = []
     for lam in grid:
-        res = homopolymer_free_energy(kernel, lam, tol)
+        res = homopolymer_free_energy(kernel, lam)
         rows.append({"lambda": lam, "f": res.f, "residual": res.residual})
     writer.time_block("sweep", t0)
     writer.write_table("homopolymer", rows)
 
 
 def cmd_annealed_curve(cfg: dict, args, writer: RunWriter) -> None:
-    kernel = _from_config(cfg, "kernel", kernel_from_json)
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
     t0 = time.perf_counter()
-    points = annealed_critical_curve(kernel, disorder, grid)
+    points = annealed_critical_curve(disorder, grid)
     writer.time_block("curve", t0)
     rows = [
         {"beta": p.beta, "h_c_ann": p.h_c, "bisection_gap": p.bisection_zero - p.h_c}
@@ -607,6 +607,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     writer = RunWriter(args.command, cfg, _out_dir(args.out), getattr(args, "format", None))
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(args.config, f"expected a JSON object, got {type(cfg).__name__}")
         _COMMANDS[args.command][0](cfg, args, writer)
     except PinlabError as exc:
         code, message = _failure(exc)

@@ -443,6 +443,11 @@ def tilt_transform(law: DisorderLaw, base: np.ndarray, beta: float) -> np.ndarra
     dens = law.ps * np.exp(np.minimum(t, 0.0))
     gaps = np.diff(law.xs) * 0.5 * (dens[1:] + dens[:-1])
     cdf = np.concatenate([[0.0], np.cumsum(gaps)])
+    if not cdf[-1] > 0.0:
+        raise PrecisionError(
+            f"tilt {beta!r} underflows every node factor of the continuous law; "
+            "its draws cannot be resolved"
+        )
     cdf /= cdf[-1]
     return np.interp(base, cdf, law.xs)
 

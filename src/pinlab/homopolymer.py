@@ -14,7 +14,8 @@ series itself, a closed form per kernel family, comes from
 
 The annealed model with inverse temperature ``beta`` and bias ``h`` is
 the same fixed point at ``lam = log M(beta) - h``, which is why the
-annealed critical curve is ``log M(beta)`` exactly.
+annealed critical curve is ``log M(beta)`` exactly, for every recurrent
+kernel: the curve reads no kernel and solves no fixed point.
 
 The joint variants replace ``K`` with the gap law of the simultaneous
 returns of two independent copies (the overlap kernel), whose total mass
@@ -49,7 +50,6 @@ from .roots import brentq
 
 __all__ = [
     "HomopolymerResult",
-    "JointFreeEnergy",
     "homopolymer_free_energy",
     "annealed_free_energy",
     "annealed_critical_curve",
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _TINY_F = 1e-290
+_RESIDUAL_TOL = 1e-10  # largest homopolymer residual, relative to exp(-lam)
 _VERIFY_TOL = 1e-8  # allowed gap between the bisection zero and log M(beta)
 
 
@@ -68,11 +69,6 @@ _VERIFY_TOL = 1e-8  # allowed gap between the bisection zero and log M(beta)
 class HomopolymerResult:
     f: float
     residual: float
-    status: str  # 'pinned' | 'unpinned'
-
-    @property
-    def pinned(self) -> bool:
-        return self.status == "pinned"
 
 
 def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
@@ -119,24 +115,20 @@ def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
     return f, residual
 
 
-def homopolymer_free_energy(
-    kernel: RenewalKernel, lam: float, tol: float = 1e-10
-) -> HomopolymerResult:
+def homopolymer_free_energy(kernel: RenewalKernel, lam: float) -> HomopolymerResult:
     """Free energy of the homogeneous model at pinning strength ``lam``.
 
     Recurrent kernels are unpinned exactly for ``lam <= 0``; for
-    ``lam > 0`` the fixed point is solved with residual at most ``tol``.
+    ``lam > 0`` the fixed point is solved, and a residual above
+    ``1e-10 * exp(-lam)`` raises :class:`PrecisionError`.
     The series is built once per solve, so the power kernel's normaliser
     ``zeta(1+alpha)`` is computed once, not at every root-finder step.
     ``lam`` above about 708.4 raises :class:`PrecisionError`.
     """
-    if not tol > 0.0:
-        raise InvalidParameterError("tol must be positive")
     if lam <= 0.0:
-        residual = abs(math.exp(-lam) - 1.0)
-        return HomopolymerResult(f=0.0, residual=residual, status="unpinned")
-    f, residual = _solve_fixed_point(_pinned_series(kernel), lam, tol)
-    return HomopolymerResult(f=f, residual=residual, status="pinned")
+        return HomopolymerResult(f=0.0, residual=abs(math.exp(-lam) - 1.0))
+    f, residual = _solve_fixed_point(_pinned_series(kernel), lam, _RESIDUAL_TOL)
+    return HomopolymerResult(f=f, residual=residual)
 
 
 def annealed_free_energy(
@@ -156,21 +148,17 @@ class AnnealedCurvePoint:
     bisection_zero: float   # bisection of the pinning criterion log M(beta) - h > 0
 
 
-def annealed_critical_curve(
-    kernel: RenewalKernel,
-    disorder: DisorderLaw,
-    beta_grid,
-) -> list[AnnealedCurvePoint]:
+def annealed_critical_curve(disorder: DisorderLaw, beta_grid) -> list[AnnealedCurvePoint]:
     """``(beta, log M(beta))`` pairs, each with a bisection of its phase.
 
-    ``log M(beta)`` is computed once per ``beta``.  The two edges of the
-    bracket ``log M(beta) -+ 0.75`` are solved as the homogeneous model at
-    ``lam = log M(beta) - h``, which must be pinned below and unpinned
-    above.  Each interior probe is decided by the pinning criterion ``lam >
-    0``, the branch :func:`homopolymer_free_energy` takes before it solves,
-    so the bisection gives the zero of the solver's phase with two solves
-    per ``beta``; it cross-checks the bracket arithmetic only, and a zero
-    more than 1e-8 from ``log M(beta)`` aborts.
+    ``log M(beta)`` is computed once per ``beta``.  The annealed model at
+    bias ``h`` is the homogeneous one at ``lam = log M(beta) - h``, pinned
+    exactly when ``lam > 0`` for every recurrent kernel, so the bracket
+    ``log M(beta) -+ 0.75`` is bisected on that criterion alone.  The
+    bisection cross-checks the bracket arithmetic only: a zero more than
+    1e-8 from ``log M(beta)`` aborts.  A ``log M(beta)`` whose float
+    spacing exceeds the bisection's stop width (at or above ``2^24``, or
+    not finite) raises :class:`PrecisionError` naming ``beta``.
     """
     betas = list(beta_grid)
     if not betas:
@@ -178,11 +166,13 @@ def annealed_critical_curve(
     points = []
     for beta in betas:
         h_c = log_mgf(disorder, beta)
+        spacing = math.ulp(h_c)
+        if not spacing <= 0.25 * _VERIFY_TOL:
+            raise PrecisionError(
+                f"log M(beta) = {h_c!r} at beta = {float(beta)!r} has float spacing "
+                f"{spacing!r}, above the bisection width {0.25 * _VERIFY_TOL!r}"
+            )
         lo, hi = h_c - 0.75, h_c + 0.75
-        if not homopolymer_free_energy(kernel, h_c - lo).pinned:
-            raise InternalConsistencyError("annealed phase not pinned below log M(beta)")
-        if homopolymer_free_energy(kernel, h_c - hi).pinned:
-            raise InternalConsistencyError("annealed phase pinned above log M(beta)")
         while hi - lo > 0.25 * _VERIFY_TOL:
             mid = 0.5 * (lo + hi)
             if h_c - mid > 0.0:
@@ -206,25 +196,15 @@ def lambda0_from_chi(chi_result: ChiResult) -> float:
     return math.log1p(1.0 / value)
 
 
-@dataclass(frozen=True)
-class JointFreeEnergy:
-    f2: float
-    status: str  # 'pinned' | 'unpinned'
-
-
-_UNPINNED = JointFreeEnergy(f2=0.0, status="unpinned")
-
 # overlap-kernel horizons of the joint solve: the first, doubled up to the last
 _JOINT_START_HORIZON = 1 << 13
 _JOINT_MAX_HORIZON = 1 << 21
 
 
-def _solve_on_overlap(
-    base: RenewalKernel, lam: float, tol: float, total: float
-) -> JointFreeEnergy:
-    """Solve the fixed point on the overlap kernel of ``base``, whose masses
-    sum to at most ``total``, growing the horizon until the dropped tail is
-    certified below ``tol * exp(-lam) / 10``.
+def _solve_on_overlap(base: RenewalKernel, lam: float, tol: float, total: float) -> float:
+    """``f2``: the fixed point on the overlap kernel of ``base``, whose masses
+    sum to at most ``total``, with the horizon grown until the dropped tail
+    is certified below ``tol * exp(-lam) / 10``.
     """
     target = math.exp(-lam)
     horizon = _JOINT_START_HORIZON
@@ -244,7 +224,7 @@ def _solve_on_overlap(
         dropped = max(total - reachable, 0.0)
         tail_bound = dropped * math.exp(-(horizon + 1) * f)
         if tail_bound <= 0.1 * tol * target:
-            return JointFreeEnergy(f2=f, status="pinned")
+            return f
         if horizon >= _JOINT_MAX_HORIZON:
             needed = horizon + int(
                 math.log(max(tail_bound / (0.1 * tol * target), 2.0)) / max(f, 1e-300)
@@ -263,8 +243,8 @@ def joint_free_energy(
     tr: int | None = None,
     tol: float = 1e-10,
     chi_result: ChiResult | None = None,
-) -> JointFreeEnergy:
-    """Free energy on the joint-return kernel of two independent copies.
+) -> float:
+    """Free energy ``f2`` on the joint-return kernel of two independent copies.
 
     Untruncated (``tr is None``): unpinned exactly on ``lam <= lambda_0``,
     read from the kernel's ``chi_result``, which is then required;
@@ -278,7 +258,7 @@ def joint_free_energy(
         if chi_result is None:
             raise InvalidParameterError("an untruncated joint solve needs the kernel's chi_result")
         if lam <= lambda0_from_chi(chi_result):
-            return _UNPINNED
+            return 0.0
         total = 1.0
         if chi_result.status == "finite":
             total = chi_result.value / (chi_result.value + 1.0)
@@ -286,7 +266,7 @@ def joint_free_energy(
     if tr < 1:
         raise InvalidParameterError("truncation point must be >= 1")
     if lam <= 0.0:
-        return _UNPINNED
+        return 0.0
     return _solve_on_overlap(truncate_kernel(kernel, tr), lam, tol, 1.0)
 
 

@@ -326,7 +326,7 @@ def entropy_estimator(
     sandwich = None
     if compute_bounds:
         lower = (relative_entropy_tilt(disorder, beta) - kernel_entropy(ktr)) / m_tr
-        upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=_F2_TOL).f2
+        upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=_F2_TOL)
         slack = 3.0 * stderr
         sandwich = (lower - slack <= estimate) and (estimate <= upper + slack)
 

@@ -56,10 +56,9 @@ def report(number: int, message: str):
 
 
 def test_01_annealed_critical_curve_exact():
-    kernel = make_power_kernel(0.5)
     worst = 0.0
     for disorder, name in ((GAUSS, "gaussian"), (RAD, "rademacher")):
-        for point in annealed_critical_curve(kernel, disorder, [0.5, 1.0, 2.0]):
+        for point in annealed_critical_curve(disorder, [0.5, 1.0, 2.0]):
             gap = abs(point.bisection_zero - point.h_c)
             worst = max(worst, gap)
             assert gap <= 1e-8, (name, point.beta, gap)
@@ -148,7 +147,7 @@ def test_08_joint_truncation_bound(chi_03):
     limit = joint_truncation_bound_limit(lam, lam0)
     seq = []
     for tr in (10, 50, 100, 500, 1000):
-        f2tr = joint_free_energy(kernel, lam, tr=tr).f2
+        f2tr = joint_free_energy(kernel, lam, tr=tr)
         bound = joint_truncation_bound(kernel, tr, lam, chi_result=chi_03)
         assert tr * f2tr <= bound, (tr, tr * f2tr, bound)
         assert tr * f2tr <= 1.1 * limit, (tr, tr * f2tr, limit)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import pinlab
 from pinlab import quenched
 from pinlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_UNDECIDED, main
 from pinlab.disorder import gaussian_disorder
@@ -186,7 +191,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, doc, field",
         [
-            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": "abc"}, "tol"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5, "abc"]}, "lambda_grid[1]"),
             ("annealed-curve",
              {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.5, "abc"]},
              "beta_grid[1]"),
@@ -215,8 +220,8 @@ class TestConfigErrors:
              {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
               "replicas": True},
              "replicas"),
-            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": math.nan}, "tol"),
-            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": "nan"}, "tol"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5, math.nan]}, "lambda_grid[1]"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5, "nan"]}, "lambda_grid[1]"),
             ("relevance",
              {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
               "tr_schedule": []},
@@ -255,7 +260,7 @@ class TestConfigErrors:
              "n_multiplier"),
             # nonpositive tolerances and widths are config errors, not library
             # failures (exit 3) or, for the width, a run that widens the bracket
-            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5], "tol": 0}, "tol"),
+            ("chi", {"kernel": GEOMETRIC, "tolerance": 0}, "tolerance"),
             ("chi", {"kernel": GEOMETRIC, "tolerance": -1}, "tolerance"),
             ("phase-diagram",
              {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
@@ -278,6 +283,22 @@ class TestConfigErrors:
              {"kernel": GEOMETRIC, "beta_grid": [0.5], "base_seed": 1, "disorder": {
                  "family": "continuous", "table": {"grid": [0, 1, 2], "values": [1, math.nan, 1]}}},
              "disorder"),
+            # an infinity (JSON Infinity, or a literal such as 1e400) reached the
+            # library, where a beta grid could hang the annealed curve
+            ("annealed-curve", {"disorder": GAUSSIAN, "beta_grid": [1.0, math.inf]}, "beta_grid[1]"),
+            ("annealed-curve",
+             {"disorder": GAUSSIAN, "beta_grid": {"start": 0.1, "stop": math.inf, "count": 3}},
+             "beta_grid.stop"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5, -math.inf]}, "lambda_grid[1]"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": [0.5, "inf"]}, "lambda_grid[1]"),
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": {"target_width": math.inf}},
+             "quenched.target_width"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": math.inf, "base_seed": 1},
+             "beta"),
+            ("chi", {"kernel": GEOMETRIC, "tolerance": math.inf}, "tolerance"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):
@@ -288,6 +309,30 @@ class TestConfigErrors:
         manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
         assert manifest["exit_code"] == EXIT_CONFIG
         assert f"'{field}'" in manifest["error"]
+
+    def test_overflowing_literal_named(self, tmp_path, capsys):
+        # json reads the literal 1e400 as inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"disorder": {"family": "gaussian"}, "beta_grid": [1.0, 1e400]}')
+        out = tmp_path / "out"
+        assert run(["annealed-curve", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert "config error at 'beta_grid[1]'" in capsys.readouterr().err
+        manifest = json.loads((out / "annealed_curve_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command", ["homopolymer", "annealed-curve", "phase-diagram", "relevance", "chi", "validate"]
+    )
+    def test_non_object_config(self, tmp_path, capsys, command):
+        # validate used to run its default suite on [1, 2] and exit 0
+        cfg = write_config(tmp_path, "cfg.json", [1, 2])
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert "expected a JSON object, got list" in capsys.readouterr().err
+        manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_CONFIG
+        assert "JSON object" in manifest["error"]
+        assert manifest["outputs"] == []
 
     @pytest.mark.parametrize("command", ["phase-diagram", "validate"])
     def test_negative_seed_flag_named(self, tmp_path, command):
@@ -334,6 +379,32 @@ class TestAnnealedCurveCommand:
         assert float(rows[0]["h_c_ann"]) == 0.0
         assert abs(float(rows[1]["h_c_ann"]) - 0.5) <= 1e-14
         assert abs(float(rows[1]["bisection_gap"])) <= 1e-8
+
+    def test_reads_no_kernel(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {"disorder": GAUSSIAN, "beta_grid": [1.0]})
+        out = tmp_path / "out"
+        assert run(["annealed-curve", "--config", cfg, "--out", out]) == EXIT_OK
+        _, rows = read_rows(out / "annealed_curve.csv")
+        assert float(rows[0]["h_c_ann"]) == 0.5
+
+    def test_beta_past_float_spacing_exits_with_manifest(self, tmp_path):
+        # log M(1e4) = 5e7 has float spacing 7.5e-9, above the bisection's
+        # 2.5e-9 stop width, where the loop used to spin forever; a
+        # subprocess with a timeout makes a regression fail, not hang
+        cfg = write_config(tmp_path, "cfg.json", {"disorder": GAUSSIAN, "beta_grid": [1.0, 1e4]})
+        out = tmp_path / "out"
+        src = str(Path(pinlab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinlab.cli", "annealed-curve", "--config", cfg, "--out", out],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == EXIT_INVARIANT, proc.stderr
+        assert "beta = 10000.0" in proc.stderr
+        manifest = json.loads((out / "annealed_curve_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_INVARIANT
+        assert "beta = 10000.0" in manifest["error"]
+        assert manifest["outputs"] == []
 
 
 class TestChiCommand:

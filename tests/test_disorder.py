@@ -24,7 +24,7 @@ from pinlab.disorder import (
     tilt_transform,
     tilted_mean,
 )
-from pinlab.errors import InvalidParameterError
+from pinlab.errors import InvalidParameterError, PrecisionError
 from pinlab.rng import derive_stream
 
 from oracles import mgf_quadrature, relative_entropy_direct
@@ -395,6 +395,17 @@ class TestExtremeTiltContinuous:
             assert np.isfinite(got).all()
             assert law.xs[0] <= got.min() and got.max() <= law.xs[-1]
         np.testing.assert_array_equal(draws[0], draws[1])
+
+    @pytest.mark.parametrize("beta", [800.0, 1000.0])
+    def test_draws_past_every_node_factor_are_precision_error(self, beta):
+        # the density is 0 at the node top, and every other node factor
+        # exp(beta (x - top)) underflows to 0, so the tilted CDF has no mass
+        # to normalize; it used to return NaN draws
+        law = continuous_disorder([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match=f"tilt {beta!r}"):
+                tilt_transform(law, np.array([0.1, 0.5, 0.9]), beta)
 
     def test_draws_at_tilt_zero_are_the_plain_inverse_cdf(self):
         # at tilt 0 every factor is exp(0) = 1, so the draws are the inverse of

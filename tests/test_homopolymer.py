@@ -2,6 +2,7 @@
 and the finite-truncation bound."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -45,7 +46,7 @@ class TestHomopolymer:
     def test_unpinned_at_zero(self):
         res = homopolymer_free_energy(make_power_kernel(0.5), 0.0)
         assert res.f == 0.0
-        assert res.status == "unpinned"
+        assert res.residual == 0.0
 
     def test_unpinned_below_zero(self):
         res = homopolymer_free_energy(make_geometric_kernel(0.5), -0.4)
@@ -86,11 +87,12 @@ class TestHomopolymer:
         assert np.all(second >= -1e-10)
 
     def test_residuals_below_tolerance(self):
+        # brentq's fixed xtol sets f, so the residual is far inside the
+        # solver's 1e-10 * exp(-lam) abort level
         kernel = make_power_kernel(0.3)
         for lam in (1e-6, 1e-3, 0.1, 1.0, 5.0):
-            res = homopolymer_free_energy(kernel, lam, tol=1e-12)
-            assert res.residual <= 1e-12
-
+            res = homopolymer_free_energy(kernel, lam)
+            assert res.residual <= 1e-12 * math.exp(-lam)
 
     def test_geometric_closed_form_at_large_lambda(self):
         lam = 700.0
@@ -124,7 +126,7 @@ def _bisect_annealed(kernel, disorder, beta):
     lo, hi = h_c - 0.75, h_c + 0.75
     while hi - lo > 0.25e-8:
         mid = 0.5 * (lo + hi)
-        if annealed_free_energy(kernel, disorder, beta, mid).pinned:
+        if annealed_free_energy(kernel, disorder, beta, mid).f > 0.0:
             lo = mid
         else:
             hi = mid
@@ -150,27 +152,27 @@ class TestAnnealed:
 
         monkeypatch.setattr(pinlab.homopolymer, "log_mgf", spy)
         betas = [0.25, 0.5, 1.0]
-        annealed_critical_curve(make_power_kernel(0.3), _LAWS["continuous"](), betas)
+        annealed_critical_curve(_LAWS["continuous"](), betas)
         assert calls == betas
 
-    def test_curve_solves_only_the_bracket_edges(self, monkeypatch):
-        # each interior probe is decided by lam > 0, which is the solver's
-        # own first branch, so a beta costs the two edge solves alone
+    def test_curve_solves_no_fixed_point(self, monkeypatch):
+        # every probe is decided by lam > 0, the pinning criterion of every
+        # recurrent kernel, so the curve never calls the solver
         calls = []
 
-        def spy(kernel, lam, tol=1e-10):
+        def spy(kernel, lam):
             calls.append(lam)
-            return homopolymer_free_energy(kernel, lam, tol)
+            return homopolymer_free_energy(kernel, lam)
 
         monkeypatch.setattr(pinlab.homopolymer, "homopolymer_free_energy", spy)
-        annealed_critical_curve(make_power_kernel(0.3), _LAWS["continuous"](), [0.25, 0.5, 1.0])
-        assert len(calls) == 6
+        annealed_critical_curve(_LAWS["continuous"](), [0.25, 0.5, 1.0])
+        assert calls == []
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_curve_equals_bisection_of_annealed_free_energy(self, law):
         kernel, disorder = make_power_kernel(0.3), _LAWS[law]()
         betas = [0.3, 1.2]
-        points = annealed_critical_curve(kernel, disorder, betas)
+        points = annealed_critical_curve(disorder, betas)
         for beta, point in zip(betas, points):
             h_c, zero = _bisect_annealed(kernel, disorder, beta)
             assert point.h_c == h_c
@@ -197,20 +199,44 @@ class TestAnnealed:
         assert a.f == pytest.approx(b.f, abs=1e-14)
 
     def test_critical_curve_values(self):
-        kernel = make_power_kernel(0.5)
-        pts = annealed_critical_curve(kernel, gaussian_disorder(), [0.0, 1.0])
+        pts = annealed_critical_curve(gaussian_disorder(), [0.0, 1.0])
         assert pts[0].h_c == 0.0
         assert pts[1].h_c == pytest.approx(0.5, abs=1e-14)
-        rad = annealed_critical_curve(kernel, rademacher_disorder(), [1.0])
+        rad = annealed_critical_curve(rademacher_disorder(), [1.0])
         assert rad[0].h_c == pytest.approx(math.log(math.cosh(1.0)), abs=1e-14)
         assert rad[0].h_c == pytest.approx(0.433781, abs=1e-6)
 
     def test_bisection_agrees(self):
-        pts = annealed_critical_curve(
-            make_power_kernel(0.3), rademacher_disorder(), [0.25, 0.5, 1.0, 2.0]
-        )
+        pts = annealed_critical_curve(rademacher_disorder(), [0.25, 0.5, 1.0, 2.0])
         for p in pts:
             assert abs(p.bisection_zero - p.h_c) <= 1e-8
+
+    def test_gaussian_curve_up_to_the_float_spacing_limit(self):
+        # log M(beta) = beta^2 / 2 from 1e-6 up to just below 2^24, the last
+        # binade whose float spacing fits the bisection's 2.5e-9 stop width
+        hs = list(np.geomspace(1e-6, 1e7, 27))
+        hs += [2.0**24 - d for d in np.geomspace(3e3, 2e-9, 40)]
+        pts = annealed_critical_curve(gaussian_disorder(), [math.sqrt(2.0 * h) for h in hs])
+        assert pts[0].h_c == pytest.approx(1e-6, rel=1e-12)
+        assert max(p.h_c for p in pts) < 2.0**24
+        for p in pts:
+            assert abs(p.bisection_zero - p.h_c) <= 1e-8, p
+
+    def test_gaussian_point_at_beta_3000(self):
+        (p,) = annealed_critical_curve(gaussian_disorder(), [3000.0])
+        assert p.h_c == 4500000.0
+        assert p.bisection_zero == 4499999.999999999
+
+    @pytest.mark.parametrize(
+        "law, beta",
+        [("gaussian", 5792.6188), ("gaussian", 5793.0), ("gaussian", 1e4),
+         ("gaussian", 1e200), ("rademacher", 2.0**25)],
+    )
+    def test_spacing_above_bisection_width_is_precision_error(self, law, beta):
+        # at 2^24 and above the float spacing of log M(beta) exceeds the stop
+        # width and the bisection could never end; at 1e200 log M(beta) is inf
+        with pytest.raises(PrecisionError, match=re.escape(f"beta = {beta!r}")):
+            annealed_critical_curve(_LAWS[law](), [1.0, beta])
 
 
 class TestLambda0:
@@ -234,9 +260,7 @@ class TestJointFreeEnergy:
     def test_unpinned_below_threshold(self, chi_03):
         kernel = make_power_kernel(0.3)
         lam0 = lambda0_from_chi(chi_03)
-        res = joint_free_energy(kernel, lam0 / 2.0, chi_result=chi_03)
-        assert res.f2 == 0.0
-        assert res.status == "unpinned"
+        assert joint_free_energy(kernel, lam0 / 2.0, chi_result=chi_03) == 0.0
 
     def test_untruncated_needs_chi_result(self):
         with pytest.raises(InvalidParameterError, match="chi_result"):
@@ -245,29 +269,26 @@ class TestJointFreeEnergy:
     def test_truncated_pins_at_any_positive_strength(self, chi_03):
         kernel = make_power_kernel(0.3)
         lam0 = lambda0_from_chi(chi_03)
-        res = joint_free_energy(kernel, lam0 / 2.0, tr=50)
-        assert res.f2 > 0.0
-        assert res.status == "pinned"
+        assert joint_free_energy(kernel, lam0 / 2.0, tr=50) > 0.0
 
     def test_truncated_converges_to_untruncated(self, chi_03):
         kernel = make_power_kernel(0.3)
         lam = 1.5 * lambda0_from_chi(chi_03)
         full = joint_free_energy(kernel, lam, chi_result=chi_03)
         trunc = joint_free_energy(kernel, lam, tr=1000)
-        assert trunc.f2 == pytest.approx(full.f2, rel=0.01)
+        assert trunc == pytest.approx(full, rel=0.01)
 
     def test_unit_truncation_closed_form(self):
         # tr = 1 collapses both chains to deterministic unit gaps: every
         # time is a simultaneous renewal and f2_1(lam) = lam
         kernel = make_power_kernel(0.3)
-        res = joint_free_energy(kernel, 0.37, tr=1)
-        assert res.f2 == pytest.approx(0.37, abs=1e-12)
+        assert joint_free_energy(kernel, 0.37, tr=1) == pytest.approx(0.37, abs=1e-12)
 
     def test_unit_truncation_small_strength(self):
         # the overlap masses of the unit truncation sum to 1 + 5e-12 in
         # floats, so at lam = 1e-6 the bracket end f = lam must widen
-        res = joint_free_energy(make_power_kernel(0.3), 1e-6, tr=1)
-        assert res.f2 == pytest.approx(1e-6, rel=1e-5)
+        f2 = joint_free_energy(make_power_kernel(0.3), 1e-6, tr=1)
+        assert f2 == pytest.approx(1e-6, rel=1e-5)
 
     def test_series_that_never_falls_is_precision_error(self):
         with pytest.raises(PrecisionError):
@@ -287,7 +308,7 @@ class TestJointFreeEnergy:
         lam0 = lambda0_from_chi(chi_03)
         for lam in (0.3 * lam0, 0.6 * lam0, 0.9 * lam0):
             values = [
-                joint_free_energy(kernel, lam, tr=tr).f2
+                joint_free_energy(kernel, lam, tr=tr)
                 for tr in (8, 16, 32, 64)
             ]
             assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
@@ -322,5 +343,5 @@ class TestTruncationBound:
         lam0 = lambda0_from_chi(chi_03)
         lam = lam0 / 2.0
         for tr in (10, 100, 1000):
-            f2tr = joint_free_energy(kernel, lam, tr=tr).f2
+            f2tr = joint_free_energy(kernel, lam, tr=tr)
             assert tr * f2tr <= joint_truncation_bound(kernel, tr, lam, chi_result=chi_03)
