@@ -9,6 +9,11 @@ A kernel ``K`` assigns probability ``K(n)`` to a first return at time
 * ``geometric``: ``K(n) = p (1-p)^(n-1)``,
 * ``table``: an explicit finite mass table.
 
+For the two closed-form families, :func:`far_terms` gives the masses of
+long gaps as a positive sum of exponentials, which lets the quenched DP
+carry its far sums as a few running states instead of one product over
+every earlier site.
+
 Derived objects: return probabilities ``u_n`` (renewal function, one
 read-only array from :func:`return_probabilities`), the overlap sum
 ``chi = sum u_n^2`` with a tri-state convergence verdict, the
@@ -20,6 +25,7 @@ array from :func:`overlap_kernel`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +55,7 @@ __all__ = [
     "chi",
     "truncate_kernel",
     "kernel_entropy",
+    "far_terms",
     "overlap_kernel",
     "kernel_to_json",
     "kernel_from_json",
@@ -74,8 +81,9 @@ class RenewalKernel:
             ns = np.arange(1, n + 1, dtype=float)
             return ns ** (-(1.0 + self.alpha)) / zeta(1.0 + self.alpha)
         if self.family == "geometric":
-            ns = np.arange(n)
-            return self.p * (1.0 - self.p) ** ns
+            if self.p == 1.0:
+                return (np.arange(n) == 0).astype(float)
+            return self.p * np.exp(np.arange(n) * math.log1p(-self.p))
         out = np.zeros(n, dtype=float)
         avail = min(n, len(self.masses))
         out[:avail] = self.masses[:avail]
@@ -88,7 +96,7 @@ class RenewalKernel:
         if self.family == "power":
             return zeta_tail(1.0 + self.alpha, n0) / zeta(1.0 + self.alpha)
         if self.family == "geometric":
-            return (1.0 - self.p) ** (n0 - 1)
+            return 0.0 if self.p == 1.0 else math.exp((n0 - 1) * math.log1p(-self.p))
         return float(np.sum(self.masses[n0 - 1 :]))
 
     def mean(self) -> float:
@@ -172,11 +180,12 @@ def _pinned_series(kernel: RenewalKernel):
         # module's name (a tracer) sees every evaluation
         return lambda f: polylog_exp(s, f) / norm
     if kernel.family == "geometric":
-        p, q = kernel.p, 1.0 - kernel.p
+        p = kernel.p
 
         def geometric(f: float) -> float:
-            ef = math.exp(-f)
-            return p * ef / (1.0 - q * ef)
+            # p e^-f / (1 - (1-p) e^-f), without the rounded 1 - p
+            pe = p * math.exp(-f)
+            return pe / (pe - math.expm1(-f))
 
         return geometric
     return lambda f: _mass_series(kernel.masses, f)
@@ -354,11 +363,97 @@ def kernel_entropy(kernel: RenewalKernel) -> float:
         p = kernel.p
         if p == 1.0:
             return 0.0
-        q = 1.0 - p
-        return -math.log(p) - (q / p) * math.log(q)
+        return -math.log(p) - ((1.0 - p) / p) * math.log1p(-p)
     m = kernel.masses
     pos = m[m > 0.0]
     return float(-np.sum(pos * np.log(pos)))
+
+
+# ---------------------------------------------------------------------------
+# Far gaps as a positive sum of exponentials
+# ---------------------------------------------------------------------------
+
+
+# The quenched DP sums the gaps up to 64 + 63 directly and the gaps from
+# _FAR_GAP on through these terms; at n <= 2 * 64 its dense product holds no
+# more rows than that window, so no terms are built there.
+_FAR_GAP = 65
+_FAR_MIN_N = 129
+# The power terms are checked at _FAR_CHECK gaps spaced evenly in log d over
+# the size class, against 1.25e-15 relative (more at large s, where exp(-lam
+# d) is rounded at the size of lam d ~ s); terms below _FAR_CUT of every
+# checked mass are dropped.
+_FAR_CHECK = 300
+_FAR_CUT = 1e-18
+_FAR_STEP = 0.25
+_FAR_MIN_STEP = 0.02
+
+
+def far_terms(kernel: RenewalKernel, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read-only ``(weights, rates)`` with ``K(d) = sum_i weights[i]
+    exp(-rates[i] d)`` for every gap ``65 <= d <= n``, every weight > 0: the
+    far gaps of the quenched DP.  ``None`` for tables (they stay banded) and
+    for ``n <= 128``.
+
+    Geometric: one term, ``p / (1-p) e^{-d (-log1p(-p))}`` (none at ``p =
+    1``).  Power, ``s = 1 + alpha``: the trapezoid rule on ``Gamma(s)
+    d^-s = int e^{s x - d e^x} dx`` after the substitution ``x = u -
+    e^{a - u}``, ``a = -log d_max``, which makes the lower tail decay
+    double-exponentially (McLean 2018, "Exponential sum approximations for
+    t^-beta"), scaled to the float masses ``d^-s / zeta(s)`` at the checked
+    gaps.  The step starts at 0.25 and shrinks by 0.9 until every checked
+    gap is within bound; about 45 terms at ``d_max`` 1024 and 80 at 2^20.
+    Gaps whose mass is below the normal float range are not checked.  The
+    terms are built once per kernel law and size class ``d_max``, the
+    power of two at or above ``n``.
+    """
+    if kernel.family == "table" or n < _FAR_MIN_N:
+        return None
+    if kernel.family == "geometric":
+        return _geometric_terms(kernel.p)
+    return _power_terms(1.0 + kernel.alpha, 1 << (n - 1).bit_length())
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _geometric_terms(p: float) -> tuple[np.ndarray, np.ndarray]:
+    if p == 1.0:
+        return _read_only(np.empty(0), np.empty(0))
+    return _read_only(np.array([p / (1.0 - p)]), np.array([-math.log1p(-p)]))
+
+
+@functools.lru_cache(maxsize=32)
+def _power_terms(s: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:
+    gaps = np.unique(np.geomspace(_FAR_GAP, d_max, _FAR_CHECK).round())
+    masses = gaps ** -s / zeta(s)
+    normal = masses >= np.finfo(float).tiny
+    gaps, masses = gaps[normal], masses[normal]
+    if not gaps.size:
+        return _read_only(np.empty(0), np.empty(0))
+    bound = 1.25e-15 * max(1.0, s / 4.0)
+    a = -math.log(d_max)
+    step = _FAR_STEP
+    while step >= _FAR_MIN_STEP:
+        u = step * np.arange(math.floor((a - 5.0) / step), math.ceil(2.0 / step) + 1)
+        e = np.exp(a - u)
+        x = u - e
+        weights = step * (1.0 + e) * np.exp(s * x)
+        rates = np.exp(x)
+        share = weights * np.exp(-np.outer(gaps, rates)) / masses[:, None]
+        sums = share.sum(axis=1)
+        norm = float(np.mean(1.0 / sums))
+        weights *= norm
+        # a weight that underflows carries no normal mass
+        keep = (share.max(axis=0) > _FAR_CUT) & (weights > 0.0)
+        if np.abs(share[:, keep].sum(axis=1) * norm - 1.0).max() <= bound:
+            return _read_only(weights[keep], rates[keep])
+        step *= 0.9
+    raise PrecisionError(f"no exponential sum for d^-{s} within {bound:.2e} up to {d_max}")
 
 
 _NEGATIVE_MASS_ABORT = -1e-10

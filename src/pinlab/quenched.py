@@ -12,7 +12,12 @@ log-scale, a step is one matrix-vector product and one multiply, the scale
 moves only when a sum or a new term leaves a safe range, and ``log Z_m`` is
 stored in the log domain.  Steps go in runs of up to 64; the part of a
 run's sums over the sites before it is one matrix product at the start of
-the run, and each step's product covers only the run's own sites.  Logs
+the run, and each step's product covers only the run's own sites.  For
+power and geometric kernels the product reads only the 64 sites before the
+run: the sites before those are held as a few dozen running states per
+replica, one per term of the positive exponential sum that
+:func:`pinlab.kernels.far_terms` gives for the gaps past 64, so ``log Z_n``
+costs O(n) time and the working rows do not grow with ``n``.  Logs
 and range tests are taken once per run; the first step of a run that
 leaves the range is repaired and the steps after it are computed again.
 A step whose linear sum underflows or overflows is redone by an exact
@@ -48,7 +53,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, log_mgf, sample
 from .errors import InvalidParameterError, PrecisionError
-from .kernels import RenewalKernel
+from .kernels import RenewalKernel, far_terms
 from .rng import derive_stream
 
 __all__ = [
@@ -100,39 +105,53 @@ _HALF = _RUN_CAP // 2
 
 
 def dp_log_partition(
-    log_k: np.ndarray, site_weights: np.ndarray, band: int | None = None
+    log_k: np.ndarray, site_weights: np.ndarray, band: int | None = None, far=None
 ) -> np.ndarray:
     """Batched renewal DP as a scaled linear-domain recursion.
 
     ``site_weights[r, j] = beta * w_j - h`` for replica ``r``; returns the
     ``(replicas, n+1)`` array of ``log Z_m``.  ``band`` limits the gap
     length for kernels of bounded support (O(n * band) instead of O(n^2)).
-    Rows are independent, so several biases can share one call as extra
-    rows.
+    ``far``, for an unbounded kernel (``band`` None), is the ``(weights,
+    rates)`` of :func:`pinlab.kernels.far_terms` with ``K(d) = sum_i
+    weights[i] e^{-rates[i] d}`` for the gaps ``d >= 65``: the sums over the
+    sites more than 64 before a run are then ``r`` running states per
+    replica, and the DP costs O(n * (64 + r)).  Without it an unbounded
+    kernel takes the dense O(n^2) product.  Rows are independent, so several
+    biases can share one call as extra rows.
 
     Replica ``r`` keeps ``y[j, r] = Z_j exp(w_j - c_r)`` for the sites of
     its window under one log-scale ``c_r`` (the scaled forward algorithm of
     HMMs).  Steps go in runs of up to ``_RUN_CAP``, and a step is two array
     operations across the replicas: the sum ``s_m`` of the kernel masses
     times the window's rows of ``y``, and the new entry ``y[m] = s_m
-    e^{w_m}``.  The part of every sum of a run ``[m, end)`` over the sites
-    ``j < m`` is one matrix product at the start of the run, written into
-    ``y[m:end]`` (its Toeplitz factor is a column slice of one
-    ``_HALF``-row block per call), and the sum of step ``m + i`` is the
-    product of ``K(i), ..., K(1), 1`` (0 past the band) with ``y[m :
-    m+i+1]``.  A run never spans a rebase, so ``y[j]`` for ``j < m`` stays
-    fixed while the run goes on.  ``e^w`` is taken once per block of
-    ``_RUN_CAP`` sites; after a run, one ``log`` gives its ``log Z_m = c_r
-    + log s_m`` and one range test covers all its steps.  The first step at
-    which a replica's sum or new entry leaves the safe range is repaired
-    and the run's later steps are computed again: the replica is rebased
-    (``c_r`` becomes the window's largest ``log Z_j + w_j`` and its window
-    is recomputed from ``log Z``), and a sum that is zero, subnormal or
-    near either end of the float range is first recomputed by the exact
-    log-sum-exp step for that replica alone.  So
-    large ``beta * w``, extreme ``h``, gapped kernels and long stretches of
-    very negative weight give the log-domain values, and ``-inf`` where
-    ``Z_m = 0``.
+    e^{w_m}``.  The part of every sum of a run ``[m, end)`` over the
+    ``width`` sites before it is one matrix product at the start of the
+    run, written into ``y[m:end]`` (its Toeplitz factor is a column slice of
+    one ``_HALF``-row block per call, which holds ``K`` up to ``width +
+    63``), and the sum of step ``m + i`` is the product of ``K(i), ...,
+    K(1), 1`` (0 past the band) with ``y[m : m+i+1]``.  With ``far`` the
+    window is the 64 sites before the run, and the sites ``j < b = m - 64``
+    are held as ``S[i] = sum_{j<b} e^{-rates[i] (b-j)} y[j]``: the run adds
+    ``weights[i] e^{-rates[i] (t-b)} S[i]`` to step ``t``'s sum in one
+    more product, and ``S`` moves to the next run's boundary as ``S
+    e^{-rates L} + (e^{-rates (L-k)})_k y[b : b+L]`` for the ``L`` sites
+    that leave the window.  A run never spans a rebase, so ``y[j]`` for ``j
+    < m`` stays fixed while the run goes on.  ``e^w`` is taken once per
+    block of ``_RUN_CAP`` sites; after a run, one ``log`` gives its ``log
+    Z_m = c_r + log s_m`` and one range test covers all its steps.  The
+    first step at which a replica's sum or new entry leaves the safe range
+    is repaired and the run's later steps are computed again: the replica
+    is rebased (``c_r`` becomes the window's largest ``log Z_j + w_j``, or
+    the log of its largest far state where that is larger, so that no
+    state passes 1; its window is recomputed from ``log Z``, and its far
+    states, first moved to the next boundary on the old scale, are
+    multiplied by ``e^{old c_r - new c_r}``), and a sum that
+    is zero, subnormal or near either end of the float range is first
+    recomputed by the exact log-sum-exp step over every earlier site (over
+    the band) for that replica alone.  So large ``beta * w``, extreme
+    ``h``, gapped kernels and long stretches of very negative weight give
+    the log-domain values, and ``-inf`` where ``Z_m = 0``.
 
     Site ``j`` of ``y`` is stored at row ``j - off`` of an array of
     ``min(n + 1, width + 2 * _RUN_CAP)`` rows.  A run reads the ``width``
@@ -140,20 +159,34 @@ def dp_log_partition(
     from ``m`` would pass the last row, the rows of the sites ``[m - width,
     m)`` move to the front and ``off`` becomes ``m - width``.  The dense DP
     (``width = n``) keeps all ``n + 1`` rows at offset 0; a banded one holds
-    ``O(replicas * band)`` floats besides its ``log Z`` output.
+    ``O(replicas * band)`` floats besides its ``log Z`` output, and one with
+    ``far`` 192 rows and ``S``, ``r x replicas`` floats.
 
     Each finite ``log Z_m`` is within ``1e-12 * max(1, max_{j<=m} |log Z_j|)``
     of the exact recursion: ``c_r`` and the log-sum-exp terms are rounded at
     the size of the largest ``|log Z_j|`` on the path (about 2e-13 at 1000),
     so where ``log Z_m`` returns near zero the error stays that large.  The
-    sums are of nonnegative terms, so their order (which BLAS may choose by
-    the number of rows and threads) moves ``log Z_m`` by rounding only.
+    far terms' masses are within about 1e-15 relative of ``K``, and every
+    term is positive, so they move ``log Z_m`` by about ``1e-15 m / 64``
+    at most.  The sums are of nonnegative terms, so their order (which BLAS
+    may choose by the number of rows and threads) moves ``log Z_m`` by
+    rounding only.
     """
     reps, n = site_weights.shape
-    width = n if band is None else min(band, n)
-    # K(width), ..., K(1) after 2 * _HALF - 1 zeros
-    pad = np.concatenate([np.zeros(2 * _HALF - 1), np.exp(log_k[:width][::-1])])
-    # toe[i, c] = K(width + _HALF + i - c), 0 past the band: in a run from m,
+    if far is not None and band is not None:
+        raise InvalidParameterError("far terms are for kernels without a band")
+    if far is None:
+        width = n if band is None else min(band, n)
+        reach = width
+    else:
+        width = min(_RUN_CAP, n)
+        reach = width + _RUN_CAP - 1  # the gaps a run's near product reads
+    lead = n if band is None else width  # the sites a log-sum-exp step reads
+    # K(reach), ..., K(1), after zeros, in 2 * _HALF - 1 + width entries
+    pad = np.zeros(2 * _HALF - 1 + width)
+    masses = np.exp(log_k[:reach][::-1])
+    pad[len(pad) - len(masses) :] = masses
+    # toe[i, c] = K(width + _HALF + i - c), 0 past the reach: in a run from m,
     # rows i and i + _HALF take site j from column width + _HALF - m + j and
     # from the column _HALF to its left
     toe = np.lib.stride_tricks.sliding_window_view(pad, width + _HALF)[_HALF - 1 :: -1].copy()
@@ -167,12 +200,24 @@ def dp_log_partition(
     scale = np.empty(reps)
     sums = np.empty((_RUN_CAP, reps))  # a run's s_m, then their logs
     growth = np.ones((_RUN_CAP, reps))  # e^{w_j} for the sites g0 <= j < g0 + _RUN_CAP
+    states = None
+    if far is not None:
+        weights, rates = far
+        # decay[d, i] = e^{-rates[i] d}, d < 2 * _RUN_CAP
+        decay = np.exp(-np.outer(np.arange(2 * _RUN_CAP), rates))
+        e_out = decay[_RUN_CAP:] * weights  # e_out[k, i]: from S[i] to step b + _RUN_CAP + k
+        e_in = decay[_RUN_CAP::-1].T.copy()  # e_in[i, q] = e^{-rates[i] (_RUN_CAP - q)}
+        states = np.zeros((len(rates), reps))
+        b = 0  # the states' boundary: they hold the sites j < b
+        far_sums = np.empty((_RUN_CAP, reps))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if n:
             _rebase(y, off, scale, log_z, site_weights, np.arange(reps), 0, 1)
         m, length, g0 = 1, 1, -_RUN_CAP
         while m <= n:
             end = min(m + length, n + 1)  # the run is steps m <= t < end
+            if states is not None and m - width > b:
+                b = _advance(states, e_in, y, off, b, m - width)
             if end - off > len(y):  # keep the window's rows [m - width, m)
                 y[:width] = y[m - width - off : m - off]
                 off = m - width
@@ -184,10 +229,12 @@ def dp_log_partition(
             j0 = max(0, m - width)
             c0 = width + _HALF - (m - j0)
             top = min(end, m + _HALF)
-            far, run = y[j0 - off : m - off], y[m - off : end - off]
-            np.matmul(toe[: top - m, c0:], far, out=run[: top - m])
+            window, run = y[j0 - off : m - off], y[m - off : end - off]
+            np.matmul(toe[: top - m, c0:], window, out=run[: top - m])
             if end > top:
-                np.matmul(toe[: end - top, c0 - _HALF : width], far, out=run[top - m :])
+                np.matmul(toe[: end - top, c0 - _HALF : width], window, out=run[top - m :])
+            if states is not None and b:
+                np.add(run, np.matmul(e_out[: end - m], states, out=far_sums[: end - m]), out=run)
             for i, s_t, g_t, k_t in zip(range(end - m), s, g, nears):
                 np.dot(k_t, run[: i + 1], out=s_t)
                 np.multiply(s_t, g_t, out=run[i])
@@ -206,24 +253,48 @@ def dp_log_partition(
             t = m + i  # the first step out of range; the steps after it are redone
             if not size[i].max() <= _LOG_EXACT:
                 exact = np.flatnonzero(~(size[i] <= _LOG_EXACT))
-                j0 = max(0, t - width)
-                log_z[exact, t] = _log_step(log_z, site_weights, log_k, exact, j0, t)
+                log_z[exact, t] = _log_step(log_z, site_weights, log_k, exact, max(0, t - lead), t)
             if t < n:
                 bad = np.flatnonzero(~ok[i])
-                _rebase(y, off, scale, log_z, site_weights, bad, max(0, t + 1 - width), t + 1)
+                j0 = max(0, t + 1 - width)
+                if states is not None and j0 > b:  # on the old scale
+                    b = _advance(states, e_in, y, off, b, j0)
+                _rebase(y, off, scale, log_z, site_weights, bad, j0, t + 1, states)
             m, length = t + 1, 1
     return log_z
 
 
-def _rebase(y, off, scale, log_z, site_weights, rows, j0, j1):
-    """Put ``rows`` on the scale of their largest ``log Z_j + w_j``, j0 <= j < j1;
-    ``y[j - off]`` holds site ``j``."""
+def _advance(states, e_in, y, off, b0, b1):
+    """Move the far states from boundary ``b0`` to ``b1``, at most
+    ``_RUN_CAP`` sites on, by the entries ``y[b0 - off : b1 - off]`` of the
+    sites that leave the window; returns ``b1``."""
+    span = b1 - b0
+    q = e_in.shape[1] - 1 - span
+    states *= e_in[:, q, None]
+    states += e_in[:, q : q + span] @ y[b0 - off : b1 - off]
+    return b1
+
+
+def _rebase(y, off, scale, log_z, site_weights, rows, j0, j1, states=None):
+    """Put ``rows`` on the scale of their largest ``log Z_j + w_j``, j0 <= j < j1,
+    or of their largest far state where that is larger, and rescale their far
+    ``states``; ``y[j - off]`` holds site ``j``."""
     a = log_z[rows, j0:j1] + site_weights[rows, j0:j1]
     top = a.max(axis=1)
+    if states is not None:
+        held, old = states[:, rows], scale[rows]
+        np.maximum(top, old + np.log(held.max(axis=0, initial=0.0)), out=top)
     top[~np.isfinite(top)] = 0.0
     scale[rows] = top
     a -= top[:, None]
     y[j0 - off : j1 - off, rows] = np.exp(a, out=a).T
+    if states is not None:
+        # e^{old - new} in two halves: it passes e^709 where the states are
+        # subnormal, and a zero state takes any factor
+        half = np.exp(0.5 * np.minimum(old - top, 1400.0))
+        held *= half
+        held *= half
+        states[:, rows] = held
 
 
 def _log_step(log_z, site_weights, log_k, rows, j0, m):
@@ -247,7 +318,7 @@ def _partition_rows_log(kernel: RenewalKernel, weights: np.ndarray) -> np.ndarra
         raise InvalidParameterError("site weights must not be NaN or +inf")
     n = weights.shape[1]
     log_k = log_mass_vector(kernel, n)
-    return dp_log_partition(log_k, weights, band=kernel.support_upper)[:, n]
+    return dp_log_partition(log_k, weights, kernel.support_upper, far_terms(kernel, n))[:, n]
 
 
 def replica_charges(disorder: DisorderLaw, n: int, replicas: int, base_seed: int) -> np.ndarray:
@@ -337,7 +408,9 @@ def _estimates(kernel, charges, beta, h, sizes) -> list[list[FreeEnergyEstimate]
     columns of the charges."""
     reps, n = charges.shape
     weights = _site_weights(charges, beta, h).reshape(-1, n)
-    log_z = dp_log_partition(log_mass_vector(kernel, n), weights, band=kernel.support_upper)
+    log_z = dp_log_partition(
+        log_mass_vector(kernel, n), weights, kernel.support_upper, far_terms(kernel, n)
+    )
     out = []
     for m in sizes:
         per_replica = log_z[:, m] / m

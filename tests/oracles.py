@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from pinlab.disorder import log_mgf
 from pinlab.errors import InvalidParameterError
+from pinlab.kernels import far_terms
 from pinlab.oracles import charge_assignments
 from pinlab.quenched import (
     dp_log_partition,
@@ -127,7 +128,9 @@ def critical_point_sequential(
         else:
             h_hi = mid
     weights = np.concatenate([beta * charges - h for h in (h_lo, h_hi)])
-    log_z = dp_log_partition(log_mass_vector(kernel, n2), weights, band=kernel.support_upper)
+    log_z = dp_log_partition(
+        log_mass_vector(kernel, n2), weights, kernel.support_upper, far_terms(kernel, n2)
+    )
     (mean_lo, _), (mean_hi, stderr_hi) = (
         (float(v.mean()), 0.0 if reps == 1 else float(v.std(ddof=1) / math.sqrt(reps)))
         for v in (log_z[:reps, n] / n, log_z[reps:, n] / n)

@@ -14,6 +14,7 @@ from pinlab import kernels
 from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.kernels import (
     chi,
+    far_terms,
     kernel_entropy,
     kernel_from_json,
     kernel_to_json,
@@ -368,6 +369,124 @@ class TestTruncation:
         kernel = random_table_kernel(weights)
         total = float(np.sum(truncate_kernel(kernel, tr).mass_array(tr)))
         assert abs(total - 1.0) <= 1e-14
+
+
+class TestGeometricPrecision:
+    """Masses, tails and entropy of the geometric family against mpmath at
+    the float ``p``: all three are taken through ``log1p(-p)``, so they
+    keep their digits at small ``p``.  A mass ``p (1-p)^(d-1)`` is exact to
+    a few ulps times its condition number ``1 + |(d-1) log(1-p)|``."""
+
+    @pytest.mark.parametrize("p", [1e-9, 1e-6, 0.3])
+    def test_masses_and_tails(self, p):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        kernel = make_geometric_kernel(p)
+        masses = kernel.mass_array(1 << 20)
+        for d in (1, 2, 3, 65, 127, 1000, 1900, 65536, 1 << 20):
+            exact = (1 - mp.mpf(p)) ** (d - 1)
+            if exact * p < np.finfo(float).tiny:
+                continue
+            bound = 4e-16 * (1.0 + abs((d - 1) * math.log1p(-p)))
+            assert abs(masses[d - 1] - p * exact) <= bound * p * exact, d
+            assert abs(kernel.tail_mass(d) - exact) <= bound * exact, d
+
+    @pytest.mark.parametrize("p", [1e-9, 1e-6, 0.3])
+    def test_entropy(self, p):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        q = mp.mpf(p)
+        exact = -mp.log(q) - ((1 - q) / q) * mp.log(1 - q)
+        assert abs(kernel_entropy(make_geometric_kernel(p)) - exact) <= 4e-16 * exact
+
+    @pytest.mark.parametrize("p", [1e-9, 1e-6, 0.3])
+    def test_generating_function(self, p):
+        # sum_n K(n) e^{-n f}, which the homopolymer solves invert
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        series = kernels._pinned_series(make_geometric_kernel(p))
+        for f in (1e-9, 1e-6, 1e-3, 1.0, 30.0):
+            q = mp.mpf(p) * mp.exp(-mp.mpf(f))
+            exact = q / (1 - (1 - mp.mpf(p)) * mp.exp(-mp.mpf(f)))
+            assert abs(series(f) - exact) <= 4e-16 * exact, f
+
+    def test_point_mass_at_p_1(self):
+        kernel = make_geometric_kernel(1.0)
+        np.testing.assert_array_equal(kernel.mass_array(4), [1.0, 0.0, 0.0, 0.0])
+        assert kernel.tail_mass(1) == 1.0
+        assert kernel.tail_mass(2) == 0.0
+        assert kernel_entropy(kernel) == 0.0
+
+
+def far_errors(kernel, n):
+    """Relative errors of the far terms against ``mass_array`` at every gap
+    ``65 <= d <= n`` whose mass is a normal float, in blocks of 2^14 gaps."""
+    weights, rates = far_terms(kernel, n)
+    masses = kernel.mass_array(n)
+    errors = []
+    for lo in range(65, n + 1, 1 << 14):
+        d = np.arange(lo, min(lo + (1 << 14), n + 1), dtype=float)
+        want = masses[lo - 1 : lo - 1 + len(d)]
+        normal = want >= np.finfo(float).tiny
+        got = np.exp(-np.outer(d[normal], rates)) @ weights
+        errors.append(np.abs(got / want[normal] - 1.0))
+    return np.concatenate(errors)
+
+
+class TestFarTerms:
+    """The far gaps of the quenched DP as a positive sum of exponentials."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.5, 3.0])
+    def test_power_within_2e_15_up_to_2_20(self, alpha):
+        weights, rates = far_terms(make_power_kernel(alpha), 1 << 20)
+        assert np.all(weights > 0.0) and np.all(rates > 0.0)
+        assert far_errors(make_power_kernel(alpha), 1 << 20).max() <= 2e-15
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("n", [129, 1024, 3000])
+    def test_power_positive_and_close_at_every_size(self, alpha, n):
+        # at large alpha exp(-lam d) is rounded at the size of lam d ~ 1 + alpha
+        kernel = make_power_kernel(alpha)
+        weights, rates = far_terms(kernel, n)
+        assert len(weights) == len(rates) > 0
+        assert np.all(weights > 0.0) and np.all(rates > 0.0)
+        assert far_errors(kernel, n).max() <= 1.25e-15 * max(1.0, (1.0 + alpha) / 4.0)
+
+    def test_power_without_normal_far_masses(self):
+        # 65^-201 underflows: there is no far mass to carry
+        weights, rates = far_terms(make_power_kernel(200.0), 1024)
+        assert len(weights) == len(rates) == 0
+
+    @pytest.mark.parametrize("p", [1.0, 0.9, 0.3, 0.01, 1e-6])
+    def test_geometric_one_term(self, p):
+        kernel = make_geometric_kernel(p)
+        n = 1 << 20 if p < 0.1 else 4096
+        weights, rates = far_terms(kernel, n)
+        assert len(weights) == len(rates) == (0 if p == 1.0 else 1)
+        if p == 1.0:
+            assert not kernel.mass_array(n)[64:].any()
+            return
+        assert weights[0] > 0.0
+        d = np.arange(65.0, n + 1.0)
+        normal = kernel.mass_array(n)[64:] >= np.finfo(float).tiny
+        # both sides are exp of about d log(1-p), rounded at its size
+        bound = 4e-16 * (1.0 + d[normal] * rates[0])
+        assert np.all(far_errors(kernel, n) <= bound)
+
+    def test_tables_and_short_chains_have_none(self):
+        assert far_terms(make_table_kernel([0.5, 0.5]), 4096) is None
+        assert far_terms(make_power_kernel(0.3), 128) is None
+        assert far_terms(make_geometric_kernel(0.3), 128) is None
+
+    def test_cached_per_size_class(self):
+        kernel = make_power_kernel(0.7)
+        first = far_terms(kernel, 1024)
+        assert far_terms(kernel, 1024) is first
+        assert far_terms(make_power_kernel(0.7), 600) is first  # 600 is in 1024's class
+        assert far_terms(kernel, 1025) is not first
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+        geometric = far_terms(make_geometric_kernel(0.25), 300)
+        assert far_terms(make_geometric_kernel(0.25), 5000) is geometric
 
 
 class TestKernelEntropy:

@@ -22,7 +22,7 @@ from pinlab.disorder import (
 )
 from pinlab.errors import InvalidParameterError, PrecisionError
 from pinlab.homopolymer import annealed_free_energy
-from pinlab.kernels import make_power_kernel, make_table_kernel
+from pinlab.kernels import far_terms, make_geometric_kernel, make_power_kernel, make_table_kernel
 from pinlab.oracles import annealed_partition_check, pinned_partition_log
 from pinlab.quenched import (
     dp_log_partition,
@@ -108,12 +108,28 @@ class TestPartitionFunction:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def assert_matches_recursion(log_k, weights, band, scale_by_path=False):
+# The ``band`` of the far-state path: an unbounded kernel whose gaps past 64
+# are carried by the far terms of KERNEL, built for at least 129 sites so
+# that short chains take the path too.  ``band`` None is the dense product.
+FAR = "far"
+
+
+def band_and_far(band, n, kernel=KERNEL):
+    """The ``band`` and ``far`` arguments of a DP call of ``n`` sites on the
+    path ``band``."""
+    if band == FAR:
+        return None, far_terms(kernel, max(n, 129))
+    return band, None
+
+
+def assert_matches_recursion(log_k, weights, band, scale_by_path=False, kernel=KERNEL):
     """Errors relative to ``max(1, |log Z_m|)``, or with ``scale_by_path`` to
-    ``max(1, max_{j<=m} |log Z_j|)``, must stay within 1e-12."""
+    ``max(1, max_{j<=m} |log Z_j|)``, must stay within 1e-12; ``kernel``
+    gives the far terms of the path ``FAR``."""
+    band, far = band_and_far(band, weights.shape[1], kernel)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = dp_log_partition(log_k, weights, band=band)
+        got = dp_log_partition(log_k, weights, band, far)
     assert got.shape == (weights.shape[0], weights.shape[1] + 1)
     for row, w in zip(got, weights):
         want = np.array(partition_log_recursion(log_k, w, band))
@@ -155,11 +171,12 @@ GAPPED_TABLES = [
 ]
 sizes = st.integers(min_value=1, max_value=200)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-bands = st.none() | st.integers(min_value=1, max_value=40)
+bands = st.sampled_from([None, FAR]) | st.integers(min_value=1, max_value=40)
 
 
 class TestScaledRecursionExtremes:
-    """The scaled DP against the plain log-domain recursion, warnings fatal.
+    """The scaled DP against the plain log-domain recursion, warnings fatal,
+    on the dense, far-state and banded paths.
 
     Errors are relative to ``max(1, |log Z_m|)``, so 1e-12 is absolute where
     ``log Z_m`` is near zero.
@@ -168,6 +185,7 @@ class TestScaledRecursionExtremes:
     @settings(max_examples=30)
     @given(st.floats(0.0, 300.0), st.floats(-5.0, 5.0), sizes, seeds, bands)
     @example(153.0, 0.0, 59, 0, 1)
+    @example(153.0, 0.0, 200, 0, FAR)
     def test_large_beta_gaussian(self, beta, h, n, seed, band):
         weights = beta * charges(seed, 3, n) - h
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
@@ -199,9 +217,10 @@ class TestScaledRecursionExtremes:
 
     @settings(max_examples=30)
     @given(st.integers(1, 600), st.integers(0, 600), st.sampled_from([600.0, -1500.0]),
-           seeds, st.sampled_from([None, 8]))
+           seeds, st.sampled_from([None, FAR, 8]))
     @example(600, 600, 600.0, 0, None)
     @example(600, 600, -1500.0, 0, 8)
+    @example(600, 300, -1500.0, 0, FAR)
     def test_one_site_out_of_range(self, n, p, weight, seed, band):
         # the site falls inside or at the edge of a run; a run that doubles to
         # its cap needs about 130 steps, and p >= n puts the site last
@@ -210,7 +229,7 @@ class TestScaledRecursionExtremes:
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
     @settings(max_examples=30)
-    @given(sizes, seeds, st.integers(1, 40))
+    @given(sizes, seeds, st.just(FAR) | st.integers(1, 40))
     def test_mixed_large_weights_path_bound(self, n, seed, band):
         # half the sites carry +-300 to +-1500, so log Z_m climbs into the
         # thousands and can come back near zero; there the error is rounding
@@ -220,7 +239,7 @@ class TestScaledRecursionExtremes:
         weights = np.where(rng.random((3, n)) < 0.5, charges(seed, 3, n), large)
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band, scale_by_path=True)
 
-    @pytest.mark.parametrize("band", [1, 3, None])
+    @pytest.mark.parametrize("band", [1, 3, None, FAR])
     def test_subnormal_growth_after_large_sum(self, band):
         # at site 2 the sum is about e^400 and e^w = e^-730 is subnormal, so
         # the new entry s e^w would be off by about 5e-7 relative
@@ -243,18 +262,28 @@ class TestScaledRecursionExtremes:
 
 
 class TestFarProduct:
-    """The seams of the far-sum product, which every window takes: windows
-    shorter than a run (``width < 64``) read zeros past the band in the
-    near masses, and runs start at steps 1, 2, 4, ..., 64, 128, 192, ...
-    while no step is repaired."""
+    """The seams of the product over the sites before a run, which every
+    window takes: windows shorter than a run (``width < 64``) read zeros past
+    the band in the near masses, and runs start at steps 1, 2, 4, ..., 64,
+    128, 192, ... while no step is repaired.  On the far-state path the
+    window is the 64 sites before the run, and the sites before it are the
+    far states from step 65 on."""
 
-    @pytest.mark.parametrize("band", [None, 1, 8, 63, 64, 65, 100])
+    @pytest.mark.parametrize("band", [None, FAR, 1, 8, 63, 64, 65, 100])
     @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
     def test_window_sizes(self, n, band):
-        weights = 1.3 * charges(n + (band or 0), 3, n) - 0.2
+        weights = 1.3 * charges(n + (0 if band in (None, FAR) else band), 3, n) - 0.2
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
-    @pytest.mark.parametrize("band", [None, 100])
+    @pytest.mark.parametrize("band", [None, FAR])
+    @pytest.mark.parametrize("n", [127, 128, 129, 192, 193, 260, 600])
+    def test_near_far_seams(self, n, band):
+        # the near window's last gap is 127 and the far terms' first 65; the
+        # far terms come from the size classes 256, 512 and 1024
+        weights = 1.3 * charges(n, 3, n) - 0.2
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
+
+    @pytest.mark.parametrize("band", [None, FAR, 100])
     @pytest.mark.parametrize("weight", [800.0, -800.0])
     @pytest.mark.parametrize("n", [65, 130, 200])
     def test_rebase_every_step(self, n, weight, band):
@@ -262,7 +291,7 @@ class TestFarProduct:
         weights = np.full((2, n), weight)
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
-    @pytest.mark.parametrize("band", [None, 100])
+    @pytest.mark.parametrize("band", [None, FAR, 100])
     @pytest.mark.parametrize("weight", [600.0, -1500.0])
     @pytest.mark.parametrize("p", [64, 127, 128, 129, 192])
     def test_one_site_out_of_range_after_far_product(self, p, weight, band):
@@ -272,25 +301,103 @@ class TestFarProduct:
         weights[0, p] = weight
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
-    @pytest.mark.parametrize("band", [None, 100])
+    @pytest.mark.parametrize("band", [None, FAR, 100])
     def test_batch_composition(self, band):
         # BLAS may round a column differently with another column count;
         # each block of a wide call stays within the DP's bound of its own call
         n = 300
         log_k = log_mass_vector(KERNEL, n)
         weights = 1.1 * charges(17, 96, n) - 0.3
-        wide = dp_log_partition(log_k, weights, band=band)
+        band, far = band_and_far(band, n)
+        wide = dp_log_partition(log_k, weights, band, far)
         for block in range(3):
             rows = slice(32 * block, 32 * block + 32)
-            alone = dp_log_partition(log_k, weights[rows], band=band)
+            alone = dp_log_partition(log_k, weights[rows], band, far)
             err = np.abs(wide[rows] - alone) / np.maximum(1.0, np.abs(alone))
             assert err.max() <= 1e-12
+
+
+class TestFarStates:
+    """Regressions of the far-state path: the near product reaches gap 127,
+    a rebase moves the far states on their old scale and keeps them in
+    range, and the exact step reads every earlier site."""
+
+    def test_near_product_reaches_gap_127(self):
+        # every site of row 0 but site 0 is forbidden, so Z_m = K(m): the run
+        # from step 64 reads site 0 at gaps 64..127 from its window, and the
+        # far states hold it from step 128 on
+        n = 260
+        weights = charges(3, 2, n)
+        weights[0, 1:] = -np.inf
+        log_k = log_mass_vector(KERNEL, n)
+        assert_matches_recursion(log_k, weights, FAR)
+        got = dp_log_partition(log_k, weights, None, far_terms(KERNEL, n))
+        np.testing.assert_allclose(got[0, 1:], weights[0, 0] + log_k, rtol=1e-14)
+
+    def test_rebase_keeps_far_states_in_range(self):
+        # site 10 leaves an entry near e^458 that reaches the far states, the
+        # sites after it an entry near e^-250 each, and the -1500 stretch
+        # that follows rebases: on its window's scale alone the far states
+        # would pass e^709, and every later step would need the exact step
+        n = 300
+        weights = charges(4, 2, n)
+        weights[0, :10] = 0.0
+        weights[0, 10] = 459.0
+        weights[0, 11:81] = -708.0
+        weights[0, 81:200] = -1500.0
+        with mock.patch.object(quenched, "_rebase", wraps=quenched._rebase) as rebase, \
+                mock.patch.object(quenched, "_log_step", wraps=quenched._log_step) as exact:
+            assert_matches_recursion(log_mass_vector(KERNEL, n), weights, FAR)
+        assert rebase.call_count == 2
+        assert exact.call_count == 0
+
+    @pytest.mark.parametrize("weight", [600.0, -1500.0])
+    @pytest.mark.parametrize("p", [100, 150, 200])
+    def test_stretch_after_one_site(self, p, weight):
+        # a site out of range, then a stretch of -1500 longer than the window
+        n = 400
+        weights = charges(p, 2, n)
+        weights[0, p] = weight
+        weights[0, p + 1 : p + 150] = -1500.0
+        assert_matches_recursion(log_mass_vector(KERNEL, n), weights, FAR)
+
+    def test_exact_step_reads_from_site_0(self):
+        # at alpha 150, K(m) < e^-644 from m = 73 on, so with every site of row
+        # 0 but site 0 forbidden each later step is the exact step, and its
+        # one term is the far site 0
+        kernel = make_power_kernel(150.0)
+        n = 200
+        weights = charges(5, 2, n)
+        weights[0, 1:] = -np.inf
+        with mock.patch.object(quenched, "_log_step", wraps=quenched._log_step) as exact:
+            assert_matches_recursion(log_mass_vector(kernel, n), weights, FAR, kernel=kernel)
+        assert exact.call_count >= 100
+        assert {call.args[4] for call in exact.call_args_list} == {0}
+
+    def test_far_terms_need_an_unbounded_kernel(self):
+        log_k = log_mass_vector(KERNEL, 200)
+        with pytest.raises(InvalidParameterError, match="without a band"):
+            dp_log_partition(log_k, charges(0, 2, 200), 8, far_terms(KERNEL, 200))
+
+    @pytest.mark.parametrize("p", [1.0, 0.3, 0.01, 1e-6])
+    @pytest.mark.parametrize("n", [129, 300])
+    def test_geometric_kernel(self, n, p):
+        # one far term, or none at p = 1
+        kernel = make_geometric_kernel(p)
+        weights = 0.8 * charges(7, 3, n) - 0.1
+        assert_matches_recursion(log_mass_vector(kernel, n), weights, FAR, kernel=kernel)
+
+
+def window_of(band):
+    """The window width of a banded DP, 64 on the far-state path."""
+    return 64 if band == FAR else band
 
 
 def window_moves(n, band):
     """The steps at which a banded DP's window of ``band + 128`` rows moves,
     while no step is repaired: runs start at 1, 2, 4, ..., 64, 128, 192, ...
     and the window moves at the start of a run that would pass its end."""
+    band = window_of(band)
     rows, off, moves, m = min(n + 1, min(band, n) + 128), 0, [], 1
     while m <= n:
         end = min(m + min(m, 64), n + 1)
@@ -302,18 +409,20 @@ def window_moves(n, band):
 
 
 def window_weights(n, band):
-    return 0.5 * charges(n + band, 2, n) + 0.5
+    return 0.5 * charges(n + window_of(band), 2, n) + 0.5
 
 
 class TestWindow:
     """A banded DP keeps ``band + 128`` rows of its scaled terms and moves
     the last ``band`` of them to the front when a run would pass the end,
-    so every seam of the window is read by the far product, the near steps,
-    the range test and the rebase."""
+    so every seam of the window is read by the product over the sites
+    before a run, the near steps, the range test and the rebase.  The
+    far-state path keeps the window of band 64, and the sites that leave
+    it go to the far states before it moves."""
 
-    @pytest.mark.parametrize("band", [1, 8, 63, 64, 65, 100])
+    @pytest.mark.parametrize("band", [1, 8, 63, 64, 65, 100, FAR])
     def test_plain_weights(self, band):
-        n = 4 * (band + 128)
+        n = 4 * (window_of(band) + 128)
         assert len(window_moves(n, band)) >= 3
         # no step of these weights is repaired, so the window moves where
         # window_moves says
@@ -321,25 +430,26 @@ class TestWindow:
             assert_matches_recursion(log_mass_vector(KERNEL, n), window_weights(n, band), band)
         assert spy.call_count == 1
 
-    @pytest.mark.parametrize("band", [1, 8, 63, 64, 65, 100])
+    @pytest.mark.parametrize("band", [1, 8, 63, 64, 65, 100, FAR])
     @pytest.mark.parametrize("weight", [600.0, -1500.0])
     def test_one_site_out_of_range_after_a_move(self, band, weight):
         # the first step after the second move rebases, and at -1500 the
         # steps that follow take the log-sum-exp step across the seam
-        n = 4 * (band + 128)
+        n = 4 * (window_of(band) + 128)
         weights = window_weights(n, band)
         weights[0, window_moves(n, band)[1]] = weight
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
+    @pytest.mark.parametrize("band", [100, FAR])
     @pytest.mark.parametrize("weight", [800.0, -800.0])
-    def test_rebase_every_step(self, weight):
+    def test_rebase_every_step(self, weight, band):
         # every run has length 1, so the window moves every 128 steps
         n = 600
-        assert_matches_recursion(log_mass_vector(KERNEL, n), np.full((2, n), weight), 100)
+        assert_matches_recursion(log_mass_vector(KERNEL, n), np.full((2, n), weight), band)
 
     @settings(max_examples=30)
     @given(st.floats(0.0, 300.0), st.floats(-800.0, 800.0), st.integers(1, 600), seeds,
-           st.integers(1, 40))
+           st.just(FAR) | st.integers(1, 40))
     def test_long_banded_chains(self, beta, h, n, seed, band):
         weights = beta * charges(seed, 3, n) - h
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
@@ -362,19 +472,24 @@ def test_dp_memory_is_its_output_and_window():
 
 
 def test_dp_memory_with_far_product():
-    # a window longer than a run adds one 32 x (width + 32) Toeplitz block
-    n, reps = 2048, 32
+    # the far-state path keeps its log Z output, a window of 64 + 128 rows,
+    # the run buffers and r x replicas far states, not all n + 1 rows of y
+    n, reps = 2048, 64
     weights = charges(1, reps, n)
     log_k = log_mass_vector(KERNEL, n)
+    far = far_terms(KERNEL, n)
     tracemalloc.start()
     try:
-        dp_log_partition(log_k, weights)
+        dp_log_partition(log_k, weights, None, far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    log_z_and_y = 2 * reps * (n + 1) * 8
-    block = 32 * (n + 32) * 8
-    assert peak < log_z_and_y + block + 2**18
+    log_z = reps * (n + 1) * 8
+    rows = (64 + 128 + 5 * 64) * reps * 8  # the window, run buffers and range test
+    states = len(far[0]) * (reps + 2 * 128) * 8  # S, its decay table and the far rows
+    assert peak < log_z + rows + states + 2**18
+    # the dense product keeps all n + 1 rows of y besides its output
+    assert log_z + rows + states + 2**18 < 2 * log_z
 
 
 class TestQuenchedFreeEnergy:
@@ -549,9 +664,9 @@ class TestAnnealedPartitionCheck:
         # the 64 assignments at n 6 are the rows of one call, plus one for rhs
         rows = []
 
-        def spy(log_k, site_weights, band=None):
+        def spy(log_k, site_weights, band=None, far=None):
             rows.append(site_weights.shape[0])
-            return dp_log_partition(log_k, site_weights, band)
+            return dp_log_partition(log_k, site_weights, band, far)
 
         monkeypatch.setattr(quenched, "dp_log_partition", spy)
         annealed_partition_check(KERNEL, rademacher_disorder(), beta=0.7, h=0.2, n=6)
@@ -751,9 +866,9 @@ class TestCriticalPoint:
         shapes = []
         real = quenched.dp_log_partition
 
-        def spy(log_k, site_weights, band=None):
+        def spy(log_k, site_weights, band=None, far=None):
             shapes.append(site_weights.shape)
-            return real(log_k, site_weights, band)
+            return real(log_k, site_weights, band, far)
 
         monkeypatch.setattr(quenched, "dp_log_partition", spy)
         return shapes
