@@ -35,8 +35,11 @@ share one DP call as extra rows.  The critical-point search takes a
 ``n`` columns.  Each ``beta``'s zero in ``h`` is located by bisection with
 an explicit finite-size allowance: a point is declared localized only when
 the estimate clears ``max(3 stderr, 5 / n)``, and the reported upper edge
-is widened by the allowance mapped through the locally observed slope, so
-the returned interval is an honest bracket rather than a point estimate.
+is widened by the allowance mapped through the locally observed slope.
+The returned interval is a finite-size surrogate with that documented
+allowance, not a certified enclosure of the critical bias: ROADMAP item 2
+shows brackets of the bench configuration that exclude the exact ``log
+M(beta)`` at betas below ``beta_c*``.
 The grid is searched in lockstep: each round is one DP call that takes the
 next biases of every active ``beta`` (both starting edges in its first
 round, then one bias), up to four bias blocks per call.  Each bracket's
@@ -110,8 +113,10 @@ def dp_log_partition(
     """Batched renewal DP as a scaled linear-domain recursion.
 
     ``site_weights[r, j] = beta * w_j - h`` for replica ``r``; returns the
-    ``(replicas, n+1)`` array of ``log Z_m``.  ``band`` limits the gap
-    length for kernels of bounded support (O(n * band) instead of O(n^2)).
+    ``(replicas, n+1)`` array of ``log Z_m``, the transposed view of the
+    site-major ``(n+1, replicas)`` array the DP writes.  ``band`` limits
+    the gap length for kernels of bounded support (O(n * band) instead of
+    O(n^2)).
     ``far``, for an unbounded kernel (``band`` None), is the ``(weights,
     rates)`` of :func:`pinlab.kernels.far_terms` with ``K(d) = sum_i
     weights[i] e^{-rates[i] d}`` for the gaps ``d >= 65``: the sums over the
@@ -122,36 +127,40 @@ def dp_log_partition(
 
     Replica ``r`` keeps ``y[j, r] = Z_j exp(w_j - c_r)`` for the sites of
     its window under one log-scale ``c_r`` (the scaled forward algorithm of
-    HMMs).  Steps go in runs of up to ``_RUN_CAP``, and a step is two array
-    operations across the replicas: the sum ``s_m`` of the kernel masses
-    times the window's rows of ``y``, and the new entry ``y[m] = s_m
-    e^{w_m}``.  The part of every sum of a run ``[m, end)`` over the
-    ``width`` sites before it is one matrix product at the start of the
-    run, written into ``y[m:end]`` (its Toeplitz factor is a column slice of
-    one ``_HALF``-row block per call, which holds ``K`` up to ``width +
-    63``), and the sum of step ``m + i`` is the product of ``K(i), ...,
-    K(1), 1`` (0 past the band) with ``y[m : m+i+1]``.  With ``far`` the
-    window is the 64 sites before the run, and the sites ``j < b = m - 64``
-    are held as ``S[i] = sum_{j<b} e^{-rates[i] (b-j)} y[j]``: the run adds
-    ``weights[i] e^{-rates[i] (t-b)} S[i]`` to step ``t``'s sum in one
-    more product, and ``S`` moves to the next run's boundary as ``S
-    e^{-rates L} + (e^{-rates (L-k)})_k y[b : b+L]`` for the ``L`` sites
-    that leave the window.  A run never spans a rebase, so ``y[j]`` for ``j
-    < m`` stays fixed while the run goes on.  ``e^w`` is taken once per
-    block of ``_RUN_CAP`` sites; after a run, one ``log`` gives its ``log
-    Z_m = c_r + log s_m`` and one range test covers all its steps.  The
+    HMMs).  Steps go in runs of up to ``_RUN_CAP``, and a step is two numpy
+    calls across the replicas, into row views built once per call: one BLAS
+    product for the sum ``s_m`` of the kernel masses times the window's rows
+    of ``y``, and one multiply for the new entry ``y[m] = s_m e^{w_m}``,
+    called as ``ndarray.dot`` and with positional outs so that numpy's
+    Python-level dispatch is not run per step.  The part of every sum of a
+    run ``[m, end)`` over the ``width`` sites before it is one matrix
+    product at the start of the run, written into ``y[m:end]`` (its Toeplitz
+    factor is a column slice of one ``_HALF``-row block per call, which
+    holds ``K`` up to ``width + 63``), and the sum of step ``m + i`` is the
+    product of ``K(i), ..., K(1), 1`` (0 past the band) with ``y[m :
+    m+i+1]``.  With ``far`` the window is the 64 sites before the run, and
+    the sites ``j < b = m - 64`` are held as ``S[i] = sum_{j<b} e^{-rates[i]
+    (b-j)} y[j]``: the run adds ``weights[i] e^{-rates[i] (t-b)} S[i]`` to
+    step ``t``'s sum in one more product, and ``S`` moves to the next run's
+    boundary as ``S e^{-rates L} + (e^{-rates (L-k)})_k y[b : b+L]`` for the
+    ``L`` sites that leave the window.  A run never spans a rebase, so
+    ``y[j]`` for ``j < m`` stays fixed while the run goes on.  ``e^w`` is
+    taken once per block of ``_RUN_CAP`` sites; after a run, one ``log``
+    gives its ``log Z_m = c_r + log s_m`` (contiguous rows of the site-major
+    ``log Z``), and one range test covers all its steps: a few reductions
+    decide it, and only a run that fails builds the per-step test.  The
     first step at which a replica's sum or new entry leaves the safe range
-    is repaired and the run's later steps are computed again: the replica
-    is rebased (``c_r`` becomes the window's largest ``log Z_j + w_j``, or
-    the log of its largest far state where that is larger, so that no
-    state passes 1; its window is recomputed from ``log Z``, and its far
-    states, first moved to the next boundary on the old scale, are
-    multiplied by ``e^{old c_r - new c_r}``), and a sum that
-    is zero, subnormal or near either end of the float range is first
-    recomputed by the exact log-sum-exp step over every earlier site (over
-    the band) for that replica alone.  So large ``beta * w``, extreme
-    ``h``, gapped kernels and long stretches of very negative weight give
-    the log-domain values, and ``-inf`` where ``Z_m = 0``.
+    is repaired and the run's later steps are computed again: the replica is
+    rebased (``c_r`` becomes the window's largest ``log Z_j + w_j``, or the
+    log of its largest far state where that is larger, so that no state
+    passes 1; its window is recomputed from ``log Z``, and its far states,
+    first moved to the next boundary on the old scale, are multiplied by
+    ``e^{old c_r - new c_r}``), and a sum that is zero, subnormal or near
+    either end of the float range is first recomputed by the exact
+    log-sum-exp step over every earlier site (over the band) for that
+    replica alone.  So large ``beta * w``, extreme ``h``, gapped kernels and
+    long stretches of very negative weight give the log-domain values, and
+    ``-inf`` where ``Z_m = 0``.
 
     Site ``j`` of ``y`` is stored at row ``j - off`` of an array of
     ``min(n + 1, width + 2 * _RUN_CAP)`` rows.  A run reads the ``width``
@@ -160,7 +169,8 @@ def dp_log_partition(
     m)`` move to the front and ``off`` becomes ``m - width``.  The dense DP
     (``width = n``) keeps all ``n + 1`` rows at offset 0; a banded one holds
     ``O(replicas * band)`` floats besides its ``log Z`` output, and one with
-    ``far`` 192 rows and ``S``, ``r x replicas`` floats.
+    ``far`` 192 rows and ``S``, ``r x replicas`` floats.  Each row of ``y``
+    also has its view object (about 100 bytes) in the row list.
 
     Each finite ``log Z_m`` is within ``1e-12 * max(1, max_{j<=m} |log Z_j|)``
     of the exact recursion: ``c_r`` and the log-sum-exp terms are rounded at
@@ -192,14 +202,18 @@ def dp_log_partition(
     toe = np.lib.stride_tricks.sliding_window_view(pad, width + _HALF)[_HALF - 1 :: -1].copy()
     near = np.append(pad[1 - _RUN_CAP :], 1.0)  # K(63), ..., K(1), 1, 0 past the band
     nears = [near[_RUN_CAP - 1 - i :] for i in range(_RUN_CAP)]  # step m + i's
-    log_z = np.empty((reps, n + 1))
-    log_z[:, 0] = 0.0
+    # log_z[m] holds log Z_m of every replica, so a run's logs are contiguous
+    # rows; the caller gets the (replicas, n + 1) transposed view
+    log_z = np.empty((n + 1, reps))
+    log_z[0] = 0.0
     # y[j - off] holds site j; site n takes the last step's unused entry
     y = np.empty((min(n + 1, width + 2 * _RUN_CAP), reps))
     off = 0
     scale = np.empty(reps)
     sums = np.empty((_RUN_CAP, reps))  # a run's s_m, then their logs
     growth = np.ones((_RUN_CAP, reps))  # e^{w_j} for the sites g0 <= j < g0 + _RUN_CAP
+    # the rows a step reads and writes, as views built once per call
+    sum_rows, growth_rows, y_rows = list(sums), list(growth), list(y)
     states = None
     if far is not None:
         weights, rates = far
@@ -224,8 +238,7 @@ def dp_log_partition(
             if end > g0 + _RUN_CAP:
                 g0, hi = m, min(m + _RUN_CAP, n)
                 np.exp(site_weights[:, m:hi], out=growth[: hi - m].T)
-                tiny_growth = not growth[: hi - m].min(initial=1.0) >= _TINY
-            s, g = sums[: end - m], growth[m - g0 : end - g0]
+                tiny_growth = not np.minimum.reduce(growth[: hi - m], None, initial=1.0) >= _TINY
             j0 = max(0, m - width)
             c0 = width + _HALF - (m - j0)
             top = min(end, m + _HALF)
@@ -235,25 +248,32 @@ def dp_log_partition(
                 np.matmul(toe[: end - top, c0 - _HALF : width], window, out=run[top - m :])
             if states is not None and b:
                 np.add(run, np.matmul(e_out[: end - m], states, out=far_sums[: end - m]), out=run)
-            for i, s_t, g_t, k_t in zip(range(end - m), s, g, nears):
-                np.dot(k_t, run[: i + 1], out=s_t)
-                np.multiply(s_t, g_t, out=run[i])
-            lz = np.log(s, out=s)
-            np.add(scale, lz, out=log_z[:, m:end].T)
+            # a step is one BLAS product and one multiply, called as methods
+            # and with positional outs, past numpy's Python-level dispatch
+            for i, k_t, s_t, g_t, y_t in zip(
+                range(end - m), nears, sum_rows, growth_rows[m - g0 : end - g0],
+                y_rows[m - off : end - off],
+            ):
+                k_t.dot(run[: i + 1], s_t)
+                np.multiply(s_t, g_t, y_t)
+            lz, g = np.log(sums[: end - m], out=sums[: end - m]), growth[m - g0 : end - g0]
+            np.add(scale, lz, log_z[m:end])
+            if _in_range(lz, run, g, end - m - (end > n), tiny_growth):
+                m, length = end, min(2 * length, _RUN_CAP)
+                continue
+            # the reductions fail only where a step does: the first step out of
+            # range is repaired, and the steps after it are redone
             size = np.abs(lz)
             ok = (size <= _LOG_SAFE) & (run <= _SAFE)
-            if tiny_growth and not lz.max() <= 0.0:
+            if tiny_growth:
                 ok &= (g >= _TINY) | (lz <= 0.0)
             if end > n:
                 ok[-1] = size[-1] <= _LOG_EXACT  # step n stores no entry
-            if np.count_nonzero(ok) == ok.size:
-                m, length = end, min(2 * length, _RUN_CAP)
-                continue
             i = int(ok.all(axis=1).argmin())
-            t = m + i  # the first step out of range; the steps after it are redone
+            t = m + i
             if not size[i].max() <= _LOG_EXACT:
                 exact = np.flatnonzero(~(size[i] <= _LOG_EXACT))
-                log_z[exact, t] = _log_step(log_z, site_weights, log_k, exact, max(0, t - lead), t)
+                log_z[t, exact] = _log_step(log_z, site_weights, log_k, exact, max(0, t - lead), t)
             if t < n:
                 bad = np.flatnonzero(~ok[i])
                 j0 = max(0, t + 1 - width)
@@ -261,7 +281,27 @@ def dp_log_partition(
                     b = _advance(states, e_in, y, off, b, j0)
                 _rebase(y, off, scale, log_z, site_weights, bad, j0, t + 1, states)
             m, length = t + 1, 1
-    return log_z
+    return log_z.T
+
+
+def _in_range(lz, run, growth, q, tiny_growth):
+    """Whether every step of a run stays in range, by reductions.  The first
+    ``q`` steps, which store an entry, need their logged sums ``lz`` in
+    ``[-_LOG_SAFE, _LOG_SAFE]``, their new entries ``run`` at most
+    ``_SAFE`` and, if ``tiny_growth`` and a sum passes 1, every sum at a
+    subnormal or zero factor ``growth`` at most 1; a step after them (step
+    ``n``, which stores none) needs its logged sums in ``[-_LOG_EXACT,
+    _LOG_EXACT]``.  A NaN fails."""
+    if q < len(lz) and not (np.maximum.reduce(lz[q], None) <= _LOG_EXACT
+                            and np.minimum.reduce(lz[q], None) >= -_LOG_EXACT):
+        return False
+    if not q:
+        return True
+    lz, top = lz[:q], np.maximum.reduce(lz[:q], None)
+    if not (top <= _LOG_SAFE and np.minimum.reduce(lz, None) >= -_LOG_SAFE
+            and np.maximum.reduce(run[:q], None) <= _SAFE):
+        return False
+    return not (tiny_growth and top > 0.0) or bool(((growth[:q] >= _TINY) | (lz <= 0.0)).all())
 
 
 def _advance(states, e_in, y, off, b0, b1):
@@ -278,16 +318,16 @@ def _advance(states, e_in, y, off, b0, b1):
 def _rebase(y, off, scale, log_z, site_weights, rows, j0, j1, states=None):
     """Put ``rows`` on the scale of their largest ``log Z_j + w_j``, j0 <= j < j1,
     or of their largest far state where that is larger, and rescale their far
-    ``states``; ``y[j - off]`` holds site ``j``."""
-    a = log_z[rows, j0:j1] + site_weights[rows, j0:j1]
-    top = a.max(axis=1)
+    ``states``; ``y[j - off]`` and ``log_z[j]`` hold site ``j``."""
+    a = log_z[j0:j1, rows] + site_weights[rows, j0:j1].T
+    top = a.max(axis=0)
     if states is not None:
         held, old = states[:, rows], scale[rows]
         np.maximum(top, old + np.log(held.max(axis=0, initial=0.0)), out=top)
     top[~np.isfinite(top)] = 0.0
     scale[rows] = top
-    a -= top[:, None]
-    y[j0 - off : j1 - off, rows] = np.exp(a, out=a).T
+    a -= top
+    y[j0 - off : j1 - off, rows] = np.exp(a, out=a)
     if states is not None:
         # e^{old - new} in two halves: it passes e^709 where the states are
         # subnormal, and a zero state takes any factor
@@ -298,8 +338,11 @@ def _rebase(y, off, scale, log_z, site_weights, rows, j0, j1, states=None):
 
 
 def _log_step(log_z, site_weights, log_k, rows, j0, m):
-    """``log Z_m`` of ``rows`` by log-sum-exp over the sites ``j0 <= j < m``."""
-    t = log_z[rows, j0:m] + site_weights[rows, j0:m] + log_k[: m - j0][::-1]
+    """``log Z_m`` of ``rows`` by log-sum-exp over the sites ``j0 <= j < m``;
+    ``log_z[j]`` holds site ``j``.  The terms are laid out one row per
+    replica, so each sum runs along a contiguous row."""
+    t = np.add(log_z[j0:m, rows].T, site_weights[rows, j0:m], order="C")
+    t += log_k[: m - j0][::-1]
     top = t.max(axis=1)
     top[~np.isfinite(top)] = 0.0
     return top + np.log(np.exp(t - top[:, None]).sum(axis=1))

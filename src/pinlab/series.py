@@ -316,6 +316,13 @@ def power_series_inverse(a: np.ndarray, n: int, head: np.ndarray | None = None) 
         size = next_fast_len(m2)
         fv = rfft(v[:m], size)
         e = irfft(rfft(a[:m2], size) * fv, size)[m:m2]
+        # numpy computes a product with a temporary of 256 KiB or more in the
+        # temporary's buffer, as that operand times the other: from FFT
+        # length 32768 on this line takes rfft(e) * fv, below it fv * rfft(e),
+        # and with FMA the two orders round the imaginary part differently.
+        # Naming the temporary, or an in-place product that swaps the
+        # operands, therefore moves chi.csv bits; the first product's order,
+        # rfft(a) * fv, is kept by an in-place X *= fv.
         v[m:m2] = -irfft(fv * rfft(e, size), size)[: m2 - m]
         m = m2
     return v

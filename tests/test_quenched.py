@@ -261,6 +261,60 @@ class TestScaledRecursionExtremes:
             assert list(call.args[3]) == [victim]
 
 
+def shifted_log_k(n, log_k1):
+    """KERNEL's log masses with ``log K(1)`` replaced: above 0 it lets a sum
+    pass the largest new entry, as no normalized kernel does."""
+    log_k = log_mass_vector(KERNEL, n)
+    log_k[0] = log_k1
+    return log_k
+
+
+class TestRepairSchedule:
+    """Which steps a run repairs, pinned by the calls of ``_rebase`` (one
+    for the first site, then one per repaired step) and ``_log_step`` on
+    fixed inputs, on the dense, far-state and banded paths.  Row 1 of each
+    chain stays in range.
+
+    Runs are steps [1, 2), [2, 4), [4, 8), ..., so at ``n = 3`` step ``n``
+    shares its run with step 2, and site 3's growth factor is the 1 it was
+    made with: a range test that reads step ``n``'s entry, or holds its sum
+    to the safe range, sees it out of range while every step is in range.
+    """
+
+    @staticmethod
+    def schedule(log_k, weights, band):
+        with mock.patch.object(quenched, "_rebase", wraps=quenched._rebase) as rebase, \
+                mock.patch.object(quenched, "_log_step", wraps=quenched._log_step) as exact:
+            assert_matches_recursion(log_k, weights, band)
+        return rebase.call_count, exact.call_count
+
+    @pytest.mark.parametrize("band", [None, FAR, 8])
+    @pytest.mark.parametrize("log_k1, calls", [(150.0, (1, 0)), (200.0, (1, 1))])
+    def test_step_n_sum_above_the_safe_range(self, log_k1, calls, band):
+        # y_1 = 1, y_2 = e^450 and s_3 = e^(log_k1 + 450): at e^600 step n is
+        # accepted as it is, at e^650 it takes the log-sum-exp step
+        weights = np.zeros((2, 3))
+        weights[0, 1:] = -log_k1, 450.0 - log_k1
+        assert self.schedule(shifted_log_k(3, log_k1), weights, band) == calls
+
+    @pytest.mark.parametrize("band", [None, FAR, 8])
+    def test_new_entry_above_the_safe_range(self, band):
+        # site 5's sum is e^-1.70 and its entry e^460.5, and K(1) = e^-0.96,
+        # so no later sum leaves the range: the run [4, 8) is repaired at
+        # step 5 alone, for its entry
+        weights = np.zeros((2, 8))
+        weights[0, 5] = 462.2
+        assert self.schedule(log_mass_vector(KERNEL, 8), weights, band) == (2, 0)
+
+    @pytest.mark.parametrize("band", [None, FAR, 8])
+    def test_subnormal_growth_at_a_positive_sum(self, band):
+        # site 2's sum is about e^398 and its factor e^-730 subnormal, so its
+        # entry is exact only to about 1e-6; every entry is below e^460
+        weights = np.zeros((2, 8))
+        weights[0, 1:3] = 400.0, -730.0
+        assert self.schedule(log_mass_vector(KERNEL, 8), weights, band) == (2, 0)
+
+
 class TestFarProduct:
     """The seams of the product over the sites before a run, which every
     window takes: windows shorter than a run (``width < 64``) read zeros past
