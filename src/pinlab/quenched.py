@@ -49,6 +49,7 @@ array, read at ``n`` and at ``2n``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, log_mgf, sample
 from .errors import InvalidParameterError, PrecisionError
-from .kernels import RenewalKernel, far_terms
+from .kernels import RenewalKernel, _read_only, far_terms
 from .rng import derive_stream
 
 __all__ = [
@@ -130,17 +131,26 @@ def dp_log_partition(
     HMMs).  Steps go in runs of up to ``_RUN_CAP``, and a step is two numpy
     calls across the replicas, into row views built once per call: one BLAS
     product for the sum ``s_m`` of the kernel masses times the window's rows
-    of ``y``, and one multiply for the new entry ``y[m] = s_m e^{w_m}``,
-    called as ``ndarray.dot`` and with positional outs so that numpy's
-    Python-level dispatch is not run per step.  The part of every sum of a
-    run ``[m, end)`` over the ``width`` sites before it is one matrix
-    product at the start of the run, written into ``y[m:end]`` (its Toeplitz
-    factor is a column slice of one ``_HALF``-row block per call, which
-    holds ``K`` up to ``width + 63``), and the sum of step ``m + i`` is the
-    product of ``K(i), ..., K(1), 1`` (0 past the band) with ``y[m :
-    m+i+1]``.  With ``far`` the window is the 64 sites before the run, and
-    the sites ``j < b = m - 64`` are held as ``S[i] = sum_{j<b} e^{-rates[i]
-    (b-j)} y[j]``: the run adds ``weights[i] e^{-rates[i] (t-b)} S[i]`` to
+    of ``y``, called as the bound ``dot`` method of its row of masses, and
+    one multiply for the new entry ``y[m] = s_m e^{w_m}``, both with
+    positional outs so that numpy's Python-level dispatch is not run per
+    step.  The part of every sum of a run ``[m, end)`` over the ``width``
+    sites before it is one matrix product at the start of the run, written
+    into ``y[m:end]`` (its Toeplitz factor is a column slice of one
+    ``_HALF``-row block, which holds ``K`` up to ``width + 63``), and the
+    sum of step ``m + i`` is the product of ``K(i), ..., K(1), 1`` (0 past
+    the band) with the prefix ``y[m : m+i+1]`` of its run.  Once a window
+    of ``width + 2 * _RUN_CAP`` rows has moved, every full run starts at
+    row ``width`` or ``width + _RUN_CAP`` of ``y``: the prefixes of those
+    two rows are views built once per call, and a run from any other row
+    (warm-up runs, runs after a repair, every run of the dense DP) slices
+    its own.  The kernel blocks (the Toeplitz block, the near rows' bound
+    products and the far-state matrices) are built once per kernel: a cache
+    of 8 entries keys them on the bytes of ``log_k[:reach]``, the width and
+    the far terms, never on the caller's arrays, so a new or changed
+    ``log_k`` gives the blocks of its own masses.  With ``far`` the window
+    is the 64 sites before the run, and the sites ``j < b = m - 64`` are
+    held as ``S[i] = sum_{j<b} e^{-rates[i] (b-j)} y[j]``: the run adds ``weights[i] e^{-rates[i] (t-b)} S[i]`` to
     step ``t``'s sum in one more product, and ``S`` moves to the next run's
     boundary as ``S e^{-rates L} + (e^{-rates (L-k)})_k y[b : b+L]`` for the
     ``L`` sites that leave the window.  A run never spans a rebase, so
@@ -170,7 +180,10 @@ def dp_log_partition(
     (``width = n``) keeps all ``n + 1`` rows at offset 0; a banded one holds
     ``O(replicas * band)`` floats besides its ``log Z`` output, and one with
     ``far`` 192 rows and ``S``, ``r x replicas`` floats.  Each row of ``y``
-    also has its view object (about 100 bytes) in the row list.
+    also has its view object (about 100 bytes) in the row list, and a
+    moving window 128 prefix views.  The block cache keeps, per kernel,
+    about ``264 * width + 1300 * r + 22000`` bytes (``r`` far terms): the
+    Toeplitz block, the keys, and the near rows with their bound methods.
 
     Each finite ``log Z_m`` is within ``1e-12 * max(1, max_{j<=m} |log Z_j|)``
     of the exact recursion: ``c_r`` and the log-sum-exp terms are rounded at
@@ -192,16 +205,8 @@ def dp_log_partition(
         width = min(_RUN_CAP, n)
         reach = width + _RUN_CAP - 1  # the gaps a run's near product reads
     lead = n if band is None else width  # the sites a log-sum-exp step reads
-    # K(reach), ..., K(1), after zeros, in 2 * _HALF - 1 + width entries
-    pad = np.zeros(2 * _HALF - 1 + width)
-    masses = np.exp(log_k[:reach][::-1])
-    pad[len(pad) - len(masses) :] = masses
-    # toe[i, c] = K(width + _HALF + i - c), 0 past the reach: in a run from m,
-    # rows i and i + _HALF take site j from column width + _HALF - m + j and
-    # from the column _HALF to its left
-    toe = np.lib.stride_tricks.sliding_window_view(pad, width + _HALF)[_HALF - 1 :: -1].copy()
-    near = np.append(pad[1 - _RUN_CAP :], 1.0)  # K(63), ..., K(1), 1, 0 past the band
-    nears = [near[_RUN_CAP - 1 - i :] for i in range(_RUN_CAP)]  # step m + i's
+    far_key = None if far is None else tuple(_key(a) for a in far)
+    toe, near_dots, e_out, e_in = _kernel_blocks(_key(log_k[:reach]), width, far_key)
     # log_z[m] holds log Z_m of every replica, so a run's logs are contiguous
     # rows; the caller gets the (replicas, n + 1) transposed view
     log_z = np.empty((n + 1, reps))
@@ -214,14 +219,16 @@ def dp_log_partition(
     growth = np.ones((_RUN_CAP, reps))  # e^{w_j} for the sites g0 <= j < g0 + _RUN_CAP
     # the rows a step reads and writes, as views built once per call
     sum_rows, growth_rows, y_rows = list(sums), list(growth), list(y)
+    # the prefixes run[: i + 1] of the runs from rows width and width +
+    # _RUN_CAP: once a window of width + 2 * _RUN_CAP rows has moved, every
+    # full run starts at one of them
+    steady = {}
+    if len(y) == width + 2 * _RUN_CAP:
+        steady = {r: [y[r : r + i + 1] for i in range(_RUN_CAP)] for r in (width, width + _RUN_CAP)}
+    multiply = np.multiply
     states = None
     if far is not None:
-        weights, rates = far
-        # decay[d, i] = e^{-rates[i] d}, d < 2 * _RUN_CAP
-        decay = np.exp(-np.outer(np.arange(2 * _RUN_CAP), rates))
-        e_out = decay[_RUN_CAP:] * weights  # e_out[k, i]: from S[i] to step b + _RUN_CAP + k
-        e_in = decay[_RUN_CAP::-1].T.copy()  # e_in[i, q] = e^{-rates[i] (_RUN_CAP - q)}
-        states = np.zeros((len(rates), reps))
+        states = np.zeros((len(e_in), reps))
         b = 0  # the states' boundary: they hold the sites j < b
         far_sums = np.empty((_RUN_CAP, reps))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -248,14 +255,16 @@ def dp_log_partition(
                 np.matmul(toe[: end - top, c0 - _HALF : width], window, out=run[top - m :])
             if states is not None and b:
                 np.add(run, np.matmul(e_out[: end - m], states, out=far_sums[: end - m]), out=run)
-            # a step is one BLAS product and one multiply, called as methods
-            # and with positional outs, past numpy's Python-level dispatch
-            for i, k_t, s_t, g_t, y_t in zip(
-                range(end - m), nears, sum_rows, growth_rows[m - g0 : end - g0],
+            # a step is one BLAS product and one multiply, called as bound
+            # methods and with positional outs, past numpy's Python-level
+            # dispatch
+            heads = steady.get(m - off) or [run[: i + 1] for i in range(end - m)]
+            for k_t, h_t, s_t, g_t, y_t in zip(
+                near_dots, heads, sum_rows, growth_rows[m - g0 : end - g0],
                 y_rows[m - off : end - off],
             ):
-                k_t.dot(run[: i + 1], s_t)
-                np.multiply(s_t, g_t, y_t)
+                k_t(h_t, s_t)
+                multiply(s_t, g_t, y_t)
             lz, g = np.log(sums[: end - m], out=sums[: end - m]), growth[m - g0 : end - g0]
             np.add(scale, lz, log_z[m:end])
             if _in_range(lz, run, g, end - m - (end > n), tiny_growth):
@@ -282,6 +291,42 @@ def dp_log_partition(
                 _rebase(y, off, scale, log_z, site_weights, bad, j0, t + 1, states)
             m, length = t + 1, 1
     return log_z.T
+
+
+def _key(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_blocks(log_k: bytes, width: int, far: tuple[bytes, bytes] | None):
+    """The read-only kernel blocks of a DP call, built once per kernel:
+    ``(toe, near_dots, e_out, e_in)`` for the log masses ``log K(1), ...,
+    log K(reach)``, the window ``width`` and the far ``(weights, rates)``,
+    each given as the bytes of its float64 array.  The key is their content,
+    not the caller's arrays, which are new for every call.  ``e_out`` and
+    ``e_in`` are None without far terms.  A phase diagram's calls share two
+    entries (its ``n`` and ``2n`` far terms), a relevance scan takes one per
+    truncation level."""
+    # K(reach), ..., K(1), after zeros, in 2 * _HALF - 1 + width entries
+    pad = np.zeros(2 * _HALF - 1 + width)
+    masses = np.exp(np.frombuffer(log_k)[::-1])
+    pad[len(pad) - len(masses) :] = masses
+    # toe[i, c] = K(width + _HALF + i - c), 0 past the reach: in a run from m,
+    # rows i and i + _HALF take site j from column width + _HALF - m + j and
+    # from the column _HALF to its left
+    toe = np.lib.stride_tricks.sliding_window_view(pad, width + _HALF)[_HALF - 1 :: -1].copy()
+    near = np.append(pad[1 - _RUN_CAP :], 1.0)  # K(63), ..., K(1), 1, 0 past the band
+    _read_only(toe, near)
+    # step m + i's product, as the bound dot method of its row
+    near_dots = tuple(near[_RUN_CAP - 1 - i :].dot for i in range(_RUN_CAP))
+    if far is None:
+        return toe, near_dots, None, None
+    weights, rates = (np.frombuffer(a) for a in far)
+    # decay[d, i] = e^{-rates[i] d}, d < 2 * _RUN_CAP
+    decay = np.exp(-np.outer(np.arange(2 * _RUN_CAP), rates))
+    e_out = decay[_RUN_CAP:] * weights  # e_out[k, i]: from S[i] to step b + _RUN_CAP + k
+    e_in = decay[_RUN_CAP::-1].T.copy()  # e_in[i, q] = e^{-rates[i] (_RUN_CAP - q)}
+    return (toe, near_dots, *_read_only(e_out, e_in))
 
 
 def _in_range(lz, run, growth, q, tiny_growth):

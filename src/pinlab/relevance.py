@@ -216,27 +216,36 @@ class RelevanceReport:
     per_replica: np.ndarray
 
 
+def _length_law(masses: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """What the word sampler reads of the truncated law ``masses[g-1] =
+    K^tr(g)``: its cumulative masses, the index of its longest length with
+    mass on, and its mean length."""
+    return (
+        np.cumsum(masses),
+        int(np.flatnonzero(masses)[-1]),
+        float(np.dot(np.arange(1, len(masses) + 1), masses)),
+    )
+
+
 def _sample_word_sequence(
-    disorder: DisorderLaw, masses: np.ndarray, beta: float, n: int, stream
+    disorder: DisorderLaw, law: tuple[np.ndarray, int, float], beta: float, n: int, stream
 ) -> np.ndarray:
     """Concatenated letters of tilted words covering positions ``0..n-1``.
 
-    Word lengths are i.i.d. from the (finitely supported) kernel; the
-    first letter of each word is tilted, the rest are not.  Draw order is
-    fixed (lengths, base letters, first letters) and length draws do not
-    depend on ``beta``, so a shared stream yields common random numbers
-    across a tilt grid.  A uniform at or above the rounded total of the
-    masses takes the longest length with mass on.
+    Word lengths are i.i.d. from the (finitely supported) kernel, given as
+    its :func:`_length_law`; the first letter of each word is tilted, the
+    rest are not.  Draw order is fixed (lengths, base letters, first
+    letters) and length draws do not depend on ``beta``, so a shared stream
+    yields common random numbers across a tilt grid.  A uniform at or above
+    the rounded total of the masses takes the longest length with mass on.
     """
-    cum = np.cumsum(masses)
-    longest = int(np.flatnonzero(masses)[-1])
-    mean_len = float(np.dot(np.arange(1, len(masses) + 1), masses))
-    lengths = np.empty(0, dtype=np.int64)
+    cum, longest, mean_len = law
+    lengths = None
     covered = 0.0
     while covered < n:
         want = max(int((n - covered) / mean_len * 1.2) + 8, 16)
         draw = np.minimum(np.searchsorted(cum, stream.uniform(want), side="right"), longest) + 1
-        lengths = np.concatenate([lengths, draw])
+        lengths = draw if lengths is None else np.concatenate([lengths, draw])
         covered = float(lengths.sum())
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     starts = starts[starts < n]
@@ -313,10 +322,11 @@ def entropy_estimator(
         # terms, which swamp the O(1) weights of an atom table at large
         # |beta|, cancel before rounding
         anchor, rest = _anchored_log_mgf(disorder, beta)
+        law = _length_law(masses)
         charges = np.empty((replicas, n))
         for r in range(replicas):
             stream = derive_stream(base_seed, r)
-            charges[r] = _sample_word_sequence(disorder, masses, beta, n, stream) - anchor
+            charges[r] = _sample_word_sequence(disorder, law, beta, n, stream) - anchor
         site_weights = _site_weights(charges, beta, rest, out=charges)
         log_z = dp_log_partition(log_mass_vector(ktr, n), site_weights, band=tr)
         per_replica = free_endpoint_log_likelihood(log_z, site_weights, masses) / n

@@ -314,6 +314,22 @@ class TestRepairSchedule:
         weights[0, 1:3] = 400.0, -730.0
         assert self.schedule(log_mass_vector(KERNEL, 8), weights, band) == (2, 0)
 
+    @pytest.mark.parametrize("band", [1, 8, 100, FAR])
+    def test_runs_leave_the_steady_rows_and_return(self, band):
+        # once the window has moved, full runs start at rows width and width
+        # + 64, whose step prefixes are built once per call; the runs after a
+        # repair in a full run start elsewhere until the window moves again
+        n = 4 * (window_of(band) + 128)
+        p = window_moves(n, band)[1] + 10
+        weights = window_weights(n, band)
+        weights[0, p] = 600.0
+        steady = {window_of(band), window_of(band) + 64}
+        before = [row for m, row, _ in run_starts(n, band) if m <= p][-2:]
+        after = [row for m, row, _ in run_starts(n, band, p) if m > p]
+        assert set(before) == steady
+        assert after[0] not in steady and steady <= set(after)
+        assert self.schedule(log_mass_vector(KERNEL, n), weights, band) == (2, 0)
+
 
 class TestFarProduct:
     """The seams of the product over the sites before a run, which every
@@ -447,19 +463,31 @@ def window_of(band):
     return 64 if band == FAR else band
 
 
-def window_moves(n, band):
-    """The steps at which a banded DP's window of ``band + 128`` rows moves,
-    while no step is repaired: runs start at 1, 2, 4, ..., 64, 128, 192, ...
-    and the window moves at the start of a run that would pass its end."""
+def run_starts(n, band, repaired=None):
+    """The runs of a banded DP as ``(first step, its row of y, whether the
+    window of band + 128 rows moved before it)``, while no step but
+    ``repaired`` is repaired: a run starts at one step, doubles to 64 and
+    starts again at one after the repaired step, and the window moves at the
+    start of a run that would pass its end."""
     band = window_of(band)
-    rows, off, moves, m = min(n + 1, min(band, n) + 128), 0, [], 1
+    rows, off, runs, m, length = min(n + 1, min(band, n) + 128), 0, [], 1, 1
     while m <= n:
-        end = min(m + min(m, 64), n + 1)
-        if end - off > rows:
-            moves.append(m)
+        end = min(m + length, n + 1)
+        moved = end - off > rows
+        if moved:
             off = m - band
-        m = end
-    return moves
+        runs.append((m, m - off, moved))
+        if repaired is not None and m <= repaired < end:
+            m, length = repaired + 1, 1
+        else:
+            m, length = end, min(2 * length, 64)
+    return runs
+
+
+def window_moves(n, band):
+    """The steps at which a banded DP's window moves while no step is
+    repaired: runs start at 1, 2, 4, ..., 64, 128, 192, ..."""
+    return [m for m, _, moved in run_starts(n, band) if moved]
 
 
 def window_weights(n, band):
@@ -509,12 +537,81 @@ class TestWindow:
         assert_matches_recursion(log_mass_vector(KERNEL, n), weights, band)
 
 
+class TestKernelBlocks:
+    """The kernel blocks of a DP call (the Toeplitz block, the near rows and
+    the far-state matrices) are cached by the content of the log masses, the
+    window width and the far terms, never by the caller's arrays."""
+
+    N = 300
+
+    @staticmethod
+    def call(log_k, weights, band, kernel=KERNEL):
+        return dp_log_partition(log_k, weights, *band_and_far(band, weights.shape[1], kernel))
+
+    @pytest.mark.parametrize("band", [None, FAR, 8, 100])
+    def test_cold_and_warm_calls_agree(self, band):
+        weights = 1.2 * charges(11, 3, self.N) - 0.1
+        quenched._kernel_blocks.cache_clear()
+        cold = self.call(log_mass_vector(KERNEL, self.N), weights, band)
+        warm = self.call(log_mass_vector(KERNEL, self.N), weights, band)
+        assert quenched._kernel_blocks.cache_info().hits == 1
+        np.testing.assert_array_equal(cold, warm)
+        assert_matches_recursion(log_mass_vector(KERNEL, self.N), weights, band)
+
+    @pytest.mark.parametrize("band", [None, FAR, 8])
+    def test_kernels_of_one_reach_do_not_share_blocks(self, band):
+        weights = 0.9 * charges(12, 2, self.N) - 0.2
+        other = make_power_kernel(0.3)
+        quenched._kernel_blocks.cache_clear()
+        for kernel in (KERNEL, other, KERNEL, other):
+            log_k = log_mass_vector(kernel, self.N)
+            assert_matches_recursion(log_k, weights, band, kernel=kernel)
+        assert quenched._kernel_blocks.cache_info().currsize == 2
+
+    def test_far_term_sets_do_not_share_blocks(self):
+        # the far terms of the size classes 512 and 4096 round K apart, so
+        # a call that took the other set's blocks would move log Z
+        log_k = log_mass_vector(KERNEL, self.N)
+        weights = 0.9 * charges(13, 2, self.N) - 0.2
+        fars = [far_terms(KERNEL, 512), far_terms(KERNEL, 4096)]
+        colds = []
+        for far in fars:
+            quenched._kernel_blocks.cache_clear()
+            colds.append(dp_log_partition(log_k, weights, None, far))
+        assert not np.array_equal(*colds)
+        quenched._kernel_blocks.cache_clear()
+        for far, cold in zip(fars + fars, colds + colds):
+            np.testing.assert_array_equal(dp_log_partition(log_k, weights, None, far), cold)
+        assert quenched._kernel_blocks.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("band", [None, FAR, 8])
+    def test_log_masses_changed_in_place(self, band):
+        weights = 0.9 * charges(14, 2, self.N) - 0.2
+        log_k = log_mass_vector(KERNEL, self.N)
+        before = self.call(log_k, weights, band)
+        other = make_power_kernel(0.3)
+        log_k[:] = log_mass_vector(other, self.N)
+        after = self.call(log_k, weights, band, kernel=other)
+        assert not np.array_equal(before, after)
+        assert_matches_recursion(log_k, weights, band, kernel=other)
+
+    def test_the_cache_holds_at_most_its_maxsize(self):
+        maxsize = quenched._kernel_blocks.cache_parameters()["maxsize"]
+        log_k = log_mass_vector(KERNEL, 64)
+        weights = charges(15, 1, 64)
+        quenched._kernel_blocks.cache_clear()
+        for band in range(1, maxsize + 5):
+            dp_log_partition(log_k, weights, band)
+            assert quenched._kernel_blocks.cache_info().currsize == min(band, maxsize)
+
+
 def test_dp_memory_is_its_output_and_window():
     # a banded call keeps band + 128 rows of y and _RUN_CAP x replicas run
     # buffers, so only its log Z output scales with n
     n, reps, band = 4096, 64, 64
     weights = charges(0, reps, n)
     log_k = log_mass_vector(KERNEL, n)
+    quenched._kernel_blocks.cache_clear()  # a cold call builds its kernel blocks
     tracemalloc.start()
     try:
         dp_log_partition(log_k, weights, band=band)
@@ -532,6 +629,7 @@ def test_dp_memory_with_far_product():
     weights = charges(1, reps, n)
     log_k = log_mass_vector(KERNEL, n)
     far = far_terms(KERNEL, n)
+    quenched._kernel_blocks.cache_clear()  # a cold call builds its kernel blocks
     tracemalloc.start()
     try:
         dp_log_partition(log_k, weights, None, far)

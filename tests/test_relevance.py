@@ -33,6 +33,7 @@ from pinlab.relevance import (
     annealed_variational_check,
     critical_temperature_bounds,
     entropy_estimator,
+    _length_law,
     _sample_word_sequence,
     entropy_monotonicity_scan,
     free_endpoint_log_likelihood,
@@ -269,7 +270,9 @@ class TestWordLengths:
         # lies at or past their cumulative total
         masses = truncate_kernel(kernel, tr).mass_array(tr)
         assert np.cumsum(masses)[-1] <= 1.0 - 2.0**-53
-        letters = _sample_word_sequence(GAUSS, masses, 1.0, 3 * longest + 1, self.TopStream())
+        letters = _sample_word_sequence(
+            GAUSS, _length_law(masses), 1.0, 3 * longest + 1, self.TopStream()
+        )
         # only first letters are tilted away from 0, so they mark the word starts
         np.testing.assert_array_equal(
             np.flatnonzero(letters), np.arange(0, 3 * longest + 1, longest)
