@@ -43,6 +43,7 @@ from .quenched import (
 from .relevance import (
     annealed_variational_check,
     critical_temperature_bounds,
+    entropy_bounds,
     entropy_estimator,
     entropy_monotonicity_scan,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "quenched_critical_point",
     # relevance
     "critical_temperature_bounds",
+    "entropy_bounds",
     "entropy_estimator",
     "entropy_monotonicity_scan",
     "annealed_variational_check",

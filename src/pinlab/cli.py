@@ -5,7 +5,7 @@ Subcommands::
     pinlab homopolymer   --config cfg.json   # (lambda, f, residual) sweep
     pinlab annealed-curve --config cfg.json  # (beta, h_c_ann), bisection gap of lam > 0
     pinlab phase-diagram --config cfg.json   # annealed column exact, quenched bracketed
-    pinlab relevance     --config cfg.json   # temperature bounds + truncation scan
+    pinlab relevance     --config cfg.json   # temperature bounds + truncation scan with verdicts
     pinlab chi           --config cfg.json   # overlap sum with verdict
     pinlab validate      --config cfg.json   # pinlab.oracles checks, pass/fail matrix
 
@@ -29,6 +29,16 @@ and seed) in one dict, which heads every CSV table, JSON table and
 manifest it writes.  The run ends with its ``<command>_manifest.json``
 also when it fails with a pinlab error: the manifest then names the
 error, the exit code and the outputs written before it.
+
+``relevance`` makes every verdict in :func:`cmd_relevance`, from each
+``tr`` level's estimate and standard error (``entropy_estimator``) and its
+bounds (``entropy_bounds``), both of :mod:`pinlab.relevance`.
+A level is positive when ``estimate - 3 stderr > 0``; its row reads
+``relevant`` when positive, else ``irrelevant-consistent``, and ``undecided``
+with a warning when the estimate leaves ``[lower - 3 stderr, upper + 3
+stderr]``.  The overall verdict is ``relevant`` when every level is
+positive, ``irrelevant-consistent`` when the last is not, and else
+``undecided`` with a warning.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant failure,
 4 completed with undecided verdicts or warnings.
@@ -65,7 +75,7 @@ from .oracles import (
     replica_moment_exact_check,
 )
 from .quenched import partition_function_log, quenched_critical_point, replica_charges
-from .relevance import critical_temperature_bounds, entropy_estimator
+from .relevance import critical_temperature_bounds, entropy_bounds, entropy_estimator
 from .rng import derive_stream
 
 EXIT_OK = 0
@@ -362,26 +372,27 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     writer.time_block("temperature_bounds", t0)
 
     t0 = time.perf_counter()
-    reports = [
-        entropy_estimator(kernel, disorder, beta, tr, n_multiplier * tr, replicas, seed)
+    levels = [
+        (entropy_estimator(kernel, disorder, beta, tr, n_multiplier * tr, replicas, seed),
+         *entropy_bounds(kernel, disorder, beta, tr))
         for tr in tr_schedule
     ]
     writer.time_block("tr_scan", t0)
 
-    all_positive = all(r.ci_excludes_zero for r in reports)
-    last_contains_zero = not reports[-1].ci_excludes_zero
-    if all_positive:
+    positive = [r.estimate - 3.0 * r.stderr > 0.0 for r, _, _ in levels]
+    if all(positive):
         overall = "relevant"
-    elif last_contains_zero:
+    elif not positive[-1]:
         overall = "irrelevant-consistent"
     else:
         overall = "undecided"
         writer.warnings.append("relevance verdict undecided across the tr scan")
 
     rows = []
-    for r in reports:
-        verdict = "relevant" if r.ci_excludes_zero else "irrelevant-consistent"
-        if r.sandwich_ok is False:
+    for (r, lower, upper), is_positive in zip(levels, positive):
+        verdict = "relevant" if is_positive else "irrelevant-consistent"
+        slack = 3.0 * r.stderr
+        if not lower - slack <= r.estimate <= upper + slack:
             verdict = "undecided"
             writer.warnings.append(f"tr={r.tr}: sandwich violated")
         rows.append(
@@ -391,8 +402,8 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
                 "m_tr": r.m_tr,
                 "estimate": r.estimate,
                 "stderr": r.stderr,
-                "lower": r.lower_bound,
-                "upper": r.upper_bound,
+                "lower": lower,
+                "upper": upper,
                 "verdict": verdict,
             }
         )

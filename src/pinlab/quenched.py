@@ -400,13 +400,22 @@ def partition_function_log(kernel: RenewalKernel, site_weights) -> float:
     return float(_partition_rows_log(kernel, np.asarray(site_weights, dtype=float)[None, :])[0])
 
 
+def _log_partitions(kernel: RenewalKernel, site_weights: np.ndarray) -> np.ndarray:
+    """:func:`dp_log_partition` of the ``(rows, n)`` ``site_weights`` for
+    ``kernel``: banded at its largest gap with mass for a table, with its far
+    terms for the closed-form families.  The one place that maps a kernel to
+    a DP call; it checks nothing, so callers pass weights they have checked."""
+    n = site_weights.shape[1]
+    return dp_log_partition(
+        log_mass_vector(kernel, n), site_weights, kernel.support_upper, far_terms(kernel, n)
+    )
+
+
 def _partition_rows_log(kernel: RenewalKernel, weights: np.ndarray) -> np.ndarray:
     """:func:`partition_function_log` of each row of ``weights``, in one DP call."""
     if np.isnan(weights).any() or (weights == math.inf).any():
         raise InvalidParameterError("site weights must not be NaN or +inf")
-    n = weights.shape[1]
-    log_k = log_mass_vector(kernel, n)
-    return dp_log_partition(log_k, weights, kernel.support_upper, far_terms(kernel, n))[:, n]
+    return _log_partitions(kernel, weights)[:, weights.shape[1]]
 
 
 def replica_charges(disorder: DisorderLaw, n: int, replicas: int, base_seed: int) -> np.ndarray:
@@ -495,10 +504,7 @@ def _estimates(kernel, charges, beta, h, sizes) -> list[list[FreeEnergyEstimate]
     is the DP's value at site ``m``, which reads only the first ``m``
     columns of the charges."""
     reps, n = charges.shape
-    weights = _site_weights(charges, beta, h).reshape(-1, n)
-    log_z = dp_log_partition(
-        log_mass_vector(kernel, n), weights, kernel.support_upper, far_terms(kernel, n)
-    )
+    log_z = _log_partitions(kernel, _site_weights(charges, beta, h).reshape(-1, n))
     out = []
     for m in sizes:
         per_replica = log_z[:, m] / m

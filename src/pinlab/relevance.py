@@ -7,9 +7,10 @@ letter sequence obtained by concatenating words whose lengths follow the
 truncated kernel and whose first letters are tilted.  Everything here
 estimates or bounds that functional:
 
-* a Monte Carlo estimator of ``H_tr``: sample the tilted letter sequence,
-  evaluate the word-averaged likelihood ratio ``f_n`` by the quenched DP
-  with a free right endpoint, and average ``log f_n / n`` over replicas;
+* a Monte Carlo estimator of ``H_tr``, :func:`entropy_estimator`: sample
+  the tilted letter sequence, evaluate the word-averaged likelihood ratio
+  ``f_n`` by the quenched DP with a free right endpoint, and average ``log
+  f_n / n`` over replicas;
 * the replica identity: the disorder average of ``f_n`` equals the
   pair-chain moment ``E[Xi(beta)^(# simultaneous returns)]``; the
   simultaneous returns are a renewal process with renewal sequence
@@ -17,7 +18,9 @@ estimates or bounds that functional:
   in :mod:`pinlab.oracles`);
 * the annealed upper bound ``H_tr <= f2_tr(log Xi(beta))`` and the
   restriction lower bound ``m_tr H_tr >= h(mu_beta|mu_0) + sum K^tr log
-  K^tr``;
+  K^tr``, both from one call, :func:`entropy_bounds`; they depend on the
+  kernel, the law, ``beta`` and ``tr``, never on a sample, and the
+  ``relevance`` command reads its verdicts off the estimate against them;
 * the induced temperature bounds ``beta_c* <= beta_c <= beta_c**``, both
   from one call, :func:`critical_temperature_bounds`, given the kernel's
   ``chi``: ``beta_c*`` where ``Xi`` crosses ``1 + 1/chi``, ``beta_c**``
@@ -55,7 +58,7 @@ from .kernels import (
     return_probabilities,
     truncate_kernel,
 )
-from .quenched import _mean_stderr, _site_weights, dp_log_partition, log_mass_vector
+from .quenched import _log_partitions, _mean_stderr, _site_weights
 from .rng import derive_stream
 from .roots import brentq
 from .series import power_series_inverse
@@ -69,6 +72,7 @@ __all__ = [
     "replica_moment_log",
     "free_endpoint_log_likelihood",
     "entropy_estimator",
+    "entropy_bounds",
     "entropy_monotonicity_scan",
     "annealed_variational_check",
 ]
@@ -195,13 +199,12 @@ def replica_moment_log(kernel_tr: RenewalKernel, log_xi_value: float, n: int) ->
 
 @dataclass(frozen=True, eq=False)
 class RelevanceReport:
-    """Entropy estimate at one truncation level, with its two bounds.
+    """Entropy estimate at one truncation level.
 
     ``estimate`` approximates the specific relative entropy ``H_tr`` (per
-    letter); multiply by ``m_tr`` for the relevance functional.
-    ``lower_bound`` and ``upper_bound`` are in the same per-letter units,
-    so the certified sandwich reads ``lower <= estimate <= upper`` up to
-    ``3 * stderr``.
+    letter), with standard error ``stderr`` over the replicas' values
+    ``per_replica``; multiply by ``m_tr`` for the relevance functional.
+    :func:`entropy_bounds` gives the bounds in the same per-letter units.
     """
 
     beta: float
@@ -209,10 +212,6 @@ class RelevanceReport:
     m_tr: float
     estimate: float
     stderr: float
-    lower_bound: float | None
-    upper_bound: float | None
-    sandwich_ok: bool | None
-    ci_excludes_zero: bool
     per_replica: np.ndarray
 
 
@@ -278,9 +277,6 @@ def free_endpoint_log_likelihood(
     return peak + np.log(np.exp(closing - peak[:, None]).sum(axis=1))
 
 
-_F2_TOL = 1e-8  # fixed-point residual of the annealed upper bound
-
-
 def entropy_estimator(
     kernel: RenewalKernel,
     disorder: DisorderLaw,
@@ -289,14 +285,14 @@ def entropy_estimator(
     n: int,
     replicas: int,
     base_seed: int,
-    compute_bounds: bool = True,
 ) -> RelevanceReport:
     """Monte Carlo estimate of the truncated specific relative entropy.
 
     Per replica: sample the concatenated tilted-word sequence, run the
-    banded renewal DP (:func:`pinlab.quenched.dp_log_partition`, the scaled
-    linear-domain recursion, band ``tr``) for the truncated kernel at tilt
-    ``beta`` and bias ``log M(beta)``, and close with a free right endpoint
+    renewal DP (:func:`pinlab.quenched.dp_log_partition`, the scaled
+    linear-domain recursion, banded at the truncated kernel's largest gap
+    with mass) for the truncated kernel at tilt ``beta`` and bias ``log
+    M(beta)``, and close with a free right endpoint
     (:func:`free_endpoint_log_likelihood`).  The per-letter average of
     ``log f_n`` over replicas tends to ``H_tr``; at ``beta = 0`` the
     likelihood ratio is identically one and the estimate is exactly zero.
@@ -328,31 +324,32 @@ def entropy_estimator(
             stream = derive_stream(base_seed, r)
             charges[r] = _sample_word_sequence(disorder, law, beta, n, stream) - anchor
         site_weights = _site_weights(charges, beta, rest, out=charges)
-        log_z = dp_log_partition(log_mass_vector(ktr, n), site_weights, band=tr)
+        log_z = _log_partitions(ktr, site_weights)
         per_replica = free_endpoint_log_likelihood(log_z, site_weights, masses) / n
         estimate, stderr = _mean_stderr(per_replica)
 
-    lower = upper = None
-    sandwich = None
-    if compute_bounds:
-        lower = (relative_entropy_tilt(disorder, beta) - kernel_entropy(ktr)) / m_tr
-        upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=_F2_TOL)
-        slack = 3.0 * stderr
-        sandwich = (lower - slack <= estimate) and (estimate <= upper + slack)
-
     per_replica.setflags(write=False)
-    return RelevanceReport(
-        beta=beta,
-        tr=tr,
-        m_tr=m_tr,
-        estimate=estimate,
-        stderr=stderr,
-        lower_bound=lower,
-        upper_bound=upper,
-        sandwich_ok=sandwich,
-        ci_excludes_zero=bool(estimate - 3.0 * stderr > 0.0),
-        per_replica=per_replica,
-    )
+    return RelevanceReport(beta, tr, m_tr, estimate, stderr, per_replica)
+
+
+_F2_TOL = 1e-8  # fixed-point residual of the annealed upper bound
+
+
+def entropy_bounds(
+    kernel: RenewalKernel, disorder: DisorderLaw, beta: float, tr: int
+) -> tuple[float, float]:
+    """``(lower, upper)`` bounds on ``H_tr``, per letter as
+    :attr:`RelevanceReport.estimate`: the restriction bound ``(h(mu_beta |
+    mu_0) - h(K^tr)) / m_tr`` and the annealed bound ``f2_tr(log
+    Xi(beta))``, the truncated joint free energy solved to ``_F2_TOL``.
+    Neither depends on a sample.  A ``beta`` that is not finite raises
+    :class:`InvalidParameterError`."""
+    if not math.isfinite(beta):
+        raise InvalidParameterError(f"beta must be finite, got {beta!r}")
+    ktr = truncate_kernel(kernel, tr)
+    lower = (relative_entropy_tilt(disorder, beta) - kernel_entropy(ktr)) / ktr.mean()
+    upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=_F2_TOL)
+    return lower, upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,14 +379,11 @@ def entropy_monotonicity_scan(
     when it exceeds three standard errors of the paired difference.
     """
     betas = list(beta_grid)
-    reports = [
-        entropy_estimator(kernel, disorder, b, tr, n, replicas, base_seed, compute_bounds=False)
-        for b in betas
-    ]
+    if any(b < a for a, b in zip(betas, betas[1:])):
+        raise InvalidParameterError("beta grid must be nondecreasing")
+    reports = [entropy_estimator(kernel, disorder, b, tr, n, replicas, base_seed) for b in betas]
     violations = []
     for left, right in zip(reports, reports[1:]):
-        if right.beta < left.beta:
-            raise InvalidParameterError("beta grid must be nondecreasing")
         mean_delta, stderr_delta = _mean_stderr(right.per_replica - left.per_replica)
         if mean_delta < -3.0 * stderr_delta:
             violations.append((left.beta, right.beta, mean_delta, stderr_delta))

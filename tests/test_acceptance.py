@@ -36,6 +36,7 @@ from pinlab.quenched import (
 from pinlab.relevance import (
     annealed_variational_check,
     critical_temperature_bounds,
+    entropy_bounds,
     entropy_estimator,
     entropy_monotonicity_scan,
 )
@@ -187,10 +188,11 @@ def test_11_entropy_sandwich(chi_03):
         rep = entropy_estimator(
             kernel, GAUSS, beta, tr=tr, n=256 * tr, replicas=64, base_seed=99
         )
+        lower_bound, upper_bound = entropy_bounds(kernel, GAUSS, beta, tr)
         sigma = rep.m_tr * rep.stderr
         scaled = rep.m_tr * rep.estimate
-        lower = rep.m_tr * rep.lower_bound
-        upper = rep.m_tr * rep.upper_bound
+        lower = rep.m_tr * lower_bound
+        upper = rep.m_tr * upper_bound
         assert lower - 3.0 * sigma <= scaled <= upper + 3.0 * sigma, (tr, lower, scaled, upper)
         lines.append(f"tr={tr}: {lower:.3f} <= {scaled:.3f} <= {upper:.3f}")
     report(11, "entropy sandwich holds at 3 sigma: " + "; ".join(lines))

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import pinlab
@@ -16,6 +17,7 @@ from pinlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_UNDECIDED, mai
 from pinlab.disorder import gaussian_disorder
 from pinlab.errors import PrecisionError
 from pinlab.kernels import make_power_kernel
+from pinlab.relevance import RelevanceReport
 
 
 GEOMETRIC = {"family": "geometric", "p": 0.5}
@@ -663,6 +665,88 @@ class TestRelevanceCommand:
         assert "chi convergence undecided" in manifest["error"]
         assert manifest["outputs"] == []
         assert manifest["seed"] == 8
+
+
+# tr -> (estimate, stderr, lower, upper) of a stubbed level; binary fractions,
+# so the 3-stderr edges are exact: 0.375 - 3 * 0.125 == 0 is not positive,
+# and 0.5 lies on the edge 0.875 - 3 * 0.125 of its sandwich, so inside it
+_INSIDE = (0.5, 0.125, 0.0, 1.0)
+_ZERO_EDGE = (0.375, 0.125, 0.0, 1.0)
+_ON_SANDWICH_EDGE = (0.5, 0.125, 0.875, 1.0)
+_BELOW_LOWER = (0.5, 0.125, 0.9, 1.0)
+_ABOVE_UPPER = (0.5, 0.0625, 0.0, 0.25)
+_UNDECIDED_SCAN = "relevance verdict undecided across the tr scan"
+
+# levels (tr 4, then 8) -> row verdicts, overall verdict, warnings, exit code
+_VERDICT_CASES = {
+    "all-positive-inside": (
+        (_INSIDE, _ON_SANDWICH_EDGE), ("relevant", "relevant"), "relevant", [], EXIT_OK),
+    "last-not-positive": (
+        (_INSIDE, _ZERO_EDGE),
+        ("relevant", "irrelevant-consistent"), "irrelevant-consistent", [], EXIT_OK),
+    "none-positive": (
+        (_ZERO_EDGE, _ZERO_EDGE),
+        ("irrelevant-consistent", "irrelevant-consistent"), "irrelevant-consistent", [],
+        EXIT_OK),
+    "positive-only-at-the-end": (
+        (_ZERO_EDGE, _INSIDE),
+        ("irrelevant-consistent", "relevant"), "undecided", [_UNDECIDED_SCAN], EXIT_UNDECIDED),
+    "one-level-below-its-sandwich": (
+        (_BELOW_LOWER, _INSIDE),
+        ("undecided", "relevant"), "relevant", ["tr=4: sandwich violated"], EXIT_UNDECIDED),
+    "undecided-scan-and-a-level-above-its-sandwich": (
+        (_ZERO_EDGE, _ABOVE_UPPER),
+        ("irrelevant-consistent", "undecided"), "undecided",
+        [_UNDECIDED_SCAN, "tr=8: sandwich violated"], EXIT_UNDECIDED),
+}
+
+
+class TestRelevanceVerdicts:
+    """The relevance verdict rule, with the estimator and the bounds stubbed:
+    a level is positive when ``estimate - 3 stderr > 0``; a row is
+    ``undecided`` when its estimate leaves ``[lower, upper]`` widened by
+    ``3 stderr``; the scan is ``relevant`` when every level is positive,
+    ``irrelevant-consistent`` when the last is not, else ``undecided``."""
+
+    @pytest.mark.parametrize(
+        "levels, rows_want, overall, warnings, code",
+        list(_VERDICT_CASES.values()),
+        ids=list(_VERDICT_CASES),
+    )
+    def test_verdicts(self, tmp_path, monkeypatch, levels, rows_want, overall, warnings, code):
+        by_tr = dict(zip((4, 8), levels))
+
+        def estimator(kernel, disorder, beta, tr, n, replicas, base_seed):
+            estimate, stderr, _, _ = by_tr[tr]
+            return RelevanceReport(beta, tr, 1.5, estimate, stderr, np.zeros(replicas))
+
+        monkeypatch.setattr("pinlab.cli.entropy_estimator", estimator)
+        monkeypatch.setattr("pinlab.cli.entropy_bounds", lambda k, d, beta, tr: by_tr[tr][2:])
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "kernel": {"family": "power", "alpha": 0.3},
+                "disorder": {"family": "gaussian"},
+                "beta": 1.5,
+                "base_seed": 1,
+                "tr_schedule": [4, 8],
+                "replicas": 2,
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["relevance", "--config", cfg, "--out", out]) == code
+        _, rows = read_rows(out / "relevance_scan.csv")
+        assert tuple(row["verdict"] for row in rows) == rows_want
+        for row, (estimate, stderr, lower, upper) in zip(rows, levels):
+            assert [float(row[c]) for c in ("estimate", "stderr", "lower", "upper")] == [
+                estimate, stderr, lower, upper
+            ]
+        doc = json.loads((out / "relevance_bounds.json").read_text())
+        assert doc["overall_verdict"] == overall
+        manifest = json.loads((out / "relevance_manifest.json").read_text())
+        assert manifest["warnings"] == warnings
+        assert manifest["exit_code"] == code
 
 
 class TestValidateCommand:

@@ -1,7 +1,8 @@
 """Every imported name is used: a removed caller must not leave its import
 behind.  Names re-exported through ``__all__`` count as used.  The runtime
 imports numpy and nothing outside the standard library besides.  Only the
-modules that define the kernel and disorder families branch on them."""
+modules that define the kernel and disorder families branch on them, and
+only the quenched layer picks a kernel's DP path."""
 
 import ast
 import json
@@ -79,6 +80,39 @@ def test_finds_a_family_read():
 )
 def test_family_decisions_live_in_their_module(path):
     assert family_reads(path.read_text()) == []
+
+
+# the modules allowed to name the DP or a kernel's band and far terms: the
+# quenched layer, whose ``_log_partitions`` maps a kernel to a DP call, and
+# the module that defines them
+DP_PATH_MODULES = {"quenched.py", "kernels.py"}
+DP_PATH_NAMES = {"dp_log_partition", "far_terms", "support_upper"}
+
+
+def dp_path_reads(source: str) -> list[int]:
+    """Line numbers in ``source`` that read ``dp_log_partition``,
+    ``far_terms`` or ``support_upper``, as a name or an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id in DP_PATH_NAMES)
+        or (isinstance(node, ast.Attribute) and node.attr in DP_PATH_NAMES)
+    )
+
+
+def test_finds_a_dp_path_read():
+    source = "x = 1\nz = dp_log_partition(k, w, ktr.support_upper)\ny = kernels.far_terms(k, n)\n"
+    assert dp_path_reads(source) == [2, 2, 3]
+    assert dp_path_reads("z = _log_partitions(ktr, w)\n") == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.parent.name == "pinlab" and p.name not in DP_PATH_MODULES],
+    ids=lambda p: p.name,
+)
+def test_one_module_picks_the_dp_path(path):
+    assert dp_path_reads(path.read_text()) == []
 
 
 _RUN_WITHOUT_SCIPY = """

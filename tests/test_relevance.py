@@ -28,10 +28,12 @@ from pinlab.kernels import (
     truncate_kernel,
 )
 from pinlab.oracles import free_endpoint_likelihood, pair_moment, replica_moment_exact_check
-from pinlab.quenched import dp_log_partition, log_mass_vector
+from pinlab import relevance
+from pinlab.quenched import _log_partitions, dp_log_partition, log_mass_vector
 from pinlab.relevance import (
     annealed_variational_check,
     critical_temperature_bounds,
+    entropy_bounds,
     entropy_estimator,
     _length_law,
     _sample_word_sequence,
@@ -41,7 +43,7 @@ from pinlab.relevance import (
 )
 from pinlab.rng import derive_stream
 
-from oracles import replica_moment_log_dp
+from oracles import partition_log_recursion, replica_moment_log_dp
 
 GAUSS = gaussian_disorder()
 RAD = rademacher_disorder()
@@ -220,7 +222,7 @@ class TestEntropyEstimatorCore:
     def _log_fn(ktr, tr, weights):
         # the estimator's DP call and closing, for one explicit weight row
         rows = weights[None, :]
-        log_z = dp_log_partition(log_mass_vector(ktr, len(weights)), rows, band=tr)
+        log_z = _log_partitions(ktr, rows)
         return float(free_endpoint_log_likelihood(log_z, rows, ktr.mass_array(tr))[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
@@ -247,6 +249,65 @@ class TestEntropyEstimatorCore:
         got = self._log_fn(ktr, 12, weights)
         want = math.log(free_endpoint_likelihood(ktr, weights))
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# truncations whose top gaps carry no mass: the DP runs banded at the largest
+# gap with mass (3 and 1), not at tr (8 and 4)
+TOP_GAPS_EMPTY = [
+    (make_table_kernel([0.5, 0.3, 0.2]), 8, 3),
+    (make_geometric_kernel(1.0), 4, 1),
+]
+TOP_GAPS_IDS = ["table3-tr8", "geometric1-tr4"]
+
+
+def log_z_error(got, want):
+    """Largest ``|got - want|`` of finite entries relative to ``max(1,
+    max_{j<=m} |want_j|)``, the DP's documented bound; infinities must agree."""
+    zero = want == -np.inf
+    np.testing.assert_array_equal(got[zero], want[zero])
+    size = np.maximum.accumulate(np.abs(np.where(zero, 0.0, want)))
+    return float(np.max(np.abs(got - want)[~zero] / np.maximum(1.0, size[~zero]), initial=0.0))
+
+
+class TestFrontDoorBand:
+    """The estimator's DP goes through ``quenched._log_partitions``, banded at
+    the truncated kernel's ``support_upper``; where the top gaps of ``K^tr``
+    carry no mass that band is below ``tr`` and must give the ``band=tr``
+    results."""
+
+    @pytest.mark.parametrize("kernel, tr, support", TOP_GAPS_EMPTY, ids=TOP_GAPS_IDS)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
+    def test_log_partitions_match_band_tr_and_recursion(self, kernel, tr, support, seed, n):
+        ktr = truncate_kernel(kernel, tr)
+        assert ktr.support_upper == support < tr
+        stream = derive_stream(seed, 0)
+        weights = (1.5 * stream.normal(3 * n) - 0.5).reshape(3, n)
+        log_k = log_mass_vector(ktr, n)
+        got = _log_partitions(ktr, weights)
+        at_tr = dp_log_partition(log_k, weights, band=tr)
+        for row, row_at_tr, w in zip(got, at_tr, weights):
+            want = np.array(partition_log_recursion(log_k, w))
+            assert log_z_error(row, want) <= 1e-12
+            assert log_z_error(row, row_at_tr) <= 1e-12
+
+    @pytest.mark.parametrize("kernel, tr, support", TOP_GAPS_EMPTY, ids=TOP_GAPS_IDS)
+    def test_estimator_matches_band_tr_closing(self, kernel, tr, support, monkeypatch):
+        seen = []
+
+        def spy(ktr, site_weights):
+            seen.append(site_weights.copy())
+            return _log_partitions(ktr, site_weights)
+
+        monkeypatch.setattr(relevance, "_log_partitions", spy)
+        n = 256
+        rep = entropy_estimator(kernel, GAUSS, 1.0, tr=tr, n=n, replicas=4, base_seed=3)
+        (weights,) = seen
+        ktr = truncate_kernel(kernel, tr)
+        log_z = dp_log_partition(log_mass_vector(ktr, n), weights, band=tr)
+        want = free_endpoint_log_likelihood(log_z, weights, ktr.mass_array(tr)) / n
+        np.testing.assert_allclose(rep.per_replica, want, rtol=1e-12, atol=0.0)
+        assert rep.estimate == pytest.approx(float(np.mean(want)), rel=1e-12)
 
 
 class TestWordLengths:
@@ -307,15 +368,15 @@ class TestEntropyEstimator:
         want = relative_entropy_tilt(GAUSS, beta)
         assert want == pytest.approx(beta**2 / 2.0, abs=1e-12)
         assert abs(rep.estimate - want) <= 3.0 * rep.stderr
-        assert rep.lower_bound == pytest.approx(want, abs=1e-12)
+        lower, _ = entropy_bounds(P03, GAUSS, beta, tr=1)
+        assert lower == pytest.approx(want, abs=1e-12)
         assert rep.m_tr == 1.0
 
     def test_sandwich_small_budget(self):
         rep = entropy_estimator(P03, GAUSS, 1.5, tr=8, n=2048, replicas=24, base_seed=9)
-        assert rep.lower_bound is not None and rep.upper_bound is not None
+        lower, upper = entropy_bounds(P03, GAUSS, 1.5, tr=8)
         slack = 3.0 * rep.stderr
-        assert rep.lower_bound - slack <= rep.estimate <= rep.upper_bound + slack
-        assert rep.sandwich_ok
+        assert lower - slack <= rep.estimate <= upper + slack
         assert rep.m_tr == pytest.approx(truncate_kernel(P03, 8).mean(), abs=1e-12)
 
     def test_upper_bound_via_replica_moment(self):
@@ -337,11 +398,13 @@ class TestEntropyEstimator:
     def test_rejects_non_finite_beta(self, beta):
         with pytest.raises(InvalidParameterError):
             entropy_estimator(P03, GAUSS, beta, tr=4, n=64, replicas=2, base_seed=0)
+        with pytest.raises(InvalidParameterError):
+            entropy_bounds(P03, GAUSS, beta, tr=4)
 
     def test_overflowing_weights_raise_precision_error(self):
         # log M(1e160) = 5e319 overflows, so no site weight is finite
         with pytest.raises(PrecisionError):
-            entropy_estimator(P03, GAUSS, 1e160, 4, 16, 2, 0, compute_bounds=False)
+            entropy_estimator(P03, GAUSS, 1e160, 4, 16, 2, 0)
 
     def test_memory_is_the_weights_and_log_z(self):
         # the weights are written over the drawn letters and the banded DP
@@ -349,7 +412,7 @@ class TestEntropyEstimator:
         replicas, n = 16, 8192
         tracemalloc.start()
         try:
-            entropy_estimator(P03, GAUSS, 1.5, 64, n, replicas, 0, compute_bounds=False)
+            entropy_estimator(P03, GAUSS, 1.5, 64, n, replicas, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,8 +424,8 @@ class TestEntropyEstimator:
         # letter and is never drawn as a first letter, so the estimate is the
         # one at 200, provided the beta * anchor terms of beta x - log M(beta)
         # cancel before rounding and a +1 letter keeps its weight log 2
-        want = entropy_estimator(P03, RAD, 200.0, 4, 16, 2, 0, compute_bounds=False).estimate
-        got = entropy_estimator(P03, RAD, beta, 4, 16, 2, 0, compute_bounds=False).estimate
+        want = entropy_estimator(P03, RAD, 200.0, 4, 16, 2, 0).estimate
+        got = entropy_estimator(P03, RAD, beta, 4, 16, 2, 0).estimate
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -394,6 +457,23 @@ class TestMonotonicityScan:
             entropy_monotonicity_scan(
                 P03, GAUSS, [1.0, 0.5], tr=4, n=256, replicas=4, base_seed=1
             )
+
+    def test_checks_the_grid_before_any_estimate(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _log_partitions(*args)
+
+        monkeypatch.setattr(relevance, "_log_partitions", spy)
+        with pytest.raises(InvalidParameterError):
+            entropy_monotonicity_scan(
+                P03, GAUSS, [1.0, 0.5], tr=4, n=256, replicas=4, base_seed=1
+            )
+        assert calls == []
+        # the spy sees the DP calls of a grid that is in order
+        entropy_monotonicity_scan(P03, GAUSS, [0.5, 1.0], tr=4, n=16, replicas=2, base_seed=1)
+        assert len(calls) == 2
 
 
 class TestVariational:
