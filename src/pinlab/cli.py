@@ -512,13 +512,6 @@ _CONSTRUCTION_CHECK = "kernel-mass-normalization"
 
 def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
     seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed, default=0)
-    names = [_CONSTRUCTION_CHECK] + [name for name, _, _ in _CHECKS]
-    selected = _fetch(cfg, "checks", required=False, default=names)
-    if not (isinstance(selected, list) and selected and all(x in names for x in selected)):
-        raise ConfigError(
-            "checks", f"expected a nonempty list of names from {', '.join(names)}, got {selected!r}"
-        )
-    names = [name for name in names if name in selected]
 
     def report(name, verdict, detail, gap=None, tol=None):
         print(f"{verdict} {name} ({detail})")
@@ -528,16 +521,12 @@ def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
     try:
         kernel = (_from_config(cfg, "kernel", kernel_from_json) if "kernel" in cfg
                   else make_power_kernel(0.5))
-        construction = ("PASS", "ok")
+        report(_CONSTRUCTION_CHECK, "PASS", "ok")
     except ConfigError as exc:
-        kernel, construction = None, ("FAIL", str(exc))
-    # a kernel that cannot be built fails the run whichever checks are selected
-    if _CONSTRUCTION_CHECK in names or kernel is None:
-        report(_CONSTRUCTION_CHECK, *construction)
+        kernel = None
+        report(_CONSTRUCTION_CHECK, "FAIL", str(exc))
 
     for name, tol, gap_of in _CHECKS:
-        if name not in names:
-            continue
         if kernel is None:
             report(name, "SKIP", "kernel construction failed")
             continue

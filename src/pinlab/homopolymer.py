@@ -76,9 +76,11 @@ def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
 
     Returns ``(f, residual)`` with ``residual = |series(f) - exp(-lam)|``;
     the solve raises :class:`PrecisionError` when it exceeds ``tol`` relative
-    to ``exp(-lam)``.  The bracket upper end ``f = lam`` works
-    because ``series(f) <= exp(-f)`` for sub-probability masses; masses
-    whose rounding sums above 1 (returns that do not decay) widen it.
+    to ``exp(-lam)``, also where the bracket passes ``1e-290`` and ``f = 0``
+    is returned, so an underflowing root is never a silent 0.  The bracket
+    upper end ``f = lam`` works because ``series(f) <= exp(-f)`` for
+    sub-probability masses; masses whose rounding sums above 1 (returns
+    that do not decay) widen it.
     Above ``lam`` of about 708.4 the target ``exp(-lam)`` is subnormal or
     0, too coarse to pin ``f`` down, so the solve raises
     :class:`PrecisionError` instead.
@@ -98,19 +100,22 @@ def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
     while series(f_lo) < target:
         f_lo *= 1e-3
         if f_lo < _TINY_F:
-            return 0.0, abs(series(0.0) - target)
-    root_t = brentq(
-        lambda t: series(math.exp(t)) - target,
-        math.log(f_lo),
-        math.log(f_hi),
-        xtol=1e-14,
-        maxiter=200,
-    )
-    f = math.exp(root_t)
+            f = 0.0  # the root lies below the float range the bracket searches
+            break
+    else:
+        root_t = brentq(
+            lambda t: series(math.exp(t)) - target,
+            math.log(f_lo),
+            math.log(f_hi),
+            xtol=1e-14,
+            maxiter=200,
+        )
+        f = math.exp(root_t)
     residual = abs(series(f) - target)
     if residual > tol * target:
         raise PrecisionError(
-            f"fixed-point residual {residual:.3e} exceeds tol {tol:.3e} times exp(-lam) = {target!r}"
+            f"fixed-point residual {residual:.3e} at f = {f!r} exceeds tol {tol:.3e} "
+            f"times exp(-lam) = {target!r}"
         )
     return f, residual
 
@@ -285,6 +290,8 @@ def joint_truncation_bound(
     """
     if tr < 1:
         raise InvalidParameterError("truncation point must be >= 1")
+    if not math.isfinite(lam):
+        raise InvalidParameterError(f"lam must be finite, got {lam!r}")
     lam0 = lambda0_from_chi(chi_result)
     if lam >= lam0:
         raise DomainError(f"bound requires lam < lambda0 = {lam0!r}, got {lam!r}")

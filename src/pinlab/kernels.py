@@ -124,10 +124,13 @@ def make_power_kernel(alpha: float) -> RenewalKernel:
 
     ``alpha = 0`` is not representable in closed form (the bare series
     diverges); supply such laws as explicit tables with a summable
-    slowly-varying choice instead.
+    slowly-varying choice instead.  Nor is an ``alpha`` for which ``1 +
+    alpha`` rounds to 1, where every mass would be 0.
     """
     if not (alpha > 0.0) or not math.isfinite(alpha):
         raise InvalidParameterError(f"power kernel needs alpha > 0, got {alpha}")
+    if 1.0 + alpha == 1.0:
+        raise InvalidParameterError(f"power kernel needs 1 + alpha > 1 in floats, got {alpha}")
     return RenewalKernel(family="power", alpha=float(alpha))
 
 
@@ -450,7 +453,9 @@ def _power_terms(s: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:
         weights *= norm
         # a weight that underflows carries no normal mass
         keep = (share.max(axis=0) > _FAR_CUT) & (weights > 0.0)
-        if np.abs(share[:, keep].sum(axis=1) * norm - 1.0).max() <= bound:
+        # exact row sums, so the loop stops on the terms' error, not its own rounding
+        check = np.array([math.fsum(row) for row in share[:, keep]])
+        if np.abs(check * norm - 1.0).max() <= bound:
             return _read_only(weights[keep], rates[keep])
         step *= 0.9
     raise PrecisionError(f"no exponential sum for d^-{s} within {bound:.2e} up to {d_max}")

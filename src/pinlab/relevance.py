@@ -173,6 +173,8 @@ def replica_moment_log(kernel_tr: RenewalKernel, log_xi_value: float, n: int) ->
     """
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
+    if not math.isfinite(log_xi_value):
+        raise InvalidParameterError(f"log_xi_value must be finite, got {log_xi_value!r}")
     u2 = return_probabilities(kernel_tr, n - 1) ** 2
     xi_minus_one = math.expm1(log_xi_value)
     steps = np.arange(n, dtype=float)

@@ -108,6 +108,24 @@ class TestHomopolymer:
             with pytest.raises(PrecisionError, match="residual"):
                 homopolymer_free_energy(make_geometric_kernel(0.5), 700.0)
 
+    def test_underflowing_root_is_precision_error(self):
+        # the bracket passes 1e-290 while the model is pinned: f = 0 is off by 0.39
+        with pytest.raises(PrecisionError, match="residual 3.935e-01 at f = 0.0"):
+            homopolymer_free_energy(make_power_kernel(1e-3), 0.5)
+
+    @pytest.mark.parametrize("shortfall, raises", [(0.5, True), (1e-12, False)])
+    def test_underflow_exit_applies_the_residual_rule(self, shortfall, raises):
+        # a series below exp(-lam) down to f = 1e-290 takes the underflow exit
+        lam = 0.1
+        target = math.exp(-lam)
+        series = lambda f: target * (1.0 - shortfall)  # noqa: E731
+        if raises:
+            with pytest.raises(PrecisionError, match="at f = 0.0"):
+                _solve_fixed_point(series, lam, 1e-10)
+        else:
+            f, residual = _solve_fixed_point(series, lam, 1e-10)
+            assert f == 0.0 and residual <= 1e-10 * target
+
     @pytest.mark.parametrize("lam", [745.0, 800.0])
     @pytest.mark.parametrize(
         "kernel",
@@ -325,6 +343,11 @@ class TestTruncationBound:
         lam0 = lambda0_from_chi(chi_03)
         with pytest.raises(DomainError):
             joint_truncation_bound(kernel, 10, lam0, chi_result=chi_03)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lam_rejected(self, chi_03, lam):
+        with pytest.raises(InvalidParameterError, match="lam must be finite"):
+            joint_truncation_bound(make_power_kernel(0.3), 10, lam, chi_result=chi_03)
 
     def test_bound_tends_to_limit(self, chi_03):
         kernel = make_power_kernel(0.3)

@@ -77,9 +77,13 @@ class TestPowerKernel:
         assert direct + lo / z <= kernel.tail_mass(100) <= direct + hi / z
 
     def test_invalid_alpha_rejected(self):
-        for bad in (0.0, -1.0, math.nan):
+        # at 1e-17 and 1e-16, 1 + alpha rounds to 1: every mass would be n^-1 / zeta(1) = 0
+        for bad in (0.0, -1.0, math.nan, 1e-17, 1e-16):
             with pytest.raises(InvalidParameterError):
                 make_power_kernel(bad)
+
+    def test_alpha_just_above_rounding_accepted(self):
+        assert make_power_kernel(2.3e-16).alpha == 2.3e-16
 
     def test_mean_finite_only_above_one(self):
         assert math.isinf(make_power_kernel(0.5).mean())
@@ -451,6 +455,13 @@ class TestFarTerms:
         assert len(weights) == len(rates) > 0
         assert np.all(weights > 0.0) and np.all(rates > 0.0)
         assert far_errors(kernel, n).max() <= 1.25e-15 * max(1.0, (1.0 + alpha) / 4.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 5.0])
+    def test_term_count_nondecreasing_in_size_class(self, alpha):
+        # the stopping test sums exactly, so a larger class never stops sooner
+        kernel = make_power_kernel(alpha)
+        counts = [len(far_terms(kernel, 1 << e)[0]) for e in range(8, 21)]
+        assert counts == sorted(counts), counts
 
     def test_power_without_normal_far_masses(self):
         # 65^-201 underflows: there is no far mass to carry

@@ -858,18 +858,31 @@ class TestStreams:
             with pytest.raises(InvalidParameterError):
                 derive_stream(base_seed, index)
 
-    def test_state_roundtrip(self):
+    def test_draws_are_the_seed_sequence_pcg64(self):
+        for base_seed, index in ((0, 0), (17, 4), (2**40 + 3, 9000)):
+            s = derive_stream(base_seed, index)
+            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([base_seed, index])))
+            np.testing.assert_array_equal(s.uniform(7), ref.random(7))
+            np.testing.assert_array_equal(s.normal(5), ref.standard_normal(5))
+            np.testing.assert_array_equal(s.uniform(3), ref.random(3))
+            assert (s.base_seed, s.stream_index, s.position) == (base_seed, index, 15)
+
+    def test_replayed_stream_continues_identically(self):
         s = derive_stream(17, 4)
         s.uniform(10)
-        clone = RngStream.from_state(s.state())
-        np.testing.assert_array_equal(s.uniform(5), clone.uniform(5))
-        assert clone.position == s.position
+        s.normal(3)
+        replay = derive_stream(17, 4)
+        replay.uniform(10)
+        replay.normal(3)
+        assert replay.position == s.position == 13
+        np.testing.assert_array_equal(s.normal(5), replay.normal(5))
+        np.testing.assert_array_equal(s.uniform(5), replay.uniform(5))
+        assert replay.position == s.position == 23
 
-    def test_state_of_another_algorithm_rejected(self):
-        doc = derive_stream(17, 4).state()
-        doc["algorithm_id"] = "mt19937"
-        with pytest.raises(InvalidParameterError, match="mt19937"):
-            RngStream.from_state(doc)
+    def test_address_is_the_only_constructor_argument(self):
+        with pytest.raises(TypeError):
+            RngStream(17, 4, 10)
+        assert RngStream(17, 4).position == 0
 
     def test_first_outputs_uniform_chi_square(self):
         firsts = np.array([derive_stream(31337, i).uniform(1)[0] for i in range(1000)])

@@ -131,6 +131,11 @@ class TestReplicaMoment:
             assert abs(replica_moment_log(ktr, 0.0, n)) <= 1e-12
         assert replica_moment_log(truncate_kernel(P03, 32), 0.0, 8192) == 0.0
 
+    @pytest.mark.parametrize("log_xi_value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_xi_rejected(self, log_xi_value):
+        with pytest.raises(InvalidParameterError, match="log_xi_value must be finite"):
+            replica_moment_log(truncate_kernel(P03, 4), log_xi_value, 8)
+
     def test_single_step_is_xi(self):
         ktr = truncate_kernel(P03, 4)
         assert math.exp(replica_moment_log(ktr, log_xi(RAD, 0.8), 1)) == pytest.approx(
