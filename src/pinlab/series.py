@@ -302,8 +302,8 @@ def power_series_inverse(a: np.ndarray, n: int, head: np.ndarray | None = None) 
     # Rounding of the tiny mixed-radix FFTs at the bottom rungs would be
     # copied into each block above them, doubling with every rung.
     base = min(n, max(m, _EXACT_BASE))
-    lead = np.zeros(base)
-    lead[: min(base, len(a))] = a[:base]
+    lead = np.zeros(min(n, _EXACT_BASE))
+    lead[: min(len(lead), len(a))] = a[: len(lead)]
     for j in range(m, base):
         v[j] = -np.dot(lead[1 : j + 1], v[j - 1 :: -1]) / a[0]
     m = base
@@ -312,18 +312,25 @@ def power_series_inverse(a: np.ndarray, n: int, head: np.ndarray | None = None) 
     while rung > m:
         rungs.append(rung)
         rung = (rung + 1) // 2
+    # A rung holds v and at most three arrays of its FFT length: each
+    # spectrum or signal is dropped once read, and both products are taken
+    # in place.  With FMA, a complex product rounds its imaginary part by
+    # operand order, so both orders are written out, the same at every
+    # size: rfft(a) * fv, then fv * rfft(e).  No temporary is left for
+    # numpy's elision to reorder, so PyPy and numpy builds that never elide
+    # take the same orders.
     for m2 in reversed(rungs):
         size = next_fast_len(m2)
         fv = rfft(v[:m], size)
-        e = irfft(rfft(a[:m2], size) * fv, size)[m:m2]
-        # numpy computes a product with a temporary of 256 KiB or more in the
-        # temporary's buffer, as that operand times the other: from FFT
-        # length 32768 on this line takes rfft(e) * fv, below it fv * rfft(e),
-        # and with FMA the two orders round the imaginary part differently.
-        # Naming the temporary, or an in-place product that swaps the
-        # operands, therefore moves chi.csv bits; the first product's order,
-        # rfft(a) * fv, is kept by an in-place X *= fv.
-        v[m:m2] = -irfft(fv * rfft(e, size), size)[: m2 - m]
+        spec = rfft(a[:m2], size)
+        spec *= fv
+        t = irfft(spec, size)
+        del spec
+        spec = rfft(t[m:m2], size)
+        del t
+        np.multiply(fv, spec, out=spec)
+        del fv
+        np.negative(irfft(spec, size)[: m2 - m], out=v[m:m2])
         m = m2
     return v
 

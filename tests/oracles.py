@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from pinlab.disorder import log_mgf
@@ -248,3 +249,30 @@ def annealed_average_per_assignment(kernel, disorder, beta: float, h: float, n: 
     for charges, prob in charge_assignments(disorder, n):
         total += prob * math.exp(partition_function_log(kernel, beta * charges - h))
     return total
+
+
+def newton_rung(a, head, n: int) -> np.ndarray:
+    """``head`` extended to the first ``n`` coefficients of ``1/A(z)`` by one
+    middle-product Newton rung, at the real FFT length
+    ``scipy.fft.next_fast_len(n)``.
+
+    Every spectrum is a named array and each complex product is one
+    ``np.multiply(x, y, out=...)`` into a fresh array, so no temporary
+    elision can reorder its operands: ``rfft(a) * rfft(head)``, then
+    ``rfft(head) * rfft(e)``.
+    """
+    m = len(head)
+    size = next_fast_len(n, real=True)
+    head_spec = np.fft.rfft(head, size)
+    a_spec = np.fft.rfft(a[:n], size)
+    first = np.empty_like(a_spec)
+    np.multiply(a_spec, head_spec, out=first)
+    product = np.fft.irfft(first, size)
+    e_spec = np.fft.rfft(product[m:n], size)
+    second = np.empty_like(e_spec)
+    np.multiply(head_spec, e_spec, out=second)
+    lifted = np.fft.irfft(second, size)
+    out = np.empty(n)
+    out[:m] = head
+    np.negative(lifted[: n - m], out=out[m:])
+    return out

@@ -151,6 +151,14 @@ class TestReturnProbabilities:
         u_fft = return_probabilities(kernel, n)
         assert np.max(np.abs(u_dp - u_fft)) <= 1e-12
 
+    def test_returns_that_do_not_decay_at_the_documented_bound(self):
+        # today's bound for a finite mean (3.0e-12 measured at 2^18); the
+        # tail-form inverse of ROADMAP item 5 should tighten it
+        n = 1 << 18
+        u = return_probabilities(make_table_kernel([0.5, 0.5]), n)
+        exact = 2.0 / 3.0 + (-0.5) ** np.arange(n + 1) / 3.0
+        assert np.max(np.abs(u - exact)) <= 5e-12
+
     def test_geometric_returns_are_flat(self):
         u = return_probabilities(make_geometric_kernel(0.5), 200)
         assert np.max(np.abs(u[1:] - 0.5)) <= 1e-13
@@ -335,7 +343,7 @@ class TestFitDecay:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 8 * horizon
+        assert peak <= 3 * 8 * horizon
 
 
 class TestTruncation:

@@ -2,6 +2,7 @@
 the polylogarithm behind the power kernel's fixed point."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from pinlab.series import (
     zeta_log_sum,
     zeta_tail,
 )
+
+from oracles import newton_rung
 
 
 def _odd_primes(limit):
@@ -123,6 +126,49 @@ class TestResume:
         assert v.shape == (37,)
         np.testing.assert_array_equal(v, head[:37])
         assert np.max(np.abs(v - power_series_inverse(a, 37))) <= 1e-14
+
+
+def power_series_a(alpha, n):
+    """``1 - K(z)`` to ``n`` coefficients for the power kernel at ``alpha``."""
+    return np.concatenate(([1.0], -make_power_kernel(alpha).mass_array(n - 1)))
+
+
+def assert_same_bits(x, y):
+    np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestRung:
+    # the last rung's spectrum is 162 KB at 20001 and above 256 KiB at 40001
+    # and 2^17 + 1, so on both sides of the size from which numpy's
+    # temporary elision would reorder an unnamed product's operands
+    @pytest.mark.parametrize("n", [20001, 40001, (1 << 17) + 1])
+    @pytest.mark.parametrize("alpha", [0.3, 1.5])
+    def test_last_rung_is_the_explicit_order_reference(self, alpha, n):
+        a = power_series_a(alpha, n)
+        head = power_series_inverse(a, (n + 1) // 2)
+        assert_same_bits(power_series_inverse(a, n), newton_rung(a, head, n))
+
+    def test_resumed_rungs_across_the_elision_size(self):
+        n = 40001
+        a = power_series_a(0.3, n)
+        head = power_series_inverse(a, 10001)
+        expected = newton_rung(a, newton_rung(a, head, 20001), n)
+        assert_same_bits(power_series_inverse(a, n, head), expected)
+
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+    def test_working_memory_is_v_and_three_fft_arrays(self, resumed):
+        n = (1 << 18) + 1
+        a = power_series_a(0.3, n)
+        head = power_series_inverse(a, (n + 1) // 2) if resumed else None
+        tracemalloc.start()
+        try:
+            power_series_inverse(a, n, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4.0 either way; a fourth FFT-length array, or a copy of the head
+        # kept through the rungs, reads 4.5 or more
+        assert peak <= 4.25 * 8 * next_fast_len(n)
 
 
 class TestRejects:
