@@ -38,7 +38,9 @@ A level is positive when ``estimate - 3 stderr > 0``; its row reads
 with a warning when the estimate leaves ``[lower - 3 stderr, upper + 3
 stderr]``.  The overall verdict is ``relevant`` when every level is
 positive, ``irrelevant-consistent`` when the last is not, and else
-``undecided`` with a warning.
+``undecided`` with a warning.  The ``tr_schedule`` must strictly increase,
+so its last level is its largest ``tr``.  The ``quenched`` section and a
+``{start, stop, count, spacing}`` grid object take no other keys.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant failure,
 4 completed with undecided verdicts or warnings.
@@ -108,6 +110,17 @@ def _fetch(cfg: dict, path: str, required: bool = True, default=None):
     return node
 
 
+def _check_keys(path: str, doc, keys: tuple[str, ...]) -> None:
+    """A ``doc`` at ``path`` that is not an object, or a key of it outside
+    ``keys``, is a config error naming its path (``quenched.replicsa``)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        expected = ", ".join(keys)
+        raise ConfigError(f"{path}.{unknown[0]}", f"unknown key; expected one of {expected}")
+
+
 def _as_number(path: str, cast, value, positive=False):
     """``cast(value)`` for ``cast`` ``int`` or ``float``; a value that does
     not parse, a boolean, NaN, an infinity, a fraction for ``int``, or (when
@@ -158,6 +171,7 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
             raise ConfigError(path, "grid must be nonempty")
         return _as_numbers(path, float, doc)
     if isinstance(doc, dict):
+        _check_keys(path, doc, ("start", "stop", "count", "spacing"))
         start = _fetch_number(cfg, path + ".start", float)
         stop = _fetch_number(cfg, path + ".stop", float)
         count = _fetch_number(cfg, path + ".count", int, positive=True)
@@ -319,6 +333,7 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
     seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed)
+    _check_keys("quenched", cfg.get("quenched", {}), ("n", "replicas", "target_width"))
     n = _fetch_number(cfg, "quenched.n", int, 4096, positive=True)
     replicas = _fetch_number(cfg, "quenched.replicas", int, 64, positive=True)
     target_width = _fetch_number(cfg, "quenched.target_width", float, 0.002, positive=True)
@@ -365,6 +380,9 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     n_multiplier = _fetch_number(cfg, "n_multiplier", int, 256, positive=True)
     if n_multiplier * min(tr_schedule) < 2:
         raise ConfigError("n_multiplier", "system size n_multiplier * tr must be >= 2")
+    # the overall verdict reads the last level as the largest tr
+    if any(b <= a for a, b in zip(tr_schedule, tr_schedule[1:])):
+        raise ConfigError("tr_schedule", f"schedule must strictly increase, got {tr_schedule}")
     replicas = _fetch_number(cfg, "replicas", int, 64, positive=True)
 
     t0 = time.perf_counter()

@@ -332,8 +332,16 @@ def _anchored_log_mgf(law: DisorderLaw, lam: float) -> tuple[float, float]:
 
 
 def log_mgf(law: DisorderLaw, lam: float) -> float:
-    """``log M(lambda)``, stable for large tilts and relatively accurate for
-    small ones."""
+    """``log M(lambda)``, stable for large tilts.
+
+    Gaussian laws and atom tables are relatively accurate at small tilts
+    too.  Continuous laws are accurate to about 1e-16 absolute there, not
+    relative: their ``shift + log m0`` cancels to ``O(lam^2)``.  On a
+    five-node density, against a 40-digit quadrature, the relative error
+    is 0.72 at ``lam`` 1e-8, 2.8e-5 at 1e-6 and 6.0e-10 at 1e-4, while the
+    absolute error stays below 1e-16.  :func:`relative_entropy_tilt` and
+    :func:`log_xi` inherit that absolute bound at small ``beta``.
+    """
     if law.family == "gaussian":
         return 0.5 * lam * lam
     if law.family == "discrete":
@@ -364,8 +372,10 @@ def relative_entropy_tilt(law: DisorderLaw, beta: float) -> float:
     """``h(mu_beta | mu_0) = beta M'(beta)/M(beta) - log M(beta)``.
 
     Nonnegative, zero exactly at ``beta = 0``, nondecreasing in ``|beta|``.
-    A law tilted from its anchor ``a`` takes ``beta E_beta[x - a] - log E
-    e^{beta (x - a)}``: the ``beta a`` terms cancel before rounding.
+    At small ``beta`` a continuous law has the absolute, not relative,
+    accuracy of :func:`log_mgf`.  A law tilted from its anchor ``a`` takes
+    ``beta E_beta[x - a] - log E e^{beta (x - a)}``: the ``beta a`` terms
+    cancel before rounding.
     """
     if _anchored(law, beta):
         if law.family == "continuous":
@@ -380,6 +390,8 @@ def relative_entropy_tilt(law: DisorderLaw, beta: float) -> float:
 def log_xi(law: DisorderLaw, beta: float) -> float:
     """``log Xi(beta)`` with ``Xi(beta) = M(2 beta) / M(beta)^2``, the
     second-moment ratio: ``Xi >= 1``, nondecreasing for ``beta >= 0``.
+    At small ``beta`` a continuous law has the absolute, not relative,
+    accuracy of :func:`log_mgf`.
 
     A law tilted from its anchor ``a`` takes ``log E e^{2 beta (x - a)} -
     2 log E e^{beta (x - a)}``: the ``2 beta a`` terms cancel before
@@ -462,17 +474,9 @@ def sample(law: DisorderLaw, stream: RngStream, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def disorder_to_json(law: DisorderLaw) -> dict:
-    doc: dict = {"family": law.family}
-    if law.family == "discrete":
-        doc["table"] = {"xs": [float(x) for x in law.xs], "ps": [float(p) for p in law.ps]}
-    elif law.family == "continuous":
-        doc["table"] = {"grid": [float(x) for x in law.xs], "values": [float(p) for p in law.ps]}
-    return doc
-
-
-# family -> (constructor, the keys of its table in argument order)
-_FROM_JSON = {
+# family -> (constructor, the keys of its table in argument order); a law's
+# table holds its xs and ps under those keys
+_FAMILIES = {
     "gaussian": (gaussian_disorder, ()),
     "rademacher": (rademacher_disorder, ()),
     "discrete": (discrete_disorder, ("xs", "ps")),
@@ -480,13 +484,21 @@ _FROM_JSON = {
 }
 
 
+def disorder_to_json(law: DisorderLaw) -> dict:
+    doc: dict = {"family": law.family}
+    keys = _FAMILIES[law.family][1]
+    if keys:
+        doc["table"] = dict(zip(keys, (law.xs.tolist(), law.ps.tolist())))
+    return doc
+
+
 def disorder_from_json(doc: dict) -> DisorderLaw:
     """Law from its JSON form; a field or table key the family does not read
     is an error.  The family name ``rademacher`` spells fair signs."""
     family = doc.get("family")
-    if family not in _FROM_JSON:
+    if family not in _FAMILIES:
         raise InvalidParameterError(f"unknown disorder family {family!r}")
-    make, keys = _FROM_JSON[family]
+    make, keys = _FAMILIES[family]
     unknown = sorted(set(doc) - ({"family", "table"} if keys else {"family"}))
     if unknown:
         raise InvalidParameterError(f"unknown {family} disorder field(s) {', '.join(unknown)}")

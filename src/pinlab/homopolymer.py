@@ -63,6 +63,7 @@ __all__ = [
 _TINY_F = 1e-290
 _RESIDUAL_TOL = 1e-10  # largest homopolymer residual, relative to exp(-lam)
 _VERIFY_TOL = 1e-8  # allowed gap between the bisection zero and log M(beta)
+_F2_TOL = 1e-8  # largest joint fixed-point residual, relative to exp(-lam)
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,10 @@ _JOINT_START_HORIZON = 1 << 13
 _JOINT_MAX_HORIZON = 1 << 21
 
 
-def _solve_on_overlap(base: RenewalKernel, lam: float, tol: float, total: float) -> float:
+def _solve_on_overlap(base: RenewalKernel, lam: float, total: float) -> float:
     """``f2``: the fixed point on the overlap kernel of ``base``, whose masses
-    sum to at most ``total``, with the horizon grown until the dropped tail
-    is certified below ``tol * exp(-lam) / 10``.
+    sum to at most ``total``, solved to ``_F2_TOL``, with the horizon grown
+    until the dropped tail is certified below ``_F2_TOL * exp(-lam) / 10``.
     """
     target = math.exp(-lam)
     horizon = _JOINT_START_HORIZON
@@ -225,14 +226,14 @@ def _solve_on_overlap(base: RenewalKernel, lam: float, tol: float, total: float)
                 )
             horizon *= 2
             continue
-        f, _ = _solve_fixed_point(lambda g: _mass_series(k2, g), lam, tol)
+        f, _ = _solve_fixed_point(lambda g: _mass_series(k2, g), lam, _F2_TOL)
         dropped = max(total - reachable, 0.0)
         tail_bound = dropped * math.exp(-(horizon + 1) * f)
-        if tail_bound <= 0.1 * tol * target:
+        if tail_bound <= 0.1 * _F2_TOL * target:
             return f
         if horizon >= _JOINT_MAX_HORIZON:
             needed = horizon + int(
-                math.log(max(tail_bound / (0.1 * tol * target), 2.0)) / max(f, 1e-300)
+                math.log(max(tail_bound / (0.1 * _F2_TOL * target), 2.0)) / max(f, 1e-300)
             )
             raise PrecisionError(
                 f"overlap series tail {tail_bound:.3e} above certification level at "
@@ -246,7 +247,6 @@ def joint_free_energy(
     kernel: RenewalKernel,
     lam: float,
     tr: int | None = None,
-    tol: float = 1e-10,
     chi_result: ChiResult | None = None,
 ) -> float:
     """Free energy ``f2`` on the joint-return kernel of two independent copies.
@@ -257,7 +257,10 @@ def joint_free_energy(
     certified series tail.  Truncated: the joint kernel of the truncated
     chain is recurrent, so any ``lam > 0`` pins, with free energies of
     order ``1/tr`` near the threshold resolved in log scale; ``chi_result``
-    is not read.
+    is not read, and a ``tr`` below 1 raises :class:`InvalidParameterError`.
+    Either way the fixed point is solved to one fixed tolerance,
+    ``_F2_TOL = 1e-8`` relative to ``exp(-lam)``, and the dropped series
+    tail is certified below a tenth of it.
     """
     if tr is None:
         if chi_result is None:
@@ -267,12 +270,11 @@ def joint_free_energy(
         total = 1.0
         if chi_result.status == "finite":
             total = chi_result.value / (chi_result.value + 1.0)
-        return _solve_on_overlap(kernel, lam, tol, total)
-    if tr < 1:
-        raise InvalidParameterError("truncation point must be >= 1")
+        return _solve_on_overlap(kernel, lam, total)
+    ktr = truncate_kernel(kernel, tr)
     if lam <= 0.0:
         return 0.0
-    return _solve_on_overlap(truncate_kernel(kernel, tr), lam, tol, 1.0)
+    return _solve_on_overlap(ktr, lam, 1.0)
 
 
 def joint_truncation_bound(

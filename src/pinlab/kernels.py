@@ -389,9 +389,10 @@ def kernel_entropy(kernel: RenewalKernel) -> float:
 
 # The quenched DP sums the gaps up to 64 + 63 directly and the gaps from
 # _FAR_GAP on through these terms; at n <= 2 * 64 its dense product holds no
-# more rows than that window, so no terms are built there.
+# more rows than that window, so no terms are built there.  The DP's run
+# length is _FAR_GAP - 1.
 _FAR_GAP = 65
-_FAR_MIN_N = 129
+_FAR_MIN_N = 2 * _FAR_GAP - 1
 # The power terms are checked at _FAR_CHECK gaps spaced evenly in log d over
 # the size class, against 1.25e-15 relative (more at large s, where exp(-lam
 # d) is rounded at the size of lam d ~ s); terms below _FAR_CUT of every
@@ -507,30 +508,27 @@ def overlap_kernel(kernel: RenewalKernel, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# family -> (constructor, the one JSON field it reads)
+_FAMILIES = {
+    "power": (make_power_kernel, "alpha"),
+    "geometric": (make_geometric_kernel, "p"),
+    "table": (make_table_kernel, "masses"),
+}
+
+
 def kernel_to_json(kernel: RenewalKernel) -> dict:
-    doc: dict = {"family": kernel.family}
-    if kernel.family == "power":
-        doc["alpha"] = kernel.alpha
-    elif kernel.family == "geometric":
-        doc["p"] = kernel.p
-    else:
-        doc["masses"] = [float(x) for x in kernel.masses]
-    return doc
-
-
-_FAMILY_FIELD = {"power": "alpha", "geometric": "p", "table": "masses"}
+    field = _FAMILIES[kernel.family][1]
+    # tolist gives the float of a parameter and the float list of a table
+    return {"family": kernel.family, field: np.asarray(getattr(kernel, field)).tolist()}
 
 
 def kernel_from_json(doc: dict) -> RenewalKernel:
     """Kernel from its JSON form; a field the family does not read is an error."""
     family = doc.get("family")
-    if family not in _FAMILY_FIELD:
+    if family not in _FAMILIES:
         raise InvalidParameterError(f"unknown kernel family {family!r}")
-    unknown = sorted(set(doc) - {"family", _FAMILY_FIELD[family]})
+    make, field = _FAMILIES[family]
+    unknown = sorted(set(doc) - {"family", field})
     if unknown:
         raise InvalidParameterError(f"unknown {family} kernel field(s) {', '.join(unknown)}")
-    if family == "power":
-        return make_power_kernel(doc["alpha"])
-    if family == "geometric":
-        return make_geometric_kernel(doc["p"])
-    return make_table_kernel(doc["masses"])
+    return make(doc[field])

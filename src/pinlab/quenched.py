@@ -57,7 +57,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, log_mgf, sample
 from .errors import InvalidParameterError, PrecisionError
-from .kernels import RenewalKernel, _read_only, far_terms
+from .kernels import _FAR_GAP, RenewalKernel, _read_only, far_terms
 from .rng import derive_stream
 
 __all__ = [
@@ -101,8 +101,10 @@ _SAFE = math.exp(_LOG_SAFE)
 _TINY = np.finfo(float).tiny
 # Steps between two range tests.  A run starts at one step, doubles after each
 # run whose steps all stay in range, and starts again at one after a step that
-# does not; the run buffers hold _RUN_CAP x replicas floats each.
-_RUN_CAP = 64
+# does not; the run buffers hold _RUN_CAP x replicas floats each.  The sites
+# more than _RUN_CAP before a run are its far states, so their gaps start at
+# the first gap of far_terms.
+_RUN_CAP = _FAR_GAP - 1
 # Rows of the Toeplitz block of the far sums: half a run, so the block is
 # _HALF x (width + _HALF) floats (0.5 MB at width 2048).
 _HALF = _RUN_CAP // 2
@@ -388,6 +390,12 @@ def _log_step(log_z, site_weights, log_k, rows, j0, m):
     replica, so each sum runs along a contiguous row."""
     t = np.add(log_z[j0:m, rows].T, site_weights[rows, j0:m], order="C")
     t += log_k[: m - j0][::-1]
+    return _row_logsumexp(t)
+
+
+def _row_logsumexp(t: np.ndarray) -> np.ndarray:
+    """``log sum_j exp(t[r, j])`` per row ``r``.  A row whose largest term is
+    not finite is shifted by 0, so it gives ``-inf`` or ``inf``, not NaN."""
     top = t.max(axis=1)
     top[~np.isfinite(top)] = 0.0
     return top + np.log(np.exp(t - top[:, None]).sum(axis=1))

@@ -58,7 +58,7 @@ from .kernels import (
     return_probabilities,
     truncate_kernel,
 )
-from .quenched import _log_partitions, _mean_stderr, _site_weights
+from .quenched import _log_partitions, _mean_stderr, _row_logsumexp, _site_weights
 from .rng import derive_stream
 from .roots import brentq
 from .series import power_series_inverse
@@ -217,15 +217,12 @@ class RelevanceReport:
     per_replica: np.ndarray
 
 
-def _length_law(masses: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """What the word sampler reads of the truncated law ``masses[g-1] =
-    K^tr(g)``: its cumulative masses, the index of its longest length with
-    mass on, and its mean length."""
-    return (
-        np.cumsum(masses),
-        int(np.flatnonzero(masses)[-1]),
-        float(np.dot(np.arange(1, len(masses) + 1), masses)),
-    )
+def _length_law(kernel_tr: RenewalKernel) -> tuple[np.ndarray, int, float]:
+    """What the word sampler reads of a truncated (table) kernel: its
+    cumulative masses, the index of its longest length with mass on, and
+    its mean length."""
+    masses = kernel_tr.masses
+    return np.cumsum(masses), int(np.flatnonzero(masses)[-1]), kernel_tr.mean()
 
 
 def _sample_word_sequence(
@@ -274,9 +271,7 @@ def free_endpoint_log_likelihood(
     m_lo = max(0, n - len(masses))
     with np.errstate(divide="ignore"):
         log_surv = np.log(surv[n - 1 - np.arange(m_lo, n)])
-    closing = log_z[:, m_lo:n] + site_weights[:, m_lo:n] + log_surv[None, :]
-    peak = closing.max(axis=1)
-    return peak + np.log(np.exp(closing - peak[:, None]).sum(axis=1))
+    return _row_logsumexp(log_z[:, m_lo:n] + site_weights[:, m_lo:n] + log_surv[None, :])
 
 
 def entropy_estimator(
@@ -320,7 +315,7 @@ def entropy_estimator(
         # terms, which swamp the O(1) weights of an atom table at large
         # |beta|, cancel before rounding
         anchor, rest = _anchored_log_mgf(disorder, beta)
-        law = _length_law(masses)
+        law = _length_law(ktr)
         charges = np.empty((replicas, n))
         for r in range(replicas):
             stream = derive_stream(base_seed, r)
@@ -334,23 +329,21 @@ def entropy_estimator(
     return RelevanceReport(beta, tr, m_tr, estimate, stderr, per_replica)
 
 
-_F2_TOL = 1e-8  # fixed-point residual of the annealed upper bound
-
-
 def entropy_bounds(
     kernel: RenewalKernel, disorder: DisorderLaw, beta: float, tr: int
 ) -> tuple[float, float]:
     """``(lower, upper)`` bounds on ``H_tr``, per letter as
     :attr:`RelevanceReport.estimate`: the restriction bound ``(h(mu_beta |
     mu_0) - h(K^tr)) / m_tr`` and the annealed bound ``f2_tr(log
-    Xi(beta))``, the truncated joint free energy solved to ``_F2_TOL``.
+    Xi(beta))``, the truncated joint free energy, solved to the joint
+    solve's fixed tolerance (:func:`pinlab.homopolymer.joint_free_energy`).
     Neither depends on a sample.  A ``beta`` that is not finite raises
     :class:`InvalidParameterError`."""
     if not math.isfinite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta!r}")
     ktr = truncate_kernel(kernel, tr)
     lower = (relative_entropy_tilt(disorder, beta) - kernel_entropy(ktr)) / ktr.mean()
-    upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr, tol=_F2_TOL)
+    upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr)
     return lower, upper
 
 

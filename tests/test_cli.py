@@ -328,6 +328,33 @@ class TestConfigErrors:
              {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": math.inf, "base_seed": 1},
              "beta"),
             ("chi", {"kernel": GEOMETRIC, "tolerance": math.inf}, "tolerance"),
+            # keys that nothing reads ran with their defaults, exit 0
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": {"n": 64, "replicsa": 2}},
+             "quenched.replicsa"),
+            ("homopolymer",
+             {"kernel": GEOMETRIC,
+              "lambda_grid": {"start": 0.1, "stop": 1.0, "count": 3, "spacnig": "log"}},
+             "lambda_grid.spacnig"),
+            ("annealed-curve",
+             {"disorder": GAUSSIAN, "beta_grid": {"start": 0.1, "stop": 1.0, "count": 3,
+                                                  "step": 0.1}},
+             "beta_grid.step"),
+            # a section that is not an object gave every default
+            ("phase-diagram",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1,
+              "quenched": 5},
+             "quenched"),
+            # the overall verdict reads the last level as the largest tr
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "tr_schedule": [16, 4]},
+             "tr_schedule"),
+            ("relevance",
+             {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
+              "tr_schedule": [8, 8]},
+             "tr_schedule"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):

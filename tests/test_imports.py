@@ -148,3 +148,17 @@ def test_runtime_never_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
     assert (tmp_path / "relevance" / "relevance_bounds.json").is_file()
     assert (tmp_path / "phase-diagram" / "phase_diagram.csv").is_file()
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((ROOT / "src" / "pinlab" / module).read_text())
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_each_computation_written_once():
+    # -zeta' comes from the one Euler-Maclaurin loop of _power_sum
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(n, loops) for n in ast.walk(_function("series.py", "zeta_log_sum")))
+    # the serializers read their module's _FAMILIES table, not a family chain
+    for module, name in (("kernels.py", "kernel_to_json"), ("disorder.py", "disorder_to_json")):
+        assert not any(isinstance(n, ast.Compare) for n in ast.walk(_function(module, name)))
