@@ -1,4 +1,4 @@
-"""Command-line frontend: configuration, orchestration, CSV/JSON emission.
+"""Command-line frontend: configuration, orchestration, CSV emission.
 
 Subcommands::
 
@@ -9,26 +9,25 @@ Subcommands::
     pinlab chi           --config cfg.json   # overlap sum with verdict
     pinlab validate      --config cfg.json   # pinlab.oracles checks, pass/fail matrix
 
-A flag is registered only on the commands that read it (``_COMMANDS``):
-``--config`` and ``--out`` on all, ``--format`` on all but ``validate``,
-``--seed`` on ``phase-diagram``, ``relevance`` and ``validate``, and
-``--threads`` on ``phase-diagram``, which solves its beta grid on one
-thread, in lockstep (one DP call per bisection round across the grid), and
-accepts only ``--threads 1``.
+A run's inputs are its config document and its output directory:
+``--config`` and ``--out`` (default: the working directory) on every
+command, and nothing read from the environment.  ``phase-diagram`` also
+takes ``--threads``, which accepts only 1: it solves its beta grid on one
+thread, in lockstep (one DP call per bisection round across the grid).
 
-One JSON object configures a run (no environment overrides except the
-output directory via ``PINLAB_OUT_DIR``); any other JSON value is a
-config error.  ``annealed-curve`` reads only ``disorder`` and
-``beta_grid``: the annealed critical curve ``log M(beta)`` holds for
-every recurrent kernel.  The manifest hash covers the document, so reruns
-with the same config and seed produce byte-identical numeric payloads.
-Floats print with 17 significant digits for exact round trips.  ``main``
-builds one :class:`RunWriter` per run once the config is read.  The
-writer keeps the run's identity (toolkit version, command, config hash
-and seed) in one dict, which heads every CSV table, JSON table and
-manifest it writes.  The run ends with its ``<command>_manifest.json``
-also when it fails with a pinlab error: the manifest then names the
-error, the exit code and the outputs written before it.
+One JSON object configures a run; any other JSON value is a config
+error.  The randomized commands read their seed from ``base_seed``.
+``annealed-curve`` reads only ``disorder`` and ``beta_grid``: the
+annealed critical curve ``log M(beta)`` holds for every recurrent kernel.
+The manifest holds the document and its hash, so reruns with the same
+config produce byte-identical numeric payloads.  Floats print with 17
+significant digits for exact round trips.  ``main`` builds one
+:class:`RunWriter` per run once the config is read.  The writer keeps the
+run's identity (toolkit version, command, config hash and seed) in one
+dict, which heads every CSV table and manifest it writes.  The run ends
+with its ``<command>_manifest.json`` also when it fails with a pinlab
+error: the manifest then names the error, the exit code and the outputs
+written before it.
 
 ``relevance`` makes every verdict in :func:`cmd_relevance`, from each
 ``tr`` level's estimate and standard error (``entropy_estimator``) and its
@@ -186,27 +185,6 @@ def _grid_from_config(cfg: dict, path: str) -> list[float]:
     raise ConfigError(path, "grid must be a list or {start, stop, count}")
 
 
-def _seed_from_config(cfg: dict, override: int | None, default: int | None = None) -> int:
-    """``--seed``, else the config's ``base_seed``, else ``default``; the
-    seed is mandatory when there is no default, and must be nonnegative."""
-    path, seed = "--seed", override
-    if seed is None:
-        path, seed = "base_seed", _fetch(cfg, "base_seed", required=False, default=default)
-        if seed is None:
-            raise ConfigError(path, "seed is mandatory (no wall-clock default)")
-        seed = _as_number(path, int, seed)
-    if seed < 0:
-        raise ConfigError(path, f"seed must be nonnegative, got {seed}")
-    return seed
-
-
-def _out_dir(cli_out: str | None) -> str:
-    """``--out``, else ``PINLAB_OUT_DIR``, else the working directory."""
-    out = cli_out or os.environ.get("PINLAB_OUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -220,24 +198,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 class RunWriter:
     """Collects rows, warnings, and timings; emits payload plus manifest.
 
     ``_identity`` holds the run's toolkit version, command, config hash
-    and seed, in the order of the CSV header; a command sets its seed when
-    it reads one.  ``validate`` records its per-check verdicts in
+    and seed, in the order of the CSV header; a command sets its seed by
+    reading it with :meth:`read_seed`.  Every payload file the writer
+    writes is recorded in ``outputs``; the manifest also holds the config
+    document itself.  ``validate`` records its per-check verdicts in
     ``checks``.
     """
 
-    def __init__(self, command: str, cfg: dict, out_dir: str, fmt: str | None):
+    def __init__(self, command: str, cfg: dict, out_dir: str):
         self._identity = {
             "pinlab": __version__,
             "command": command,
             "config_hash": _config_hash(cfg),
             "seed": None,
         }
+        self._config = cfg
+        os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
-        self.fmt = fmt
         self.warnings: list[str] = []
         self.timings: dict[str, float] = {}
         self.outputs: list[str] = []
@@ -247,33 +234,38 @@ class RunWriter:
     def time_block(self, name: str, started: float):
         self.timings[name] = round(time.perf_counter() - started, 6)
 
-    def write_json(self, name: str, doc) -> str:
-        """Write ``doc`` to ``name`` in the output directory; return the path."""
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return path
+    def read_seed(self, default: int | None = None) -> int:
+        """The config's ``base_seed``, else ``default``, as the run's seed;
+        it is mandatory when there is no default, and must be nonnegative."""
+        seed = _fetch(self._config, "base_seed", required=False, default=default)
+        if seed is None:
+            raise ConfigError("base_seed", "seed is mandatory (no wall-clock default)")
+        seed = _as_number("base_seed", int, seed)
+        if seed < 0:
+            raise ConfigError("base_seed", f"seed must be nonnegative, got {seed}")
+        self._identity["seed"] = seed
+        return seed
 
-    def write_table(self, stem: str, rows: list[dict]) -> str:
-        """Write the nonempty ``rows`` as ``stem``; the first row's keys, in
-        order, are the columns."""
-        columns = list(rows[0])
-        if self.fmt == "json":
-            doc = {**self._identity, "columns": columns, "rows": rows}
-            path = self.write_json(f"{stem}.json", doc)
-        else:
-            path = os.path.join(self.out_dir, f"{stem}.csv")
-            with open(path, "w") as fh:
-                for key, value in self._identity.items():
-                    if value is not None:
-                        fh.write(f"# {key} {value}\n")
-                fh.write("# columns " + ",".join(columns) + "\n")
-                fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+    def write_json(self, name: str, doc) -> None:
+        """Write the payload ``doc`` to ``name`` in the output directory."""
+        path = os.path.join(self.out_dir, name)
+        _write_json(path, doc)
         self.outputs.append(path)
-        return path
+
+    def write_table(self, stem: str, rows: list[dict]) -> None:
+        """Write the nonempty ``rows`` to ``stem.csv``; the first row's keys,
+        in order, are the columns."""
+        columns = list(rows[0])
+        path = os.path.join(self.out_dir, f"{stem}.csv")
+        with open(path, "w") as fh:
+            for key, value in self._identity.items():
+                if value is not None:
+                    fh.write(f"# {key} {value}\n")
+            fh.write("# columns " + ",".join(columns) + "\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        self.outputs.append(path)
 
     def finish(self, code: int | None = None, error: str | None = None) -> int:
         """Write the manifest and return the exit code: ``code`` for a
@@ -283,6 +275,7 @@ class RunWriter:
         self.timings["total"] = round(time.perf_counter() - self._t0, 6)
         manifest = {
             **self._identity,
+            "config": self._config,
             "timings": self.timings,
             "warnings": self.warnings,
             "outputs": [os.path.basename(p) for p in self.outputs],
@@ -292,7 +285,7 @@ class RunWriter:
         if self.checks:
             manifest["checks"] = self.checks
         stem = self._identity["command"].replace("-", "_")
-        self.write_json(f"{stem}_manifest.json", manifest)
+        _write_json(os.path.join(self.out_dir, f"{stem}_manifest.json"), manifest)
         for out in self.outputs:
             print(out)
         return code
@@ -303,7 +296,7 @@ class RunWriter:
 # ---------------------------------------------------------------------------
 
 
-def cmd_homopolymer(cfg: dict, args, writer: RunWriter) -> None:
+def cmd_homopolymer(cfg: dict, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     grid = _grid_from_config(cfg, "lambda_grid")
     t0 = time.perf_counter()
@@ -315,7 +308,7 @@ def cmd_homopolymer(cfg: dict, args, writer: RunWriter) -> None:
     writer.write_table("homopolymer", rows)
 
 
-def cmd_annealed_curve(cfg: dict, args, writer: RunWriter) -> None:
+def cmd_annealed_curve(cfg: dict, writer: RunWriter) -> None:
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
     t0 = time.perf_counter()
@@ -328,11 +321,11 @@ def cmd_annealed_curve(cfg: dict, args, writer: RunWriter) -> None:
     writer.write_table("annealed_curve", rows)
 
 
-def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
+def cmd_phase_diagram(cfg: dict, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     grid = _grid_from_config(cfg, "beta_grid")
-    seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed)
+    seed = writer.read_seed()
     _check_keys("quenched", cfg.get("quenched", {}), ("n", "replicas", "target_width"))
     n = _fetch_number(cfg, "quenched.n", int, 4096, positive=True)
     replicas = _fetch_number(cfg, "quenched.replicas", int, 64, positive=True)
@@ -361,14 +354,14 @@ def cmd_phase_diagram(cfg: dict, args, writer: RunWriter) -> None:
         )
         sidecar.append(dataclasses.asdict(bracket))
     writer.write_table("phase_diagram", rows)
-    writer.outputs.append(writer.write_json("phase_diagram_diagnostics.json", sidecar))
+    writer.write_json("phase_diagram_diagnostics.json", sidecar)
 
 
-def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
+def cmd_relevance(cfg: dict, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     disorder = _from_config(cfg, "disorder", disorder_from_json)
     beta = _fetch_number(cfg, "beta", float)
-    seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed)
+    seed = writer.read_seed()
     tr_schedule = _as_numbers(
         "tr_schedule",
         int,
@@ -429,10 +422,10 @@ def cmd_relevance(cfg: dict, args, writer: RunWriter) -> None:
     doc = dataclasses.asdict(bounds)
     doc["beta"] = beta
     doc["overall_verdict"] = overall
-    writer.outputs.append(writer.write_json("relevance_bounds.json", doc))
+    writer.write_json("relevance_bounds.json", doc)
 
 
-def cmd_chi(cfg: dict, args, writer: RunWriter) -> None:
+def cmd_chi(cfg: dict, writer: RunWriter) -> None:
     kernel = _from_config(cfg, "kernel", kernel_from_json)
     tolerance = _fetch_number(cfg, "tolerance", float, 2e-3, positive=True)
     t0 = time.perf_counter()
@@ -528,8 +521,8 @@ _CHECKS = (
 _CONSTRUCTION_CHECK = "kernel-mass-normalization"
 
 
-def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
-    seed = writer._identity["seed"] = _seed_from_config(cfg, args.seed, default=0)
+def cmd_validate(cfg: dict, writer: RunWriter) -> None:
+    seed = writer.read_seed(default=0)
 
     def report(name, verdict, detail, gap=None, tol=None):
         print(f"{verdict} {name} ({detail})")
@@ -567,27 +560,13 @@ def cmd_validate(cfg: dict, args, writer: RunWriter) -> None:
 # ---------------------------------------------------------------------------
 
 
-_FLAGS = {
-    "--config": {"required": True, "help": "path to the JSON config"},
-    "--out": {"default": None, "help": "output directory"},
-    "--format": {"choices": ("csv", "json"), "default": "csv"},
-    "--seed": {"type": int, "default": None, "help": "override config base_seed"},
-    # the beta grid is solved on one thread; the flag stays for callers that pass 1
-    "--threads": {"type": int, "choices": (1,), "default": 1,
-                  "help": "accepted for compatibility; only 1 (the beta grid is "
-                          "searched on one thread, in lockstep)"},
-}
-
-# command -> (runner, the flags it reads)
 _COMMANDS = {
-    "homopolymer": (cmd_homopolymer, ("--config", "--out", "--format")),
-    "annealed-curve": (cmd_annealed_curve, ("--config", "--out", "--format")),
-    "phase-diagram": (
-        cmd_phase_diagram, ("--config", "--out", "--format", "--seed", "--threads")
-    ),
-    "relevance": (cmd_relevance, ("--config", "--out", "--format", "--seed")),
-    "chi": (cmd_chi, ("--config", "--out", "--format")),
-    "validate": (cmd_validate, ("--config", "--out", "--seed")),
+    "homopolymer": cmd_homopolymer,
+    "annealed-curve": cmd_annealed_curve,
+    "phase-diagram": cmd_phase_diagram,
+    "relevance": cmd_relevance,
+    "chi": cmd_chi,
+    "validate": cmd_validate,
 }
 
 
@@ -597,10 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pinning phase diagrams and disorder-relevance diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--config", required=True, help="path to the JSON config")
+        p.add_argument("--out", help="output directory (default: the working directory)")
+    # the beta grid is solved on one thread; the flag stays for callers that pass 1
+    sub.choices["phase-diagram"].add_argument(
+        "--threads", type=int, choices=(1,), default=1,
+        help="accepted for compatibility; only 1 (the beta grid is searched on "
+             "one thread, in lockstep)",
+    )
     return parser
 
 
@@ -623,11 +608,11 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error at '{args.config}': {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    writer = RunWriter(args.command, cfg, _out_dir(args.out), getattr(args, "format", None))
+    writer = RunWriter(args.command, cfg, args.out or ".")
     try:
         if not isinstance(cfg, dict):
             raise ConfigError(args.config, f"expected a JSON object, got {type(cfg).__name__}")
-        _COMMANDS[args.command][0](cfg, args, writer)
+        _COMMANDS[args.command](cfg, writer)
     except PinlabError as exc:
         code, message = _failure(exc)
         print(message, file=sys.stderr)

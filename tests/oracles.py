@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from pinlab.disorder import log_mgf
 from pinlab.errors import InvalidParameterError
@@ -276,3 +277,68 @@ def newton_rung(a, head, n: int) -> np.ndarray:
     out[:m] = head
     np.negative(lifted[: n - m], out=out[m:])
     return out
+
+
+def _residue_masses(kernel, period: int, f: float) -> np.ndarray:
+    """``R[r] = sum_{n >= 1, n = r mod period} K(n) e^{-f n}`` for ``r =
+    0..period-1``, ``f >= 0``: a closed form for geometric kernels, a finite
+    sum for tables, and for power kernels (``s = 1 + alpha``) Lerch's
+    transcendent ``period^-s e^{-f r} Phi(e^{-f period}, s, r / period) /
+    zeta(s)`` in mpmath at 30 digits, Hurwitz's zeta at ``f = 0``."""
+    first = np.arange(1, period + 1)  # the least gap of each residue; period stands for 0
+    if kernel.family == "geometric":
+        q = 1.0 - kernel.p
+        cycle = 1.0 - q**period * math.exp(-f * period)
+        sums = kernel.p * q ** (first - 1) * np.exp(-f * first) / cycle
+    elif kernel.family == "table":
+        gaps = np.arange(1, len(kernel.masses) + 1)
+        terms = kernel.masses * np.exp(-f * gaps)
+        return np.bincount(gaps % period, weights=terms, minlength=period)
+    else:
+        import mpmath
+
+        with mpmath.workdps(30):
+            s = 1 + mpmath.mpf(kernel.alpha)
+            z = mpmath.exp(-f * period)
+
+            def tail(r):
+                a = mpmath.mpf(r) / period
+                lerch = mpmath.zeta(s, a) if f == 0.0 else mpmath.lerchphi(z, s, a)
+                return float(mpmath.exp(-f * r) * lerch / period**s / mpmath.zeta(s))
+
+            sums = np.array([tail(int(r)) for r in first])
+    return np.roll(sums, 1)
+
+
+def _periodic_perron_root(kernel, pattern, beta: float, h: float, f: float) -> float:
+    """The Perron root of ``A(f)_{ij} = e^{beta pattern_i - h} R[(j - i) mod
+    p]``, ``p = len(pattern)``: the transfer matrix from a renewal at a site
+    of phase ``i`` to the next, at phase ``j``, discounted by ``e^{-f}`` a
+    step.  Its eigenvalue of largest real part, from ``numpy.linalg.eigvals``."""
+    weights = beta * np.asarray(pattern, dtype=float) - h
+    period = len(weights)
+    phase = np.arange(period)
+    masses = _residue_masses(kernel, period, f)[(phase[None, :] - phase[:, None]) % period]
+    return float(np.max(np.linalg.eigvals(np.exp(weights)[:, None] * masses).real))
+
+
+def periodic_critical_bias(kernel, pattern, beta: float) -> float:
+    """The exact quenched critical bias of the periodic charges ``w_i =
+    pattern[i mod p]``: ``h_c = log rho(diag(e^{beta w}) P)``, ``P_{ij} =
+    P(tau_1 = j - i mod p)`` (Caravenna, Giacomin and Zambotti 2007)."""
+    return math.log(_periodic_perron_root(kernel, pattern, beta, 0.0, 0.0))
+
+
+def periodic_free_energy(kernel, pattern, beta: float, h: float) -> float:
+    """The exact free energy ``F(beta, h)`` of the periodic charges ``w_i =
+    pattern[i mod p]``, the limit of ``log Z_n / n``: the ``f > 0`` where
+    the Perron root of ``A(f)`` is 1, or 0 where ``rho(A(0)) <= 1``.  Since
+    ``rho(A(f)) <= e^{max(beta w - h) - f}``, the root lies below ``max(beta
+    w - h) + 1``."""
+    if _periodic_perron_root(kernel, pattern, beta, h, 0.0) <= 1.0:
+        return 0.0
+    top = float(np.max(beta * np.asarray(pattern, dtype=float) - h)) + 1.0
+    return brentq(
+        lambda f: math.log(_periodic_perron_root(kernel, pattern, beta, h, f)),
+        0.0, top, xtol=1e-16, rtol=4.0 * np.finfo(float).eps,
+    )

@@ -1,5 +1,6 @@
 """Command-line frontend: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -22,6 +23,18 @@ from pinlab.relevance import RelevanceReport
 
 GEOMETRIC = {"family": "geometric", "p": 0.5}
 GAUSSIAN = {"family": "gaussian"}
+# a small config for each command, one that runs in well under a second
+SMALL_RUNS = {
+    "homopolymer": {"kernel": GEOMETRIC, "lambda_grid": [0.5]},
+    "annealed-curve": {"disorder": GAUSSIAN, "beta_grid": [1.0]},
+    "phase-diagram": {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.5],
+                      "base_seed": 1, "quenched": {"n": 64, "replicas": 2}},
+    "relevance": {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 0.5, "base_seed": 1,
+                  "tr_schedule": [4], "n_multiplier": 16, "replicas": 2},
+    "chi": {"kernel": GEOMETRIC},
+    "validate": {"kernel": GEOMETRIC, "base_seed": 3},
+}
+COMMANDS = list(SMALL_RUNS)
 
 
 def write_config(tmp_path, name, doc):
@@ -129,17 +142,23 @@ class TestHomopolymerCommand:
         assert "at f = 0.0" in manifest["error"]
         assert manifest["outputs"] == []
 
-    def test_json_format(self, tmp_path):
+    def test_json_format(self, tmp_path, capsys):
+        # the table is written as CSV alone; --format is a usage error
         cfg = write_config(
             tmp_path,
             "cfg.json",
             {"kernel": {"family": "geometric", "p": 0.5}, "lambda_grid": [1.0]},
         )
         out = tmp_path / "out"
-        assert run(["homopolymer", "--config", cfg, "--out", out, "--format", "json"]) == EXIT_OK
-        doc = json.loads((out / "homopolymer.json").read_text())
-        assert doc["columns"] == ["lambda", "f", "residual"]
-        assert len(doc["rows"]) == 1
+        with pytest.raises(SystemExit) as info:
+            run(["homopolymer", "--config", cfg, "--out", out, "--format", "json"])
+        assert info.value.code == EXIT_CONFIG
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["homopolymer", "--config", cfg, "--out", out]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "homopolymer.csv", "homopolymer_manifest.json"
+        ]
 
 
 class TestConfigErrors:
@@ -376,9 +395,7 @@ class TestConfigErrors:
         manifest = json.loads((out / "annealed_curve_manifest.json").read_text())
         assert manifest["exit_code"] == EXIT_CONFIG
 
-    @pytest.mark.parametrize(
-        "command", ["homopolymer", "annealed-curve", "phase-diagram", "relevance", "chi", "validate"]
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_non_object_config(self, tmp_path, capsys, command):
         # validate used to run its default suite on [1, 2] and exit 0
         cfg = write_config(tmp_path, "cfg.json", [1, 2])
@@ -391,31 +408,55 @@ class TestConfigErrors:
         assert manifest["outputs"] == []
 
     @pytest.mark.parametrize("command", ["phase-diagram", "validate"])
-    def test_negative_seed_flag_named(self, tmp_path, command):
+    def test_negative_seed_flag_named(self, tmp_path, capsys, command):
+        # the seed is the config's base_seed alone; the usage error names the flag
         cfg = write_config(
             tmp_path, "cfg.json",
-            {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0]},
+            {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta_grid": [0.0], "base_seed": 1},
         )
         out = tmp_path / "out"
-        assert run([command, "--config", cfg, "--out", out, "--seed", "-3"]) == EXIT_CONFIG
-        manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
-        assert manifest["exit_code"] == EXIT_CONFIG
-        assert "'--seed'" in manifest["error"]
+        with pytest.raises(SystemExit) as info:
+            run([command, "--config", cfg, "--out", out, "--seed", "-3"])
+        assert info.value.code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--format", "json"]])
+    def test_removed_flag_writes_nothing(self, tmp_path, command, flag):
+        cfg = write_config(tmp_path, "cfg.json", SMALL_RUNS[command])
+        with pytest.raises(SystemExit) as info:
+            run([command, "--config", cfg, "--out", tmp_path / "out", *flag])
+        assert info.value.code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_threads_only_on_phase_diagram(self, tmp_path):
         # every flag is registered only on the commands that read it
         cfg = write_config(tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.3}})
-        for command, flag in [
-            ("chi", ["--threads", "2"]),
-            ("chi", ["--seed", "3"]),
-            ("homopolymer", ["--seed", "3"]),
-            ("annealed-curve", ["--seed", "3"]),
-            ("validate", ["--format", "json"]),
-        ]:
+        for command in COMMANDS:
+            if command == "phase-diagram":
+                continue
             with pytest.raises(SystemExit) as info:
-                run([command, "--config", cfg, "--out", tmp_path / "out", *flag])
-            assert info.value.code == EXIT_CONFIG, (command, flag)
+                run([command, "--config", cfg, "--out", tmp_path / "out", "--threads", "1"])
+            assert info.value.code == EXIT_CONFIG, command
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_holds_the_config_it_hashes(self, tmp_path, command):
+        # a run directory holds every input of its run, and every payload file
+        # it wrote is named among the outputs
+        doc = SMALL_RUNS[command]
+        cfg = write_config(tmp_path, "cfg.json", doc)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) in (EXIT_OK, EXIT_UNDECIDED)
+        stem = command.replace("-", "_")
+        manifest = json.loads((out / f"{stem}_manifest.json").read_text())
+        assert manifest["config"] == doc
+        canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == manifest["config_hash"]
+        assert manifest["seed"] == doc.get("base_seed")
+        payload = sorted(p.name for p in out.iterdir() if p.name != f"{stem}_manifest.json")
+        assert sorted(manifest["outputs"]) == payload
 
 
 class TestAnnealedCurveCommand:
@@ -654,23 +695,30 @@ class TestRelevanceCommand:
         assert abs(bounds["beta_c_star_star"] - expected_star2) <= 1e-8
 
     def test_seed_override_changes_hash_not_schema(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            "cfg.json",
-            {
-                "kernel": {"family": "power", "alpha": 0.3},
-                "disorder": {"family": "rademacher"},
-                "beta": 0.5,
-                "base_seed": 1,
-                "tr_schedule": [4],
-                "n_multiplier": 32,
-                "replicas": 4,
-            },
-        )
-        out = tmp_path / "out"
-        assert run(["relevance", "--config", cfg, "--out", out, "--seed", "2"]) in (EXIT_OK, 4)
-        manifest = json.loads((out / "relevance_manifest.json").read_text())
-        assert manifest["seed"] == 2
+        # a seed is overridden in the config document alone, so the hash follows it
+        doc = {
+            "kernel": {"family": "power", "alpha": 0.3},
+            "disorder": {"family": "rademacher"},
+            "beta": 0.5,
+            "base_seed": 1,
+            "tr_schedule": [4],
+            "n_multiplier": 32,
+            "replicas": 4,
+        }
+        runs = {}
+        for seed in (1, 2):
+            cfg = write_config(tmp_path, f"cfg{seed}.json", dict(doc, base_seed=seed))
+            out = tmp_path / f"out{seed}"
+            assert run(["relevance", "--config", cfg, "--out", out]) in (EXIT_OK, EXIT_UNDECIDED)
+            manifest = json.loads((out / "relevance_manifest.json").read_text())
+            assert manifest["seed"] == seed
+            runs[seed] = manifest["config_hash"], read_rows(out / "relevance_scan.csv")[0]
+        assert runs[1][0] != runs[2][0]
+        assert runs[1][1] == runs[2][1]
+        with pytest.raises(SystemExit) as info:
+            run(["relevance", "--config", cfg, "--out", tmp_path / "flag", "--seed", "2"])
+        assert info.value.code == EXIT_CONFIG
+        assert not (tmp_path / "flag").exists()
 
     def test_unit_truncation_small_beta(self, tmp_path):
         # the overlap masses of the unit truncation sum above 1 in floats, so
@@ -930,12 +978,19 @@ class TestValidateCommand:
         assert all(c["verdict"] == "PASS" for c in checks)
         assert all(c["gap"] <= c["tol"] for c in checks[1:])
 
-    def test_seed_flag_recorded(self, tmp_path):
+    def test_seed_flag_rejected(self, tmp_path):
+        # validate's seed is the config's base_seed (default 0), never a flag
         cfg = write_config(
             tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 3}
         )
-        assert run(["validate", "--config", cfg, "--out", tmp_path, "--seed", "5"]) == EXIT_OK
-        assert json.loads((tmp_path / "validate_manifest.json").read_text())["seed"] == 5
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run(["validate", "--config", cfg, "--out", out, "--seed", "5"])
+        assert info.value.code == EXIT_CONFIG
+        assert not out.exists()
+        cfg = write_config(tmp_path, "cfg.json", {"kernel": {"family": "power", "alpha": 0.5}})
+        assert run(["validate", "--config", cfg, "--out", out]) == EXIT_OK
+        assert json.loads((out / "validate_manifest.json").read_text())["seed"] == 0
 
     def test_raising_check_fails(self, tmp_path, capsys, monkeypatch):
         def overflow(kernel, weights):
@@ -957,20 +1012,22 @@ class TestValidateCommand:
 
 
 class TestEnvOutputDir(object):
-    def test_env_var_respected(self, tmp_path, monkeypatch):
+    def test_env_var_ignored(self, tmp_path, monkeypatch):
+        # no manifest records the environment, so no run reads its output from it
         target = tmp_path / "env_out"
         monkeypatch.setenv("PINLAB_OUT_DIR", str(target))
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(
             tmp_path,
             "cfg.json",
             {"kernel": {"family": "geometric", "p": 0.5}, "lambda_grid": [0.5]},
         )
         assert run(["homopolymer", "--config", cfg]) == EXIT_OK
-        assert (target / "homopolymer.csv").exists()
+        assert (tmp_path / "homopolymer.csv").exists()
+        assert not target.exists()
 
     def test_config_has_no_output_dir(self, tmp_path, monkeypatch):
-        # --out and PINLAB_OUT_DIR move the output; a config key does not
-        monkeypatch.delenv("PINLAB_OUT_DIR", raising=False)
+        # --out moves the output; a config key does not
         monkeypatch.chdir(tmp_path)
         cfg = write_config(
             tmp_path,

@@ -50,3 +50,18 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     code_size.main([str(tmp_path)])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == [["a", "11", "5"], ["b", "2", "1"], ["total", "13", "6"]]
+
+
+def test_environment_reads_count_once_per_name():
+    # FLAG is read three ways and HOME once; a write and another mapping's get
+    # are not environment reads
+    source = (
+        "import os\n"
+        "a = os.environ['FLAG']\n"
+        "b = os.environ.get('FLAG', '')\n"
+        "c = os.getenv('FLAG')\n"
+        "d = os.getenv('HOME')\n"
+        "os.environ['OTHER'] = a\n"
+        "e = {}.get('NOT_ENV')\n"
+    )
+    assert code_size.settable_values(source) == 2

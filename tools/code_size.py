@@ -10,7 +10,9 @@ holds each of them.
 Settable values are the parameters with a default, of every function,
 method and lambda (nested ones included), plus the fields of each
 ``@dataclass`` that its constructor takes (a field declared with
-``init=False`` is not one).
+``init=False`` is not one), plus each environment variable the module
+reads (``os.environ[...]``, ``os.environ.get(...)``, ``os.getenv(...)``),
+once per distinct name.
 
 The counts are printed per module, then for the whole tree.
 """
@@ -76,9 +78,29 @@ def _in_constructor(field: ast.AnnAssign) -> bool:
     return True
 
 
+def _is_named(node: ast.expr, name: str) -> bool:
+    """Whether ``node`` is ``name`` or an attribute ``<anything>.name``."""
+    return getattr(node, "attr", getattr(node, "id", None)) == name
+
+
+def _env_read(node: ast.AST) -> ast.expr | None:
+    """The name read from the environment by ``node``, if it reads one."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        return node.slice if _is_named(node.value, "environ") else None
+    if isinstance(node, ast.Call) and node.args:
+        func = node.func
+        is_get = _is_named(func, "get") and _is_named(getattr(func, "value", None), "environ")
+        return node.args[0] if is_get or _is_named(func, "getenv") else None
+    return None
+
+
 def settable_values(source: str) -> int:
     count = 0
+    env_names = set()
     for node in ast.walk(ast.parse(source)):
+        name = _env_read(node)
+        if name is not None:
+            env_names.add(ast.dump(name))
         if isinstance(node, _FUNCTIONS):
             args = node.args
             count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
@@ -86,7 +108,7 @@ def settable_values(source: str) -> int:
             count += sum(
                 isinstance(s, ast.AnnAssign) and _in_constructor(s) for s in node.body
             )
-    return count
+    return count + len(env_names)
 
 
 def main(argv=None) -> None:
