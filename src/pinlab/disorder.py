@@ -255,23 +255,24 @@ def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, flo
     return shift, m0, m1
 
 
-def _anchored_continuous(law: DisorderLaw, lam: float, doubled: bool = False):
-    """``(top, rest, slope)`` of a continuous law tilted from its anchor
-    ``top`` (:func:`_continuous_segments`): ``rest = log m0`` with ``m0 =
-    int p e^{lam (x - top)}``, and ``slope = lam E_lam[x - top]``.
+def _anchored_continuous(law: DisorderLaw, lam: float, factor: float):
+    """``(top, rest, slope)`` of a continuous law tilted by ``t = factor *
+    lam`` from its anchor ``top`` (:func:`_continuous_segments`, at ``lam``;
+    ``factor > 0``): ``rest = log m0`` with ``m0 = int p e^{t (x - top)}``,
+    and ``slope = t E_t[x - top]``.
 
-    Both are taken with the factor ``1/|lam|`` of ``m0`` pulled out, from
-    :func:`_scaled_segment_weights`: ``|lam| m0 = sum e^{u_c} (p_c v0 + p_d
-    v1)`` with ``u_c = lam (c - top)``, and ``lam |lam|`` times the first
-    moment about ``top`` is ``sum e^{u_c} (u_c (p_c v0 + p_d v1) - p_c (q1 -
-    q2) - p_d q2)``.  So neither the moment about 0 nor ``m0`` itself, which
-    underflow at large ``|lam|``, is formed.  With ``doubled`` the tilt is
-    ``2 lam``, which is never formed either.  Where the density is 0 at
-    ``top``, ``|lam| m0`` is of order ``1/|lam|``; if it underflows to 0
-    (only at ``|lam h|`` near the float limit) :class:`PrecisionError` is raised.
+    Both are taken with the factor ``1/|t|`` of ``m0`` pulled out, from
+    :func:`_scaled_segment_weights`: ``|t| m0 = sum e^{u_c} (p_c v0 + p_d
+    v1)`` with ``u_c = t (c - top)``, and ``t |t|`` times the first moment
+    about ``top`` is ``sum e^{u_c} (u_c (p_c v0 + p_d v1) - p_c (q1 - q2) -
+    p_d q2)``.  So neither the moment about 0 nor ``m0`` itself, which
+    underflow at large ``|t|``, is formed, nor ``t`` itself: each product
+    is taken as ``factor`` times a product with ``lam``, so that ``2 lam``
+    cannot overflow.  Where the density is 0 at ``top``, ``|t| m0`` is of
+    order ``1/|t|``; if it underflows to 0 (only at ``|t h|`` near the
+    float limit) :class:`PrecisionError` is raised.
     """
     top, h, xc, pc, pd = _continuous_segments(law, lam)
-    factor = 2.0 if doubled else 1.0
     with np.errstate(over="ignore"):
         v0, v1, q1, q2 = _scaled_segment_weights(factor * (-abs(lam) * h))
         u = np.maximum(factor * (lam * (xc - top)), _EXP_ZERO)
@@ -295,22 +296,37 @@ def _exact_mean(law: DisorderLaw) -> float:
     return num / den
 
 
-def _atom_weights(law: DisorderLaw, lam: float) -> tuple[float, np.ndarray]:
-    """``(anchor, wts)`` for an atom table: ``anchor`` is the atom where
-    ``lam x`` is largest and ``wts = p * exp(lam (x - anchor))``, so
-    ``M(lam) = exp(lam anchor) * sum(wts)`` with every weight at most its
+def _atom_weights(law: DisorderLaw, lam: float, factor: float) -> tuple[float, np.ndarray]:
+    """``(anchor, wts)`` for an atom table tilted by ``factor * lam``
+    (``factor > 0``): ``anchor`` is the atom where ``lam x`` is largest and
+    ``wts = p * exp(factor * (lam (x - anchor)))``, so ``M(factor lam) =
+    exp(factor lam anchor) * sum(wts)`` with every weight at most its
     probability.  An exponent that overflows to ``-inf`` gives the right 0.
     """
     anchor = float(law.xs[-1] if lam >= 0.0 else law.xs[0])
     with np.errstate(over="ignore"):
-        return anchor, law.ps * np.exp(lam * (law.xs - anchor))
+        return anchor, law.ps * np.exp(factor * (lam * (law.xs - anchor)))
 
 
 def _anchored(law: DisorderLaw, lam: float) -> bool:
     """Whether a tilt by ``lam`` of an atom table or a continuous law is
-    taken from its anchor (:func:`_atom_weights`,
-    :func:`_anchored_continuous`) rather than from the small-tilt forms."""
+    taken from its anchor (:func:`_anchored_tilt`) rather than from the
+    small-tilt forms."""
     return law.family != "gaussian" and abs(lam) * float(np.abs(law.xs).max()) >= 1.0
+
+
+def _anchored_tilt(law: DisorderLaw, lam: float, factor: float) -> tuple[float, float, float]:
+    """``(anchor, rest, slope)`` of an atom table or a continuous law tilted
+    by ``t = factor * lam`` from its anchor at ``lam`` (``factor > 0``):
+    ``rest = log E e^{t (x - anchor)}`` and ``slope = t E_t[x - anchor]``,
+    so ``log M(t) = t anchor + rest``; ``t`` itself is never formed.  A
+    continuous law is :func:`_anchored_continuous`.
+    """
+    if law.family == "continuous":
+        return _anchored_continuous(law, lam, factor)
+    anchor, wts = _atom_weights(law, lam, factor)
+    total = float(wts.sum())
+    return anchor, math.log(total), factor * (lam * float(np.dot(wts, law.xs - anchor)) / total)
 
 
 def _anchored_log_mgf(law: DisorderLaw, lam: float) -> tuple[float, float]:
@@ -325,10 +341,7 @@ def _anchored_log_mgf(law: DisorderLaw, lam: float) -> tuple[float, float]:
     """
     if not _anchored(law, lam):
         return 0.0, log_mgf(law, lam)
-    if law.family == "continuous":
-        return _anchored_continuous(law, lam)[:2]
-    anchor, wts = _atom_weights(law, lam)
-    return anchor, math.log(float(wts.sum()))
+    return _anchored_tilt(law, lam, 1.0)[:2]
 
 
 def log_mgf(law: DisorderLaw, lam: float) -> float:
@@ -362,7 +375,7 @@ def tilted_mean(law: DisorderLaw, beta: float) -> float:
     if law.family == "gaussian":
         return beta
     if law.family == "discrete":
-        _, wts = _atom_weights(law, beta)
+        _, wts = _atom_weights(law, beta, 1.0)
         return float(np.dot(wts / wts.sum(), law.xs))
     _, m0, m1 = _continuous_moments(law, beta)
     return m1 / m0
@@ -378,12 +391,8 @@ def relative_entropy_tilt(law: DisorderLaw, beta: float) -> float:
     cancel before rounding.
     """
     if _anchored(law, beta):
-        if law.family == "continuous":
-            _, rest, slope = _anchored_continuous(law, beta)
-            return slope - rest
-        anchor, wts = _atom_weights(law, beta)
-        total = float(wts.sum())
-        return beta * float(np.dot(wts, law.xs - anchor)) / total - math.log(total)
+        _, rest, slope = _anchored_tilt(law, beta, 1.0)
+        return slope - rest
     return beta * tilted_mean(law, beta) - log_mgf(law, beta)
 
 
@@ -398,12 +407,8 @@ def log_xi(law: DisorderLaw, beta: float) -> float:
     rounding, and ``2 beta`` itself is never formed, so it cannot overflow.
     """
     if _anchored(law, beta):
-        anchor, rest = _anchored_log_mgf(law, beta)
-        if law.family == "continuous":
-            return _anchored_continuous(law, beta, doubled=True)[1] - 2.0 * rest
-        with np.errstate(over="ignore"):
-            doubled = law.ps * np.exp(2.0 * (beta * (law.xs - anchor)))
-        return math.log(float(doubled.sum())) - 2.0 * rest
+        rest = _anchored_tilt(law, beta, 1.0)[1]
+        return _anchored_tilt(law, beta, 2.0)[1] - 2.0 * rest
     return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
 
 
@@ -440,7 +445,7 @@ def tilt_transform(law: DisorderLaw, base: np.ndarray, beta: float) -> np.ndarra
     if law.family == "gaussian":
         return base + beta
     if law.family == "discrete":
-        _, wts = _atom_weights(law, beta)
+        _, wts = _atom_weights(law, beta, 1.0)
         cdf = np.cumsum(wts / wts.sum())
         idx = np.searchsorted(cdf, base, side="right")
         return law.xs[np.minimum(idx, len(law.xs) - 1)]

@@ -81,7 +81,9 @@ def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
     is returned, so an underflowing root is never a silent 0.  The bracket
     upper end ``f = lam`` works because ``series(f) <= exp(-f)`` for
     sub-probability masses; masses whose rounding sums above 1 (returns
-    that do not decay) widen it.
+    that do not decay) widen it.  Each end is tested where the root finder
+    evaluates it, at ``exp(log f)``: for the point mass, ``f = lam`` is the
+    root itself, and that rounding can put it on either side.
     Above ``lam`` of about 708.4 the target ``exp(-lam)`` is subnormal or
     0, too coarse to pin ``f`` down, so the solve raises
     :class:`PrecisionError` instead.
@@ -92,13 +94,14 @@ def _solve_fixed_point(series, lam: float, tol: float) -> tuple[float, float]:
             f"exp(-lam) = {target!r} is below the normal float range at lam = {float(lam)!r}; "
             "the fixed point cannot be resolved"
         )
+    # each end is tested at exp(log f), where brentq evaluates it
     f_hi = lam
-    while series(f_hi) > target:
+    while series(math.exp(math.log(f_hi))) > target:
         if f_hi > 1e3:
             raise PrecisionError(f"series above exp(-lam) = {target!r} at f = {f_hi!r}")
         f_hi *= 1e3
     f_lo = min(lam, 1.0) * 1e-3
-    while series(f_lo) < target:
+    while series(math.exp(math.log(f_lo))) < target:
         f_lo *= 1e-3
         if f_lo < _TINY_F:
             f = 0.0  # the root lies below the float range the bracket searches

@@ -6,7 +6,8 @@ A kernel ``K`` assigns probability ``K(n)`` to a first return at time
 * ``power``: ``K(n) = n^-(1+alpha) / zeta(1+alpha)`` with tail exponent
   ``alpha > 0`` (the slowly varying factor is pinned to the constant
   ``1/zeta(1+alpha)`` so that tails normalize in closed form),
-* ``geometric``: ``K(n) = p (1-p)^(n-1)``,
+* ``geometric``: ``K(n) = p (1-p)^(n-1)``; ``p = 1``, the point mass
+  ``K(1) = 1``, is the one-mass table ``[1.0]``,
 * ``table``: an explicit finite mass table.
 
 For the two closed-form families, :func:`far_terms` gives the masses of
@@ -81,8 +82,6 @@ class RenewalKernel:
             ns = np.arange(1, n + 1, dtype=float)
             return ns ** (-(1.0 + self.alpha)) / zeta(1.0 + self.alpha)
         if self.family == "geometric":
-            if self.p == 1.0:
-                return (np.arange(n) == 0).astype(float)
             return self.p * np.exp(np.arange(n) * math.log1p(-self.p))
         out = np.zeros(n, dtype=float)
         avail = min(n, len(self.masses))
@@ -96,7 +95,7 @@ class RenewalKernel:
         if self.family == "power":
             return zeta_tail(1.0 + self.alpha, n0) / zeta(1.0 + self.alpha)
         if self.family == "geometric":
-            return 0.0 if self.p == 1.0 else math.exp((n0 - 1) * math.log1p(-self.p))
+            return math.exp((n0 - 1) * math.log1p(-self.p))
         return float(np.sum(self.masses[n0 - 1 :]))
 
     def mean(self) -> float:
@@ -114,8 +113,7 @@ class RenewalKernel:
     def support_upper(self) -> int | None:
         """Largest ``n`` with ``K(n) > 0``; ``None`` when unbounded."""
         if self.family == "table":
-            nz = np.nonzero(self.masses)[0]
-            return int(nz[-1]) + 1 if nz.size else 0
+            return int(np.nonzero(self.masses)[0][-1]) + 1
         return None
 
 
@@ -135,8 +133,14 @@ def make_power_kernel(alpha: float) -> RenewalKernel:
 
 
 def make_geometric_kernel(p: float) -> RenewalKernel:
+    """Geometric kernel ``K(n) = p (1-p)^(n-1)``.  At ``p = 1`` it is the
+    point mass, returned as the one-mass table that ``truncate_kernel(k,
+    1)`` also gives, so that no formula in ``log1p(-p)`` meets ``p = 1``.
+    """
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError(f"geometric kernel needs p in (0, 1], got {p}")
+    if p == 1.0:
+        return make_table_kernel([1.0])
     return RenewalKernel(family="geometric", p=float(p))
 
 
@@ -157,10 +161,7 @@ def make_table_kernel(masses) -> RenewalKernel:
         raise InvalidParameterError(
             f"kernel-mass-normalization: masses sum to {total!r}, expected 1 within {_MASS_TOL}"
         )
-    support = np.nonzero(arr)[0] + 1
-    if support.size == 0:
-        raise InvalidParameterError("kernel has empty support")
-    g = int(np.gcd.reduce(support))
+    g = int(np.gcd.reduce(np.nonzero(arr)[0] + 1))
     if g != 1:
         raise InvalidParameterError(f"kernel support has period {g}; expected gcd 1")
     arr.setflags(write=False)
@@ -354,8 +355,7 @@ def truncate_kernel(kernel: RenewalKernel, tr: int) -> RenewalKernel:
     if tr < 1:
         raise InvalidParameterError("truncation point must be >= 1")
     masses = np.empty(tr, dtype=float)
-    if tr > 1:
-        masses[: tr - 1] = kernel.mass_array(tr - 1)
+    masses[: tr - 1] = kernel.mass_array(tr - 1)
     masses[tr - 1] = kernel.tail_mass(tr)
     masses.setflags(write=False)
     return RenewalKernel(family="table", masses=masses)
@@ -374,12 +374,11 @@ def kernel_entropy(kernel: RenewalKernel) -> float:
         return math.log(z) + s * zeta_log_sum(s) / z
     if kernel.family == "geometric":
         p = kernel.p
-        if p == 1.0:
-            return 0.0
         return -math.log(p) - ((1.0 - p) / p) * math.log1p(-p)
     m = kernel.masses
     pos = m[m > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    # 0.0 minus the sum, so that the one-mass table gives +0.0, not -0.0
+    return 0.0 - float(np.sum(pos * np.log(pos)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +408,15 @@ def far_terms(kernel: RenewalKernel, n: int) -> tuple[np.ndarray, np.ndarray] | 
     far gaps of the quenched DP.  ``None`` for tables (they stay banded) and
     for ``n <= 128``.
 
-    Geometric: one term, ``p / (1-p) e^{-d (-log1p(-p))}`` (none at ``p =
-    1``).  Power, ``s = 1 + alpha``: the trapezoid rule on ``Gamma(s)
-    d^-s = int e^{s x - d e^x} dx`` after the substitution ``x = u -
-    e^{a - u}``, ``a = -log d_max``, which makes the lower tail decay
-    double-exponentially (McLean 2018, "Exponential sum approximations for
-    t^-beta"), scaled to the float masses ``d^-s / zeta(s)`` at the checked
-    gaps.  The step starts at 0.25 and shrinks by 0.9 until every checked
-    gap is within bound; about 45 terms at ``d_max`` 1024 and 80 at 2^20.
-    Gaps whose mass is below the normal float range are not checked.  The
+    Geometric: one term, ``p / (1-p) e^{-d (-log1p(-p))}``.  Power, ``s =
+    1 + alpha``: the trapezoid rule on ``Gamma(s) d^-s = int e^{s x - d
+    e^x} dx`` after the substitution ``x = u - e^{a - u}``, ``a = -log
+    d_max``, which makes the lower tail decay double-exponentially (McLean
+    2018, "Exponential sum approximations for t^-beta"), scaled to the
+    float masses ``d^-s / zeta(s)`` at the checked gaps.  The step starts
+    at 0.25 and shrinks by 0.9 until every checked gap is within bound; at
+    alpha 0.3, 45 terms at ``d_max`` 1024 and 75 at 2^20 (72 at 2^20 for
+    alpha 1.5).  Gaps whose mass is below the normal float range are not checked.  The
     terms are built once per kernel law and size class ``d_max``, the
     power of two at or above ``n``.
     """
@@ -436,8 +435,6 @@ def _read_only(*arrays):
 
 @functools.lru_cache(maxsize=16)
 def _geometric_terms(p: float) -> tuple[np.ndarray, np.ndarray]:
-    if p == 1.0:
-        return _read_only(np.empty(0), np.empty(0))
     return _read_only(np.array([p / (1.0 - p)]), np.array([-math.log1p(-p)]))
 
 

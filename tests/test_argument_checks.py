@@ -1,0 +1,81 @@
+"""Each argument check of the library raises its typed error, with its
+message, on the input it guards against."""
+
+import math
+
+import pytest
+
+from pinlab.disorder import continuous_disorder, disorder_from_json, gaussian_disorder
+from pinlab.errors import DomainError, InvalidParameterError
+from pinlab.homopolymer import (
+    annealed_critical_curve,
+    joint_truncation_bound,
+    joint_truncation_bound_limit,
+)
+from pinlab.kernels import (
+    ChiResult,
+    make_geometric_kernel,
+    make_power_kernel,
+    make_table_kernel,
+    overlap_kernel,
+    return_probabilities,
+    truncate_kernel,
+)
+from pinlab.oracles import annealed_partition_check, replica_moment_exact_check
+from pinlab.relevance import annealed_variational_check, replica_moment_log
+from pinlab.series import zeta_tail
+
+GAUSS = gaussian_disorder()
+P03 = make_power_kernel(0.3)
+CHI_INFINITE = ChiResult("infinite", math.inf, 10.0, math.inf, 0.6, 1 << 16)
+
+CHECKS = {
+    # kernels
+    "geometric-p-zero": (lambda: make_geometric_kernel(0.0), InvalidParameterError,
+                         r"geometric kernel needs p in \(0, 1\], got 0.0"),
+    "table-empty": (lambda: make_table_kernel([]), InvalidParameterError,
+                    "mass table must be a nonempty vector"),
+    "table-matrix": (lambda: make_table_kernel([[0.5, 0.5]]), InvalidParameterError,
+                     "mass table must be a nonempty vector"),
+    "returns-negative-horizon": (lambda: return_probabilities(P03, -1), InvalidParameterError,
+                                 "horizon must be >= 0"),
+    "truncate-at-zero": (lambda: truncate_kernel(P03, 0), InvalidParameterError,
+                         "truncation point must be >= 1"),
+    "overlap-horizon-zero": (lambda: overlap_kernel(P03, 0), InvalidParameterError,
+                             "horizon must be >= 1"),
+    # disorder
+    "density-two-nodes": (lambda: continuous_disorder([0.0, 1.0], [1.0, 1.0]),
+                          InvalidParameterError, "need a density table with >= 3 nodes"),
+    "density-zero": (lambda: continuous_disorder([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+                     InvalidParameterError, "density integrates to zero"),
+    "disorder-family-unknown": (lambda: disorder_from_json({"family": "cauchy"}),
+                                InvalidParameterError, "unknown disorder family 'cauchy'"),
+    # homopolymer
+    "curve-empty-grid": (lambda: annealed_critical_curve(GAUSS, []), InvalidParameterError,
+                         "beta grid must be nonempty"),
+    "bound-truncation-zero": (lambda: joint_truncation_bound(P03, 0, 0.1, CHI_INFINITE),
+                              InvalidParameterError, "truncation point must be >= 1"),
+    "bound-limit-above-threshold": (lambda: joint_truncation_bound_limit(0.5, 0.5), DomainError,
+                                    "limit defined for lam < lambda0"),
+    # oracles
+    "annealed-oracle-n-15": (lambda: annealed_partition_check(P03, GAUSS, 0.5, 0.1, 15),
+                             InvalidParameterError, "exhaustive check limited to n <= 14"),
+    "replica-oracle-n-9": (lambda: replica_moment_exact_check(truncate_kernel(P03, 4), GAUSS,
+                                                              0.5, 9),
+                           InvalidParameterError, "exact check limited to n <= 8"),
+    # relevance
+    "replica-moment-n-zero": (lambda: replica_moment_log(truncate_kernel(P03, 4), 0.1, 0),
+                              InvalidParameterError, "n must be >= 1"),
+    "variational-empty-grid": (lambda: annealed_variational_check(GAUSS, 1.0, []),
+                               InvalidParameterError, "tilt grid must be nonempty"),
+    # series
+    "zeta-tail-s-one": (lambda: zeta_tail(1.0, 4), InvalidParameterError,
+                        r"zeta_tail requires s > 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_check_raises_its_error(name):
+    call, error, message = CHECKS[name]
+    with pytest.raises(error, match=message):
+        call()

@@ -374,6 +374,15 @@ class TestConfigErrors:
              {"kernel": GEOMETRIC, "disorder": GAUSSIAN, "beta": 1.0, "base_seed": 1,
               "tr_schedule": [8, 8]},
              "tr_schedule"),
+            # a family without its field: "malformed kernel config: 'alpha'"
+            ("chi", {"kernel": {"family": "power"}}, "kernel"),
+            # grids: empty, log spaced from 0, and neither a list nor an object
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": []}, "lambda_grid"),
+            ("homopolymer",
+             {"kernel": GEOMETRIC,
+              "lambda_grid": {"start": 0, "stop": 1.0, "count": 3, "spacing": "log"}},
+             "lambda_grid"),
+            ("homopolymer", {"kernel": GEOMETRIC, "lambda_grid": 3}, "lambda_grid"),
         ],
     )
     def test_unparsable_number_named(self, tmp_path, capsys, command, doc, field):

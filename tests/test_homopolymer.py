@@ -27,6 +27,7 @@ from pinlab.kernels import (
     make_geometric_kernel,
     make_power_kernel,
     make_table_kernel,
+    truncate_kernel,
 )
 
 from oracles import loglog_slope
@@ -125,6 +126,20 @@ class TestHomopolymer:
         else:
             f, residual = _solve_fixed_point(series, lam, 1e-10)
             assert f == 0.0 and residual <= 1e-10 * target
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [make_geometric_kernel(1.0), make_table_kernel([1.0]), truncate_kernel(make_power_kernel(0.3), 1)],
+        ids=["geometric", "table", "truncated"],
+    )
+    def test_point_mass_root_at_the_bracket_end(self, kernel):
+        # K(1) = 1 has the root f = lam at the bracket end f_hi = lam, and
+        # brentq evaluates that end at exp(log lam), which rounding can put
+        # on either side of the root (lam = 0.20737998817439787, for one)
+        for lam in np.geomspace(1e-8, 700.0, 2000):
+            res = homopolymer_free_energy(kernel, float(lam))
+            assert res.residual <= 1e-10 * math.exp(-lam)
+            assert res.f == pytest.approx(lam, rel=1e-12)
 
     @pytest.mark.parametrize("lam", [745.0, 800.0])
     @pytest.mark.parametrize(
@@ -295,6 +310,10 @@ class TestJointFreeEnergy:
         full = joint_free_energy(kernel, lam, chi_result=chi_03)
         trunc = joint_free_energy(kernel, lam, tr=1000)
         assert trunc == pytest.approx(full, rel=0.01)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_truncated_unpinned_at_nonpositive_strength(self, lam):
+        assert joint_free_energy(make_power_kernel(0.3), lam, tr=8) == 0.0
 
     def test_unit_truncation_closed_form(self):
         # tr = 1 collapses both chains to deterministic unit gaps: every

@@ -162,3 +162,7 @@ def test_each_computation_written_once():
     # the serializers read their module's _FAMILIES table, not a family chain
     for module, name in (("kernels.py", "kernel_to_json"), ("disorder.py", "disorder_to_json")):
         assert not any(isinstance(n, ast.Compare) for n in ast.walk(_function(module, name)))
+    # an anchored tilt of atoms or of a density is the one _anchored_tilt
+    for name in ("relative_entropy_tilt", "log_xi", "_anchored_log_mgf"):
+        nodes = ast.walk(_function("disorder.py", name))
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "family" for n in nodes), name

@@ -429,6 +429,22 @@ class TestGeometricPrecision:
         assert kernel.tail_mass(2) == 0.0
         assert kernel_entropy(kernel) == 0.0
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_geometric_kernel(1.0), lambda: make_table_kernel([1.0]),
+         lambda: truncate_kernel(make_power_kernel(0.3), 1)],
+        ids=["geometric", "table", "truncated"],
+    )
+    def test_point_mass_is_the_one_mass_table(self, make):
+        kernel = make()
+        assert kernel.family == "table"
+        np.testing.assert_array_equal(kernel.mass_array(4), [1.0, 0.0, 0.0, 0.0])
+        assert (kernel.tail_mass(1), kernel.tail_mass(2), kernel.mean()) == (1.0, 0.0, 1.0)
+        assert kernel.support_upper == 1
+        assert far_terms(kernel, 4096) is None
+        entropy = kernel_entropy(kernel)
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
 
 def far_errors(kernel, n):
     """Relative errors of the far terms against ``mass_array`` at every gap
@@ -480,11 +496,13 @@ class TestFarTerms:
     def test_geometric_one_term(self, p):
         kernel = make_geometric_kernel(p)
         n = 1 << 20 if p < 0.1 else 4096
-        weights, rates = far_terms(kernel, n)
-        assert len(weights) == len(rates) == (0 if p == 1.0 else 1)
         if p == 1.0:
-            assert not kernel.mass_array(n)[64:].any()
+            # the point mass is the one-mass table, which has no far terms
+            assert far_terms(kernel, n) is None
+            assert not kernel.mass_array(n)[1:].any()
             return
+        weights, rates = far_terms(kernel, n)
+        assert len(weights) == len(rates) == 1
         assert weights[0] > 0.0
         d = np.arange(65.0, n + 1.0)
         normal = kernel.mass_array(n)[64:] >= np.finfo(float).tiny

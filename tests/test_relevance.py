@@ -31,6 +31,7 @@ from pinlab.oracles import free_endpoint_likelihood, pair_moment, replica_moment
 from pinlab import relevance
 from pinlab.quenched import _log_partitions, dp_log_partition, log_mass_vector
 from pinlab.relevance import (
+    RelevanceReport,
     annealed_variational_check,
     critical_temperature_bounds,
     entropy_bounds,
@@ -462,6 +463,29 @@ class TestMonotonicityScan:
             entropy_monotonicity_scan(
                 P03, GAUSS, [1.0, 0.5], tr=4, n=256, replicas=4, base_seed=1
             )
+
+    def test_decrease_past_three_stderr_is_a_violation(self, monkeypatch):
+        # paired drops of 0.975 +- 0.048 from 0.5 to 1.0 are flagged; the rise
+        # to 1.5 is not
+        per_replica = {
+            0.5: np.array([2.0, 2.1, 1.9, 2.0]),
+            1.0: np.array([1.0, 1.0, 1.0, 1.1]),
+            1.5: np.array([1.2, 1.0, 1.1, 1.2]),
+        }
+
+        def stub(kernel, disorder, beta, tr, n, replicas, base_seed):
+            values = per_replica[beta]
+            return RelevanceReport(beta, tr, 1.0, float(values.mean()), 0.0, values)
+
+        monkeypatch.setattr(relevance, "entropy_estimator", stub)
+        scan = entropy_monotonicity_scan(
+            P03, GAUSS, [0.5, 1.0, 1.5], tr=4, n=16, replicas=4, base_seed=0
+        )
+        [(lo, hi, mean_delta, stderr_delta)] = scan.violations
+        assert (lo, hi) == (0.5, 1.0)
+        assert mean_delta == pytest.approx(-0.975, abs=1e-12)
+        assert stderr_delta == pytest.approx(math.sqrt(0.0275 / 3.0) / 2.0, abs=1e-12)
+        assert scan.monotone_ok is False
 
     def test_checks_the_grid_before_any_estimate(self, monkeypatch):
         calls = []
