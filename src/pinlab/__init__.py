@@ -40,13 +40,7 @@ from .quenched import (
     quenched_free_energy,
     replica_charges,
 )
-from .relevance import (
-    annealed_variational_check,
-    critical_temperature_bounds,
-    entropy_bounds,
-    entropy_estimator,
-    entropy_monotonicity_scan,
-)
+from .relevance import critical_temperature_bounds, entropy_bounds, entropy_estimator
 from .rng import RngStream, derive_stream
 
 __all__ = [
@@ -88,8 +82,6 @@ __all__ = [
     "critical_temperature_bounds",
     "entropy_bounds",
     "entropy_estimator",
-    "entropy_monotonicity_scan",
-    "annealed_variational_check",
     # rng
     "RngStream",
     "derive_stream",

@@ -242,6 +242,9 @@ def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, flo
     to ``c (p_c w0 + p_d w1)``.  ``shift`` is the largest ``lam x`` on the
     segments with positive mass, so every scale ``e^{lam c - shift}`` of such
     a segment is at most 1 and the sums are a log-sum-exp over segments.
+    Where the density is 0 at ``top``, ``m0`` is of order ``1/lam^2``; if it
+    underflows to 0 (from ``|lam|`` near 1.5e161) :class:`PrecisionError` is
+    raised.
     """
     top, h, xc, pc, pd = _continuous_segments(law, lam)
     s = -1.0 if lam >= 0.0 else 1.0
@@ -251,6 +254,9 @@ def _continuous_moments(law: DisorderLaw, lam: float) -> tuple[float, float, flo
         shift = float(lam * top)
     mass = pc * w0 + pd * w1
     m0 = math.fsum(scale * mass)
+    if m0 == 0.0:
+        # m0 ~ 1/lam^2 where the density is 0 at top, so it can underflow
+        raise PrecisionError(f"tilted mass underflows at tilt {lam!r}")
     m1 = math.fsum(scale * (xc * mass + s * h * (pc * (w1 - w2) + pd * w2)))
     return shift, m0, m1
 

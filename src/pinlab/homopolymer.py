@@ -57,7 +57,6 @@ __all__ = [
     "lambda0_from_chi",
     "joint_free_energy",
     "joint_truncation_bound",
-    "joint_truncation_bound_limit",
 ]
 
 _TINY_F = 1e-290
@@ -310,9 +309,3 @@ def joint_truncation_bound(
         )
     return math.log((1.0 - l2) / gap)
 
-
-def joint_truncation_bound_limit(lam: float, lam0: float) -> float:
-    """Large-truncation limit of the bound above."""
-    if lam >= lam0:
-        raise DomainError("limit defined for lam < lambda0")
-    return math.log((1.0 - math.exp(-lam0)) / (math.exp(-lam) - math.exp(-lam0)))

@@ -9,8 +9,9 @@ estimates or bounds that functional:
 
 * a Monte Carlo estimator of ``H_tr``, :func:`entropy_estimator`: sample
   the tilted letter sequence, evaluate the word-averaged likelihood ratio
-  ``f_n`` by the quenched DP with a free right endpoint, and average ``log
-  f_n / n`` over replicas;
+  ``f_n`` by the quenched DP closed with a free right endpoint
+  (:func:`_free_endpoint_log_likelihood`), and average ``log f_n / n``
+  over replicas;
 * the replica identity: the disorder average of ``f_n`` equals the
   pair-chain moment ``E[Xi(beta)^(# simultaneous returns)]``; the
   simultaneous returns are a renewal process with renewal sequence
@@ -24,10 +25,7 @@ estimates or bounds that functional:
 * the induced temperature bounds ``beta_c* <= beta_c <= beta_c**``, both
   from one call, :func:`critical_temperature_bounds`, given the kernel's
   ``chi``: ``beta_c*`` where ``Xi`` crosses ``1 + 1/chi``, ``beta_c**``
-  where the tilt entropy crosses the kernel entropy;
-* a restricted variational check: over product word measures with tilted
-  first letter, ``beta * mean(mu_t) - h(mu_t | mu_0)`` peaks at the tilt
-  ``t = beta`` with value ``log M(beta)``.
+  where the tilt entropy crosses the kernel entropy.
 """
 
 from __future__ import annotations
@@ -40,14 +38,12 @@ import numpy as np
 from .disorder import (
     DisorderLaw,
     _anchored_log_mgf,
-    log_mgf,
     log_xi,
     relative_entropy_limit,
     relative_entropy_tilt,
     sample,
     sample_base,
     tilt_transform,
-    tilted_mean,
 )
 from .errors import InvalidParameterError
 from .homopolymer import joint_free_energy
@@ -66,15 +62,10 @@ from .series import power_series_inverse
 __all__ = [
     "CriticalTemperatureBounds",
     "RelevanceReport",
-    "MonotonicityScan",
-    "VariationalCheck",
     "critical_temperature_bounds",
     "replica_moment_log",
-    "free_endpoint_log_likelihood",
     "entropy_estimator",
     "entropy_bounds",
-    "entropy_monotonicity_scan",
-    "annealed_variational_check",
 ]
 
 
@@ -253,7 +244,7 @@ def _sample_word_sequence(
     return letters
 
 
-def free_endpoint_log_likelihood(
+def _free_endpoint_log_likelihood(
     log_z: np.ndarray, site_weights: np.ndarray, masses: np.ndarray
 ) -> np.ndarray:
     """``log f_n`` per row: the pinned sums closed with a free right endpoint,
@@ -290,7 +281,7 @@ def entropy_estimator(
     linear-domain recursion, banded at the truncated kernel's largest gap
     with mass) for the truncated kernel at tilt ``beta`` and bias ``log
     M(beta)``, and close with a free right endpoint
-    (:func:`free_endpoint_log_likelihood`).  The per-letter average of
+    (:func:`_free_endpoint_log_likelihood`).  The per-letter average of
     ``log f_n`` over replicas tends to ``H_tr``; at ``beta = 0`` the
     likelihood ratio is identically one and the estimate is exactly zero.
     The site weights are written over the ``(replicas, n)`` array of the
@@ -322,7 +313,7 @@ def entropy_estimator(
             charges[r] = _sample_word_sequence(disorder, law, beta, n, stream) - anchor
         site_weights = _site_weights(charges, beta, rest, out=charges)
         log_z = _log_partitions(ktr, site_weights)
-        per_replica = free_endpoint_log_likelihood(log_z, site_weights, masses) / n
+        per_replica = _free_endpoint_log_likelihood(log_z, site_weights, masses) / n
         estimate, stderr = _mean_stderr(per_replica)
 
     per_replica.setflags(write=False)
@@ -345,83 +336,3 @@ def entropy_bounds(
     lower = (relative_entropy_tilt(disorder, beta) - kernel_entropy(ktr)) / ktr.mean()
     upper = joint_free_energy(kernel, log_xi(disorder, beta), tr=tr)
     return lower, upper
-
-
-@dataclass(frozen=True, eq=False)
-class MonotonicityScan:
-    reports: list
-    violations: list  # (beta_lo, beta_hi, mean_delta, stderr_delta)
-
-    @property
-    def monotone_ok(self) -> bool:
-        return not self.violations
-
-
-def entropy_monotonicity_scan(
-    kernel: RenewalKernel,
-    disorder: DisorderLaw,
-    beta_grid,
-    tr: int,
-    n: int,
-    replicas: int,
-    base_seed: int,
-) -> MonotonicityScan:
-    """Entropy estimates along a tilt grid with common random numbers.
-
-    Every grid point reuses the same replica streams, so consecutive
-    estimates are positively coupled and their paired differences carry
-    far less variance than the raw estimates.  A decrease is flagged only
-    when it exceeds three standard errors of the paired difference.
-    """
-    betas = list(beta_grid)
-    if any(b < a for a, b in zip(betas, betas[1:])):
-        raise InvalidParameterError("beta grid must be nondecreasing")
-    reports = [entropy_estimator(kernel, disorder, b, tr, n, replicas, base_seed) for b in betas]
-    violations = []
-    for left, right in zip(reports, reports[1:]):
-        mean_delta, stderr_delta = _mean_stderr(right.per_replica - left.per_replica)
-        if mean_delta < -3.0 * stderr_delta:
-            violations.append((left.beta, right.beta, mean_delta, stderr_delta))
-    return MonotonicityScan(reports=reports, violations=violations)
-
-
-# ---------------------------------------------------------------------------
-# Restricted variational identity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VariationalCheck:
-    argmax_tilt: float
-    max_value: float
-    reference: float  # log M(beta)
-
-    @property
-    def gap(self) -> float:
-        return self.reference - self.max_value
-
-
-def annealed_variational_check(
-    disorder: DisorderLaw,
-    beta: float,
-    tilt_grid,
-) -> VariationalCheck:
-    """Maximize ``beta * mean(mu_t) - h(mu_t | mu_0)`` over the tilt grid.
-
-    Over the product word family (i.i.d. words, any fixed length law,
-    first letter tilted by ``t``) the length law cancels, the objective
-    peaks at ``t = beta``, and the peak value is ``log M(beta)`` — the
-    annealed critical bias.
-    """
-    grid = np.asarray(list(tilt_grid), dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("tilt grid must be nonempty")
-    values = np.array(
-        [beta * tilted_mean(disorder, t) - relative_entropy_tilt(disorder, t) for t in grid]
-    )
-    best = int(np.argmax(values))
-    return VariationalCheck(
-        argmax_tilt=float(grid[best]),
-        max_value=float(values[best]),
-        reference=log_mgf(disorder, beta),
-    )

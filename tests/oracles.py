@@ -229,6 +229,16 @@ def return_prefactor_limit(alpha: float) -> float:
     return (alpha / math.pi) * math.sin(alpha * math.pi) * zeta_direct(1.0 + alpha)
 
 
+def joint_truncation_bound_limit(lam: float, lam0: float) -> float:
+    """Large-truncation limit of ``pinlab.homopolymer.joint_truncation_bound``
+    below the joint threshold ``lam0``: the partial overlap mass
+    ``L2(tr-1)`` tends to ``exp(-lam0)``, so the bound tends to
+
+        log[(1 - exp(-lam0)) / (exp(-lam) - exp(-lam0))].
+    """
+    return math.log((1.0 - math.exp(-lam0)) / (math.exp(-lam) - math.exp(-lam0)))
+
+
 def loglog_fit(xs, ys) -> tuple[float, float]:
     """``(slope, prefactor)`` of the least-squares line of ``log ys`` against
     ``log xs`` by ``np.polyfit``, so ``ys ~ prefactor * xs^slope``."""

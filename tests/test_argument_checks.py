@@ -5,13 +5,15 @@ import math
 
 import pytest
 
-from pinlab.disorder import continuous_disorder, disorder_from_json, gaussian_disorder
-from pinlab.errors import DomainError, InvalidParameterError
-from pinlab.homopolymer import (
-    annealed_critical_curve,
-    joint_truncation_bound,
-    joint_truncation_bound_limit,
+from pinlab.disorder import (
+    continuous_disorder,
+    disorder_from_json,
+    gaussian_disorder,
+    log_mgf,
+    tilted_mean,
 )
+from pinlab.errors import InvalidParameterError, PrecisionError
+from pinlab.homopolymer import annealed_critical_curve, joint_truncation_bound
 from pinlab.kernels import (
     ChiResult,
     make_geometric_kernel,
@@ -22,12 +24,16 @@ from pinlab.kernels import (
     truncate_kernel,
 )
 from pinlab.oracles import annealed_partition_check, replica_moment_exact_check
-from pinlab.relevance import annealed_variational_check, replica_moment_log
+from pinlab.relevance import replica_moment_log
 from pinlab.series import zeta_tail
 
 GAUSS = gaussian_disorder()
 P03 = make_power_kernel(0.3)
 CHI_INFINITE = ChiResult("infinite", math.inf, 10.0, math.inf, 0.6, 1 << 16)
+# densities that are 0 at the right end and at both ends, where the tilted
+# mass underflows from |lam| near 1.5e161
+RIGHT_ZERO = continuous_disorder([-1.0, 0.0, 1.0, 2.0], [1.0, 0.5, 0.2, 0.0])
+TENT = continuous_disorder([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 1.0, 0.0])
 
 CHECKS = {
     # kernels
@@ -50,13 +56,19 @@ CHECKS = {
                      InvalidParameterError, "density integrates to zero"),
     "disorder-family-unknown": (lambda: disorder_from_json({"family": "cauchy"}),
                                 InvalidParameterError, "unknown disorder family 'cauchy'"),
+    "log-mgf-mass-underflow": (lambda: log_mgf(RIGHT_ZERO, 1e200), PrecisionError,
+                               r"tilted mass underflows at tilt 1e\+200"),
+    "tilted-mean-mass-underflow": (lambda: tilted_mean(RIGHT_ZERO, 1e200), PrecisionError,
+                                   r"tilted mass underflows at tilt 1e\+200"),
+    "log-mgf-mass-underflow-down": (lambda: log_mgf(TENT, -1e200), PrecisionError,
+                                    r"tilted mass underflows at tilt -1e\+200"),
+    "tilted-mean-mass-underflow-down": (lambda: tilted_mean(TENT, -1e200), PrecisionError,
+                                        r"tilted mass underflows at tilt -1e\+200"),
     # homopolymer
     "curve-empty-grid": (lambda: annealed_critical_curve(GAUSS, []), InvalidParameterError,
                          "beta grid must be nonempty"),
     "bound-truncation-zero": (lambda: joint_truncation_bound(P03, 0, 0.1, CHI_INFINITE),
                               InvalidParameterError, "truncation point must be >= 1"),
-    "bound-limit-above-threshold": (lambda: joint_truncation_bound_limit(0.5, 0.5), DomainError,
-                                    "limit defined for lam < lambda0"),
     # oracles
     "annealed-oracle-n-15": (lambda: annealed_partition_check(P03, GAUSS, 0.5, 0.1, 15),
                              InvalidParameterError, "exhaustive check limited to n <= 14"),
@@ -66,8 +78,6 @@ CHECKS = {
     # relevance
     "replica-moment-n-zero": (lambda: replica_moment_log(truncate_kernel(P03, 4), 0.1, 0),
                               InvalidParameterError, "n must be >= 1"),
-    "variational-empty-grid": (lambda: annealed_variational_check(GAUSS, 1.0, []),
-                               InvalidParameterError, "tilt grid must be nonempty"),
     # series
     "zeta-tail-s-one": (lambda: zeta_tail(1.0, 4), InvalidParameterError,
                         r"zeta_tail requires s > 1"),
@@ -79,3 +89,11 @@ def test_check_raises_its_error(name):
     call, error, message = CHECKS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_underflow_check_leaves_the_other_end():
+    # the density is positive at the left end, so the tilted mass at -1e200
+    # is of order 1/|lam| and does not underflow
+    left = float(RIGHT_ZERO.xs[0])
+    assert log_mgf(RIGHT_ZERO, -1e200) == pytest.approx(-1e200 * left, rel=1e-15)
+    assert tilted_mean(RIGHT_ZERO, -1e200) == pytest.approx(left, rel=1e-15)

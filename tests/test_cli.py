@@ -512,6 +512,19 @@ class TestAnnealedCurveCommand:
         assert "beta = 10000.0" in manifest["error"]
         assert manifest["outputs"] == []
 
+    def test_underflowing_tilted_mass_exits_with_manifest(self, tmp_path, capsys):
+        # the density is 0 at its right end, so the tilted mass underflows at
+        # beta 1e200; that is a precision error, not a traceback
+        disorder = {"family": "continuous",
+                    "table": {"grid": [-1, 0, 1, 2], "values": [1, 0.5, 0.2, 0]}}
+        cfg = write_config(tmp_path, "cfg.json", {"disorder": disorder, "beta_grid": [1e200]})
+        out = tmp_path / "out"
+        assert run(["annealed-curve", "--config", cfg, "--out", out]) == EXIT_INVARIANT
+        assert "error: tilted mass underflows at tilt 1e+200" in capsys.readouterr().err
+        manifest = json.loads((out / "annealed_curve_manifest.json").read_text())
+        assert manifest["exit_code"] == EXIT_INVARIANT
+        assert manifest["outputs"] == []
+
 
 class TestChiCommand:
     def test_alpha_03(self, tmp_path):

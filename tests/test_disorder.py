@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinlab.disorder import (
+    _anchored_log_mgf,
     continuous_disorder,
     discrete_disorder,
     disorder_from_json,
@@ -378,6 +379,37 @@ class TestExtremeTiltContinuous:
             warnings.simplefilter("error")
             assert math.isfinite(log_mgf(law, lam))
             assert tilted_mean(law, lam) == pytest.approx(top, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            continuous_disorder([-1.0, 0.0, 1.0, 2.0], [1.0, 0.5, 0.2, 0.0]),
+            continuous_disorder([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 1.0, 0.0]),
+        ],
+        ids=["zero-at-right-end", "zero-at-both-ends"],
+    )
+    def test_underflowing_mass_is_precision_error(self, law):
+        # where the density is 0 at the end that anchors the tilt, the tilted
+        # mass is of order 1/lam^2 and underflows from |lam| near 1.5e161: both
+        # moments raise there, and at every other tilt up to the float
+        # maximum both return finite values, and log M matches its anchored
+        # form
+        tilts = [0.0] + [s * 2.0 ** float(e) for e in np.linspace(-40.0, 1023.0, 128)
+                         for s in (1.0, -1.0)]
+        raised = []
+        for lam in tilts:
+            try:
+                value = log_mgf(law, lam)
+            except PrecisionError as exc:
+                assert str(exc) == f"tilted mass underflows at tilt {lam!r}"
+                with pytest.raises(PrecisionError, match="tilted mass underflows"):
+                    tilted_mean(law, lam)
+                raised.append(abs(lam))
+                continue
+            anchor, rest = _anchored_log_mgf(law, lam)
+            assert abs(value - (lam * anchor + rest)) <= 1e-15 * max(1.0, abs(value)), lam
+            assert math.isfinite(tilted_mean(law, lam)), lam
+        assert raised and min(raised) > 1e160
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
     def test_draws_at_extreme_tilt(self, sign):

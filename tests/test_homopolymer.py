@@ -19,7 +19,6 @@ from pinlab.homopolymer import (
     joint_free_energy,
     lambda0_from_chi,
     joint_truncation_bound,
-    joint_truncation_bound_limit,
 )
 from pinlab.kernels import (
     ChiResult,
@@ -30,7 +29,7 @@ from pinlab.kernels import (
     truncate_kernel,
 )
 
-from oracles import loglog_slope
+from oracles import joint_truncation_bound_limit, loglog_slope
 
 
 @pytest.fixture(scope="module")

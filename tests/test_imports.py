@@ -2,11 +2,14 @@
 behind.  Names re-exported through ``__all__`` count as used.  The runtime
 imports numpy and nothing outside the standard library besides.  Only the
 modules that define the kernel and disorder families branch on them, and
-only the quenched layer picks a kernel's DP path."""
+only the quenched layer picks a kernel's DP path.  Every exported name has
+a reader outside its own definition: other package code, a bench script or
+the README."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,3 +169,71 @@ def test_each_computation_written_once():
     for name in ("relative_entropy_tilt", "log_xi", "_anchored_log_mgf"):
         nodes = ast.walk(_function("disorder.py", name))
         assert not any(isinstance(n, ast.Attribute) and n.attr == "family" for n in nodes), name
+
+
+# exports that no command reads yet, each named with the ROADMAP item that
+# will read it
+UNREAD_EXPORTS = {
+    "joint_truncation_bound": "item 2",
+    "kernel_to_json": "item 12",
+    "disorder_to_json": "item 12",
+}
+
+
+def _reads(tree: ast.Module, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
+    """Names and attributes that ``tree`` loads, outside the node ``skip``.
+    With ``strings``, a string constant such as
+    ``"quenched.dp_log_partition"`` reads its last dotted part too, as the
+    bench's tracer names what it wraps."""
+    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value.rsplit(".", 1)[-1])
+    return names
+
+
+def unread_exports(package: dict[str, str], bench: list[str], readme: str) -> list[str]:
+    """``module.name`` for each name in a package module's ``__all__`` that
+    no other package code, no bench script and not the README reads.  A
+    read inside the name's own ``def`` or ``class`` does not count, nor does
+    ``__init__``'s re-export."""
+    trees = {module: ast.parse(source) for module, source in package.items()
+             if module != "__init__"}
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    bench_reads = set().union(*(_reads(ast.parse(source), strings=True) for source in bench))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = bench_reads.union(*(r for m, r in reads.items() if m != module))
+        for name in sorted(_exported(tree)):
+            own = next((node for node in tree.body if getattr(node, "name", None) == name), None)
+            if (name not in elsewhere and name not in _reads(tree, skip=own)
+                    and not re.search(rf"\b{re.escape(name)}\b", readme)):
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_finds_an_unused_export():
+    package = {
+        "__init__": "from .a import f, g, h, k\n__all__ = ['f', 'g', 'h', 'k']\n",
+        "a": "__all__ = ['f', 'g', 'h', 'k']\ndef f():\n    return f()\n"
+             "def g():\n    return 1\ndef h():\n    return g()\nclass k:\n    pass\n",
+    }
+    assert unread_exports(package, [], "") == ["a.f", "a.h", "a.k"]
+    assert unread_exports(package, ["TRACED = ['a.h']\n"], "call `k`") == ["a.f"]
+
+
+def test_every_export_has_a_reader():
+    package = {p.stem: p.read_text() for p in (ROOT / "src" / "pinlab").glob("*.py")}
+    bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    # the keep-list is exactly what is unread: an entry that gains its reader
+    # leaves the list
+    unread = {name.rsplit(".", 1)[1] for name in unread_exports(package, bench, readme)}
+    assert sorted(unread) == sorted(UNREAD_EXPORTS)

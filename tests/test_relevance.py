@@ -1,5 +1,6 @@
 """Relevance diagnostics: temperature bounds, replica identity, the
-entropy estimator and its sandwich, monotonicity, variational identity."""
+entropy estimator and its sandwich, monotonicity under common random
+numbers, and the variational identity at the matching tilt."""
 
 import math
 import tracemalloc
@@ -15,6 +16,8 @@ from pinlab.disorder import (
     log_xi,
     rademacher_disorder,
     relative_entropy_limit,
+    relative_entropy_tilt,
+    tilted_mean,
 )
 from pinlab.errors import InvalidParameterError, PrecisionError, UndecidedError
 from pinlab.homopolymer import joint_free_energy
@@ -29,17 +32,14 @@ from pinlab.kernels import (
 )
 from pinlab.oracles import free_endpoint_likelihood, pair_moment, replica_moment_exact_check
 from pinlab import relevance
-from pinlab.quenched import _log_partitions, dp_log_partition, log_mass_vector
+from pinlab.quenched import _log_partitions, _mean_stderr, dp_log_partition, log_mass_vector
 from pinlab.relevance import (
-    RelevanceReport,
-    annealed_variational_check,
     critical_temperature_bounds,
     entropy_bounds,
     entropy_estimator,
+    _free_endpoint_log_likelihood,
     _length_law,
     _sample_word_sequence,
-    entropy_monotonicity_scan,
-    free_endpoint_log_likelihood,
     replica_moment_log,
 )
 from pinlab.rng import derive_stream
@@ -229,7 +229,7 @@ class TestEntropyEstimatorCore:
         # the estimator's DP call and closing, for one explicit weight row
         rows = weights[None, :]
         log_z = _log_partitions(ktr, rows)
-        return float(free_endpoint_log_likelihood(log_z, rows, ktr.mass_array(tr))[0])
+        return float(_free_endpoint_log_likelihood(log_z, rows, ktr.mass_array(tr))[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
     @pytest.mark.parametrize("tr", [1, 3, 4])
@@ -311,7 +311,7 @@ class TestFrontDoorBand:
         (weights,) = seen
         ktr = truncate_kernel(kernel, tr)
         log_z = dp_log_partition(log_mass_vector(ktr, n), weights, band=tr)
-        want = free_endpoint_log_likelihood(log_z, weights, ktr.mass_array(tr)) / n
+        want = _free_endpoint_log_likelihood(log_z, weights, ktr.mass_array(tr)) / n
         np.testing.assert_allclose(rep.per_replica, want, rtol=1e-12, atol=0.0)
         assert rep.estimate == pytest.approx(float(np.mean(want)), rel=1e-12)
 
@@ -435,95 +435,90 @@ class TestEntropyEstimator:
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def paired_drops(per_replica, betas):
+    """The ``(beta_lo, beta_hi, mean_delta, stderr_delta)`` of consecutive
+    estimates whose paired per-replica difference falls more than three of
+    its standard errors below 0."""
+    drops = []
+    for b_lo, b_hi, lo, hi in zip(betas, betas[1:], per_replica, per_replica[1:]):
+        mean_delta, stderr_delta = _mean_stderr(hi - lo)
+        if mean_delta < -3.0 * stderr_delta:
+            drops.append((b_lo, b_hi, mean_delta, stderr_delta))
+    return drops
+
+
 class TestMonotonicityScan:
+    """Estimates along a tilt grid at one ``base_seed`` share their replica
+    streams, so consecutive estimates are coupled and their paired
+    differences carry far less variance than the raw estimates."""
+
     def test_rademacher_grid_nondecreasing(self):
-        scan = entropy_monotonicity_scan(
-            P03, RAD, [0.0, 0.5, 1.0], tr=6, n=768, replicas=24, base_seed=13
-        )
-        assert scan.monotone_ok
-        assert scan.reports[0].estimate == 0.0
-        estimates = [r.estimate for r in scan.reports]
+        betas = [0.0, 0.5, 1.0]
+        reports = [
+            entropy_estimator(P03, RAD, beta, tr=6, n=768, replicas=24, base_seed=13)
+            for beta in betas
+        ]
+        assert paired_drops([r.per_replica for r in reports], betas) == []
+        assert reports[0].estimate == 0.0
+        estimates = [r.estimate for r in reports]
         assert estimates == sorted(estimates)
 
     def test_duplicate_betas_identical(self):
-        scan = entropy_monotonicity_scan(
-            P03, GAUSS, [0.8, 0.8], tr=4, n=256, replicas=8, base_seed=4
-        )
-        assert scan.reports[0].estimate == scan.reports[1].estimate
-        assert scan.monotone_ok
+        reports = [
+            entropy_estimator(P03, GAUSS, 0.8, tr=4, n=256, replicas=8, base_seed=4)
+            for _ in range(2)
+        ]
+        assert reports[0].estimate == reports[1].estimate
+        assert paired_drops([r.per_replica for r in reports], [0.8, 0.8]) == []
 
-    def test_overflowing_grid_point_raises_precision_error(self):
-        with pytest.raises(PrecisionError):
-            entropy_monotonicity_scan(
-                P03, GAUSS, [0.5, 1.0, 1e160], tr=4, n=16, replicas=2, base_seed=0
-            )
-
-    def test_rejects_decreasing_grid(self):
-        with pytest.raises(InvalidParameterError):
-            entropy_monotonicity_scan(
-                P03, GAUSS, [1.0, 0.5], tr=4, n=256, replicas=4, base_seed=1
-            )
-
-    def test_decrease_past_three_stderr_is_a_violation(self, monkeypatch):
+    def test_decrease_past_three_stderr_is_a_violation(self):
         # paired drops of 0.975 +- 0.048 from 0.5 to 1.0 are flagged; the rise
         # to 1.5 is not
-        per_replica = {
-            0.5: np.array([2.0, 2.1, 1.9, 2.0]),
-            1.0: np.array([1.0, 1.0, 1.0, 1.1]),
-            1.5: np.array([1.2, 1.0, 1.1, 1.2]),
-        }
-
-        def stub(kernel, disorder, beta, tr, n, replicas, base_seed):
-            values = per_replica[beta]
-            return RelevanceReport(beta, tr, 1.0, float(values.mean()), 0.0, values)
-
-        monkeypatch.setattr(relevance, "entropy_estimator", stub)
-        scan = entropy_monotonicity_scan(
-            P03, GAUSS, [0.5, 1.0, 1.5], tr=4, n=16, replicas=4, base_seed=0
-        )
-        [(lo, hi, mean_delta, stderr_delta)] = scan.violations
+        per_replica = [
+            np.array([2.0, 2.1, 1.9, 2.0]),
+            np.array([1.0, 1.0, 1.0, 1.1]),
+            np.array([1.2, 1.0, 1.1, 1.2]),
+        ]
+        [(lo, hi, mean_delta, stderr_delta)] = paired_drops(per_replica, [0.5, 1.0, 1.5])
         assert (lo, hi) == (0.5, 1.0)
         assert mean_delta == pytest.approx(-0.975, abs=1e-12)
         assert stderr_delta == pytest.approx(math.sqrt(0.0275 / 3.0) / 2.0, abs=1e-12)
-        assert scan.monotone_ok is False
 
-    def test_checks_the_grid_before_any_estimate(self, monkeypatch):
-        calls = []
 
-        def spy(*args):
-            calls.append(args)
-            return _log_partitions(*args)
-
-        monkeypatch.setattr(relevance, "_log_partitions", spy)
-        with pytest.raises(InvalidParameterError):
-            entropy_monotonicity_scan(
-                P03, GAUSS, [1.0, 0.5], tr=4, n=256, replicas=4, base_seed=1
-            )
-        assert calls == []
-        # the spy sees the DP calls of a grid that is in order
-        entropy_monotonicity_scan(P03, GAUSS, [0.5, 1.0], tr=4, n=16, replicas=2, base_seed=1)
-        assert len(calls) == 2
+def variational_argmax(disorder, beta, grid):
+    """``(argmax, max)`` of ``beta * mean(mu_t) - h(mu_t | mu_0)`` over the
+    tilts ``t`` of ``grid``."""
+    values = [beta * tilted_mean(disorder, t) - relative_entropy_tilt(disorder, t) for t in grid]
+    best = int(np.argmax(values))
+    return float(grid[best]), values[best]
 
 
 class TestVariational:
+    """Over product word measures with tilted first letter the objective
+    ``beta * mean(mu_t) - h(mu_t | mu_0)`` peaks at ``t = beta`` with value
+    ``log M(beta)``, since ``h(mu_t | mu_0) = t mean(mu_t) - log M(t)``."""
+
     @pytest.mark.parametrize("disorder", [GAUSS, RAD], ids=["gaussian", "rademacher"])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_maximum_at_matching_tilt(self, disorder, beta):
+        log_m = log_mgf(disorder, beta)
+        at_beta = beta * tilted_mean(disorder, beta) - relative_entropy_tilt(disorder, beta)
+        assert abs(at_beta - log_m) <= 1e-15 * max(1.0, abs(log_m))
         grid = np.linspace(0.0, 3.0, 601)
-        res = annealed_variational_check(disorder, beta, grid)
-        assert abs(res.argmax_tilt - beta) <= grid[1] - grid[0] + 1e-12
-        assert res.reference == pytest.approx(log_mgf(disorder, beta), abs=1e-15)
-        assert 0.0 <= res.gap <= 5e-5
+        argmax, peak = variational_argmax(disorder, beta, grid)
+        assert abs(argmax - beta) <= grid[1] - grid[0] + 1e-12
+        assert 0.0 <= log_m - peak <= 5e-5
 
     def test_zero_beta(self):
-        res = annealed_variational_check(GAUSS, 0.0, np.linspace(0, 1, 101))
-        assert res.argmax_tilt == 0.0
-        assert res.max_value == 0.0
+        assert 0.0 * tilted_mean(GAUSS, 0.0) - relative_entropy_tilt(GAUSS, 0.0) == 0.0
+        argmax, peak = variational_argmax(GAUSS, 0.0, np.linspace(0, 1, 101))
+        assert argmax == 0.0
+        assert peak == 0.0
 
     def test_gaussian_objective_closed_form(self):
         beta = 1.0
-        grid = np.linspace(0.0, 2.0, 201)
-        res = annealed_variational_check(GAUSS, beta, grid)
+        assert beta * tilted_mean(GAUSS, beta) - relative_entropy_tilt(GAUSS, beta) == 0.5
+        argmax, peak = variational_argmax(GAUSS, beta, np.linspace(0.0, 2.0, 201))
         # objective is t -> beta t - t^2/2, peak 1/2 at t = 1
-        assert res.max_value == pytest.approx(0.5, abs=1e-10)
-        assert res.argmax_tilt == pytest.approx(1.0, abs=1e-12)
+        assert peak == pytest.approx(0.5, abs=1e-10)
+        assert argmax == pytest.approx(1.0, abs=1e-12)
