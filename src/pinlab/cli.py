@@ -96,13 +96,14 @@ class ConfigError(PinlabError):
 # ---------------------------------------------------------------------------
 
 
-def _fetch(cfg: dict, path: str, required: bool = True, default=None):
+def _fetch(cfg: dict, path: str, default=None):
+    """The value at ``path``; required when ``default`` is None."""
     node = cfg
     walked = []
     for part in path.split("."):
         walked.append(part)
         if not isinstance(node, dict) or part not in node:
-            if required:
+            if default is None:
                 raise ConfigError(".".join(walked), "missing required field")
             return default
         node = node[part]
@@ -146,7 +147,7 @@ def _as_numbers(path: str, cast, doc, positive=False) -> list:
 
 def _fetch_number(cfg: dict, path: str, cast, default=None, positive=False):
     """The number at ``path``; required when ``default`` is None."""
-    value = _fetch(cfg, path, required=default is None, default=default)
+    value = _fetch(cfg, path, default)
     return _as_number(path, cast, value, positive)
 
 
@@ -237,7 +238,7 @@ class RunWriter:
     def read_seed(self, default: int | None = None) -> int:
         """The config's ``base_seed``, else ``default``, as the run's seed;
         it is mandatory when there is no default, and must be nonnegative."""
-        seed = _fetch(self._config, "base_seed", required=False, default=default)
+        seed = self._config.get("base_seed", default)
         if seed is None:
             raise ConfigError("base_seed", "seed is mandatory (no wall-clock default)")
         seed = _as_number("base_seed", int, seed)
@@ -365,7 +366,7 @@ def cmd_relevance(cfg: dict, writer: RunWriter) -> None:
     tr_schedule = _as_numbers(
         "tr_schedule",
         int,
-        _fetch(cfg, "tr_schedule", required=False, default=[8, 16, 32, 64]),
+        _fetch(cfg, "tr_schedule", [8, 16, 32, 64]),
         positive=True,
     )
     if not tr_schedule:

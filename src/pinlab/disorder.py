@@ -377,12 +377,17 @@ def log_mgf(law: DisorderLaw, lam: float) -> float:
 
 
 def tilted_mean(law: DisorderLaw, beta: float) -> float:
-    """Mean of the tilted law, ``M'(beta) / M(beta)``."""
+    """Mean of the tilted law, ``M'(beta) / M(beta)``.  A continuous law
+    tilted from its anchor ``a`` takes ``a + E_beta[x - a]``, so it stays
+    in the support where the tilted mass is too small for ``m1 / m0``."""
     if law.family == "gaussian":
         return beta
     if law.family == "discrete":
         _, wts = _atom_weights(law, beta, 1.0)
         return float(np.dot(wts / wts.sum(), law.xs))
+    if _anchored(law, beta):
+        top, _, slope = _anchored_continuous(law, beta, 1.0)
+        return top + slope / beta
     _, m0, m1 = _continuous_moments(law, beta)
     return m1 / m0
 

@@ -94,7 +94,9 @@ def log_mass_vector(kernel: RenewalKernel, n: int) -> np.ndarray:
 # then carry a relevant share of it.  A new entry ``s e^w`` whose factor
 # ``e^w`` is subnormal or zero is exact only to about ``s * 5e-324``, so a
 # replica whose sum exceeds 1 at such a site is rebased too, which recomputes
-# the entry from ``log Z``.
+# the entry from ``log Z``.  The rule is one test for every step of a run,
+# step n included: step n stores no entry, so a failure there rebases
+# nothing and only a sum outside [e^-644, e^644] is redone.
 _LOG_SAFE = 460.0
 _LOG_EXACT = 644.0
 _SAFE = math.exp(_LOG_SAFE)
@@ -159,20 +161,23 @@ def dp_log_partition(
     ``y[j]`` for ``j < m`` stays fixed while the run goes on.  ``e^w`` is
     taken once per block of ``_RUN_CAP`` sites; after a run, one ``log``
     gives its ``log Z_m = c_r + log s_m`` (contiguous rows of the site-major
-    ``log Z``), and one range test covers all its steps: a few reductions
-    decide it, and only a run that fails builds the per-step test.  The
-    first step at which a replica's sum or new entry leaves the safe range
-    is repaired and the run's later steps are computed again: the replica is
-    rebased (``c_r`` becomes the window's largest ``log Z_j + w_j``, or the
-    log of its largest far state where that is larger, so that no state
-    passes 1; its window is recomputed from ``log Z``, and its far states,
-    first moved to the next boundary on the old scale, are multiplied by
+    ``log Z``), and one range test, the same rule for every step, step
+    ``n`` included, covers all its steps: a few reductions decide it, and
+    only a run that fails builds the per-step test.  The first step at
+    which a replica's sum or new entry leaves the safe range is repaired
+    and the run's later steps are computed again: the replica is rebased
+    (``c_r`` becomes the window's largest ``log Z_j + w_j``, or the log of
+    its largest far state where that is larger, so that no state passes 1;
+    its window is recomputed from ``log Z``, and its far states, first
+    moved to the next boundary on the old scale, are multiplied by
     ``e^{old c_r - new c_r}``), and a sum that is zero, subnormal or near
     either end of the float range is first recomputed by the exact
     log-sum-exp step over every earlier site (over the band) for that
-    replica alone.  So large ``beta * w``, extreme ``h``, gapped kernels and
-    long stretches of very negative weight give the log-domain values, and
-    ``-inf`` where ``Z_m = 0``.
+    replica alone.  Step ``n`` stores no entry, so a repair there rebases
+    nothing and changes only a sum that the log-sum-exp step redoes.  So
+    large ``beta * w``, extreme ``h``, gapped kernels and long stretches of
+    very negative weight give the log-domain values, and ``-inf`` where
+    ``Z_m = 0``.
 
     Site ``j`` of ``y`` is stored at row ``j - off`` of an array of
     ``min(n + 1, width + 2 * _RUN_CAP)`` rows.  A run reads the ``width``
@@ -228,10 +233,9 @@ def dp_log_partition(
     if len(y) == width + 2 * _RUN_CAP:
         steady = {r: [y[r : r + i + 1] for i in range(_RUN_CAP)] for r in (width, width + _RUN_CAP)}
     multiply = np.multiply
-    states = None
+    states, b = None, 0  # the far states hold the sites j < b
     if far is not None:
         states = np.zeros((len(e_in), reps))
-        b = 0  # the states' boundary: they hold the sites j < b
         far_sums = np.empty((_RUN_CAP, reps))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if n:
@@ -239,8 +243,7 @@ def dp_log_partition(
         m, length, g0 = 1, 1, -_RUN_CAP
         while m <= n:
             end = min(m + length, n + 1)  # the run is steps m <= t < end
-            if states is not None and m - width > b:
-                b = _advance(states, e_in, y, off, b, m - width)
+            b = _advance(states, e_in, y, off, b, m - width)
             if end - off > len(y):  # keep the window's rows [m - width, m)
                 y[:width] = y[m - width - off : m - off]
                 off = m - width
@@ -255,7 +258,7 @@ def dp_log_partition(
             np.matmul(toe[: top - m, c0:], window, out=run[: top - m])
             if end > top:
                 np.matmul(toe[: end - top, c0 - _HALF : width], window, out=run[top - m :])
-            if states is not None and b:
+            if b:
                 np.add(run, np.matmul(e_out[: end - m], states, out=far_sums[: end - m]), out=run)
             # a step is one BLAS product and one multiply, called as bound
             # methods and with positional outs, past numpy's Python-level
@@ -267,30 +270,24 @@ def dp_log_partition(
             ):
                 k_t(h_t, s_t)
                 multiply(s_t, g_t, y_t)
-            lz, g = np.log(sums[: end - m], out=sums[: end - m]), growth[m - g0 : end - g0]
+            lz = np.log(sums[: end - m], out=sums[: end - m])
             np.add(scale, lz, log_z[m:end])
-            if _in_range(lz, run, g, end - m - (end > n), tiny_growth):
+            out = _first_out_of_range(lz, run, growth[m - g0 : end - g0], tiny_growth)
+            if out is None:
                 m, length = end, min(2 * length, _RUN_CAP)
                 continue
-            # the reductions fail only where a step does: the first step out of
-            # range is repaired, and the steps after it are redone
-            size = np.abs(lz)
-            ok = (size <= _LOG_SAFE) & (run <= _SAFE)
-            if tiny_growth:
-                ok &= (g >= _TINY) | (lz <= 0.0)
-            if end > n:
-                ok[-1] = size[-1] <= _LOG_EXACT  # step n stores no entry
-            i = int(ok.all(axis=1).argmin())
+            # the first step out of range is repaired, and the steps after it
+            # are redone; step n stores no entry, so only its sum can be
+            i, ok = out
             t = m + i
-            if not size[i].max() <= _LOG_EXACT:
-                exact = np.flatnonzero(~(size[i] <= _LOG_EXACT))
+            size = np.abs(lz[i])
+            if not size.max() <= _LOG_EXACT:
+                exact = np.flatnonzero(~(size <= _LOG_EXACT))
                 log_z[t, exact] = _log_step(log_z, site_weights, log_k, exact, max(0, t - lead), t)
             if t < n:
-                bad = np.flatnonzero(~ok[i])
                 j0 = max(0, t + 1 - width)
-                if states is not None and j0 > b:  # on the old scale
-                    b = _advance(states, e_in, y, off, b, j0)
-                _rebase(y, off, scale, log_z, site_weights, bad, j0, t + 1, states)
+                b = _advance(states, e_in, y, off, b, j0)  # on the old scale
+                _rebase(y, off, scale, log_z, site_weights, np.flatnonzero(~ok), j0, t + 1, states)
             m, length = t + 1, 1
     return log_z.T
 
@@ -331,30 +328,32 @@ def _kernel_blocks(log_k: bytes, width: int, far: tuple[bytes, bytes] | None):
     return (toe, near_dots, *_read_only(e_out, e_in))
 
 
-def _in_range(lz, run, growth, q, tiny_growth):
-    """Whether every step of a run stays in range, by reductions.  The first
-    ``q`` steps, which store an entry, need their logged sums ``lz`` in
-    ``[-_LOG_SAFE, _LOG_SAFE]``, their new entries ``run`` at most
-    ``_SAFE`` and, if ``tiny_growth`` and a sum passes 1, every sum at a
-    subnormal or zero factor ``growth`` at most 1; a step after them (step
-    ``n``, which stores none) needs its logged sums in ``[-_LOG_EXACT,
-    _LOG_EXACT]``.  A NaN fails."""
-    if q < len(lz) and not (np.maximum.reduce(lz[q], None) <= _LOG_EXACT
-                            and np.minimum.reduce(lz[q], None) >= -_LOG_EXACT):
-        return False
-    if not q:
-        return True
-    lz, top = lz[:q], np.maximum.reduce(lz[:q], None)
-    if not (top <= _LOG_SAFE and np.minimum.reduce(lz, None) >= -_LOG_SAFE
-            and np.maximum.reduce(run[:q], None) <= _SAFE):
-        return False
-    return not (tiny_growth and top > 0.0) or bool(((growth[:q] >= _TINY) | (lz <= 0.0)).all())
+def _first_out_of_range(lz, run, growth, tiny_growth):
+    """The first step of a run out of range, as ``(i, ok)`` with ``ok`` the
+    replicas in range at step ``i``, or None if every step is in range.  A
+    step is in range where its logged sum ``lz`` lies in ``[-_LOG_SAFE,
+    _LOG_SAFE]``, its new entry ``run`` is at most ``_SAFE`` and, if
+    ``tiny_growth``, its sum is at most 1 at a subnormal or zero factor
+    ``growth``.  A NaN is out of range.  A few reductions decide a clean
+    run; only one that fails them builds the per-step mask."""
+    top = np.maximum.reduce(lz, None)
+    if (top <= _LOG_SAFE and np.minimum.reduce(lz, None) >= -_LOG_SAFE
+            and np.maximum.reduce(run, None) <= _SAFE and not (tiny_growth and top > 0.0)):
+        return None
+    ok = (np.abs(lz) <= _LOG_SAFE) & (run <= _SAFE)
+    if tiny_growth:
+        ok &= (growth >= _TINY) | (lz <= 0.0)
+    i = int(ok.all(axis=1).argmin())
+    return None if ok[i].all() else (i, ok[i])
 
 
 def _advance(states, e_in, y, off, b0, b1):
     """Move the far states from boundary ``b0`` to ``b1``, at most
     ``_RUN_CAP`` sites on, by the entries ``y[b0 - off : b1 - off]`` of the
-    sites that leave the window; returns ``b1``."""
+    sites that leave the window; returns the new boundary, ``b0`` unchanged
+    without far states or where ``b1 <= b0``."""
+    if states is None or b1 <= b0:
+        return b0
     span = b1 - b0
     q = e_in.shape[1] - 1 - span
     states *= e_in[:, q, None]

@@ -58,12 +58,8 @@ CHECKS = {
                                 InvalidParameterError, "unknown disorder family 'cauchy'"),
     "log-mgf-mass-underflow": (lambda: log_mgf(RIGHT_ZERO, 1e200), PrecisionError,
                                r"tilted mass underflows at tilt 1e\+200"),
-    "tilted-mean-mass-underflow": (lambda: tilted_mean(RIGHT_ZERO, 1e200), PrecisionError,
-                                   r"tilted mass underflows at tilt 1e\+200"),
     "log-mgf-mass-underflow-down": (lambda: log_mgf(TENT, -1e200), PrecisionError,
                                     r"tilted mass underflows at tilt -1e\+200"),
-    "tilted-mean-mass-underflow-down": (lambda: tilted_mean(TENT, -1e200), PrecisionError,
-                                        r"tilted mass underflows at tilt -1e\+200"),
     # homopolymer
     "curve-empty-grid": (lambda: annealed_critical_curve(GAUSS, []), InvalidParameterError,
                          "beta grid must be nonempty"),

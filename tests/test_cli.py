@@ -111,6 +111,15 @@ class TestHomopolymerCommand:
             out2 / "homopolymer.csv"
         ).read_bytes()
 
+    def test_log_spaced_grid(self, tmp_path):
+        grid = {"start": 1e-6, "stop": 2.0, "count": 5, "spacing": "log"}
+        cfg = write_config(tmp_path, "cfg.json", {"kernel": GEOMETRIC, "lambda_grid": grid})
+        out = tmp_path / "out"
+        assert run(["homopolymer", "--config", cfg, "--out", out]) == EXIT_OK
+        _, rows = read_rows(out / "homopolymer.csv")
+        want = [f"{x:.17g}" for x in np.geomspace(1e-6, 2.0, 5)]
+        assert [row["lambda"] for row in rows] == want
+
     def test_lambda_beyond_float_range_exits_with_manifest(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -882,6 +891,17 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "PASS replica-identity" in out
         assert "FAIL" not in out
+
+    def test_default_kernel_is_power_half(self, tmp_path, capsys):
+        # without a kernel the checks run on the power-0.5 kernel
+        outputs = []
+        for name, doc in [("bare", {"base_seed": 1}),
+                          ("power", {"kernel": {"family": "power", "alpha": 0.5}, "base_seed": 1})]:
+            cfg = write_config(tmp_path, name + ".json", doc)
+            assert run(["validate", "--config", cfg, "--out", tmp_path / name]) == EXIT_OK
+            outputs.append(capsys.readouterr().out.splitlines())
+        assert len(outputs[0]) == 7 and all(line.startswith("PASS ") for line in outputs[0])
+        assert outputs[0] == outputs[1]
 
     def test_corrupted_table_fails_with_invariant_name(self, tmp_path, capsys):
         cfg = write_config(

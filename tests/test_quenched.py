@@ -277,8 +277,9 @@ class TestRepairSchedule:
 
     Runs are steps [1, 2), [2, 4), [4, 8), ..., so at ``n = 3`` step ``n``
     shares its run with step 2, and site 3's growth factor is the 1 it was
-    made with: a range test that reads step ``n``'s entry, or holds its sum
-    to the safe range, sees it out of range while every step is in range.
+    made with.  Step ``n`` is held to the rule of every step, and a failure
+    there repairs nothing: it rebases no replica and takes the log-sum-exp
+    step only for a sum past ``e^644``, so the counts stay (1, 0) and (1, 1).
     """
 
     @staticmethod
@@ -292,7 +293,8 @@ class TestRepairSchedule:
     @pytest.mark.parametrize("log_k1, calls", [(150.0, (1, 0)), (200.0, (1, 1))])
     def test_step_n_sum_above_the_safe_range(self, log_k1, calls, band):
         # y_1 = 1, y_2 = e^450 and s_3 = e^(log_k1 + 450): at e^600 step n is
-        # accepted as it is, at e^650 it takes the log-sum-exp step
+        # out of the safe range and repairs nothing, at e^650 it takes the
+        # log-sum-exp step
         weights = np.zeros((2, 3))
         weights[0, 1:] = -log_k1, 450.0 - log_k1
         assert self.schedule(shifted_log_k(3, log_k1), weights, band) == calls
@@ -329,6 +331,90 @@ class TestRepairSchedule:
         assert set(before) == steady
         assert after[0] not in steady and steady <= set(after)
         assert self.schedule(log_mass_vector(KERNEL, n), weights, band) == (2, 0)
+
+
+_NORMAL = np.finfo(float).tiny
+
+
+def range_rule(lz, entry, factor, tiny_growth):
+    """The DP's range rule for one replica at one step, written out: the
+    logged sum in [-460, 460], the new entry at most e^460 and, where some
+    factor of the block is subnormal, a sum of at most 1 at a factor below
+    the smallest normal float."""
+    return (abs(lz) <= 460.0 and entry <= math.exp(460.0)
+            and (not tiny_growth or factor >= _NORMAL or lz <= 0.0))
+
+
+RULE_SUMS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -3.5, 5e-324, -5e-324,
+             459.9, 460.0, np.nextafter(460.0, math.inf), 460.5, 644.0,
+             -460.0, np.nextafter(-460.0, -math.inf), -460.5, -700.0]
+RULE_ENTRIES = [0.0, 1.0, math.exp(459.0), math.exp(460.0), np.nextafter(math.exp(460.0), math.inf),
+                math.exp(461.0), math.inf, math.nan]
+RULE_FACTORS = [0.0, 5e-324, _NORMAL / 2, np.nextafter(_NORMAL, 0.0), _NORMAL, 1.0, math.exp(300.0)]
+
+
+class TestRangeRule:
+    """``_first_out_of_range`` against the rule of :func:`range_rule`, one
+    step and one replica at a time: None exactly when every step of the
+    run is in range, else the first step out of range and its replicas in
+    range, at step ``n`` as at every other step."""
+
+    @staticmethod
+    def assert_rule(lz, entries, factors, tiny_growth):
+        want = np.array([[range_rule(*cell, tiny_growth) for cell in zip(*rows)]
+                         for rows in zip(lz, entries, factors)], dtype=bool)
+        got = quenched._first_out_of_range(lz, entries, factors, tiny_growth)
+        if want.all():
+            assert got is None
+            return
+        i, ok = got
+        assert i == int(np.flatnonzero(~want.all(axis=1))[0])
+        assert ok.dtype == bool and ok.tolist() == want[i].tolist()
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.data())
+    def test_matches_the_rule(self, steps, reps, tiny_growth, data):
+        def cells(pool):
+            drawn = data.draw(st.lists(st.sampled_from(pool), min_size=steps * reps,
+                                       max_size=steps * reps))
+            return np.array(drawn).reshape(steps, reps)
+
+        self.assert_rule(cells(RULE_SUMS), cells(RULE_ENTRIES), cells(RULE_FACTORS), tiny_growth)
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 64), st.integers(1, 8), st.booleans(), st.data())
+    def test_clean_runs_with_one_cell_off(self, steps, reps, tiny_growth, data):
+        # a run in range except, maybe, one cell, as the DP sees it most
+        rng = np.random.default_rng(data.draw(seeds))
+        lz = rng.uniform(-400.0, 400.0, (steps, reps))
+        entries = np.exp(rng.uniform(-400.0, 400.0, (steps, reps)))
+        factors = np.exp(rng.uniform(-700.0, 700.0, (steps, reps)))
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, steps - 1)), data.draw(st.integers(0, reps - 1))
+            lz[at] = data.draw(st.sampled_from(RULE_SUMS))
+            entries[at] = data.draw(st.sampled_from(RULE_ENTRIES))
+            factors[at] = data.draw(st.sampled_from(RULE_FACTORS))
+        self.assert_rule(lz, entries, factors, tiny_growth)
+
+    @pytest.mark.parametrize("lz, entry, factor", [
+        (460.5, 1.0, 1.0),
+        (-460.5, 1.0, 1.0),
+        (math.nan, 1.0, 1.0),
+        (0.0, math.exp(461.0), 1.0),
+        (1.0, 1.0, 5e-324),
+    ])
+    def test_last_step_out_of_range_alone(self, lz, entry, factor):
+        # the last step of a run, step n included, fails by the same rule
+        sums, entries, factors = np.zeros((5, 2)), np.ones((5, 2)), np.ones((5, 2))
+        sums[-1, 1], entries[-1, 1], factors[-1, 1] = lz, entry, factor
+        i, ok = quenched._first_out_of_range(sums, entries, factors, True)
+        assert i == 4 and ok.tolist() == [True, False]
+
+    def test_edges_are_in_range(self):
+        sums = np.array([[460.0, -460.0, 0.0, -0.0]])
+        entries = np.array([[math.exp(460.0), 0.0, 1.0, 1.0]])
+        factors = np.array([[1.0, 5e-324, 0.0, _NORMAL]])
+        assert quenched._first_out_of_range(sums, entries, factors, True) is None
 
 
 class TestFarProduct:
