@@ -15,8 +15,10 @@ Three ingredients live here:
   probabilities are ``1 / (1 - K(z))``, the overlap gap law is ``1 -
   1/V(z)``, and the pair-chain moment is one reciprocal too.  Newton
   steps take the middle product, their real FFTs (``numpy.fft``) have
-  the 5-smooth length just above the coefficients they lift, and a known
-  ``head`` lets a growing horizon cost about one reciprocal at its end.
+  the 5-smooth length just above the coefficients they lift, and they
+  resume from the known first coefficients of a caller-owned output, so a
+  horizon grown in place costs about one reciprocal at its end and holds
+  one copy of the coefficients.
   This is the only path the library runs; the exact O(N^2) dynamic
   programs (``renewal_function_dp``, ``kernel_from_renewal_function_dp``)
   are kept as reference oracles for the tests.
@@ -257,7 +259,9 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def power_series_inverse(a: np.ndarray, n: int, head: np.ndarray | None = None) -> np.ndarray:
+def power_series_inverse(
+    a: np.ndarray, n: int, out: np.ndarray | None = None, known: int = 0
+) -> np.ndarray:
     """First ``n`` coefficients of ``1/A(z)`` where ``A(z) = sum a_j z^j``.
 
     Requires ``a[0] != 0`` and ``n >= 1``.  Middle-product Newton steps
@@ -276,23 +280,35 @@ def power_series_inverse(a: np.ndarray, n: int, head: np.ndarray | None = None) 
     dynamic program to a few 1e-13 for ``n`` up to a few thousand (returns
     that do not decay are the hardest case).
 
-    ``head`` holds coefficients already known, from a call with the same
-    leading ``a``; it is cut to ``n`` and the steps resume from it.  The
-    rungs below ``2h - 1`` are those of a call at ``h``, so resuming the
-    result of a call at ``h`` to ``2h - 1`` gives the fresh result exactly.
+    The coefficients go to ``out[:n]``, returned as a view of ``out``, or
+    to a new array when ``out`` is None.  The first ``known`` entries of
+    ``out`` are taken as coefficients already known, from a call with the
+    same leading ``a``, and the steps resume from them, so a caller that
+    grows one ``out`` in place holds one copy of the coefficients.  The
+    rungs below ``2h - 1`` are those of a call at ``h``, so resuming from
+    the ``h`` coefficients of a call at ``h`` to ``2h - 1`` (or from ``h +
+    1`` to ``2h + 1``) gives the fresh result exactly.  ``0 <= known <= n
+    <= len(out)`` must hold, and ``known`` needs an ``out``.
     """
     a = np.asarray(a, dtype=float)
     if a[0] == 0.0:
         raise InvalidParameterError("power series inverse needs a nonzero constant term")
     if n < 1:
         raise InvalidParameterError("power series inverse needs n >= 1 coefficients")
-    v = np.empty(n, dtype=float)
-    m = 0 if head is None else min(len(head), n)
-    if m == 0:
-        v[0] = 1.0 / a[0]
-        m = 1
+    if out is None:
+        if known:
+            raise InvalidParameterError("known coefficients need an out array to hold them")
+        v = np.empty(n, dtype=float)
+    elif 0 <= known <= n <= len(out):
+        v = out[:n]
     else:
-        v[:m] = head[:m]
+        raise InvalidParameterError(
+            f"power series inverse needs 0 <= known <= n <= len(out), got "
+            f"known {known}, n {n}, len(out) {len(out)}"
+        )
+    if known == 0:
+        v[0] = 1.0 / a[0]
+    m = max(known, 1)
     # Rounding of the tiny mixed-radix FFTs at the bottom rungs would be
     # copied into each block above them, doubling with every rung.
     base = min(n, max(m, _EXACT_BASE))

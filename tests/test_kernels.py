@@ -267,10 +267,27 @@ class TestChi:
         fresh = chi_at(kernel, tolerance, horizon, horizon)
         assert fresh.status == status
         for field in ("value", "partial_sum", "fitted_decay"):
+            # the rungs are those of the fresh call, so the bits are too;
             # equal infinities and NaNs (the undecided value) count as equal
-            np.testing.assert_allclose(
-                getattr(result, field), getattr(fresh, field), rtol=1e-12, err_msg=field
+            np.testing.assert_array_equal(
+                getattr(result, field), getattr(fresh, field), err_msg=field
             )
+
+    def test_search_holds_one_horizon_of_returns(self):
+        # 40.03 MiB at horizon 2^20: the last rung's reciprocal, 1 - K(z) and
+        # one array of returns; keeping the 2^19 horizon's returns beside the
+        # new ones reads 44.03 MiB (a copy that frees the old array at once
+        # keeps this traced peak and costs resident memory instead)
+        kernel = make_power_kernel(0.3)
+        tracemalloc.start()
+        try:
+            result = chi(kernel, tolerance=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.status, result.horizon) == ("finite", 1 << 20)
+        assert result.value == pytest.approx(0.24243914554297924, rel=1e-9, abs=0.0)
+        assert peak <= 40.5 * 2**20
 
 
 def polyfit_decay(u, horizon):

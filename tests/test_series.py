@@ -63,10 +63,20 @@ def kernel_masses(draw):
     return masses / masses.sum()
 
 
-def renewal(masses, n, head=None):
+def renewal(masses, n, out=None, known=0):
     """``u_0..u_n`` as the library computes them: the reciprocal of
-    ``1 - K(z)``, with ``K(j) = masses[j-1]`` (0 past the table)."""
-    return power_series_inverse(np.concatenate(([1.0], -masses[:n])), n + 1, head)
+    ``1 - K(z)``, with ``K(j) = masses[j-1]`` (0 past the table), into
+    ``out`` resumed from its first ``known`` entries."""
+    return power_series_inverse(np.concatenate(([1.0], -masses[:n])), n + 1, out, known)
+
+
+def with_head(head, length):
+    """An output of ``length`` entries whose first ones are ``head``, and
+    how many of them a call can resume from."""
+    known = min(len(head), length)
+    out = np.empty(length)
+    out[:known] = head[:known]
+    return out, known
 
 
 class TestAgainstDynamicPrograms:
@@ -99,7 +109,7 @@ class TestResume:
         # are held to the bound of a fresh inverse against the exact recursion
         n = length - 1
         head = renewal(masses, known - 1)
-        resumed = renewal(masses, n, head)
+        resumed = renewal(masses, n, *with_head(head, length))
         assert resumed.shape == (length,)
         assert np.max(np.abs(resumed - renewal_function_dp(masses, n))) <= 1e-12
 
@@ -109,23 +119,36 @@ class TestResume:
         masses = make_power_kernel(0.3).mass_array(2 * horizon)
         head = renewal(masses, horizon)
         np.testing.assert_array_equal(
-            renewal(masses, 2 * horizon, head), renewal(masses, 2 * horizon)
+            renewal(masses, 2 * horizon, *with_head(head, 2 * horizon + 1)),
+            renewal(masses, 2 * horizon),
         )
 
     def test_power_kernel_head_matches_fresh(self):
         masses = make_power_kernel(0.5).mass_array(5000)
         fresh = renewal(masses, 5000)
         for known in (1, 2, 65, 700, 2501, 4999):
-            resumed = renewal(masses, 5000, renewal(masses, known - 1))
+            resumed = renewal(masses, 5000, *with_head(renewal(masses, known - 1), 5001))
             assert np.max(np.abs(resumed - fresh)) <= 1e-14
 
     def test_long_head_is_cut(self):
+        # a longer out: the call reads and writes its first n entries only
         a = np.concatenate(([1.0], -make_power_kernel(0.5).mass_array(99)))
         head = power_series_inverse(a, 100)
-        v = power_series_inverse(a, 37, head)
+        out = head.copy()
+        v = power_series_inverse(a, 37, out, 37)
         assert v.shape == (37,)
         np.testing.assert_array_equal(v, head[:37])
+        np.testing.assert_array_equal(out, head)
         assert np.max(np.abs(v - power_series_inverse(a, 37))) <= 1e-14
+
+    def test_result_is_a_view_of_out(self):
+        # grown in place between horizons, as chi grows its returns
+        masses = make_power_kernel(0.5).mass_array(4096)
+        out = np.empty(2049)
+        assert np.shares_memory(renewal(masses, 2048, out), out)
+        out.resize(4097)
+        assert np.shares_memory(renewal(masses, 4096, out, 2049), out)
+        np.testing.assert_array_equal(out, renewal(masses, 4096))
 
 
 def power_series_a(alpha, n):
@@ -153,22 +176,25 @@ class TestRung:
         a = power_series_a(0.3, n)
         head = power_series_inverse(a, 10001)
         expected = newton_rung(a, newton_rung(a, head, 20001), n)
-        assert_same_bits(power_series_inverse(a, n, head), expected)
+        assert_same_bits(power_series_inverse(a, n, *with_head(head, n)), expected)
 
     @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
     def test_working_memory_is_v_and_three_fft_arrays(self, resumed):
         n = (1 << 18) + 1
         a = power_series_a(0.3, n)
-        head = power_series_inverse(a, (n + 1) // 2) if resumed else None
+        out, known = None, 0
+        if resumed:
+            out, known = with_head(power_series_inverse(a, (n + 1) // 2), n)
         tracemalloc.start()
         try:
-            power_series_inverse(a, n, head)
+            power_series_inverse(a, n, out, known)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4.0 either way; a fourth FFT-length array, or a copy of the head
-        # kept through the rungs, reads 4.5 or more
-        assert peak <= 4.25 * 8 * next_fast_len(n)
+        # 4.0 fresh, and 3.0 resumed into an out allocated before tracing; a
+        # fourth FFT-length array, or a copy of the head kept through the
+        # rungs, reads 0.5 more or above
+        assert peak <= (3.25 if resumed else 4.25) * 8 * next_fast_len(n)
 
 
 class TestRejects:
@@ -179,6 +205,24 @@ class TestRejects:
     def test_no_coefficients(self):
         with pytest.raises(ValueError):
             power_series_inverse(np.array([1.0, -0.5]), 0)
+
+    @pytest.mark.parametrize(
+        "out_length, known, message",
+        [
+            (None, 1, "known coefficients need an out array"),
+            (None, -1, "known coefficients need an out array"),
+            (10, -1, r"needs 0 <= known <= n <= len\(out\), got known -1, n 10"),
+            (10, 11, r"needs 0 <= known <= n <= len\(out\), got known 11, n 10"),
+            (9, 0, r"needs 0 <= known <= n <= len\(out\), got known 0, n 10, len\(out\) 9"),
+            (9, 9, r"needs 0 <= known <= n <= len\(out\), got known 9, n 10, len\(out\) 9"),
+        ],
+        ids=["known-no-out", "negative-no-out", "negative", "past-n", "short-out",
+             "short-out-known"],
+    )
+    def test_bad_known_or_out(self, out_length, known, message):
+        out = None if out_length is None else np.zeros(out_length)
+        with pytest.raises(InvalidParameterError, match=message):
+            power_series_inverse(np.array([1.0, -0.5]), 10, out, known)
 
 
 class TestNextFastLen:
