@@ -326,8 +326,8 @@ def chi(kernel: RenewalKernel, tolerance: float = 2e-3) -> ChiResult:
     u = np.empty(horizon + 1)
     known = 0
     while True:
-        # the returned view is dropped at once: u.resize below refuses to
-        # move an array that a view still reads
+        # the returned view is dropped at once, so that u.resize below
+        # normally finds no other reference to u
         return_probabilities(kernel, horizon, u, known)
         s_fit, c_fit = _fit_decay(u, horizon)
         decay2 = 2.0 * s_fit
@@ -349,9 +349,16 @@ def chi(kernel: RenewalKernel, tolerance: float = 2e-3) -> ChiResult:
             )
         known = horizon + 1
         horizon *= 2
-        # in place: growing by a copy, even one that frees the old array at
-        # once, peaks as high in resident memory as keeping both horizons
-        u.resize(horizon + 1)
+        # in place where the allocator's realloc grows a large block without
+        # copying it (glibc remaps it; measured on Linux only): there a copy,
+        # even one that frees the old array at once, peaks as high in resident
+        # memory as keeping both horizons.  resize refuses while anything else
+        # holds u (a spy recording its arguments, a debugger's frame locals)
+        # and always on PyPy; growing by a copy then gives the same values.
+        try:
+            u.resize(horizon + 1)
+        except ValueError:
+            u = np.concatenate((u, np.empty(horizon + 1 - len(u))))
 
 
 # ---------------------------------------------------------------------------

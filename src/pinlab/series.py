@@ -288,7 +288,8 @@ def power_series_inverse(
     rungs below ``2h - 1`` are those of a call at ``h``, so resuming from
     the ``h`` coefficients of a call at ``h`` to ``2h - 1`` (or from ``h +
     1`` to ``2h + 1``) gives the fresh result exactly.  ``0 <= known <= n
-    <= len(out)`` must hold, and ``known`` needs an ``out``.
+    <= len(out)`` must hold, ``known`` needs an ``out``, and ``out``
+    must be float64.
     """
     a = np.asarray(a, dtype=float)
     if a[0] == 0.0:
@@ -299,6 +300,10 @@ def power_series_inverse(
         if known:
             raise InvalidParameterError("known coefficients need an out array to hold them")
         v = np.empty(n, dtype=float)
+    elif out.dtype != np.float64:
+        raise InvalidParameterError(
+            f"power series inverse needs a float64 out, got {out.dtype}"
+        )
     elif 0 <= known <= n <= len(out):
         v = out[:n]
     else:

@@ -273,6 +273,18 @@ class TestChi:
                 getattr(result, field), getattr(fresh, field), err_msg=field
             )
 
+    def test_doubling_under_a_recording_spy(self):
+        # the spy's call_args keep chi's returns array alive, so growing it in
+        # place is refused and chi grows it by a copy instead
+        kernel = make_power_kernel(0.3)
+        plain = chi(kernel, 2e-3)
+        with mock.patch.object(
+            kernels, "return_probabilities", wraps=kernels.return_probabilities
+        ) as spy:
+            spied = chi(kernel, 2e-3)
+        assert spy.call_count == 3
+        assert spied == plain
+
     def test_search_holds_one_horizon_of_returns(self):
         # 40.03 MiB at horizon 2^20: the last rung's reciprocal, 1 - K(z) and
         # one array of returns; keeping the 2^19 horizon's returns beside the

@@ -207,20 +207,23 @@ class TestRejects:
             power_series_inverse(np.array([1.0, -0.5]), 0)
 
     @pytest.mark.parametrize(
-        "out_length, known, message",
+        "out_length, known, message, dtype",
         [
-            (None, 1, "known coefficients need an out array"),
-            (None, -1, "known coefficients need an out array"),
-            (10, -1, r"needs 0 <= known <= n <= len\(out\), got known -1, n 10"),
-            (10, 11, r"needs 0 <= known <= n <= len\(out\), got known 11, n 10"),
-            (9, 0, r"needs 0 <= known <= n <= len\(out\), got known 0, n 10, len\(out\) 9"),
-            (9, 9, r"needs 0 <= known <= n <= len\(out\), got known 9, n 10, len\(out\) 9"),
+            (None, 1, "known coefficients need an out array", float),
+            (None, -1, "known coefficients need an out array", float),
+            (10, -1, r"needs 0 <= known <= n <= len\(out\), got known -1, n 10", float),
+            (10, 11, r"needs 0 <= known <= n <= len\(out\), got known 11, n 10", float),
+            (9, 0, r"needs 0 <= known <= n <= len\(out\), got known 0, n 10, len\(out\) 9",
+             float),
+            (9, 9, r"needs 0 <= known <= n <= len\(out\), got known 9, n 10, len\(out\) 9",
+             float),
+            (10, 0, "needs a float64 out, got float32", np.float32),
         ],
         ids=["known-no-out", "negative-no-out", "negative", "past-n", "short-out",
-             "short-out-known"],
+             "short-out-known", "float32-out"],
     )
-    def test_bad_known_or_out(self, out_length, known, message):
-        out = None if out_length is None else np.zeros(out_length)
+    def test_bad_known_or_out(self, out_length, known, message, dtype):
+        out = None if out_length is None else np.zeros(out_length, dtype=dtype)
         with pytest.raises(InvalidParameterError, match=message):
             power_series_inverse(np.array([1.0, -0.5]), 10, out, known)
 
